@@ -2,7 +2,8 @@
 
 Reports are deterministic JSON (sorted keys, no timestamps) embedding the
 full run configuration; identical configurations produce identical bytes.
-Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage error.
+Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage error,
+3 a resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 
 from . import __version__
 from .covers import SCHEDULES, decompose, nerve
-from .errors import vertex_budget
+from .errors import BudgetExceededError, vertex_budget
 from .graphs import MetricGraph
 from .homology import homology_type
 from .hyperbolicity import four_point_delta
@@ -346,6 +347,9 @@ def run(argv=None) -> int:
     except (FileNotFoundError, KeyError, ValueError) as e:
         print(f"horokit: {e}", file=sys.stderr)
         return 2
+    except BudgetExceededError as e:
+        print(f"horokit: {e}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

@@ -4,15 +4,18 @@ Faces are stored per dimension as sorted tuples of local vertex indices, up
 to a recorded dimension cap.  A complex may carry a ``span_test`` deciding
 whether an arbitrary vertex set spans a simplex (nerves answer this from
 column intersections, so spans beyond the cap remain decidable).
+
+Every nerve and Rips face is enumerated here, by the clique kernel
+``clique_faces``; ``mask_nerve`` builds the nerves of covers (``covers``,
+``mv``, ``opencone``) and ``clique_complex`` the Rips complexes (``rips``).
 """
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import MapDomainMismatchError, NotSimplicialError
+from .errors import BudgetExceededError, MapDomainMismatchError, NotSimplicialError, vertex_budget
 
 
 class SimplicialComplex:
@@ -164,6 +167,95 @@ class SimplicialComplex:
             "cap": self.cap,
             "faces": [[list(f) for f in fs] for fs in self.faces],
         }
+
+
+def clique_faces(adj: Sequence[int], cap: int, masks: Sequence[int] | None = None,
+                 probe: bool = False):
+    """Cliques of the bitset adjacency ``adj`` (``adj[i]`` holds the neighbours
+    of i) with at most cap+1 vertices: lazily, as increasing vertex tuples, in
+    DFS preorder.  With ``masks`` a clique of two or more vertices counts only
+    when their masks have a nonzero AND (a nerve).  With ``probe`` the first
+    clique of cap+2 vertices is yielded too, in its preorder place, as the
+    witness that the cap truncates; no later one is looked for."""
+    if masks is None:
+        masks = [-1] * len(adj)
+    probing = probe
+
+    def grow(face, common, cand):
+        # the extensions of an already yielded face by its candidate vertices
+        nonlocal probing
+        if len(face) > cap and not probing:
+            return
+        c = cand
+        while c:
+            j = (c & -c).bit_length() - 1
+            c &= c - 1
+            nc = common & masks[j]
+            if nc:
+                yield face + (j,)
+                if len(face) > cap:
+                    probing = False
+                    return
+                yield from grow(face + (j,), nc, cand & adj[j] & -(1 << (j + 1)))
+
+    for i in range(len(adj)):
+        yield (i,)
+        yield from grow((i,), masks[i], adj[i] & -(1 << (i + 1)))
+
+
+def clique_complex(labels: Sequence, faces: Iterable[tuple[int, ...]], cap: int,
+                   span_test: Callable[[tuple[int, ...]], bool],
+                   budget: int | None = None, what: str = "complex") -> SimplicialComplex:
+    """Complex of a probed ``clique_faces`` stream: a face past the cap only
+    sets ``truncated_at_cap``, and the kept faces count against the face
+    budget (ten times the vertex budget unless given)."""
+    limit = vertex_budget(budget) * 10 if budget is None else budget
+    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
+    count = 0
+    truncated = False
+    for face in faces:
+        if len(face) > cap + 1:
+            truncated = True
+            continue
+        by_dim[len(face) - 1].append(face)
+        count += 1
+        if count > limit:
+            raise BudgetExceededError(f"{what} exceeds face budget {limit}")
+    return SimplicialComplex(labels, by_dim, cap, span_test=span_test, truncated_at_cap=truncated)
+
+
+def mask_adjacency(masks: Sequence[int]) -> list[int]:
+    """Bitset adjacency of the sets whose masks meet pairwise."""
+    m = len(masks)
+    adj = [0] * m
+    for i in range(m):
+        mi = masks[i]
+        for j in range(i + 1, m):
+            if mi & masks[j]:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+    return adj
+
+
+def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int, budget: int | None = None,
+               faces: Iterable[tuple[int, ...]] | None = None) -> SimplicialComplex:
+    """Nerve of a family of bitmask sets up to the cap: a simplex per
+    subfamily whose masks have a nonzero AND.  ``faces`` is the probed clique
+    stream of the masks, when the caller enumerates it.  The span test answers
+    from the masks, so spans beyond the cap stay decidable (contiguity needs
+    that)."""
+    if faces is None:
+        faces = clique_faces(mask_adjacency(masks), cap, masks, probe=True)
+
+    def span_test(vertices: tuple[int, ...]) -> bool:
+        common = -1
+        for v in vertices:
+            common &= masks[v]
+            if common == 0:
+                return False
+        return True
+
+    return clique_complex(labels, faces, cap, span_test, budget, "nerve")
 
 
 def full_simplex(n: int) -> SimplicialComplex:

@@ -8,6 +8,10 @@ sets are bitmasks over the carrier's vertex order, so nerve faces and
 contiguity reduce to integer AND.  Covers are formal families indexed by
 centers: distinct centers stay distinct nerve vertices even when their
 vertex sets coincide.
+
+Cover nerve faces are enumerated only through ``iter_faces``, which runs the
+clique kernel ``complexes.clique_faces`` on the column masks; ``nerve``,
+``lazy_boundary_columns`` and the map checks all read it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .complexes import SimplicialComplex, SimplicialMap
+from .complexes import SimplicialComplex, SimplicialMap, clique_faces, mask_adjacency, mask_nerve
 from .errors import (
     BudgetExceededError,
     DecompositionError,
@@ -221,67 +225,21 @@ def decompose(space: AugmentedSpace, n: int, schedule: Schedule) -> Decompositio
 # -- nerves ------------------------------------------------------------------
 
 
-def iter_faces(family: Family, cap: int):
-    """All nerve faces of the family up to the cap, as local index tuples."""
+def iter_faces(family: Family, cap: int, probe: bool = False):
+    """Nerve faces of the family up to the cap, as local index tuples in DFS
+    preorder; ``probe`` as in ``complexes.clique_faces``."""
     masks = [c.mask for c in family.columns]
-    m = len(masks)
-    adj = [0] * m
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if mi & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-
-    def rec(face, common, cand):
-        yield tuple(face)
-        if len(face) == cap + 1:
-            return
-        c = cand
-        while c:
-            j = (c & -c).bit_length() - 1
-            c &= c - 1
-            nc = common & masks[j]
-            if nc:
-                yield from rec(face + [j], nc, cand & adj[j] & -(1 << (j + 1)))
-
-    for i in range(m):
-        yield from rec([i], masks[i], adj[i] & -(1 << (i + 1)))
+    return clique_faces(mask_adjacency(masks), cap, masks, probe)
 
 
 def nerve(family: Family, cap: int = 3, budget: int | None = None) -> SimplicialComplex:
-    """Nerve of the family: a simplex per subfamily with common intersection.
-
-    The span test answers from column masks, so spans of vertex sets larger
-    than the cap stay decidable (contiguity needs that).
-    """
+    """Nerve of the family: a simplex per subfamily with common intersection
+    (``complexes.mask_nerve`` of the column masks)."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    limit = vertex_budget(budget) * 10 if budget is None else budget
     masks = [c.mask for c in family.columns]
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
-    count = 0
-    truncated = False
-    for face in iter_faces(family, cap + 1):
-        if len(face) == cap + 2:
-            truncated = True
-            continue
-        by_dim[len(face) - 1].append(face)
-        count += 1
-        if count > limit:
-            raise BudgetExceededError(f"nerve exceeds face budget {limit}")
-
-    def span_test(vertices: tuple[int, ...]) -> bool:
-        common = -1
-        for v in vertices:
-            common &= masks[v]
-            if common == 0:
-                return False
-        return True
-
-    return SimplicialComplex(
-        tuple(family.centers), by_dim, cap, span_test=span_test, truncated_at_cap=truncated
-    )
+    faces = iter_faces(family, cap, probe=True)
+    return mask_nerve(tuple(family.centers), masks, cap, budget, faces)
 
 
 def lazy_boundary_columns(family: Family, p: int, face_index: dict):

@@ -282,12 +282,6 @@ class CosetTable:
     def __len__(self):
         return len(self.entries)
 
-    def rep_of(self, index: int) -> str:
-        for e in self.entries:
-            if e.index == index:
-                return e.rep
-        raise KeyError(index)
-
     def to_csv(self, path):
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)

@@ -27,7 +27,6 @@ from .covers import (
     connecting_map,
     contiguous_cover_maps,
     decompose,
-    iter_faces,
     lazy_boundary_columns,
     nerve,
 )
@@ -358,7 +357,7 @@ def _cluster_vanishing(
             degrees[p] = rec
             continue
         if p == 0:
-            tgt_edges = _piece_complex(tgt_fam, 1)
+            tgt_edges = nerve(tgt_fam, cap=1)
             comps = tgt_edges.components()
             tpos = {c: i for i, c in enumerate(tgt_edges.labels)}
             images = {
@@ -373,7 +372,7 @@ def _cluster_vanishing(
         # push a generating set of source p-cycles; boundaries push to
         # boundaries, so kernel generators suffice
         gens = _kernel_generators(src_nerve, p)
-        tgt_cx = _piece_complex(tgt_fam, p)
+        tgt_cx = nerve(tgt_fam, cap=p)
         smap = piece_map.to_simplicial_map(src_nerve, tgt_cx, check=False)
         chain_cols = smap.chain_columns(p)
         face_index = tgt_cx.face_index[p]
@@ -392,23 +391,6 @@ def _cluster_vanishing(
         rec.update(zero=ok, how=f"pushed {len(gens)} cycle generators bound in target")
         degrees[p] = rec
     return ClusterVanishing(coset, degrees)
-
-
-def _piece_complex(fam: Family, cap: int) -> SimplicialComplex:
-    masks = [c.mask for c in fam.columns]
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
-    for face in iter_faces(fam, cap):
-        by_dim[len(face) - 1].append(face)
-
-    def span_test(vertices):
-        common = -1
-        for v in vertices:
-            common &= masks[v]
-            if common == 0:
-                return False
-        return True
-
-    return SimplicialComplex(tuple(fam.centers), by_dim, cap, span_test=span_test)
 
 
 def _kernel_generators(cx: SimplicialComplex, p: int) -> list[dict[int, int]]:

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import SimplicialComplex, SimplicialMap
+from .complexes import SimplicialMap, mask_nerve
 from .errors import EmbeddingError
 from .homology import DegreeCoordinates, induced_map
 from .towers import Tower, direct_limit_report
@@ -201,33 +201,7 @@ def cone_cover_tower(
         for m in masks:
             union |= m
         covering.append(union == (1 << len(cone.points)) - 1)
-        faces = []
-        mcount = len(centers)
-        adj = [0] * mcount
-        for a in range(mcount):
-            for b in range(a + 1, mcount):
-                if masks[a] & masks[b]:
-                    adj[a] |= 1 << b
-                    adj[b] |= 1 << a
-
-        def rec(face, common, cand):
-            faces.append(tuple(face))
-            if len(face) == cap + 1:
-                return
-            c = cand
-            while c:
-                j = (c & -c).bit_length() - 1
-                c &= c - 1
-                nc = common & masks[j]
-                if nc:
-                    rec(face + [j], nc, cand & adj[j] & -(1 << (j + 1)))
-
-        for a in range(mcount):
-            rec([a], masks[a], adj[a] & -(1 << (a + 1)))
-        by_dim: list[list] = [[] for _ in range(cap + 1)]
-        for f in faces:
-            by_dim[len(f) - 1].append(f)
-        complexes.append(SimplicialComplex(list(range(mcount)), by_dim, cap))
+        complexes.append(mask_nerve(list(range(len(centers))), masks, cap))
     towers = {}
     for degree in (0, 1):
         coords = [DegreeCoordinates(cx, degree) for cx in complexes]

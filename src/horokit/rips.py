@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, barycentric_subdivision  # noqa: F401
-from .errors import BudgetExceededError, vertex_budget
+from .complexes import SimplicialComplex, clique_complex, clique_faces
 from .graphs import MetricGraph
 from .homology import homology_type
 
@@ -39,29 +38,6 @@ def rips(graph: MetricGraph, diameter: int, cap: int = 3, budget: int | None = N
             if 0 <= row[j] <= diameter:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    limit = vertex_budget(budget) * 10 if budget is None else budget
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
-    count = 0
-    truncated = False
-
-    def rec(face, cand):
-        nonlocal count, truncated
-        by_dim[len(face) - 1].append(tuple(face))
-        count += 1
-        if count > limit:
-            raise BudgetExceededError(f"rips complex exceeds face budget {limit}")
-        if len(face) == cap + 1:
-            if cand:
-                truncated = True
-            return
-        c = cand
-        while c:
-            j = (c & -c).bit_length() - 1
-            c &= c - 1
-            rec(face + [j], cand & adj[j] & -(1 << (j + 1)))
-
-    for i in range(n):
-        rec([i], adj[i] & -(1 << (i + 1)))
 
     def span_test(vertices):
         for a in vertices:
@@ -70,9 +46,8 @@ def rips(graph: MetricGraph, diameter: int, cap: int = 3, budget: int | None = N
                     return False
         return True
 
-    return SimplicialComplex(
-        graph.vertices, by_dim, cap, span_test=span_test, truncated_at_cap=truncated
-    )
+    faces = clique_faces(adj, cap, probe=True)
+    return clique_complex(graph.vertices, faces, cap, span_test, budget, "rips complex")
 
 
 def _window_vertices(complex_: SimplicialComplex, window: LevelWindow, which: str):

@@ -389,53 +389,25 @@ def sparse_diagonal(columns, nrows: int) -> tuple[list[int], int]:
 
 def column_hnf(mat) -> np.ndarray:
     """Canonical column-style Hermite form: pivot rows increasing, positive
-    pivots, entries left of a pivot reduced modulo it.  Zero columns dropped."""
-    A = _as_int_matrix(mat).astype(object).copy()
-    m, n = A.shape
-    cols = [list(A[:, j]) for j in range(n)]
-    basis: list[list[int]] = []  # echelon columns, pivot rows increasing
-    for col in cols:
-        col = list(col)
-        while True:
-            p = _first_nonzero(col)
-            if p is None:
-                break
-            placed = False
-            for b in basis:
-                bp = _first_nonzero(b)
-                if bp == p:
-                    g = gcd(b[p], col[p])
-                    s, t = _bezout(b[p], col[p])
-                    nb = [s * b[i] + t * col[i] for i in range(m)]
-                    nc = [
-                        (b[p] // g) * col[i] - (col[p] // g) * b[i] for i in range(m)
-                    ]
-                    b[:] = nb
-                    col = nc
-                    placed = True
-                    break
-            if not placed:
-                basis.append(col)
-                break
-        # keep basis ordered by pivot row
-        basis.sort(key=lambda b: _first_nonzero(b))
-    # normalize: positive pivots, reduce entries above?? (column form: reduce
-    # the pivot-row entries of *later* columns, which live in earlier rows)
-    for b in basis:
-        p = _first_nonzero(b)
-        if b[p] < 0:
-            for i in range(m):
-                b[i] = -b[i]
-    for j, b in enumerate(basis):
-        p = _first_nonzero(b)
+    pivots, entries left of a pivot reduced modulo it.  Zero columns dropped.
+
+    The echelon basis comes from ``LazyLattice``; the form is unique per
+    lattice, so only its normalisation happens here."""
+    A = _as_int_matrix(mat)
+    lattice = LazyLattice((), A.shape[0])
+    for j in range(A.shape[1]):
+        lattice._absorb(A[:, j])
+    H = lattice.basis_matrix()
+    pivots = sorted(lattice._basis)
+    for j, p in enumerate(pivots):
+        if H[p, j] < 0:
+            H[:, j] = -H[:, j]
+    for j, p in enumerate(pivots):
         for j2 in range(j):
-            q = basis[j2][p] // b[p]
+            q = H[p, j2] // H[p, j]
             if q:
-                for i in range(m):
-                    basis[j2][i] -= q * b[i]
-    if not basis:
-        return np.zeros((m, 0), dtype=object)
-    return np.array(basis, dtype=object).T
+                H[:, j2] -= q * H[:, j]
+    return H
 
 
 def _first_nonzero(col):

@@ -272,10 +272,6 @@ def cusp_vertices(space: AugmentedSpace, level: int) -> set[Vertex]:
     return {v for v in space.graph.vertices if v.level >= level}
 
 
-def slice_vertices(space: AugmentedSpace, level: int) -> set[Vertex]:
-    return {v for v in space.graph.vertices if v.level == level}
-
-
 def boundary_vertices(space: AugmentedSpace) -> set[Vertex]:
     """Outer shell of the truncation: the Cayley sphere at the ball radius,
     the top horoball slice, and Cayley vertices whose coset has no horoball."""

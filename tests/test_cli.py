@@ -255,3 +255,15 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.read_bytes() == (GOLDENS / "milnor_demo.json").read_bytes()
+
+
+def test_budget_exceeded_exits_3_without_traceback(tmp_path, monkeypatch, capsys):
+    # a config file, since registered instances are cached per process
+    cfg = {"group": {"family": "free-abelian", "rank": 1, "peripherals": [0]}, "rg": 12, "lmax": 3}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setenv("HOROKIT_VERTEX_BUDGET", "50")
+    assert run(["delta", "--instance", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("horokit: ") and "budget" in err
+    assert "Traceback" not in err

@@ -1,0 +1,86 @@
+"""The clique kernel against brute-force subset enumeration, and face budgets."""
+
+from itertools import combinations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from horokit.complexes import clique_faces, mask_adjacency, mask_nerve
+from horokit.covers import build_cover, nerve
+from horokit.errors import BudgetExceededError
+from horokit.graphs import MetricGraph, Vertex
+from horokit.groups import GroupSpec
+from horokit.rips import rips
+from horokit.spaces import Truncation, build_augmented
+
+
+def meet(masks, subset):
+    common = -1
+    for v in subset:
+        common &= masks[v]
+    return common != 0
+
+
+def nerve_oracle(masks, size):
+    """Vertex subsets of the given size in the nerve, in lexicographic order;
+    every single vertex is a face."""
+    return [s for s in combinations(range(len(masks)), size) if size == 1 or meet(masks, s)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, 63), min_size=1, max_size=9), st.integers(1, 3))
+def test_mask_nerve_matches_subset_oracle(masks, cap):
+    by_size = [nerve_oracle(masks, k) for k in range(1, cap + 3)]
+    kept = sorted(f for fs in by_size[: cap + 1] for f in fs)
+    witness = by_size[cap + 1][:1]
+    adj = mask_adjacency(masks)
+    # DFS preorder of increasing tuples is lexicographic order
+    assert list(clique_faces(adj, cap, masks)) == kept
+    assert list(clique_faces(adj, cap, masks, probe=True)) == sorted(kept + witness)
+    cx = mask_nerve(list(range(len(masks))), masks, cap)
+    assert cx.faces == by_size[: cap + 1]
+    assert cx.truncated_at_cap == bool(witness)
+    for k in range(2, len(masks) + 1):
+        for s in combinations(range(len(masks)), k):
+            assert cx.spans(s) == meet(masks, s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(lambda n: st.tuples(
+        st.just(n), st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_rips_matches_diameter_oracle(graph, diameter, cap):
+    n, pairs = graph
+    vs = [Vertex(i, 0, 0) for i in range(n)]
+    g = MetricGraph(vs, [(vs[a], vs[b]) for a, b in pairs if a != b])
+    dist = g.distance_matrix()
+    cx = rips(g, diameter, cap=cap)
+
+    def small(s):
+        return all(0 <= dist[a][b] <= diameter for a, b in combinations(s, 2))
+
+    for k in range(1, cap + 2):
+        assert cx.faces[k - 1] == [s for s in combinations(range(n), k) if small(s)]
+    assert cx.truncated_at_cap == any(small(s) for s in combinations(range(n), cap + 2))
+
+
+def test_nerve_face_budget_counts_kept_faces():
+    z = GroupSpec.free_abelian(1, names=("x",))
+    sp = build_augmented(z, (0,), Truncation(rg=2, lmax=1, mmax=1))
+    fam = build_cover(sp, 1).whole()
+    kept = sum(len(fs) for fs in nerve(fam, cap=2).faces)
+    assert sum(len(fs) for fs in nerve(fam, cap=2, budget=kept).faces) == kept
+    with pytest.raises(BudgetExceededError, match="face budget"):
+        nerve(fam, cap=2, budget=kept - 1)
+
+
+def test_rips_face_budget_counts_kept_faces():
+    vs = [Vertex(i, 0, 0) for i in range(5)]
+    g = MetricGraph(vs, [(vs[i], vs[i + 1]) for i in range(4)])
+    kept = sum(len(fs) for fs in rips(g, 2, cap=2).faces)
+    assert sum(len(fs) for fs in rips(g, 2, cap=2, budget=kept).faces) == kept
+    with pytest.raises(BudgetExceededError, match="face budget"):
+        rips(g, 2, cap=2, budget=kept - 1)

@@ -105,6 +105,25 @@ def test_hnf_is_canonical_for_equal_lattices():
     assert lattice_equal(column_hnf(a), column_hnf(c))
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.data())
+def test_hnf_invariant_under_unimodular_column_ops(rows, data):
+    a = np.array(rows, dtype=object)
+    n = a.shape[1]
+    u = np.eye(n, dtype=object)
+    ops = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                       st.integers(-3, 3), st.booleans()), max_size=8))
+    for src, dst, q, negate in ops:
+        if src != dst:
+            u[:, dst] += q * u[:, src]
+        if negate:
+            u[:, dst] = -u[:, dst]
+    perm = data.draw(st.permutations(range(n)))
+    h = column_hnf(a)
+    assert np.array_equal(column_hnf(a.dot(u)[:, perm]), h)
+    assert all([x for x in h[:, j] if x][0] > 0 for j in range(h.shape[1]))  # positive pivots
+
+
 def test_lattice_sum():
     a = np.array([[2], [0]], dtype=object)
     b = np.array([[0], [3]], dtype=object)
