@@ -30,6 +30,9 @@ for fixture in ("two_rays", "circle4", "graph6"):
     CHECKS.append((f"cone-{fixture}", ["opencone", "--fixture", fixture]))
 CHECKS.append(("milnor", ["milnor-demo"]))
 
+# the CLI's exit codes
+STATUS = {0: "pass", 1: "FAIL", 2: "usage-error", 3: "budget-exceeded"}
+
 
 def main() -> int:
     ap = argparse.ArgumentParser()
@@ -40,7 +43,7 @@ def main() -> int:
     worst = 0
     for label, argv in CHECKS:
         code = run(argv + ["--out", str(outdir / f"{label}.json")])
-        status = {0: "pass", 1: "FAIL", 2: "usage-error"}.get(code, f"exit {code}")
+        status = STATUS.get(code, f"exit {code}")
         print(f"{label:24s} {status}")
         worst = max(worst, code)
     return 0 if worst == 0 else 1

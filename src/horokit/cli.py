@@ -263,12 +263,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"horokit {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, instance=True):
-        if instance:
-            sp.add_argument("--instance", required=True, help="name or config path")
-        sp.add_argument("--schedule", choices=sorted(SCHEDULES), default="paper")
-        sp.add_argument("--dimcap", type=int, default=2)
-        sp.add_argument("--seed", type=int, default=0)
+    shared = {
+        "--schedule": {"choices": sorted(SCHEDULES), "default": "paper"},
+        "--dimcap": {"type": int, "default": 2},
+        "--seed": {"type": int, "default": 0},
+    }
+
+    def common(sp, *options):
+        # --instance and --out, plus the shared options the handler reads
+        sp.add_argument("--instance", required=True, help="name or config path")
+        for opt in options:
+            sp.add_argument(opt, **shared[opt])
         sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("build-augmented", help="build a truncated augmented space")
@@ -283,13 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_build_augmented)
 
     sp = sub.add_parser("delta", help="four-point hyperbolicity constant")
-    common(sp)
+    common(sp, "--seed")
     sp.add_argument("--mode", choices=["exhaustive", "sampled"], default="exhaustive")
     sp.add_argument("--samples", type=int, default=100_000)
     sp.set_defaults(func=_cmd_delta)
 
     sp = sub.add_parser("nerve", help="export a cover-family nerve")
-    common(sp)
+    common(sp, "--schedule", "--dimcap")
     sp.add_argument("--stage", type=int, default=0)
     sp.add_argument(
         "--family", choices=["whole", "thick", "cusp", "interface"], default="whole"
@@ -297,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_nerve)
 
     sp = sub.add_parser("homology", help="homology of a cover-family nerve")
-    common(sp)
+    common(sp, "--schedule", "--dimcap")
     sp.add_argument("--stage", type=int, default=0)
     sp.add_argument(
         "--family", choices=["whole", "thick", "cusp", "interface"], default="whole"
@@ -306,17 +311,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_homology)
 
     sp = sub.add_parser("mv-verify", help="stage exactness and cluster verdicts")
-    common(sp)
+    common(sp, "--schedule", "--dimcap")
     sp.add_argument("--stage", type=int, default=0)
     sp.set_defaults(func=_cmd_mv_verify)
 
     sp = sub.add_parser("y-vanish", help="cusp tower vanishing verdict")
-    common(sp)
+    common(sp, "--schedule")
     sp.add_argument("--stage", type=int, default=0)
     sp.set_defaults(func=_cmd_y_vanish)
 
     sp = sub.add_parser("rips-check", help="window decomposition of a Rips complex")
-    common(sp)
+    common(sp, "--dimcap")
     sp.add_argument("--diameter", type=int, required=True)
     sp.add_argument("--low", type=int, required=True)
     sp.add_argument("--high", type=int, required=True)

@@ -43,6 +43,9 @@ class SimplicialComplex:
             {f: i for i, f in enumerate(fs)} for fs in self.faces
         ]
         self._span_test = span_test
+        # (torsion, rank) of each boundary map C_p -> C_{p-1}, by p; filled
+        # in by homology.homology_type, so each is eliminated once
+        self.boundary_types: dict[int, tuple[tuple[int, ...], int]] = {}
 
     # -- constructors -------------------------------------------------------
 
@@ -116,16 +119,18 @@ class SimplicialComplex:
             cols.append(col)
         return cols
 
-    def boundary_dense(self, p: int):
-        import numpy as np
-
-        rows = self.n_faces(p - 1) if p >= 1 else 0
-        cols = self.boundary_columns(p)
-        mat = np.zeros((rows, len(cols)), dtype=object)
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                mat[r, j] = v
-        return mat
+    def chain_boundary(self, p: int, chain: dict[int, int]) -> dict[int, int]:
+        """Boundary of a p-chain {face index: coefficient}, zeros dropped."""
+        if p == 0:
+            return {}
+        idx = self.face_index[p - 1]
+        out: dict[int, int] = {}
+        for r, coeff in chain.items():
+            f = self.faces[p][r]
+            for i in range(len(f)):
+                key = idx[f[:i] + f[i + 1 :]]
+                out[key] = out.get(key, 0) + (-coeff if i % 2 else coeff)
+        return {r: v for r, v in out.items() if v}
 
     def components(self) -> list[int]:
         """Component id per vertex, from the 1-skeleton."""

@@ -10,8 +10,8 @@ centers: distinct centers stay distinct nerve vertices even when their
 vertex sets coincide.
 
 Cover nerve faces are enumerated only through ``iter_faces``, which runs the
-clique kernel ``complexes.clique_faces`` on the column masks; ``nerve``,
-``lazy_boundary_columns`` and the map checks all read it.
+clique kernel ``complexes.clique_faces`` on the column masks; ``nerve`` and
+the map checks read it.
 """
 
 from __future__ import annotations
@@ -240,19 +240,6 @@ def nerve(family: Family, cap: int = 3, budget: int | None = None) -> Simplicial
     masks = [c.mask for c in family.columns]
     faces = iter_faces(family, cap, probe=True)
     return mask_nerve(tuple(family.centers), masks, cap, budget, faces)
-
-
-def lazy_boundary_columns(family: Family, p: int, face_index: dict):
-    """Boundary columns of the family's p-faces against a prebuilt index of
-    (p-1)-faces, enumerated lazily (the p-faces are never stored)."""
-    for face in iter_faces(family, p):
-        if len(face) != p + 1:
-            continue
-        col = {}
-        for i in range(len(face)):
-            sub = face[:i] + face[i + 1 :]
-            col[face_index[sub]] = -1 if i % 2 else 1
-        yield col
 
 
 # -- connecting maps ---------------------------------------------------------

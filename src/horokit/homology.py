@@ -1,25 +1,27 @@
 """Integer simplicial homology and maps between homology groups.
 
-Group types (rank plus invariant factors) come from sparse eliminations of
-the boundary matrices.  Where induced maps are needed, a coordinate system
-is built per degree: a kernel basis of the boundary (components in degree 0,
-fundamental cycles of a spanning forest in degree 1, a dense integer kernel
-above), the boundary image expressed in those coordinates, and the Smith
-row transform of that expression.  Classes of cycles are then plain integer
-vectors reduced modulo the invariant factors.
+Degree 0 is the component count.  Every homology group of degree >= 1 goes
+through one sparse chain reduction, ``snf._eliminate``: group types from the
+unit pivots and invariant factors of the boundary maps (``homology_type``),
+coordinates from the same elimination with its column combinations tracked
+(``DegreeCoordinates``: the unmatched faces of d_p give a cycle basis,
+d_{p+1} is eliminated in it, and only the residue gets a Smith normal form).
+Classes of cycles are then plain integer vectors reduced modulo the
+invariant factors.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .complexes import SimplicialComplex, SimplicialMap
 from .snf import (
+    _clear_pivot_rows,
+    _dense,
+    _eliminate,
     column_hnf,
-    kernel_basis,
     lattice_contains,
     lattice_equal,
     lattice_sum,
@@ -124,119 +126,98 @@ def homology_type(
         rank = n_comp - (1 if reduced and n_comp else 0)
         return AbelianGroup(max(rank, 0))
     n_p = complex_.n_faces(degree)
-    _, rank_dp = _sparse_rank_diag(complex_, degree)
-    diag_next, rank_next = _sparse_rank_diag(complex_, degree + 1)
-    rank = n_p - rank_dp - rank_next
-    return AbelianGroup(rank, _torsion_from_diag(diag_next))
+    _, rank_dp = _boundary_type(complex_, degree)
+    torsion, rank_next = _boundary_type(complex_, degree + 1)
+    return AbelianGroup(n_p - rank_dp - rank_next, torsion)
 
 
-def _sparse_rank_diag(complex_: SimplicialComplex, p: int):
+def _boundary_type(complex_: SimplicialComplex, p: int) -> tuple[tuple[int, ...], int]:
+    """(torsion, rank) of the boundary C_p -> C_{p-1}, eliminated once per
+    complex and degree."""
     if p <= 0 or p > complex_.cap or complex_.n_faces(p) == 0:
-        return [], 0
-    cols = complex_.boundary_columns(p)
-    diag, rank = sparse_diagonal(cols, complex_.n_faces(p - 1))
-    return diag, rank
+        return (), 0
+    cache = complex_.boundary_types
+    if p not in cache:
+        diag, rank = sparse_diagonal(complex_.boundary_columns(p), complex_.n_faces(p - 1))
+        cache[p] = (_torsion_from_diag(diag), rank)
+    return cache[p]
+
+
+def chain_image(columns, chain: dict[int, int]) -> dict[int, int]:
+    """The sum of ``coeff * columns[i]`` over the entries ``i: coeff`` of a
+    sparse chain (a chain map's columns, or a basis), zero entries dropped."""
+    out: dict[int, int] = {}
+    for i, coeff in chain.items():
+        for r, v in columns[i].items():
+            out[r] = out.get(r, 0) + coeff * v
+    return {r: v for r, v in out.items() if v}
 
 
 class DegreeCoordinates:
-    """Coordinates on H_degree of one complex (dense path; small complexes)."""
+    """Coordinates on H_degree of one complex.
+
+    Degree 0 counts components.  Above it, ``snf._eliminate`` runs on the
+    boundary d_p with its column combinations tracked: the unit pivots match
+    p-faces to (p-1)-faces, a cycle is fixed by its restriction to the
+    unmatched p-faces, and the cycle basis is the unmatched faces whose
+    columns cleared to zero plus a kernel basis of the (small) residue.  The
+    columns of d_{p+1} written in that basis are eliminated in turn; a cycle
+    is reduced by the frozen pivot columns onto the non-pivot rows, and only
+    the residue on those rows gets a Smith normal form, whose row transform
+    gives the group coordinates.
+    """
 
     def __init__(self, complex_: SimplicialComplex, degree: int, reduced: bool = False):
         self.complex = complex_
         self.degree = degree
         self.reduced = reduced
-        self._nontree: list[int] | None = None
-        self._kernel_snf = None
         if degree == 0:
             comps = complex_.components()
             self._comps = comps
             self._n_comp = len(set(comps)) if comps else 0
             rank = self._n_comp - (1 if reduced and self._n_comp else 0)
             self.group = AbelianGroup(max(rank, 0))
-            self._U = None
             return
-        kernel = self._kernel_matrix()
-        self._kernel = kernel
-        if kernel.shape[1] == 0:
-            self.group = AbelianGroup(0)
-            self._U = None
-            return
-        expr = self._boundary_expression()
-        res = smith_normal_form(expr, want_u=True, want_uinv=True)
-        self._U = res.U
-        self._Uinv = res.Uinv
-        self._diag = list(res.diag) + [0] * (kernel.shape[1] - res.rank)
-        self.group = AbelianGroup(
-            kernel.shape[1] - res.rank, _torsion_from_diag(res.diag)
-        )
+        # the cycle basis: unmatched faces first, then the residue's kernel
+        _, residue, chains, _ = _eliminate(complex_.boundary_columns(degree), track=True)
+        unmatched = [c for c in chains if c not in residue]
+        self._slot = {c: i for i, c in enumerate(unmatched)}
+        self._basis = [chains[c] for c in unmatched]
+        self._via_residue: dict[int, dict[int, int]] = {}  # face -> kernel slots
+        if residue:
+            faces = sorted(residue)
+            res = smith_normal_form(_dense(residue), want_v=True, want_vinv=True)
+            for j in range(res.rank, len(faces)):
+                slot = len(self._basis)
+                kernel = {c: int(res.V[i, j]) for i, c in enumerate(faces) if res.V[i, j]}
+                self._basis.append(chain_image(chains, kernel))
+                for i, c in enumerate(faces):
+                    if res.Vinv[j, i]:
+                        self._via_residue.setdefault(c, {})[slot] = int(res.Vinv[j, i])
+        # the boundaries in cycle coordinates
+        expr = [self._cycle_coords(col) for col in complex_.boundary_columns(degree + 1)]
+        _, rest, _, self._pivots = _eliminate(expr, freeze=True)
+        self._rows = [s for s in range(len(self._basis)) if s not in self._pivots]
+        res = smith_normal_form(_dense(rest, self._rows), want_u=True, want_uinv=True)
+        self._U = np.array(res.U, dtype=object)
+        self._Uinv = np.array(res.Uinv, dtype=object)
+        self._diag = list(res.diag) + [0] * (len(self._rows) - res.rank)
+        self.group = AbelianGroup(len(self._rows) - res.rank, _torsion_from_diag(res.diag))
         # coordinate slots with order 1 are dropped when projecting
         self._keep = [i for i, d in enumerate(self._diag) if d != 1]
 
-    def _kernel_matrix(self) -> np.ndarray:
-        c, p = self.complex, self.degree
-        if p == 1:
-            mat, nontree = _cycle_space_basis(c)
-            self._nontree = nontree
-            return mat
-        return kernel_basis(c.boundary_dense(p))
-
-    def _boundary_expression(self) -> np.ndarray:
-        """The boundary image in cycle coordinates, compacted to a lattice
-        basis before any transform-tracked elimination.
-
-        In fundamental-cycle coordinates a boundary column is just the
-        restriction of the boundary to the non-tree edges (at most the face
-        count of the simplex), so the columns stay sparse and the image
-        lattice is absorbed incrementally; the Smith pass then runs on a
-        square-ish basis instead of one column per top simplex.
-        """
-        from .snf import LazyLattice
-
-        k = self._kernel.shape[1]
-        p = self.degree
-        cols = self.complex.boundary_columns(p + 1)
-        if self._nontree is not None:
-            edge_slot = {e: i for i, e in enumerate(self._nontree)}
-            expr_cols = []
-            for col in cols:
-                expr_cols.append(
-                    {edge_slot[r]: v for r, v in col.items() if r in edge_slot}
-                )
-        else:
-            bound = self.complex.boundary_dense(p + 1)
-            expr_cols = []
-            for j in range(bound.shape[1]):
-                u = self._solve_kernel(bound[:, j])
-                expr_cols.append({i: int(x) for i, x in enumerate(u) if x})
-        absorber = LazyLattice(iter(()), dim=k)
-        for col in expr_cols:
-            absorber._absorb(col)
-        return absorber.basis_matrix()
-
-    def _solve_kernel(self, vec) -> np.ndarray:
-        """Integer coefficients u with kernel @ u == vec; vec must be a cycle."""
-        vec = np.array(vec, dtype=object)
-        if self._nontree is not None:
-            u = np.array([vec[e] for e in self._nontree], dtype=object)
-        else:
-            if self._kernel_snf is None:
-                self._kernel_snf = smith_normal_form(
-                    self._kernel, want_u=True, want_v=True
-                )
-            res = self._kernel_snf
-            y = res.U @ vec
-            w = np.zeros(self._kernel.shape[1], dtype=object)
-            for i in range(len(y)):
-                if i < res.rank:
-                    if y[i] % res.diag[i]:
-                        raise ValueError("chain is not a cycle")
-                    w[i] = y[i] // res.diag[i]
-                elif y[i] != 0:
-                    raise ValueError("chain is not a cycle")
-            u = res.V @ w
-        if not np.equal(self._kernel @ u, vec).all():
-            raise ValueError("chain is not a cycle")
-        return u
+    def _cycle_coords(self, cycle: dict[int, int]) -> dict[int, int]:
+        """A cycle in the cycle basis: its restriction to the unmatched faces,
+        the part on residue faces taken to the residue's kernel slots."""
+        out: dict[int, int] = {}
+        for r, coeff in cycle.items():
+            if r in self._slot:
+                terms = {self._slot[r]: 1}
+            else:
+                terms = self._via_residue.get(r, {})
+            for s, w in terms.items():
+                out[s] = out.get(s, 0) + coeff * w
+        return {s: v for s, v in out.items() if v}
 
     # -- projections ---------------------------------------------------------
 
@@ -252,14 +233,10 @@ class DegreeCoordinates:
                     raise ValueError("chain has nonzero augmentation")
                 vec = vec[1:]
             return tuple(vec)
-        if self._U is None:
-            if chain:
-                raise ValueError("nonzero chain in a complex with no cycles")
-            return ()
-        vec = np.zeros(self.complex.n_faces(self.degree), dtype=object)
-        for r, val in chain.items():
-            vec[r] = val
-        h = self._U @ self._solve_kernel(vec)
+        if self.complex.chain_boundary(self.degree, chain):
+            raise ValueError("chain is not a cycle")
+        x = _clear_pivot_rows(self._cycle_coords(chain), self._pivots)
+        h = self._U @ np.array([x.get(s, 0) for s in self._rows], dtype=object)
         out = []
         for i in self._keep:
             d = self._diag[i]
@@ -276,75 +253,18 @@ class DegreeCoordinates:
                 # reduced classes are differences against the base component
                 return [{reps[c]: 1, reps[0]: -1} for c in range(1, self._n_comp)]
             return [{reps[c]: 1} for c in range(self._n_comp)]
-        if self._U is None:
-            return []
         out = []
         for i in self._keep:
-            coeffs = self._Uinv[:, i]
-            cycle = self._kernel @ coeffs
-            out.append({r: int(v) for r, v in enumerate(cycle) if v})
+            column = self._Uinv[:, i]
+            coeffs = {s: int(column[t]) for t, s in enumerate(self._rows) if column[t]}
+            out.append(chain_image(self._basis, coeffs))
         return out
 
-
-def _cycle_space_basis(c: SimplicialComplex):
-    """Fundamental cycles of a spanning forest, as columns over the edges.
-
-    Returns (matrix, list of non-tree edge indices); the rows of the matrix
-    at the non-tree edges form an identity block, so solving is a restriction.
-    """
-    n_v = len(c.labels)
-    edges = c.faces[1] if len(c.faces) > 1 else []
-    parent = list(range(n_v))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    tree = set()
-    adj: dict[int, list[tuple[int, int, int]]] = {}
-    for ei, (a, b) in enumerate(edges):
-        if find(a) != find(b):
-            parent[find(a)] = find(b)
-            tree.add(ei)
-            adj.setdefault(a, []).append((b, ei, 1))
-            adj.setdefault(b, []).append((a, ei, -1))
-
-    def tree_path(u, v):
-        # edge coefficients of the forest path u -> v
-        prev = {u: None}
-        q = deque([u])
-        while q:
-            x = q.popleft()
-            if x == v:
-                break
-            for y, ei, sgn in adj.get(x, ()):
-                if y not in prev:
-                    prev[y] = (x, ei, sgn)
-                    q.append(y)
-        path = {}
-        x = v
-        while prev[x] is not None:
-            px, ei, sgn = prev[x]
-            path[ei] = sgn
-            x = px
-        return path
-
-    nontree = [ei for ei in range(len(edges)) if ei not in tree]
-    cols = []
-    for ei in nontree:
-        a, b = edges[ei]
-        # edge (a -> b) closed up by the tree path (b -> a)
-        col = {ei: 1}
-        for pe, sgn in tree_path(b, a).items():
-            col[pe] = col.get(pe, 0) + sgn
-        cols.append(col)
-    mat = np.zeros((len(edges), len(cols)), dtype=object)
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            mat[r, j] = v
-    return mat, nontree
+    def cycle_basis(self) -> list[dict[int, int]]:
+        """A basis of the p-cycles (degree >= 1), as sparse chains."""
+        if self.degree == 0:
+            raise ValueError("cycle_basis needs degree >= 1")
+        return list(self._basis)
 
 
 # -- maps between groups ------------------------------------------------------
@@ -406,14 +326,18 @@ class GroupMap:
 
     def kernel_lattice(self) -> np.ndarray:
         """Preimage in Z^source_dim of the target's torsion relations."""
+        s, t = self.source.dim, self.target.dim
         rel = _relation_lattice(self.target)
-        stacked = np.concatenate([np.array(self.matrix, dtype=object), -rel], axis=1)
-        if stacked.size:
-            ker = kernel_basis(stacked)
-            proj = ker[: self.source.dim, :]
-        else:
-            proj = column_hnf(np.eye(self.source.dim, dtype=object))
-        return lattice_sum(proj, _relation_lattice(self.source))
+        # the columns of [[M, -rel], [I, 0]] span {(M x - rel y, x)}; in column
+        # echelon form, those with no pivot in the top t rows span the vectors
+        # with top part zero, whose bottom parts make up the preimage
+        graph = np.zeros((t + s, s + rel.shape[1]), dtype=object)
+        graph[:t, :s] = self.matrix
+        graph[:t, s:] = -rel
+        graph[t:, :s] = np.eye(s, dtype=object)
+        h = column_hnf(graph)
+        ker = h[t:, [j for j in range(h.shape[1]) if not any(h[:t, j])]]
+        return lattice_sum(ker, _relation_lattice(self.source))
 
     def is_isomorphism(self) -> bool:
         if canonical_type(self.source) != canonical_type(self.target):
@@ -483,30 +407,6 @@ def exactness_check(f: GroupMap, g: GroupMap) -> ExactnessResult:
     return ExactnessResult(im_in_ker and ker_in_im, im_in_ker, ker_in_im, note)
 
 
-def matrix_to_csv(matrix, path) -> None:
-    """Dense CSV interchange for integer matrices."""
-    import csv
-
-    mat = np.array(matrix, dtype=object)
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        for row in mat:
-            w.writerow([int(x) for x in row])
-
-
-def matrix_to_triplets(matrix) -> dict:
-    """Sparse triplet JSON form: rows, cols, values, shape."""
-    mat = np.array(matrix, dtype=object)
-    rows, cols, vals = [], [], []
-    for i in range(mat.shape[0]):
-        for j in range(mat.shape[1]):
-            if mat[i, j]:
-                rows.append(i)
-                cols.append(j)
-                vals.append(int(mat[i, j]))
-    return {"shape": list(mat.shape), "rows": rows, "cols": cols, "values": vals}
-
-
 def induced_map(
     f: SimplicialMap,
     degree: int,
@@ -517,16 +417,9 @@ def induced_map(
     """Matrix of f_* on H_degree in the coordinate systems of both sides."""
     sc = source_coords or DegreeCoordinates(f.source, degree, reduced)
     tc = target_coords or DegreeCoordinates(f.target, degree, reduced)
-    cols = []
-    chain_cols = None
-    for cycle in sc.generator_cycles():
-        if chain_cols is None:
-            chain_cols = f.chain_columns(degree)
-        pushed: dict[int, int] = {}
-        for r, coeff in cycle.items():
-            for tr, tv in chain_cols[r].items():
-                pushed[tr] = pushed.get(tr, 0) + coeff * tv
-        cols.append(tc.project({k: v for k, v in pushed.items() if v}))
+    gens = sc.generator_cycles()
+    chain_cols = f.chain_columns(degree) if gens else None
+    cols = [tc.project(chain_image(chain_cols, cycle)) for cycle in gens]
     mat = (
         np.array(cols, dtype=object).T
         if cols

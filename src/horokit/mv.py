@@ -27,7 +27,6 @@ from .covers import (
     connecting_map,
     contiguous_cover_maps,
     decompose,
-    lazy_boundary_columns,
     nerve,
 )
 from .errors import EmptyWindowError
@@ -36,6 +35,7 @@ from .homology import (
     DegreeCoordinates,
     GroupMap,
     canonical_type,
+    chain_image,
     concat_maps,
     direct_sum_group,
     exactness_check,
@@ -43,7 +43,6 @@ from .homology import (
     induced_map,
     stack_maps,
 )
-from .snf import LazyLattice
 from .spaces import AugmentedSpace, interior_window
 from .towers import Tower, inverse_limit, ml_lim1
 
@@ -310,10 +309,10 @@ def y_vanishing_check(
     """The tower map on cusp families induces zero on reduced homology.
 
     Verified cluster-by-cluster (one horoball at a time): a trivial source
-    group is recorded as vacuously zero; nontrivial reduced classes are
-    pushed through the chain map and certified to bound in the target via an
-    incrementally absorbed boundary lattice.  The floor-map contiguity chain
-    is verified for every floor up to the truncation depth.
+    group is recorded as vacuously zero; otherwise a basis of the source
+    cycles is pushed through the chain map, and each image must have zero
+    coordinates in the target's homology (it bounds there).  The floor-map
+    contiguity chain is verified for every floor up to the truncation depth.
     """
     level_next = schedule.slice_level(n + 1)
     if level_next > space.trunc.lmax:
@@ -348,7 +347,6 @@ def _cluster_vanishing(
     src_nerve = nerve(src_fam, cap=max_degree + 1)
     piece_map = CoverMap(src_fam, tgt_fam, tower_map.center_map, name=f"tower@{coset}")
     degrees = {}
-    tgt_low = None  # target nerve materialized lazily, one dimension at a time
     for p in range(max_degree + 1):
         group = homology_type(src_nerve, p, reduced=True)
         rec = {"source": group.as_dict()}
@@ -369,43 +367,17 @@ def _cluster_vanishing(
             )
             degrees[p] = rec
             continue
-        # push a generating set of source p-cycles; boundaries push to
-        # boundaries, so kernel generators suffice
-        gens = _kernel_generators(src_nerve, p)
-        tgt_cx = nerve(tgt_fam, cap=p)
+        # push a basis of the source p-cycles; boundaries push to boundaries,
+        # so cycle generators suffice
+        gens = DegreeCoordinates(src_nerve, p).cycle_basis()
+        tgt_cx = nerve(tgt_fam, cap=p + 1)
+        tgt = DegreeCoordinates(tgt_cx, p)
         smap = piece_map.to_simplicial_map(src_nerve, tgt_cx, check=False)
         chain_cols = smap.chain_columns(p)
-        face_index = tgt_cx.face_index[p]
-        lattice = LazyLattice(
-            lazy_boundary_columns(tgt_fam, p + 1, face_index), dim=tgt_cx.n_faces(p)
-        )
-        ok = True
-        for z in gens:
-            pushed = [0] * tgt_cx.n_faces(p)
-            for r, coeff in z.items():
-                for tr, tv in chain_cols[r].items():
-                    pushed[tr] += coeff * tv
-            if any(pushed) and not lattice.contains(pushed):
-                ok = False
-                break
+        ok = not any(any(tgt.project(chain_image(chain_cols, z))) for z in gens)
         rec.update(zero=ok, how=f"pushed {len(gens)} cycle generators bound in target")
         degrees[p] = rec
     return ClusterVanishing(coset, degrees)
-
-
-def _kernel_generators(cx: SimplicialComplex, p: int) -> list[dict[int, int]]:
-    from .homology import _cycle_space_basis
-    from .snf import kernel_basis
-
-    if p == 1:
-        mat, _ = _cycle_space_basis(cx)
-    else:
-        mat = kernel_basis(cx.boundary_dense(p))
-    out = []
-    for j in range(mat.shape[1]):
-        col = {int(r): int(mat[r, j]) for r in range(mat.shape[0]) if mat[r, j]}
-        out.append(col)
-    return out
 
 
 # -- cluster decomposition ----------------------------------------------------

@@ -3,8 +3,11 @@
 Everything here is integral; no floating point.  The dense routine works on
 int64 numpy arrays and silently upgrades to python-int (object dtype) arrays
 when entries approach the overflow guard.  Boundary matrices of simplicial
-complexes are handled by a sparse elimination pass that consumes unit pivots
-(which dominate such matrices) and hands any small residue to the dense code.
+complexes are handled by one sparse elimination pass, ``_eliminate``, that
+consumes unit pivots (which dominate such matrices) and hands any small
+residue to the dense code; ``homology`` runs the same pass for group types
+and, tracking column combinations and keeping the pivot columns, for
+homology coordinates.
 """
 
 from __future__ import annotations
@@ -305,17 +308,30 @@ def solve_columns(b, x):
 # -- sparse elimination ----------------------------------------------------
 
 
-def sparse_diagonal(columns, nrows: int) -> tuple[list[int], int]:
-    """Invariant factors of a sparse integer matrix given as column dicts.
+def _eliminate(columns, track: bool = False, freeze: bool = False):
+    """Unit-pivot column elimination of a sparse integer matrix.
 
-    Unit pivots are consumed in a fill-aware order without transform
-    tracking; whatever survives is finished densely.  Returns the positive
-    diagonal (divisibility-chained) and the rank.
+    Each pivot (row r, column c) has entry +-1; column operations clear row r
+    from every other column, and the pair leaves the matrix.  A pivot column
+    is zero on the pivot rows of every earlier pivot, so the pivots form an
+    acyclic matching and whatever survives is zero on every pivot row.  Unit
+    pivots are taken in a fill-aware order.
+
+    Returns ``(units, residue, chains, pivots)``: the number of pivots; the
+    surviving nonzero columns by input index; with ``track``, every unpivoted
+    input column (zero or not) as its combination ``{input index: coeff}`` of
+    input columns, which is itself plus pivot columns only; with ``freeze``,
+    ``{pivot row: (elimination step, column at that step)}`` for
+    ``_clear_pivot_rows``.  Untracked and unfrozen, pivot columns are dropped
+    as soon as they are used.
     """
     cols: dict[int, dict[int, int]] = {}
     rows: dict[int, set[int]] = {}
+    chains: dict[int, dict[int, int]] | None = {} if track else None
     for ci, col in enumerate(columns):
         entries = {r: int(v) for r, v in col.items() if v}
+        if track:
+            chains[ci] = {ci: 1}
         if entries:
             cols[ci] = entries
             for r in entries:
@@ -336,13 +352,15 @@ def sparse_diagonal(columns, nrows: int) -> tuple[list[int], int]:
     for ci in list(cols):
         push_units(ci)
 
-    ones = 0
+    units = 0
+    pivots: dict[int, tuple[int, dict[int, int]]] | None = {} if freeze else None
     while heap:
         _, r, c = heapq.heappop(heap)
         col = cols.get(c)
         if col is None or r not in col or col[r] not in (1, -1):
             continue
         v = col[r]
+        chain = chains.pop(c) if track else None
         # column ops clear row r everywhere else
         for c2 in list(rows.get(r, ())):
             if c2 == c:
@@ -358,6 +376,14 @@ def sparse_diagonal(columns, nrows: int) -> tuple[list[int], int]:
                     if rr in col2:
                         del col2[rr]
                         rows[rr].discard(c2)
+            if track:
+                chain2 = chains[c2]
+                for k, x in chain.items():
+                    cur = chain2.get(k, 0) - factor * x
+                    if cur:
+                        chain2[k] = cur
+                    else:
+                        chain2.pop(k, None)
             if not col2:
                 del cols[c2]
             else:
@@ -368,20 +394,62 @@ def sparse_diagonal(columns, nrows: int) -> tuple[list[int], int]:
             if not rows[rr]:
                 del rows[rr]
         del cols[c]
-        ones += 1
+        if freeze:
+            pivots[r] = (units, col)
+        units += 1
+    return units, cols, chains, pivots
 
-    diag = [1] * ones
-    if cols:
-        live_rows = sorted(rows)
-        rmap = {r: i for i, r in enumerate(live_rows)}
-        dense = np.zeros((len(live_rows), len(cols)), dtype=object)
-        for j, ci in enumerate(sorted(cols)):
-            for r, v in cols[ci].items():
-                dense[rmap[r], j] = v
-        res = smith_normal_form(dense)
-        diag.extend(res.diag)
-    rank = len(diag)
-    return diag, rank
+
+def _clear_pivot_rows(vec: dict[int, int], pivots) -> dict[int, int]:
+    """Subtract frozen pivot columns (``_eliminate(freeze=True)``) from the
+    sparse vector, in elimination order, until it is zero on every pivot
+    row; the result is congruent to ``vec`` modulo the columns' span."""
+    heap = [(pivots[r][0], r) for r in vec if r in pivots]
+    heapq.heapify(heap)
+    while heap:
+        _, r = heapq.heappop(heap)
+        q = vec.get(r)
+        if not q:
+            continue
+        col = pivots[r][1]
+        q *= col[r]  # col[r] is a unit
+        # a later pivot column is zero here, so row r is cleared for good
+        for rr, v in col.items():
+            cur = vec.get(rr, 0) - q * v
+            if cur:
+                if rr not in vec and rr in pivots:
+                    heapq.heappush(heap, (pivots[rr][0], rr))
+                vec[rr] = cur
+            else:
+                vec.pop(rr, None)
+    return vec
+
+
+def _dense(cols: dict[int, dict[int, int]], rows=None) -> np.ndarray:
+    """Sparse columns (in index order) as a dense matrix over ``rows``,
+    by default the rows they touch, in increasing order."""
+    if rows is None:
+        rows = sorted({r for col in cols.values() for r in col})
+    rmap = {r: i for i, r in enumerate(rows)}
+    dense = np.zeros((len(rows), len(cols)), dtype=object)
+    for j, ci in enumerate(sorted(cols)):
+        for r, v in cols[ci].items():
+            dense[rmap[r], j] = v
+    return dense
+
+
+def sparse_diagonal(columns, nrows: int) -> tuple[list[int], int]:
+    """Invariant factors of a sparse integer matrix given as column dicts.
+
+    Unit pivots are consumed without transform tracking; whatever survives
+    is finished densely.  Returns the positive diagonal
+    (divisibility-chained) and the rank.
+    """
+    units, residue, _, _ = _eliminate(columns)
+    diag = [1] * units
+    if residue:
+        diag.extend(smith_normal_form(_dense(residue)).diag)
+    return diag, len(diag)
 
 
 # -- lattices ----------------------------------------------------------------

@@ -124,6 +124,36 @@ def test_mv_verify_exit_zero(tmp_path):
     assert rep["cluster"]["ok"] is True
 
 
+def test_mv_verify_dimcap_3_exit_zero(tmp_path):
+    # degree-2 coordinates on every nerve of the stage: the sparse reduction
+    # finishes in seconds where a dense kernel did not
+    out = tmp_path / "mv3.json"
+    argv = ["mv-verify", "--instance", "z2_free_z", "--stage", "0", "--dimcap", "3"]
+    assert run(argv + ["--out", str(out)]) == 0
+    assert json.loads(out.read_text())["mv"]["all_exact"] is True
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "--instance", "z_horoball", "--dimcap", "3"],
+        ["delta", "--instance", "z_horoball", "--schedule", "paper"],
+        ["nerve", "--instance", "z_horoball", "--seed", "1"],
+        ["homology", "--instance", "z_horoball", "--seed", "1"],
+        ["mv-verify", "--instance", "z_horoball", "--seed", "1"],
+        ["y-vanish", "--instance", "z_horoball", "--seed", "1"],
+        ["y-vanish", "--instance", "z_horoball", "--dimcap", "3"],
+        ["rips-check", "--instance", "z_horoball", "--diameter", "2", "--low", "1",
+         "--high", "3", "--seed", "1"],
+        ["rips-check", "--instance", "z_horoball", "--diameter", "2", "--low", "1",
+         "--high", "3", "--schedule", "paper"],
+    ],
+)
+def test_options_a_command_does_not_read_exit_2(argv, capsys):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_y_vanish_exit_zero(tmp_path):
     out = tmp_path / "y.json"
     code = run(["y-vanish", "--instance", "z2_free_z_deep", "--stage", "0", "--out", str(out)])

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form
 
 from horokit.complexes import SimplicialComplex, SimplicialMap, barycentric_subdivision
 from horokit.homology import (
@@ -21,6 +24,11 @@ from horokit.homology import (
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
 
+RP2_TRIANGLES = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+]
+
 
 def hollow_triangle():
     return SimplicialComplex.from_label_faces([(0, 1), (1, 2), (0, 2)])
@@ -32,10 +40,7 @@ def test_homology_standard_fixtures():
     assert homology_type(hollow, 1) == AbelianGroup(1)
     filled = SimplicialComplex.from_label_faces([(0, 1, 2)])
     assert homology_type(filled, 1) == AbelianGroup(0)
-    rp2 = SimplicialComplex.from_label_faces(
-        [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-         (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
-    )
+    rp2 = SimplicialComplex.from_label_faces(RP2_TRIANGLES)
     assert homology_type(rp2, 1) == AbelianGroup(0, (2,))
     assert homology_type(rp2, 0) == AbelianGroup(1)
 
@@ -47,10 +52,7 @@ def test_reduced_homology():
 
 
 def test_homology_invariant_under_subdivision():
-    rp2 = SimplicialComplex.from_label_faces(
-        [(0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
-         (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5)]
-    )
+    rp2 = SimplicialComplex.from_label_faces(RP2_TRIANGLES)
     sd = barycentric_subdivision(rp2, 1)
     for p in range(3):
         assert homology_type(sd, p) == homology_type(rp2, p)
@@ -178,17 +180,6 @@ def test_orders_group():
     assert canonical_type(g) == AbelianGroup(1, (6,))
 
 
-def test_matrix_interchange(tmp_path):
-    from horokit.homology import matrix_to_csv, matrix_to_triplets
-
-    m = np.array([[1, 0], [-2, 3]], dtype=object)
-    path = tmp_path / "m.csv"
-    matrix_to_csv(m, path)
-    assert path.read_text().splitlines() == ["1,0", "-2,3"]
-    trip = matrix_to_triplets(m)
-    assert trip == {"shape": [2, 2], "rows": [0, 1, 1], "cols": [0, 0, 1], "values": [1, -2, 3]}
-
-
 def test_simplicial_map_csv(tmp_path):
     c = SimplicialComplex.from_label_faces([(0, 1)])
     f = SimplicialMap(c, c, [1, 0])
@@ -197,3 +188,101 @@ def test_simplicial_map_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "source,target"
     assert len(lines) == 3
+
+
+# -- the chain reduction against sympy's Smith normal form -------------------
+
+
+def _sympy_invariants(cx, p):
+    """Nonzero invariant factors of the dense boundary C_p -> C_{p-1}."""
+    rows, cols = cx.n_faces(p - 1), cx.n_faces(p)
+    if p > cx.cap or not rows or not cols:
+        return []
+    mat = Matrix.zeros(rows, cols)
+    for j, col in enumerate(cx.boundary_columns(p)):
+        for r, v in col.items():
+            mat[r, j] = v
+    d = smith_normal_form(mat, domain=ZZ)
+    return [abs(int(d[i, i])) for i in range(min(rows, cols)) if d[i, i] != 0]
+
+
+def _check_reduction(cx):
+    for p in range(1, cx.cap + 1):
+        rank_dp = len(_sympy_invariants(cx, p))
+        d_next = _sympy_invariants(cx, p + 1)
+        oracle = AbelianGroup(
+            cx.n_faces(p) - rank_dp - len(d_next), tuple(d for d in d_next if d > 1)
+        )
+        coords = DegreeCoordinates(cx, p)
+        assert coords.group == homology_type(cx, p) == oracle
+        basis = coords.cycle_basis()
+        assert len(basis) == cx.n_faces(p) - rank_dp
+        assert all(cx.chain_boundary(p, z) == {} for z in basis)
+        dim = coords.group.dim
+        for i, z in enumerate(coords.generator_cycles()):
+            assert coords.project(z) == tuple(int(i == j) for j in range(dim))
+        for col in cx.boundary_columns(p + 1):
+            assert coords.project(col) == (0,) * dim
+        for r in range(cx.n_faces(p)):
+            with pytest.raises(ValueError):
+                coords.project({r: 1})  # one simplex has a nonzero boundary
+
+
+@st.composite
+def small_complexes(draw, max_vertices=8):
+    n = draw(st.integers(1, max_vertices))
+    cap = draw(st.integers(1, 3))
+    faces = draw(
+        st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=5), max_size=8)
+    )
+    return SimplicialComplex.from_faces(list(range(n)), [tuple(f) for f in faces], cap=cap)
+
+
+def test_reduction_matches_sympy_on_torsion_fixtures():
+    rp2 = SimplicialComplex.from_label_faces(RP2_TRIANGLES)
+    _check_reduction(rp2)
+    assert DegreeCoordinates(rp2, 1).group == Z2
+    # its suspension moves the torsion up a degree
+    suspension = SimplicialComplex.from_label_faces(
+        [t + (a,) for t in RP2_TRIANGLES for a in (6, 7)]
+    )
+    _check_reduction(suspension)
+    assert DegreeCoordinates(suspension, 2).group == Z2
+    # a hollow tetrahedron glued on a triangle: its 2-cycle runs through the
+    # non-unit residue of d_2, so the cycle basis needs the residue's kernel
+    with_sphere = SimplicialComplex.from_label_faces(
+        RP2_TRIANGLES + [(3, 4, 6), (3, 5, 6), (4, 5, 6)]
+    )
+    _check_reduction(with_sphere)
+    assert DegreeCoordinates(with_sphere, 2).group == Z
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_complexes())
+def test_reduction_matches_sympy(cx):
+    _check_reduction(cx)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_complexes(), st.data())
+def test_induced_maps_compose(cx, data):
+    def image_complex(src, images):
+        extra = data.draw(
+            st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), max_size=4)
+        )
+        faces = [tuple({images[v] for v in f}) for fs in src.faces for f in fs]
+        return SimplicialComplex.from_faces(
+            list(range(8)), faces + [tuple(f) for f in extra], cap=src.cap
+        )
+
+    vertex_maps = st.lists(st.integers(0, 7), min_size=8, max_size=8)
+    f_img = data.draw(vertex_maps)[: len(cx.labels)]
+    mid = image_complex(cx, f_img)
+    g_img = data.draw(vertex_maps)
+    tgt = image_complex(mid, g_img)
+    f, g = SimplicialMap(cx, mid, f_img), SimplicialMap(mid, tgt, g_img)
+    for p in range(cx.cap + 1):
+        ca, cb, cc = (DegreeCoordinates(c, p) for c in (cx, mid, tgt))
+        composite = induced_map(g, p, cb, cc).compose(induced_map(f, p, ca, cb))
+        direct = induced_map(g.compose(f), p, ca, cc)
+        assert GroupMap(ca.group, cc.group, direct.matrix - composite.matrix).is_zero

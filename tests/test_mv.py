@@ -191,33 +191,46 @@ def test_vanishing_detects_component_merge():
     assert entry.degrees[0]["source"]["rank"] == 1
 
 
-def test_push_cycles_through_lazy_lattice():
+def test_push_cycles_into_target_coordinates():
     # the degree >= 1 mechanism on a hand fixture: a hollow square pushed
-    # into a filled one must bound, certified by incremental absorption
+    # into a filled one must bound, i.e. have zero target coordinates
     from horokit.complexes import SimplicialComplex, SimplicialMap
-    from horokit.mv import _kernel_generators
-    from horokit.snf import LazyLattice
+    from horokit.homology import DegreeCoordinates, chain_image
 
     hollow = SimplicialComplex.from_label_faces([(0, 1), (1, 2), (2, 3), (0, 3)])
     filled = SimplicialComplex.from_label_faces([(0, 1, 2), (0, 2, 3)])
     f = SimplicialMap(hollow, filled, [0, 1, 2, 3])
-    gens = _kernel_generators(hollow, 1)
+    gens = DegreeCoordinates(hollow, 1).cycle_basis()
     assert len(gens) == 1  # one independent square cycle
-    cols = f.chain_columns(1)
-    pushed = [0] * filled.n_faces(1)
-    for r, coeff in gens[0].items():
-        for tr, tv in cols[r].items():
-            pushed[tr] += coeff * tv
-    lattice = LazyLattice(iter(filled.boundary_columns(2)), dim=filled.n_faces(1))
-    assert lattice.contains(pushed)
+    pushed = chain_image(f.chain_columns(1), gens[0])
+    assert pushed and DegreeCoordinates(filled, 1).project(pushed) == ()
     # and a cycle that does not bound is rejected
-    ring = SimplicialComplex.from_label_faces([(0, 1), (1, 2), (2, 3), (0, 3)])
-    gens2 = _kernel_generators(ring, 1)
-    empty_lattice = LazyLattice(iter(ring.boundary_columns(2)), dim=ring.n_faces(1))
-    vec = [0] * ring.n_faces(1)
-    for r, c in gens2[0].items():
-        vec[r] = c
-    assert not empty_lattice.contains(vec)
+    ring = SimplicialComplex.from_label_faces([(0, 1), (1, 2), (2, 3), (0, 3)], cap=2)
+    ring_coords = DegreeCoordinates(ring, 1)
+    assert any(ring_coords.project(ring_coords.cycle_basis()[0]))
+
+
+def test_vanishing_pushes_degree_one_cycles():
+    # a square of four columns (nerve: a hollow square, H_1 = Z) pushed by
+    # the identity on centers into a square again (the cycle survives) and
+    # into four columns with a common vertex (a full simplex: it bounds)
+    from horokit.covers import Column, Cover, CoverMap
+    from horokit.mv import _cluster_vanishing
+
+    centers = [Vertex(w, 1, 1) for w in ("a", "b", "c", "d")]
+
+    def family(masks, name):
+        cover = Cover(None, 1, tuple(Column(c, 1, m) for c, m in zip(centers, masks)))
+        return cover.whole()
+
+    square = [0b0011, 0b0110, 0b1100, 0b1001]
+    src = family(square, "square")
+    tower = CoverMap(src, src, lambda v: v, name="identity")
+    for masks, zero in ((square, False), ([m | 0b10000 for m in square], True)):
+        entry = _cluster_vanishing(src, family(masks, "target"), tower, 1, max_degree=1)
+        assert entry.degrees[1]["source"] == {"rank": 1, "torsion": []}
+        assert entry.degrees[1]["zero"] is zero
+        assert entry.degrees[1]["how"] == "pushed 1 cycle generators bound in target"
 
 
 def _synthetic_stage(whole_faces, thick_faces, cusp_faces, iface_faces, cap=2):
