@@ -3,13 +3,12 @@
 
 Run from the repository root after an intentional report-format change:
 
-    python3 scripts/regenerate_goldens.py [--with-slow]
+    python3 scripts/regenerate_goldens.py
 
-The half-line tower report is cheap; the wide-horoball delta scan takes
-about half a minute and only runs with --with-slow.
+It rewrites the half-line tower report and the wide-horoball delta report;
+both take well under a second.
 """
 
-import argparse
 import json
 import pathlib
 import sys
@@ -29,19 +28,13 @@ def write(path: pathlib.Path, report: dict) -> None:
 
 
 def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--with-slow", action="store_true")
-    args = ap.parse_args()
     GOLDENS.mkdir(parents=True, exist_ok=True)
 
     write(GOLDENS / "milnor_demo.json", milnor_counterexample_demo())
 
-    if args.with_slow:
-        hb = build_horoball(
-            interval_points(-32, 32), lambda p, q: abs(p - q), (0, 5), lmax=5
-        )
-        est = four_point_delta(hb, truncation={"base": [-32, 32], "levels": [0, 5]})
-        write(GOLDENS / "horoball_delta.json", est.as_dict())
+    hb = build_horoball(interval_points(-32, 32), lambda p, q: abs(p - q), (0, 5), lmax=5)
+    est = four_point_delta(hb, truncation={"base": [-32, 32], "levels": [0, 5]})
+    write(GOLDENS / "horoball_delta.json", est.as_dict())
     return 0
 
 

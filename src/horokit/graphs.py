@@ -16,7 +16,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import DecompositionError, UnknownVertexError
+from .errors import BudgetExceededError, DecompositionError, UnknownVertexError
 
 ALL_PAIRS_LIMIT = 20_000  # beyond this, refuse to materialize a matrix
 
@@ -114,7 +114,10 @@ class MetricGraph:
         """Dense all-pairs matrix (-1 for unreachable); refuses large graphs."""
         n = len(self.vertices)
         if n > ALL_PAIRS_LIMIT:
-            raise MemoryError(f"all-pairs matrix refused for {n} > {ALL_PAIRS_LIMIT} vertices")
+            raise BudgetExceededError(
+                f"graphs: all-pairs distance matrix of {n} vertices is over "
+                f"the cap of {ALL_PAIRS_LIMIT} vertices"
+            )
         out = np.empty((n, n), dtype=np.int32)
         for i in range(n):
             out[i] = self._bfs_row(i)

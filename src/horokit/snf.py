@@ -462,7 +462,7 @@ def column_hnf(mat) -> np.ndarray:
     The echelon basis comes from ``LazyLattice``; the form is unique per
     lattice, so only its normalisation happens here."""
     A = _as_int_matrix(mat)
-    lattice = LazyLattice((), A.shape[0])
+    lattice = LazyLattice(A.shape[0])
     for j in range(A.shape[1]):
         lattice._absorb(A[:, j])
     H = lattice.basis_matrix()
@@ -517,36 +517,17 @@ def lattice_sum(*mats) -> np.ndarray:
 
 
 class LazyLattice:
-    """Incremental column lattice with early-exit membership reduction.
+    """Incremental column lattice in echelon form: ``column_hnf``'s basis.
 
-    Columns live as sparse {row: value} dicts in echelon form keyed by their
-    pivot row.  ``contains`` keeps absorbing generators until the query
-    vector reduces to zero (membership certified) or the generator stream is
-    exhausted.
+    Columns live as sparse {row: value} dicts keyed by their pivot row.
     """
 
-    def __init__(self, column_iter, dim: int):
-        self._iter = iter(column_iter)
+    def __init__(self, dim: int):
         self.dim = dim
         self._basis: dict[int, dict[int, int]] = {}  # pivot row -> column
 
-    def _reduce(self, v: list) -> list:
-        p = _first_nonzero(v)
-        while p is not None and p in self._basis:
-            b = self._basis[p]
-            if v[p] % b[p]:
-                break
-            q = v[p] // b[p]
-            for i, x in b.items():
-                v[i] -= q * x
-            p = _first_nonzero(v)
-        return v
-
     def _absorb(self, col):
-        if isinstance(col, dict):
-            v = {i: int(x) for i, x in col.items() if x}
-        else:
-            v = {i: int(x) for i, x in enumerate(col) if x}
+        v = {i: int(x) for i, x in enumerate(col) if x}
         while v:
             p = min(v)
             b = self._basis.get(p)
@@ -579,14 +560,3 @@ class LazyLattice:
             for i, x in col.items():
                 out[i, j] = x
         return out
-
-    def contains(self, vec) -> bool:
-        v = self._reduce(list(np.array(vec, dtype=object)))
-        if all(x == 0 for x in v):
-            return True
-        for col in self._iter:
-            self._absorb(col)
-            v = self._reduce(v)
-            if all(x == 0 for x in v):
-                return True
-        return False

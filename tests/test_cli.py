@@ -297,3 +297,22 @@ def test_budget_exceeded_exits_3_without_traceback(tmp_path, monkeypatch, capsys
     err = capsys.readouterr().err
     assert err.startswith("horokit: ") and "budget" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["delta", "--instance", "z_horoball"],
+        ["delta", "--instance", "z_horoball", "--mode", "sampled", "--samples", "100"],
+        ["rips-check", "--instance", "z_horoball", "--diameter", "2", "--low", "1",
+         "--high", "3"],
+    ],
+)
+def test_all_pairs_refusal_exits_3_without_traceback(argv, monkeypatch, capsys):
+    from horokit import graphs
+
+    monkeypatch.setattr(graphs, "ALL_PAIRS_LIMIT", 10)
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("horokit: graphs: ") and "42 vertices" in err and "cap of 10" in err
+    assert "Traceback" not in err

@@ -1,8 +1,14 @@
 import itertools
+import json
+import math
+import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from horokit.errors import DisconnectedGraphError
+from horokit import hyperbolicity
+from horokit.errors import BudgetExceededError, DisconnectedGraphError
 from horokit.graphs import MetricGraph, Vertex
 from horokit.groups import GroupSpec
 from horokit.hyperbolicity import DeltaEstimate, four_point_delta, gromov_product
@@ -19,6 +25,13 @@ def path(n):
     return MetricGraph(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
 
 
+def grid(rows, cols):
+    vs = {(r, c): Vertex(r * cols + c, 0, 0) for r in range(rows) for c in range(cols)}
+    edges = [(vs[r, c], vs[r, c + 1]) for r in range(rows) for c in range(cols - 1)]
+    edges += [(vs[r, c], vs[r + 1, c]) for r in range(rows - 1) for c in range(cols)]
+    return MetricGraph(vs.values(), edges)
+
+
 def brute_force_delta(g):
     # independent oracle: scan all quadruples directly
     n = len(g.vertices)
@@ -27,6 +40,19 @@ def brute_force_delta(g):
     for x, y, z, w in itertools.combinations(range(n), 4):
         sums = sorted([d[x, y] + d[z, w], d[x, z] + d[y, w], d[x, w] + d[y, z]])
         best = max(best, sums[2] - sums[1])
+    return best / 2
+
+
+def basepoint_delta(g):
+    # independent oracle: the largest defect through each basepoint p, from the
+    # (max,min) product of the doubled Gromov products at p; every quadruple
+    # contains a basepoint, so the maximum over p is the constant
+    d = g.distance_matrix().astype(np.int64)
+    best = 0
+    for p in range(len(g)):
+        a = d[p][:, None] + d[p][None, :] - d
+        maxmin = np.max(np.minimum(a[:, :, None], a[None, :, :]), axis=1)
+        best = max(best, int((maxmin - a).max()))
     return best / 2
 
 
@@ -58,9 +84,55 @@ def test_delta_c4_is_one():
     assert est.delta == brute_force_delta(cycle(4))
 
 
-@pytest.mark.parametrize("n", [5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
 def test_delta_cycles_match_brute_force(n):
-    assert four_point_delta(cycle(n)).delta == brute_force_delta(cycle(n))
+    # cycles are full of distance ties; only the pairs at the diameter are far-apart
+    est = four_point_delta(cycle(n))
+    assert est.delta == brute_force_delta(cycle(n)) == basepoint_delta(cycle(n))
+    assert est.method == "scan" and est.quadruples_checked == math.comb(n, 4)
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (3, 3), (3, 4), (4, 4)])
+def test_delta_grids_match_brute_force(shape):
+    g = grid(*shape)
+    assert four_point_delta(g).delta == brute_force_delta(g) == basepoint_delta(g)
+
+
+@st.composite
+def connected_graphs(draw):
+    n = draw(st.integers(4, 14))
+    # a random spanning tree plus random extra edges
+    parents = [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    pairs = list(itertools.combinations(range(n), 2))
+    extra = draw(st.lists(st.sampled_from(pairs), max_size=2 * n))
+    vs = [Vertex(i, 0, 0) for i in range(n)]
+    edges = [(vs[i], vs[p]) for i, p in enumerate(parents, start=1)]
+    edges += [(vs[a], vs[b]) for a, b in extra]
+    return MetricGraph(vs, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(connected_graphs())
+def test_delta_random_graphs_match_oracles(g):
+    assert four_point_delta(g).delta == brute_force_delta(g) == basepoint_delta(g)
+
+
+@pytest.mark.parametrize("lmax", [4, 5])
+def test_delta_criterion_2_horoballs_match_basepoint_oracle(lmax):
+    hb = build_horoball(interval_points(-8, 8), lambda p, q: abs(p - q), (0, lmax), lmax=lmax)
+    assert four_point_delta(hb).delta == basepoint_delta(hb) == 1.5
+
+
+def test_delta_budget_names_layer_amount_and_cap(monkeypatch):
+    # C6 has 3 far-apart pairs (the antipodes), so 3 pair comparisons
+    monkeypatch.setattr(hyperbolicity, "EXHAUSTIVE_CELL_LIMIT", 2)
+    with pytest.raises(BudgetExceededError) as err:
+        four_point_delta(cycle(6))
+    msg = str(err.value)
+    assert msg.startswith("hyperbolicity: ")
+    assert "3 pair comparisons" in msg and "budget of 2" in msg
+    monkeypatch.setattr(hyperbolicity, "EXHAUSTIVE_CELL_LIMIT", 3)
+    assert four_point_delta(cycle(6)).delta == 1.0
 
 
 def test_delta_tree_certificate():
@@ -117,11 +189,7 @@ def test_estimate_reports_truncation():
     assert isinstance(est, DeltaEstimate)
 
 
-@pytest.mark.slow
 def test_wide_horoball_delta_matches_golden():
-    import json
-    import pathlib
-
     golden = json.loads(
         (pathlib.Path(__file__).parent / "goldens" / "horoball_delta.json").read_text()
     )

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horokit.snf import (
-    LazyLattice,
     column_hnf,
     kernel_basis,
     lattice_contains,
@@ -130,30 +129,6 @@ def test_lattice_sum():
     s = lattice_sum(a, b)
     assert lattice_contains(s, [2, 3])
     assert not lattice_contains(s, [1, 0])
-
-
-def test_lazy_lattice_early_exit():
-    def gen():
-        yield {0: 1, 1: -1}
-        yield {1: 1, 2: -1}
-        raise AssertionError("should not be pulled")  # pragma: no cover
-
-    lat = LazyLattice(gen(), dim=3)
-    assert lat.contains([1, -1, 0])
-
-
-def test_lazy_lattice_negative():
-    cols = iter([{0: 2}, {1: 2}])
-    lat = LazyLattice(cols, dim=2)
-    assert not lat.contains([1, 0])
-    assert lat.contains([2, 2])
-
-
-def test_lazy_lattice_gcd_refinement():
-    cols = iter([{0: 4}, {0: 6}])
-    lat = LazyLattice(cols, dim=1)
-    assert lat.contains([2])  # gcd(4, 6)
-    assert not lat.contains([1])
 
 
 def test_snf_object_fallback_large_entries():
