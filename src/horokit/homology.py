@@ -22,7 +22,8 @@ from .snf import (
     _dense,
     _eliminate,
     column_hnf,
-    lattice_contains,
+    kernel_lattice,
+    lattice_coords,
     lattice_equal,
     lattice_sum,
     smith_normal_form,
@@ -183,24 +184,17 @@ class DegreeCoordinates:
         unmatched = [c for c in chains if c not in residue]
         self._slot = {c: i for i, c in enumerate(unmatched)}
         self._basis = [chains[c] for c in unmatched]
-        self._via_residue: dict[int, dict[int, int]] = {}  # face -> kernel slots
-        if residue:
-            faces = sorted(residue)
-            res = smith_normal_form(_dense(residue), want_v=True, want_vinv=True)
-            for j in range(res.rank, len(faces)):
-                slot = len(self._basis)
-                kernel = {c: int(res.V[i, j]) for i, c in enumerate(faces) if res.V[i, j]}
-                self._basis.append(chain_image(chains, kernel))
-                for i, c in enumerate(faces):
-                    if res.Vinv[j, i]:
-                        self._via_residue.setdefault(c, {})[slot] = int(res.Vinv[j, i])
+        self._residue_faces = sorted(residue)
+        self._kernel = kernel_lattice(_dense(residue))
+        for column in self._kernel.T:
+            kernel = {c: int(x) for c, x in zip(self._residue_faces, column) if x}
+            self._basis.append(chain_image(chains, kernel))
         # the boundaries in cycle coordinates
         expr = [self._cycle_coords(col) for col in complex_.boundary_columns(degree + 1)]
         _, rest, _, self._pivots = _eliminate(expr, freeze=True)
         self._rows = [s for s in range(len(self._basis)) if s not in self._pivots]
-        res = smith_normal_form(_dense(rest, self._rows), want_u=True, want_uinv=True)
-        self._U = np.array(res.U, dtype=object)
-        self._Uinv = np.array(res.Uinv, dtype=object)
+        res = smith_normal_form(_dense(rest, self._rows), want_u=True)
+        self._U, self._Uinv = res.U, res.Uinv
         self._diag = list(res.diag) + [0] * (len(self._rows) - res.rank)
         self.group = AbelianGroup(len(self._rows) - res.rank, _torsion_from_diag(res.diag))
         # coordinate slots with order 1 are dropped when projecting
@@ -208,16 +202,14 @@ class DegreeCoordinates:
 
     def _cycle_coords(self, cycle: dict[int, int]) -> dict[int, int]:
         """A cycle in the cycle basis: its restriction to the unmatched faces,
-        the part on residue faces taken to the residue's kernel slots."""
-        out: dict[int, int] = {}
-        for r, coeff in cycle.items():
-            if r in self._slot:
-                terms = {self._slot[r]: 1}
-            else:
-                terms = self._via_residue.get(r, {})
-            for s, w in terms.items():
-                out[s] = out.get(s, 0) + coeff * w
-        return {s: v for s, v in out.items() if v}
+        then the coordinates of its restriction to the residue faces in the
+        residue's kernel basis."""
+        out = {self._slot[r]: v for r, v in cycle.items() if v and r in self._slot}
+        if self._residue_faces:
+            part = [cycle.get(c, 0) for c in self._residue_faces]
+            coords = lattice_coords(self._kernel, part)
+            out.update((len(self._slot) + j, y) for j, y in enumerate(coords) if y)
+        return out
 
     # -- projections ---------------------------------------------------------
 
@@ -326,17 +318,7 @@ class GroupMap:
 
     def kernel_lattice(self) -> np.ndarray:
         """Preimage in Z^source_dim of the target's torsion relations."""
-        s, t = self.source.dim, self.target.dim
-        rel = _relation_lattice(self.target)
-        # the columns of [[M, -rel], [I, 0]] span {(M x - rel y, x)}; in column
-        # echelon form, those with no pivot in the top t rows span the vectors
-        # with top part zero, whose bottom parts make up the preimage
-        graph = np.zeros((t + s, s + rel.shape[1]), dtype=object)
-        graph[:t, :s] = self.matrix
-        graph[:t, s:] = -rel
-        graph[t:, :s] = np.eye(s, dtype=object)
-        h = column_hnf(graph)
-        ker = h[t:, [j for j in range(h.shape[1]) if not any(h[:t, j])]]
+        ker = kernel_lattice(self.matrix, _relation_lattice(self.target))
         return lattice_sum(ker, _relation_lattice(self.source))
 
     def is_isomorphism(self) -> bool:
@@ -397,8 +379,8 @@ def exactness_check(f: GroupMap, g: GroupMap) -> ExactnessResult:
         raise ValueError("shape mismatch between incoming and outgoing maps")
     im = f.image_lattice()
     ker = g.kernel_lattice()
-    im_in_ker = all(lattice_contains(ker, im[:, j]) for j in range(im.shape[1]))
-    ker_in_im = all(lattice_contains(im, ker[:, j]) for j in range(ker.shape[1]))
+    im_in_ker = all(lattice_coords(ker, col) is not None for col in im.T)
+    ker_in_im = all(lattice_coords(im, col) is not None for col in ker.T)
     note = ""
     if not im_in_ker:
         note = "image not contained in kernel (composite nonzero)"

@@ -37,19 +37,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceededError, DisconnectedGraphError
-from .graphs import MetricGraph, Vertex
+from .graphs import MetricGraph
 
 EXHAUSTIVE_CELL_LIMIT = 40_000_000_000  # pair comparisons of the exhaustive scan
-
-
-def gromov_product(graph: MetricGraph, x: Vertex, y: Vertex, base: Vertex) -> float:
-    """(x|y) at the basepoint: half of d(x,base)+d(y,base)-d(x,y)."""
-    dxw = graph.distance(x, base)
-    dyw = graph.distance(y, base)
-    dxy = graph.distance(x, y)
-    if math.inf in (dxw, dyw, dxy):
-        raise DisconnectedGraphError("gromov product needs a common component")
-    return (dxw + dyw - dxy) / 2
 
 
 @dataclass(frozen=True)

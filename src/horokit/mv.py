@@ -198,7 +198,7 @@ def check_mv_exactness(stage: MVStage) -> MVVerdict:
     sk = stage.coords
     degrees = {}
     composites_agree = True
-    snakes = {}
+    snakes, intos = {}, {}
     for p in stage.degrees():
         i_map = induced_map(
             stage.inclusions[("interface", "thick")], p,
@@ -221,7 +221,7 @@ def check_mv_exactness(stage: MVStage) -> MVVerdict:
             sk[("interface", p)].group, sk[("whole", p)].group, diff
         ).is_zero:
             composites_agree = False
-        into = stack_maps(i_map, j_map.negate())
+        into = intos[p] = stack_maps(i_map, j_map.negate())
         outof = concat_maps(k_map, l_map)
         middle = exactness_check(into, outof)
         entry = {
@@ -241,16 +241,7 @@ def check_mv_exactness(stage: MVStage) -> MVVerdict:
         degrees[p] = entry
     for p in stage.degrees():
         if p + 1 in snakes:
-            i_map = induced_map(
-                stage.inclusions[("interface", "thick")], p,
-                sk[("interface", p)], sk[("thick", p)],
-            )
-            j_map = induced_map(
-                stage.inclusions[("interface", "cusp")], p,
-                sk[("interface", p)], sk[("cusp", p)],
-            )
-            into = stack_maps(i_map, j_map.negate())
-            degrees[p]["interface_slot"] = exactness_check(snakes[p + 1], into).exact
+            degrees[p]["interface_slot"] = exactness_check(snakes[p + 1], intos[p]).exact
     cap_limited = [
         f"degree {stage.cap} and above not computed (cap {stage.cap})",
         f"interface slot at degree {stage.cap - 1} needs the degree-{stage.cap} snake",

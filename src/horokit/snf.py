@@ -1,13 +1,14 @@
 """Exact integer linear algebra: Smith and Hermite normal forms.
 
-Everything here is integral; no floating point.  The dense routine works on
-int64 numpy arrays and silently upgrades to python-int (object dtype) arrays
-when entries approach the overflow guard.  Boundary matrices of simplicial
-complexes are handled by one sparse elimination pass, ``_eliminate``, that
-consumes unit pivots (which dominate such matrices) and hands any small
-residue to the dense code; ``homology`` runs the same pass for group types
-and, tracking column combinations and keeping the pivot columns, for
-homology coordinates.
+Everything here is integral, on python ints (object arrays); no floating
+point.  Boundary matrices of simplicial complexes are handled by one sparse
+elimination pass, ``_eliminate``, that consumes unit pivots (which dominate
+such matrices) and hands any small residue to the dense Smith form;
+``homology`` runs the same pass for group types and, tracking column
+combinations and keeping the pivot columns, for homology coordinates.  The
+dense Smith form gives invariant factors and, on request, its row transform.
+Every lattice question (kernels and preimages, membership, coordinates in a
+basis) goes through one Hermite echelon, ``column_hnf``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from .errors import BudgetExceededError
 
-_INT64_GUARD = 1 << 62  # ceiling for projected op results in int64 mode
 KERNEL_DENSE_LIMIT = 4000
 
 
@@ -28,199 +28,95 @@ KERNEL_DENSE_LIMIT = 4000
 class SNF:
     diag: list[int]  # positive invariant factors, divisibility chain
     rank: int
-    U: np.ndarray | None = None  # U @ A @ V == D
+    U: np.ndarray | None = None  # U @ A @ V == D for some unimodular V
     Uinv: np.ndarray | None = None
-    V: np.ndarray | None = None
-    Vinv: np.ndarray | None = None
 
 
 def _as_int_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=object)
     if m.ndim == 1:
         m = m.reshape(1, -1)
-    if m.size == 0:
-        return np.zeros(m.shape, dtype=np.int64)
-    try:
-        return m.astype(np.int64)
-    except (OverflowError, TypeError):
-        return m
+    return m
 
 
-def smith_normal_form(
-    a,
-    want_u: bool = False,
-    want_uinv: bool = False,
-    want_v: bool = False,
-    want_vinv: bool = False,
-) -> SNF:
+def smith_normal_form(a, want_u: bool = False) -> SNF:
     """Diagonalize over the integers: U @ A @ V = diag(d1..dr), d1|d2|...
 
-    Transform matrices are tracked only on request; Uinv/Vinv are maintained
-    incrementally so no integer matrix inversion is ever needed.
+    With ``want_u`` the row transform U and its inverse are tracked (Uinv
+    incrementally, so no integer matrix inversion is ever needed); column
+    operations act on A alone.
     """
     A = _as_int_matrix(a).copy()
     m, n = A.shape
-    track_u = want_u or want_uinv
-    track_v = want_v or want_vinv
-    U = np.eye(m, dtype=A.dtype) if track_u else None
-    Uinv = np.eye(m, dtype=A.dtype) if want_uinv else None
-    V = np.eye(n, dtype=A.dtype) if track_v else None
-    Vinv = np.eye(n, dtype=A.dtype) if want_vinv else None
-
-    state = {"A": A, "U": U, "Uinv": Uinv, "V": V, "Vinv": Vinv}
-
-    def to_object():
-        for key, mat in state.items():
-            if mat is not None and hasattr(mat, "dtype") and mat.dtype != object:
-                state[key] = mat.astype(object)
-
-    def real_max() -> int:
-        mx = 1
-        for key in ("A", "U", "Uinv", "V", "Vinv"):
-            t = state[key]
-            if t is not None and t.size:
-                mx = max(mx, int(np.abs(t).max()))
-        return mx
-
-    # conservative running bound on the largest absolute entry anywhere;
-    # each elementary operation multiplies it by a factor computed from its
-    # coefficients, and a real scan happens only when the bound gets close
-    # to the int64 ceiling (tightening it back down or switching to
-    # python-int arrays)
-    state["bound"] = real_max() if A.size else 1
-
-    def ensure(factor: int):
-        if state["A"].dtype == object:
-            return
-        factor = max(int(factor), 1)
-        projected = state["bound"] * factor
-        if projected > _INT64_GUARD:
-            state["bound"] = real_max()
-            projected = state["bound"] * factor
-            if projected > _INT64_GUARD:
-                to_object()
-                return
-        state["bound"] = projected
+    U = np.eye(m, dtype=object) if want_u else None
+    Uinv = np.eye(m, dtype=object) if want_u else None
 
     def swap_rows(i, j):
         if i == j:
             return
-        A = state["A"]
         A[[i, j]] = A[[j, i]]
-        if state["U"] is not None:
-            state["U"][[i, j]] = state["U"][[j, i]]
-        if state["Uinv"] is not None:
-            state["Uinv"][:, [i, j]] = state["Uinv"][:, [j, i]]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        A = state["A"]
-        A[:, [i, j]] = A[:, [j, i]]
-        if state["V"] is not None:
-            state["V"][:, [i, j]] = state["V"][:, [j, i]]
-        if state["Vinv"] is not None:
-            state["Vinv"][[i, j]] = state["Vinv"][[j, i]]
+        if want_u:
+            U[[i, j]] = U[[j, i]]
+            Uinv[:, [i, j]] = Uinv[:, [j, i]]
 
     def negate_row(i):
-        state["A"][i] = -state["A"][i]
-        if state["U"] is not None:
-            state["U"][i] = -state["U"][i]
-        if state["Uinv"] is not None:
-            state["Uinv"][:, i] = -state["Uinv"][:, i]
+        A[i] = -A[i]
+        if want_u:
+            U[i] = -U[i]
+            Uinv[:, i] = -Uinv[:, i]
 
     def rows_axpy(q, k):
         # rows k+1.. minus q * row k
-        ensure(1 + int(np.abs(q).sum()) if len(q) else 1)
-        A = state["A"]
         A[k + 1 :] -= np.outer(q, A[k])
-        if state["U"] is not None:
-            state["U"][k + 1 :] -= np.outer(q, state["U"][k])
-        if state["Uinv"] is not None:
-            state["Uinv"][:, k] += state["Uinv"][:, k + 1 :] @ q
-
-    def cols_axpy(q, k):
-        # cols k+1.. minus q_j * col k
-        ensure(1 + int(np.abs(q).sum()) if len(q) else 1)
-        A = state["A"]
-        A[:, k + 1 :] -= np.outer(A[:, k], q)
-        if state["V"] is not None:
-            state["V"][:, k + 1 :] -= np.outer(state["V"][:, k], q)
-        if state["Vinv"] is not None:
-            state["Vinv"][k] += q @ state["Vinv"][k + 1 :]
+        if want_u:
+            U[k + 1 :] -= np.outer(q, U[k])
+            Uinv[:, k] += Uinv[:, k + 1 :] @ q
 
     def row_pair_op(i, j, mat2):
         # rows (i,j) <- mat2 @ rows (i,j); mat2 unimodular
-        ensure(sum(abs(int(x)) for row in mat2 for x in row))
-        A = state["A"]
         (a11, a12), (a21, a22) = mat2
-        ri, rj = A[i].copy(), A[j].copy()
-        A[i] = a11 * ri + a12 * rj
-        A[j] = a21 * ri + a22 * rj
-        if state["U"] is not None:
-            ui, uj = state["U"][i].copy(), state["U"][j].copy()
-            state["U"][i] = a11 * ui + a12 * uj
-            state["U"][j] = a21 * ui + a22 * uj
-        if state["Uinv"] is not None:
+        for M in (A, U) if want_u else (A,):
+            ri, rj = M[i].copy(), M[j].copy()
+            M[i] = a11 * ri + a12 * rj
+            M[j] = a21 * ri + a22 * rj
+        if want_u:
             # inverse of [[a,b],[c,d]] with det 1 is [[d,-b],[-c,a]]
             det = a11 * a22 - a12 * a21
             assert det in (1, -1)
             b11, b12, b21, b22 = a22 * det, -a12 * det, -a21 * det, a11 * det
-            ci, cj = state["Uinv"][:, i].copy(), state["Uinv"][:, j].copy()
-            state["Uinv"][:, i] = ci * b11 + cj * b21
-            state["Uinv"][:, j] = ci * b12 + cj * b22
-
-    def col_axpy_single(dst, src, q):
-        # col dst -= q * col src
-        ensure(1 + abs(int(q)))
-        A = state["A"]
-        A[:, dst] -= q * A[:, src]
-        if state["V"] is not None:
-            state["V"][:, dst] -= q * state["V"][:, src]
-        if state["Vinv"] is not None:
-            state["Vinv"][src] += q * state["Vinv"][dst]
+            ci, cj = Uinv[:, i].copy(), Uinv[:, j].copy()
+            Uinv[:, i] = ci * b11 + cj * b21
+            Uinv[:, j] = ci * b12 + cj * b22
 
     k = 0
     limit = min(m, n)
     while k < limit:
-        A = state["A"]
-        sub = A[k:, k:]
-        nz = np.nonzero(sub)
-        if len(nz[0]) == 0:
+        nz_rows, nz_cols = np.nonzero(A[k:, k:])
+        if len(nz_rows) == 0:
             break
-        if sub.dtype == object:
-            vals = [abs(sub[i, j]) for i, j in zip(nz[0], nz[1])]
-            t = min(range(len(vals)), key=vals.__getitem__)
-        else:
-            t = int(np.abs(sub[nz]).argmin())
-        swap_rows(k, int(nz[0][t]) + k)
-        swap_cols(k, int(nz[1][t]) + k)
+        t = min(range(len(nz_rows)), key=lambda t: abs(A[k + nz_rows[t], k + nz_cols[t]]))
+        swap_rows(k, k + int(nz_rows[t]))
+        j = k + int(nz_cols[t])
+        A[:, [k, j]] = A[:, [j, k]]
         while True:
-            A = state["A"]
             if A[k, k] < 0:
                 negate_row(k)
             col = A[k + 1 :, k]
-            if col.any() if col.dtype != object else any(x != 0 for x in col):
-                q = col // A[k, k]
-                rows_axpy(q, k)
-                A = state["A"]
-                col = A[k + 1 :, k]
-                nzc = [i for i, x in enumerate(col) if x != 0]
+            if col.any():
+                rows_axpy(col // A[k, k], k)
+                nzc = [i for i, x in enumerate(A[k + 1 :, k]) if x != 0]
                 if nzc:
-                    i = min(nzc, key=lambda i: abs(col[i]))
+                    i = min(nzc, key=lambda i: abs(A[k + 1 + i, k]))
                     swap_rows(k, k + 1 + i)
                     continue
             row = A[k, k + 1 :]
-            if row.any() if row.dtype != object else any(x != 0 for x in row):
-                q = row // A[k, k]
-                cols_axpy(q, k)
-                A = state["A"]
-                row = A[k, k + 1 :]
-                nzr = [j for j, x in enumerate(row) if x != 0]
+            if row.any():
+                # cols k+1.. minus q_j * col k
+                A[:, k + 1 :] -= np.outer(A[:, k], row // A[k, k])
+                nzr = [j for j, x in enumerate(A[k, k + 1 :]) if x != 0]
                 if nzr:
-                    j = min(nzr, key=lambda j: abs(row[j]))
-                    swap_cols(k, k + 1 + j)
-                    continue
+                    j = k + 1 + min(nzr, key=lambda j: abs(A[k, k + 1 + j]))
+                    A[:, [k, j]] = A[:, [j, k]]
                 continue  # column may have been refilled by the swap path
             break
         k += 1
@@ -230,31 +126,20 @@ def smith_normal_form(
     changed = True
     while changed:
         changed = False
-        A = state["A"]
         for i in range(rank - 1):
             a, b = int(A[i, i]), int(A[i + 1, i + 1])
             if b % a == 0:
                 continue
             changed = True
             # col i += col i+1, then a unimodular row pair brings gcd up front
-            col_axpy_single(i, i + 1, -1)  # col_i -= (-1) * col_{i+1}
+            A[:, i] += A[:, i + 1]
             g = gcd(a, b)
             s, t = _bezout(a, b)
             row_pair_op(i, i + 1, ((s, t), (-(b // g), a // g)))
             # clear the leftover entry in row i, col i+1
-            A = state["A"]
-            q = A[i, i + 1] // A[i, i]
-            col_axpy_single(i + 1, i, q)
+            A[:, i + 1] -= (A[i, i + 1] // A[i, i]) * A[:, i]
 
-    diag = [int(state["A"][i, i]) for i in range(rank)]
-    return SNF(
-        diag=diag,
-        rank=rank,
-        U=state["U"] if want_u else None,
-        Uinv=state["Uinv"],
-        V=state["V"] if want_v else None,
-        Vinv=state["Vinv"],
-    )
+    return SNF(diag=[int(A[i, i]) for i in range(rank)], rank=rank, U=U, Uinv=Uinv)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -267,42 +152,6 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
         old_s, s = s, old_s - q * s
         old_t, t = t, old_t - q * t
     return old_s, old_t
-
-
-def kernel_basis(a) -> np.ndarray:
-    """Basis of the integer kernel as columns of a (primitive) matrix."""
-    A = _as_int_matrix(a)
-    if A.shape[1] > KERNEL_DENSE_LIMIT:
-        raise BudgetExceededError(
-            f"dense kernel refused for {A.shape[1]} columns > {KERNEL_DENSE_LIMIT}"
-        )
-    res = smith_normal_form(A, want_v=True)
-    return res.V[:, res.rank :]
-
-
-def solve_columns(b, x):
-    """Integer solution u of B @ u = x (x a vector or matrix), or None."""
-    B = _as_int_matrix(b)
-    X = _as_int_matrix(x)
-    vector = np.array(x, dtype=object).ndim == 1
-    if vector:
-        X = X.reshape(-1, 1)
-    res = smith_normal_form(B, want_u=True, want_v=True)
-    Y = res.U @ X
-    m, n = B.shape
-    W = np.zeros((n, X.shape[1]), dtype=object)
-    for i in range(m):
-        for j in range(X.shape[1]):
-            y = int(Y[i, j])
-            if i < res.rank:
-                d = res.diag[i]
-                if y % d:
-                    return None
-                W[i, j] = y // d
-            elif y != 0:
-                return None
-    out = res.V @ W
-    return out[:, 0] if vector else out
 
 
 # -- sparse elimination ----------------------------------------------------
@@ -478,28 +327,47 @@ def column_hnf(mat) -> np.ndarray:
     return H
 
 
-def _first_nonzero(col):
-    for i, v in enumerate(col):
-        if v != 0:
-            return i
-    return None
+def kernel_lattice(mat, relations=None) -> np.ndarray:
+    """Canonical HNF of the preimage {x : mat @ x in the span of the
+    ``relations`` columns}: the integer kernel when there are none.
+
+    The columns of [[mat, -relations], [I, 0]] span the pairs
+    (mat x - relations y, x); in column echelon form, those with no pivot in
+    the top rows span the pairs with top part zero, and their bottom parts
+    are the preimage's HNF (H. Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4).  Budgeted on the columns of that matrix."""
+    M = _as_int_matrix(mat)
+    t, s = M.shape
+    rel = np.zeros((t, 0), dtype=object) if relations is None else relations
+    width = s + rel.shape[1]
+    if width > KERNEL_DENSE_LIMIT:
+        raise BudgetExceededError(
+            f"snf: kernel lattice of {width} columns is over the cap of "
+            f"{KERNEL_DENSE_LIMIT} columns"
+        )
+    graph = np.zeros((t + s, width), dtype=object)
+    graph[:t, :s] = M
+    graph[:t, s:] = -rel
+    graph[t:, :s] = np.eye(s, dtype=object)
+    h = column_hnf(graph)
+    return h[t:, [j for j in range(h.shape[1]) if not h[:t, j].any()]]
 
 
-def lattice_contains(hnf: np.ndarray, vec) -> bool:
-    """Membership of a vector in the lattice spanned by canonical HNF columns."""
-    v = list(np.array(vec, dtype=object))
-    m, r = hnf.shape
-    for j in range(r):
+def lattice_coords(hnf: np.ndarray, vec) -> list[int] | None:
+    """Integer coordinates of ``vec`` in the basis of canonical HNF columns,
+    or None when it is not in their lattice.  Each column is zero above its
+    pivot row, so the coordinates come one pivot row at a time."""
+    v = [int(x) for x in vec]
+    coords = []
+    for j in range(hnf.shape[1]):
         col = hnf[:, j]
-        p = _first_nonzero(list(col))
-        if v[p] == 0:
-            continue
-        if v[p] % col[p]:
-            return False
-        q = v[p] // col[p]
-        for i in range(m):
-            v[i] -= q * col[i]
-    return all(x == 0 for x in v)
+        p = next(i for i, x in enumerate(col) if x)
+        q = v[p] // col[p]  # a remainder stays on row p and fails the end test
+        coords.append(q)
+        if q:
+            for i in range(p, len(v)):
+                v[i] -= q * col[i]
+    return None if any(v) else coords
 
 
 def lattice_equal(h1: np.ndarray, h2: np.ndarray) -> bool:

@@ -235,35 +235,6 @@ def build_vertex_space(
     return MetricGraph(vertices, edges, meta=meta)
 
 
-def subspace(space: AugmentedSpace, which: str, param: int) -> MetricGraph:
-    """Full subgraph on a standard vertex selection.
-
-    which = "thick":  Cayley part plus horoball levels <= param
-            "cusp":   horoball levels >= param (param >= 1)
-            "slice":  horoball level == param (param >= 1)
-            "tail":   Cayley part plus horoballs with coset index >= param
-    """
-    g = space.graph
-    lmax = space.trunc.lmax
-    if which == "thick":
-        if not 0 <= param:
-            raise ValueError("thick level must be >= 0")
-        keep = [v for v in g.vertices if v.level <= param]
-    elif which == "cusp":
-        if param < 1:
-            raise ValueError("cusp level must be >= 1")
-        keep = [v for v in g.vertices if v.level >= param]
-    elif which == "slice":
-        if not 1 <= param <= lmax:
-            raise ValueError(f"slice level must be in [1, {lmax}]")
-        keep = [v for v in g.vertices if v.level == param]
-    elif which == "tail":
-        keep = [v for v in g.vertices if v.coset == 0 or v.coset >= param]
-    else:
-        raise ValueError(f"unknown subspace kind {which!r}")
-    return g.induced_subgraph(keep, meta={**g.meta, "subspace": [which, param]})
-
-
 def thick_vertices(space: AugmentedSpace, level: int) -> set[Vertex]:
     return {v for v in space.graph.vertices if v.level <= level}
 

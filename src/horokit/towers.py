@@ -12,8 +12,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .homology import AbelianGroup, GroupMap, canonical_type, _relation_lattice
-from .snf import column_hnf, kernel_basis, lattice_equal, lattice_sum, smith_normal_form
+from .homology import (
+    AbelianGroup,
+    GroupMap,
+    OrdersGroup,
+    _relation_lattice,
+    canonical_type,
+    identity_map,
+)
+from .snf import (
+    column_hnf,
+    kernel_lattice,
+    lattice_coords,
+    lattice_equal,
+    lattice_sum,
+    smith_normal_form,
+)
 
 
 @dataclass
@@ -49,17 +63,10 @@ class Tower:
             if not 0 <= stop <= start < len(self.groups):
                 raise ValueError("bad stage range")
             maps = list(reversed(self.maps[stop:start]))
-        from .homology import identity_map
-
         out = identity_map(self.groups[start])
         for m in maps:
             out = m.compose(out)
         return out
-
-
-def subgroup_lattice(m: GroupMap) -> np.ndarray:
-    """Image of m as a canonical lattice in the ambient of its target."""
-    return m.image_lattice()
 
 
 def subgroup_type(lattice: np.ndarray, ambient) -> AbelianGroup:
@@ -70,13 +77,10 @@ def subgroup_type(lattice: np.ndarray, ambient) -> AbelianGroup:
     if basis.shape[1] == 0:
         return AbelianGroup(0)
     # write rel in terms of basis: basis @ T = rel
-    from .snf import solve_columns
-
-    t = solve_columns(basis, rel) if rel.size else np.zeros(
-        (basis.shape[1], 0), dtype=object
-    )
-    if t is None:
+    coords = [lattice_coords(basis, col) for col in rel.T]
+    if None in coords:
         raise ValueError("relations do not lie inside the subgroup lattice")
+    t = np.array(coords, dtype=object).reshape(-1, basis.shape[1]).T
     res = smith_normal_form(t)
     torsion = tuple(int(d) for d in res.diag if d > 1)
     rank = basis.shape[1] - res.rank
@@ -110,7 +114,7 @@ def direct_limit_report(t: Tower) -> DirectLimitReport:
     if last == 0:
         g = canonical_type(t.groups[0])
         return DirectLimitReport([g], 1, g)
-    lattices = [subgroup_lattice(t.composite(i, last)) for i in range(last)]
+    lattices = [t.composite(i, last).image_lattice() for i in range(last)]
     types = [subgroup_type(lat, t.groups[last]) for lat in lattices]
     stabilized = None
     for s in range(last):
@@ -157,7 +161,7 @@ def ml_lim1(t: Tower) -> Lim1Verdict:
         )
         chain = [full]
         for j in range(i + 1, n):
-            chain.append(subgroup_lattice(t.composite(j, i)))
+            chain.append(t.composite(j, i).image_lattice())
         strict = [not lattice_equal(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
         if strict and strict[-1]:
             all_stable = False
@@ -174,30 +178,17 @@ def inverse_limit(t: Tower) -> AbelianGroup:
     """The group of compatible tuples across the shown stages."""
     if t.direction != "projective":
         raise ValueError("inverse limit needs a projective tower")
-    dims = [g.dim for g in t.groups]
-    total = sum(dims)
-    offs = np.cumsum([0] + dims)
     n = len(t.groups)
     if n == 1:
         return canonical_type(t.groups[0])
-    # compatibility: x_i - f_i(x_{i+1}) = 0 modulo the relations of group i,
-    # with one auxiliary variable per relation generator
-    rel_blocks = [_relation_lattice(g) for g in t.groups[:-1]]
-    aux_off = np.cumsum([0] + [r.shape[1] for r in rel_blocks])
-    width = total + int(aux_off[-1])
-    eqs = []
+    # compatibility: x_i - f_i(x_{i+1}) lies in the relations of group i
+    dims = [g.dim for g in t.groups]
+    offs = np.cumsum([0] + dims)
+    system = np.zeros((offs[-2], offs[-1]), dtype=object)
     for i in range(n - 1):
-        block = np.zeros((dims[i], width), dtype=object)
-        block[:, offs[i] : offs[i + 1]] = np.eye(dims[i], dtype=object)
-        block[:, offs[i + 1] : offs[i + 2]] = -t.maps[i].matrix
-        r = rel_blocks[i]
-        if r.shape[1]:
-            block[:, total + aux_off[i] : total + aux_off[i + 1]] = -r
-        eqs.append(block)
-    system = np.concatenate(eqs, axis=0)
-    ker = kernel_basis(system)
-    sol = ker[:total, :] if ker.size else np.zeros((total, 0), dtype=object)
-    from .homology import OrdersGroup
-
+        system[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = np.eye(dims[i], dtype=object)
+        system[offs[i] : offs[i + 1], offs[i + 1] : offs[i + 2]] = -t.maps[i].matrix
+    head = OrdersGroup(tuple(o for g in t.groups[:-1] for o in g.orders))
+    sol = kernel_lattice(system, _relation_lattice(head))
     ambient = OrdersGroup(tuple(o for g in t.groups for o in g.orders))
     return subgroup_type(lattice_sum(sol, _relation_lattice(ambient)), ambient)

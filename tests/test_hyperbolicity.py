@@ -11,7 +11,7 @@ from horokit import hyperbolicity
 from horokit.errors import BudgetExceededError, DisconnectedGraphError
 from horokit.graphs import MetricGraph, Vertex
 from horokit.groups import GroupSpec
-from horokit.hyperbolicity import DeltaEstimate, four_point_delta, gromov_product
+from horokit.hyperbolicity import DeltaEstimate, four_point_delta
 from horokit.spaces import Truncation, build_augmented, build_horoball, interval_points
 
 
@@ -54,24 +54,6 @@ def basepoint_delta(g):
         maxmin = np.max(np.minimum(a[:, :, None], a[None, :, :]), axis=1)
         best = max(best, int((maxmin - a).max()))
     return best / 2
-
-
-def test_gromov_product_basics():
-    g = path(3)
-    assert gromov_product(g, Vertex(0, 0, 0), Vertex(1, 0, 0), Vertex(0, 0, 0)) == 0
-    assert gromov_product(g, Vertex(0, 0, 0), Vertex(2, 0, 0), Vertex(1, 0, 0)) == 0
-
-
-def test_gromov_product_c4():
-    g = cycle(4)
-    assert gromov_product(g, Vertex(0, 0, 0), Vertex(2, 0, 0), Vertex(1, 0, 0)) == 0
-
-
-def test_gromov_product_disconnected():
-    vs = [Vertex(0, 0, 0), Vertex(1, 0, 0)]
-    g = MetricGraph(vs, [])
-    with pytest.raises(DisconnectedGraphError):
-        gromov_product(g, vs[0], vs[1], vs[0])
 
 
 def test_delta_path_is_zero():

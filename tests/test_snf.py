@@ -1,15 +1,20 @@
+from math import gcd, lcm, prod
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
+from horokit import snf
+from horokit.errors import BudgetExceededError
 from horokit.snf import (
     column_hnf,
-    kernel_basis,
-    lattice_contains,
+    kernel_lattice,
+    lattice_coords,
     lattice_equal,
     lattice_sum,
     smith_normal_form,
-    solve_columns,
     sparse_diagonal,
 )
 
@@ -24,22 +29,42 @@ small_matrices = st.integers(1, 4).flatmap(
 )
 
 
+def _sympy_diag(a):
+    """Nonzero invariant factors of an integer matrix, by sympy over ZZ."""
+    m, n = a.shape
+    if not m or not n:
+        return []
+    d = sympy_snf(Matrix(a.tolist()), domain=ZZ)
+    return sorted(abs(int(d[i, i])) for i in range(min(m, n)) if d[i, i] != 0)
+
+
+def _in_span(a, v) -> bool:
+    """Oracle: v lies in the column lattice of a exactly when appending it
+    changes neither the rank nor the product of the invariant factors."""
+    before = _sympy_diag(a)
+    after = _sympy_diag(np.concatenate([a, np.array(v, dtype=object).reshape(-1, 1)], axis=1))
+    return len(after) == len(before) and prod(after) == prod(before)
+
+
 @settings(max_examples=150, deadline=None)
 @given(small_matrices)
 def test_snf_properties(rows):
     a = np.array(rows, dtype=object)
-    res = smith_normal_form(a, want_u=True, want_uinv=True, want_v=True, want_vinv=True)
+    res = smith_normal_form(a, want_u=True)
     m, n = a.shape
-    d = res.U @ a @ res.V
-    for i in range(m):
-        for j in range(n):
-            expected = res.diag[i] if (i == j and i < res.rank) else 0
-            assert d[i, j] == expected
-    assert np.equal(res.U @ res.Uinv, np.eye(m, dtype=object)).all()
-    assert np.equal(res.V @ res.Vinv, np.eye(n, dtype=object)).all()
+    assert res.diag == _sympy_diag(a)
+    assert res.rank == len(res.diag)
     for x, y in zip(res.diag, res.diag[1:]):
         assert y % x == 0
-    assert all(x > 0 for x in res.diag)
+    assert np.array_equal(res.U @ res.Uinv, np.eye(m, dtype=object))
+    ua = res.U @ a
+    assert not ua[res.rank :].any()
+    # U @ A = D @ V^-1: row i is d_i times a row of a unimodular matrix
+    quotient = np.zeros((res.rank, n), dtype=object)
+    for i, d in enumerate(res.diag):
+        assert all(x % d == 0 for x in ua[i])
+        quotient[i] = ua[i] // d
+    assert smith_normal_form(quotient).diag == [1] * res.rank
 
 
 @settings(max_examples=100, deadline=None)
@@ -70,18 +95,80 @@ def test_snf_zero_and_empty():
 @given(small_matrices)
 def test_kernel_is_kernel(rows):
     a = np.array(rows, dtype=object)
-    k = kernel_basis(a)
-    if k.size:
-        assert np.equal(a @ k, np.zeros((a.shape[0], k.shape[1]), dtype=object)).all()
-    res = smith_normal_form(a)
-    assert k.shape[1] == a.shape[1] - res.rank
+    k = kernel_lattice(a)
+    assert not (a @ k).any()
+    assert k.shape == (a.shape[1], a.shape[1] - smith_normal_form(a).rank)
+    assert np.array_equal(column_hnf(k), k)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrices)
+def test_kernel_lattice_is_saturated(rows):
+    a = np.array(rows, dtype=object)
+    k = kernel_lattice(a)
+    for vec in Matrix(a.tolist()).nullspace():
+        scale = lcm(*(int(x.q) for x in vec))
+        ints = [int(x * scale) for x in vec]
+        g = gcd(*ints)
+        primitive = [x // g for x in ints]
+        coords = lattice_coords(k, primitive)
+        assert coords is not None
+        assert list(k @ np.array(coords, dtype=object)) == primitive
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_matrices, st.data())
+def test_kernel_lattice_is_preimage_of_relations(rows, data):
+    a = np.array(rows, dtype=object)
+    m, n = a.shape
+    rel = np.array(
+        data.draw(st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                           max_size=3)),
+        dtype=object,
+    ).reshape(-1, m).T
+    pre = kernel_lattice(a, rel)
+    span = column_hnf(rel)
+    for col in pre.T:
+        assert lattice_coords(span, a @ col) is not None
+    x = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    member = lattice_coords(pre, x) is not None
+    assert member == (lattice_coords(span, a @ np.array(x, dtype=object)) is not None)
+
+
+def test_kernel_budget_names_layer_amount_and_cap(monkeypatch):
+    monkeypatch.setattr(snf, "KERNEL_DENSE_LIMIT", 3)
+    a = np.ones((2, 2), dtype=object)
+    assert kernel_lattice(np.ones((2, 3), dtype=object)).shape == (3, 2)
+    with pytest.raises(BudgetExceededError, match=r"^snf: .* 4 columns .* cap of 3 columns"):
+        kernel_lattice(np.ones((2, 4), dtype=object))
+    with pytest.raises(BudgetExceededError, match=r"^snf: .* 4 columns .* cap of 3 columns"):
+        kernel_lattice(a, np.eye(2, dtype=object))
 
 
 def test_solve_columns():
-    b = np.array([[2, 0], [0, 3]])
-    assert list(solve_columns(b, [4, 9])) == [2, 3]
-    assert solve_columns(b, [1, 0]) is None
-    assert solve_columns(b, [0, 1]) is None
+    b = column_hnf(np.array([[2, 0], [0, 3]]))
+    assert lattice_coords(b, [4, 9]) == [2, 3]
+    assert lattice_coords(b, [1, 0]) is None
+    assert lattice_coords(b, [0, 1]) is None
+    assert lattice_coords(column_hnf(np.array([[1], [1]])), [1, 0]) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_matrices, st.data())
+def test_lattice_coords(rows, data):
+    a = np.array(rows, dtype=object)
+    m, n = a.shape
+    h = column_hnf(a)
+    combo = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
+    member = a @ np.array(combo, dtype=object)
+    coords = lattice_coords(h, member)
+    assert coords is not None
+    assert list(h @ np.array(coords, dtype=object).reshape(-1)) == list(member)
+    v = data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
+    coords = lattice_coords(h, v)
+    assert (coords is not None) == _in_span(a, v)
+    if coords is not None:
+        assert list(h @ np.array(coords, dtype=object).reshape(-1)) == v
 
 
 def test_hnf_canonical_and_membership():
@@ -91,9 +178,9 @@ def test_hnf_canonical_and_membership():
     assert lattice_equal(h1, column_hnf(np.array([[2, 4], [3, 3]], dtype=object)))
     # a genuinely different lattice
     assert not lattice_equal(h1, column_hnf(np.array([[2, 0], [0, 5]], dtype=object)))
-    assert lattice_contains(h1, [4, 3])
-    assert not lattice_contains(h1, [1, 0])
-    assert lattice_contains(h2, [2, 3])
+    assert lattice_coords(h1, [4, 3]) is not None
+    assert lattice_coords(h1, [1, 0]) is None
+    assert lattice_coords(h2, [2, 3]) is not None
 
 
 def test_hnf_is_canonical_for_equal_lattices():
@@ -127,13 +214,15 @@ def test_lattice_sum():
     a = np.array([[2], [0]], dtype=object)
     b = np.array([[0], [3]], dtype=object)
     s = lattice_sum(a, b)
-    assert lattice_contains(s, [2, 3])
-    assert not lattice_contains(s, [1, 0])
+    assert lattice_coords(s, [2, 3]) == [1, 1]
+    assert lattice_coords(s, [1, 0]) is None
 
 
 def test_snf_object_fallback_large_entries():
     a = np.array([[2**40, 1], [1, 2**40]], dtype=object)
-    res = smith_normal_form(a, want_u=True, want_v=True)
-    d = res.U @ a @ res.V
-    assert d[0, 0] == res.diag[0]
-    assert res.diag[0] == 1
+    res = smith_normal_form(a, want_u=True)
+    assert res.diag == [1, 2**80 - 1]
+    assert np.array_equal(res.U @ res.Uinv, np.eye(2, dtype=object))
+    assert (res.U @ a)[1, 0] % res.diag[1] == 0
+    k = kernel_lattice(np.array([[2**70, 3 * 2**70 + 1]], dtype=object))
+    assert k.T.tolist() == [[3 * 2**70 + 1, -(2**70)]]

@@ -11,7 +11,6 @@ from horokit.spaces import (
     build_vertex_space,
     interior_window,
     interval_points,
-    subspace,
 )
 
 ABS = lambda p, q: abs(p - q)
@@ -142,40 +141,6 @@ def test_distinct_cosets_share_no_horoball_vertices():
             key = (v.element, v.level)
             assert key not in seen or seen[key] == v.coset
             seen[key] = v.coset
-
-
-def test_subspace_identities():
-    z = GroupSpec.free_abelian(1, names=("x",))
-    sp = build_augmented(z, (0,), Truncation(rg=4, lmax=3, mmax=1))
-    thick = set(subspace(sp, "thick", 2).vertices)
-    cusp = set(subspace(sp, "cusp", 2).vertices)
-    sl = set(subspace(sp, "slice", 2).vertices)
-    assert thick | cusp == set(sp.graph.vertices)
-    assert thick & cusp == sl
-    assert {v.level for v in sl} == {2}
-
-
-def test_subspace_tail_endpoints():
-    prod = GroupSpec.free_product(
-        GroupSpec.free_abelian(2, names=("x", "y")), GroupSpec.free(1, names=("t",))
-    )
-    sp = build_augmented(prod, (0,), Truncation(rg=1, lmax=2, mmax=3))
-    whole = subspace(sp, "tail", 1)
-    assert set(whole.vertices) == set(sp.graph.vertices)
-    top = max(e.index for e in sp.attached)
-    cayley = subspace(sp, "tail", top + 1)
-    assert all(v.level == 0 for v in cayley.vertices)
-
-
-def test_subspace_param_validation():
-    z = GroupSpec.free_abelian(1, names=("x",))
-    sp = build_augmented(z, (0,), Truncation(rg=2, lmax=2, mmax=1))
-    with pytest.raises(ValueError):
-        subspace(sp, "slice", 5)
-    with pytest.raises(ValueError):
-        subspace(sp, "cusp", 0)
-    with pytest.raises(ValueError):
-        subspace(sp, "nonsense", 1)
 
 
 def test_vertex_space_counts():
