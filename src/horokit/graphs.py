@@ -159,17 +159,6 @@ class MetricGraph:
             comps.append(comp)
         return comps
 
-    def induced_subgraph(self, keep: Iterable[Vertex], meta=None) -> "MetricGraph":
-        keep_set = {Vertex(*v) for v in keep}
-        for v in keep_set:
-            self._require(v)
-        edges = [
-            (self.vertices[a], self.vertices[b])
-            for a, b in self.edges
-            if self.vertices[a] in keep_set and self.vertices[b] in keep_set
-        ]
-        return MetricGraph(keep_set, edges, meta=meta if meta is not None else self.meta)
-
     # -- interchange -------------------------------------------------------
 
     def to_json(self) -> dict:

@@ -2,10 +2,12 @@
 
 Degree 0 is the component count.  Every homology group of degree >= 1 goes
 through one sparse chain reduction, ``snf._eliminate``: group types from the
-unit pivots and invariant factors of the boundary maps (``homology_type``),
-coordinates from the same elimination with its column combinations tracked
-(``DegreeCoordinates``: the unmatched faces of d_p give a cycle basis,
-d_{p+1} is eliminated in it, and only the residue gets a Smith normal form).
+unit pivots and invariant factors of the boundary maps, eliminated as
+coboundaries without the columns the degree below already paired
+(``homology_type``), coordinates from the same elimination of d_p itself
+with its column combinations tracked (``DegreeCoordinates``: the unmatched
+faces of d_p give a cycle basis, d_{p+1} is eliminated in it, and only the
+residue gets a Smith normal form).
 Classes of cycles are then plain integer vectors reduced modulo the
 invariant factors.
 """
@@ -127,20 +129,43 @@ def homology_type(
         rank = n_comp - (1 if reduced and n_comp else 0)
         return AbelianGroup(max(rank, 0))
     n_p = complex_.n_faces(degree)
-    _, rank_dp = _boundary_type(complex_, degree)
-    torsion, rank_next = _boundary_type(complex_, degree + 1)
+    _, rank_dp, _ = _boundary_type(complex_, degree)
+    torsion, rank_next, _ = _boundary_type(complex_, degree + 1)
     return AbelianGroup(n_p - rank_dp - rank_next, torsion)
 
 
-def _boundary_type(complex_: SimplicialComplex, p: int) -> tuple[tuple[int, ...], int]:
-    """(torsion, rank) of the boundary C_p -> C_{p-1}, eliminated once per
-    complex and degree."""
+def _boundary_type(
+    complex_: SimplicialComplex, p: int
+) -> tuple[tuple[int, ...], int, frozenset[int]]:
+    """(torsion, rank, unit pivot rows) of the boundary C_p -> C_{p-1},
+    eliminated once per complex and degree.
+
+    The elimination runs on the transpose, one column per (p-1)-face holding
+    its p-cofaces (``coboundary_columns``): a matrix and its transpose have
+    the same invariant factors (de Silva, Morozov and Vejdemo-Johansson,
+    "Dualities in persistent (co)homology", 2011).  The (p-1)-faces that were
+    unit pivot rows of d_{p-1}^T are cleared, that is, left out as columns
+    (Chen and Kerber, "Persistent homology computation with a twist", EuroCG
+    2011): each unit pivot column lies in im d_{p-1}^T, inside ker d_p^T, and
+    the pivot columns are unit-triangular on their pivot rows, so every
+    cleared column is an integer combination of the kept ones and the column
+    lattice, hence the Smith form, is unchanged.  Nothing is cleared at p = 1.
+    The kept columns number n_{p-1} minus the unit pivots of d_{p-1}; only
+    about beta_{p-1} of them reduce to zero.  Pivot rows of the dense residue
+    are not cleared: a non-unit pivot block is not unimodular.
+    ``snf.sparse_diagonal`` is a benchmark-traced name, so the elimination
+    goes through it with its ``(diag, rank)`` result.
+    """
     if p <= 0 or p > complex_.cap or complex_.n_faces(p) == 0:
-        return (), 0
+        return (), 0, frozenset()
     cache = complex_.boundary_types
     if p not in cache:
-        diag, rank = sparse_diagonal(complex_.boundary_columns(p), complex_.n_faces(p - 1))
-        cache[p] = (_torsion_from_diag(diag), rank)
+        _, _, cleared = _boundary_type(complex_, p - 1)
+        pivot_rows: list[int] = []
+        diag, rank = sparse_diagonal(
+            complex_.coboundary_columns(p, cleared), complex_.n_faces(p), pivot_rows
+        )
+        cache[p] = (_torsion_from_diag(diag), rank, frozenset(pivot_rows))
     return cache[p]
 
 

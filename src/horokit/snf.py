@@ -4,7 +4,8 @@ Everything here is integral, on python ints (object arrays); no floating
 point.  Boundary matrices of simplicial complexes are handled by one sparse
 elimination pass, ``_eliminate``, that consumes unit pivots (which dominate
 such matrices) and hands any small residue to the dense Smith form;
-``homology`` runs the same pass for group types and, tracking column
+``homology`` runs the same pass for group types (on coboundaries, with the
+columns the previous degree paired cleared away) and, tracking column
 combinations and keeping the pivot columns, for homology coordinates.  The
 dense Smith form gives invariant factors and, on request, its row transform.
 Every lattice question (kernels and preimages, membership, coordinates in a
@@ -166,13 +167,24 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
     acyclic matching and whatever survives is zero on every pivot row.  Unit
     pivots are taken in a fill-aware order.
 
-    Returns ``(units, residue, chains, pivots)``: the number of pivots; the
-    surviving nonzero columns by input index; with ``track``, every unpivoted
-    input column (zero or not) as its combination ``{input index: coeff}`` of
-    input columns, which is itself plus pivot columns only; with ``freeze``,
-    ``{pivot row: (elimination step, column at that step)}`` for
-    ``_clear_pivot_rows``.  Untracked and unfrozen, pivot columns are dropped
-    as soon as they are used.
+    Returns ``(pivot_rows, residue, chains, frozen)``: the pivot rows in
+    elimination order; the surviving nonzero columns by input index; with
+    ``track``, every unpivoted input column (zero or not) as its combination
+    ``{input index: coeff}`` of input columns, which is itself plus pivot
+    columns only; with ``freeze``, ``{pivot row: (elimination step, column at
+    that step)}`` for ``_clear_pivot_rows``.  Untracked and unfrozen, pivot
+    columns are dropped as soon as they are used.
+
+    The pivot rows are what clearing needs when the input is a coboundary
+    (de Silva, Morozov and Vejdemo-Johansson, "Dualities in persistent
+    (co)homology", 2011; Chen and Kerber, "Persistent homology computation
+    with a twist", EuroCG 2011).  Each pivot column is an integer combination
+    of input columns, and the pivot columns restricted to their pivot rows
+    form a unit-triangular, hence unimodular, block T.  If the input is
+    d_p^T and B = d_{p+1}^T, then B kills every pivot column (B d_p^T = 0),
+    so B's columns on the pivot rows are B's other columns times an integer
+    matrix (T^-1 is integral) and may be dropped without changing B's Smith
+    form (``homology._boundary_type``).
     """
     cols: dict[int, dict[int, int]] = {}
     rows: dict[int, set[int]] = {}
@@ -201,8 +213,8 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
     for ci in list(cols):
         push_units(ci)
 
-    units = 0
-    pivots: dict[int, tuple[int, dict[int, int]]] | None = {} if freeze else None
+    pivot_rows: list[int] = []
+    frozen: dict[int, tuple[int, dict[int, int]]] | None = {} if freeze else None
     while heap:
         _, r, c = heapq.heappop(heap)
         col = cols.get(c)
@@ -244,9 +256,9 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
                 del rows[rr]
         del cols[c]
         if freeze:
-            pivots[r] = (units, col)
-        units += 1
-    return units, cols, chains, pivots
+            frozen[r] = (len(pivot_rows), col)
+        pivot_rows.append(r)
+    return pivot_rows, cols, chains, frozen
 
 
 def _clear_pivot_rows(vec: dict[int, int], pivots) -> dict[int, int]:
@@ -287,15 +299,21 @@ def _dense(cols: dict[int, dict[int, int]], rows=None) -> np.ndarray:
     return dense
 
 
-def sparse_diagonal(columns, nrows: int) -> tuple[list[int], int]:
+def sparse_diagonal(columns, nrows: int, pivot_rows: list[int] | None = None
+                    ) -> tuple[list[int], int]:
     """Invariant factors of a sparse integer matrix given as column dicts.
 
     Unit pivots are consumed without transform tracking; whatever survives
     is finished densely.  Returns the positive diagonal
-    (divisibility-chained) and the rank.
+    (divisibility-chained) and the rank.  With ``pivot_rows`` (a list), the
+    rows of the unit pivots are appended to it, in elimination order, for
+    clearing the next degree.  The benchmark's tracer wraps this function
+    and unpacks its ``(diag, rank)`` result, so both stay as they are.
     """
-    units, residue, _, _ = _eliminate(columns)
-    diag = [1] * units
+    pivots, residue, _, _ = _eliminate(columns)
+    if pivot_rows is not None:
+        pivot_rows.extend(pivots)
+    diag = [1] * len(pivots)
     if residue:
         diag.extend(smith_normal_form(_dense(residue)).diag)
     return diag, len(diag)

@@ -132,14 +132,6 @@ def test_components():
     assert len(comps) == 3
 
 
-def test_induced_subgraph():
-    g = path_graph(5)
-    keep = [Vertex(i, 0, 0) for i in (0, 1, 3)]
-    sub = g.induced_subgraph(keep)
-    assert len(sub) == 3
-    assert len(sub.edges) == 1
-
-
 def test_json_roundtrip_and_dot():
     g = path_graph(3)
     back = MetricGraph.from_json(g.to_json())

@@ -5,11 +5,13 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from horokit.complexes import SimplicialComplex, SimplicialMap, barycentric_subdivision
+from horokit.covers import PAPER_SCHEDULE, decompose, nerve
 from horokit.homology import (
     AbelianGroup,
     DegreeCoordinates,
     GroupMap,
     OrdersGroup,
+    _boundary_type,
     canonical_type,
     concat_maps,
     direct_sum_group,
@@ -20,6 +22,8 @@ from horokit.homology import (
     stack_maps,
     zero_map,
 )
+from horokit.instances import get_instance
+from horokit.snf import sparse_diagonal
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -286,3 +290,84 @@ def test_induced_maps_compose(cx, data):
         composite = induced_map(g, p, cb, cc).compose(induced_map(f, p, ca, cb))
         direct = induced_map(g.compose(f), p, ca, cc)
         assert GroupMap(ca.group, cc.group, direct.matrix - composite.matrix).is_zero
+
+
+# -- group types from the cleared coboundary -----------------------------------
+
+
+def _check_cleared_types(cx, order):
+    """``_boundary_type`` asked in ``order`` against sympy's Smith form of the
+    untransposed d_p, and the number of coboundary columns it eliminated."""
+    built = {}
+    build = SimplicialComplex.coboundary_columns
+
+    def spy(self, p, cleared):
+        cols = build(self, p, cleared)
+        built[p] = len(cols)
+        return cols
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SimplicialComplex, "coboundary_columns", spy)
+        types = {p: _boundary_type(cx, p) for p in order}
+    for p, (torsion, rank, pivots) in types.items():
+        invariants = _sympy_invariants(cx, p)
+        assert (torsion, rank) == (tuple(d for d in invariants if d > 1), len(invariants))
+        assert len(pivots) <= rank
+    for p in range(1, cx.cap + 1):
+        if cx.n_faces(p):
+            # every (p-1)-face but the unit pivot rows of d_{p-1}^T is a column
+            assert built[p] == cx.n_faces(p - 1) - len(_boundary_type(cx, p - 1)[2])
+    return built
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_complexes(), st.data())
+def test_cleared_coboundary_types_match_sympy(cx, data):
+    order = data.draw(st.permutations(range(1, cx.cap + 2)))
+    built = _check_cleared_types(cx, order)
+    if cx.n_faces(1):
+        assert built[1] == cx.n_faces(0)  # nothing is cleared at p = 1
+
+
+def test_cleared_coboundary_types_match_sympy_on_torsion_fixtures():
+    rp2 = SimplicialComplex.from_label_faces(RP2_TRIANGLES)
+    suspension = SimplicialComplex.from_label_faces(
+        [t + (a,) for t in RP2_TRIANGLES for a in (6, 7)]
+    )
+    with_sphere = SimplicialComplex.from_label_faces(
+        RP2_TRIANGLES + [(3, 4, 6), (3, 5, 6), (4, 5, 6)]
+    )
+    with_ball = SimplicialComplex.from_label_faces(RP2_TRIANGLES + [(3, 4, 5, 6)])
+    for cx in (rp2, suspension, with_sphere, with_ball):
+        for order in ([1, 2, 3, 4], [4, 3, 2, 1], [2, 4, 1, 3]):
+            cx.boundary_types.clear()
+            built = _check_cleared_types(cx, [p for p in order if p <= cx.cap + 1])
+            # d_1^T has only unit pivots: n_1 - rank d_1 columns at p = 2
+            assert built[2] == cx.n_faces(1) - _boundary_type(cx, 1)[1]
+    assert _boundary_type(rp2, 2)[:2] == ((2,), 10)
+    for p in (0, 3):
+        with pytest.raises(ValueError):
+            rp2.coboundary_columns(p, frozenset())
+    assert _boundary_type(suspension, 3)[:2] == ((2,), 20)
+    # d_2^T of RP^2 with a ball glued on keeps one non-unit pivot in its
+    # residue; that row is not cleared, so d_3^T keeps one column more than
+    # n_2 - rank d_2
+    torsion, rank, pivots = _boundary_type(with_ball, 2)
+    assert (torsion, rank, len(pivots)) == ((2,), 12, 11)
+    assert _boundary_type(with_ball, 3)[:2] == ((), 1)
+    assert built[3] == with_ball.n_faces(2) - rank + 1
+
+
+def test_cleared_coboundary_types_at_scale():
+    # the whole nerve of the shipped z2_free_z: 133 vertices, 2,146 edges and
+    # 23,744 triangles; clearing drops the 132 edge columns d_1 paired
+    cx = nerve(decompose(get_instance("z2_free_z"), 0, PAPER_SCHEDULE).whole, cap=2)
+    assert [homology_type(cx, p) for p in range(3)] == [
+        AbelianGroup(1), AbelianGroup(0), AbelianGroup(21730)
+    ]
+    for p in (1, 2):
+        diag, rank = sparse_diagonal(cx.boundary_columns(p), cx.n_faces(p - 1))
+        torsion, cleared_rank, pivots = _boundary_type(cx, p)
+        assert (torsion, cleared_rank) == (tuple(d for d in diag if d > 1), rank)
+        assert len(pivots) == rank
+    assert len(cx.coboundary_columns(2, _boundary_type(cx, 1)[2])) == 2146 - 132
