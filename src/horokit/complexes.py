@@ -22,25 +22,25 @@ class SimplicialComplex:
     def __init__(
         self,
         labels: Sequence,
-        faces_by_dim: Sequence[Iterable[tuple[int, ...]]],
+        faces_by_dim: Sequence[list[tuple[int, ...]]],
         cap: int,
         span_test: Callable[[tuple[int, ...]], bool] | None = None,
         truncated_at_cap: bool = False,
     ):
+        """A complex on the given face lists, kept as they come: list p holds
+        the p-faces as increasing vertex tuples, in lexicographic order,
+        without repeats.  ``clique_complex`` (DFS preorder with increasing
+        extensions) and ``induced`` (an increasing remap) hand over lists in
+        that form; ``from_faces`` and ``_subdivide_once`` canonicalise theirs
+        first."""
         self.labels = tuple(labels)
         self.cap = cap
         self.truncated_at_cap = truncated_at_cap
-        self.faces: list[list[tuple[int, ...]]] = []
-        for p, faces in enumerate(faces_by_dim):
-            fs = sorted({tuple(sorted(f)) for f in faces})
-            for f in fs:
-                if len(f) != p + 1:
-                    raise ValueError(f"face {f} has wrong dimension for slot {p}")
-            self.faces.append(fs)
+        self.faces: list[list[tuple[int, ...]]] = list(faces_by_dim)
         while len(self.faces) <= cap:
             self.faces.append([])
         self.face_index: list[dict[tuple[int, ...], int]] = [
-            {f: i for i, f in enumerate(fs)} for fs in self.faces
+            dict(zip(fs, range(len(fs)))) for fs in self.faces
         ]
         self._span_test = span_test
         # (torsion, rank, unit pivot rows) of each boundary map C_p -> C_{p-1},
@@ -67,7 +67,7 @@ class SimplicialComplex:
                 for sub in combinations(f, k):
                     by_dim[k - 1].add(sub)
         return SimplicialComplex(
-            labels, by_dim, cap, truncated_at_cap=top > cap
+            labels, [sorted(fs) for fs in by_dim], cap, truncated_at_cap=top > cap
         )
 
     @staticmethod
@@ -435,4 +435,4 @@ def _subdivide_once(c: SimplicialComplex) -> SimplicialComplex:
     by_dim: list[set] = [set() for _ in range(top)]
     for ch in chains:
         by_dim[len(ch) - 1].add(ch)
-    return SimplicialComplex(labels, by_dim, cap=top - 1)
+    return SimplicialComplex(labels, [sorted(fs) for fs in by_dim], cap=top - 1)

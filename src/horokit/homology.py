@@ -162,9 +162,7 @@ def _boundary_type(
     if p not in cache:
         _, _, cleared = _boundary_type(complex_, p - 1)
         pivot_rows: list[int] = []
-        diag, rank = sparse_diagonal(
-            complex_.coboundary_columns(p, cleared), complex_.n_faces(p), pivot_rows
-        )
+        diag, rank = sparse_diagonal(complex_.coboundary_columns(p, cleared), pivot_rows)
         cache[p] = (_torsion_from_diag(diag), rank, frozenset(pivot_rows))
     return cache[p]
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 from math import gcd
 
 import numpy as np
@@ -164,8 +165,21 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
     Each pivot (row r, column c) has entry +-1; column operations clear row r
     from every other column, and the pair leaves the matrix.  A pivot column
     is zero on the pivot rows of every earlier pivot, so the pivots form an
-    acyclic matching and whatever survives is zero on every pivot row.  Unit
-    pivots are taken in a fill-aware order.
+    acyclic matching and whatever survives is zero on every pivot row.
+
+    Pivots come in two passes.  First every unit entry alone in its row is
+    peeled: such a pivot needs no column operation, and removing its column
+    may leave further rows with a lone entry (coreduction: Mrozek and Batko,
+    "Coreduction homology algorithm", DCG 2009; the reduction before Smith
+    form of Kaczynski, Mrozek and Slusarek, 1998).  Each row keeps its count
+    of live columns and the sum of their indices, so a row whose count falls
+    to one names its column, and the peel is linear in the entries.  A peeled
+    row is zero in every other live column, so the peeled pivots satisfy the
+    acyclicity above and need neither a copy nor row sets; the columns left
+    are copied, normalised, and their unit pivots taken in a fill-aware order
+    from a heap.  Rows are indices (nonnegative integers); a zero entry
+    counts as an entry in the peel, which at worst leaves a pivot to the
+    heap.
 
     Returns ``(pivot_rows, residue, chains, frozen)``: the pivot rows in
     elimination order; the surviving nonzero columns by input index; with
@@ -184,15 +198,46 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
     d_p^T and B = d_{p+1}^T, then B kills every pivot column (B d_p^T = 0),
     so B's columns on the pivot rows are B's other columns times an integer
     matrix (T^-1 is integral) and may be dropped without changing B's Smith
-    form (``homology._boundary_type``).
+    form (``homology._boundary_type``).  Both arguments hold for peeled
+    pivots, and ``_clear_pivot_rows`` relies on the same elimination order.
     """
+    columns = list(columns)
+    pivot_rows: list[int] = []
+    frozen: dict[int, tuple[int, dict[int, int]]] | None = {} if freeze else None
+    live = [True] * len(columns)
+    sizes = list(map(len, columns))
+    flat = np.fromiter(chain.from_iterable(columns), dtype=np.int64, count=sum(sizes))
+    count = np.bincount(flat)
+    total = np.zeros_like(count)
+    np.add.at(total, flat, np.repeat(np.arange(len(columns)), sizes))
+    count, total = count.tolist(), total.tolist()
+    queue = [r for r, k in enumerate(count) if k == 1]
+    for r in queue:  # the queue grows while it is read
+        if count[r] != 1:
+            continue
+        c = total[r]
+        col = columns[c]
+        if col[r] not in (1, -1):
+            continue
+        live[c] = False
+        for rr in col:
+            count[rr] -= 1
+            total[rr] -= c
+            if count[rr] == 1:
+                queue.append(rr)
+        if freeze:
+            frozen[r] = (len(pivot_rows), col)
+        pivot_rows.append(r)
+
     cols: dict[int, dict[int, int]] = {}
     rows: dict[int, set[int]] = {}
     chains: dict[int, dict[int, int]] | None = {} if track else None
     for ci, col in enumerate(columns):
-        entries = {r: int(v) for r, v in col.items() if v}
+        if not live[ci]:
+            continue
         if track:
             chains[ci] = {ci: 1}
+        entries = {r: int(v) for r, v in col.items() if v}
         if entries:
             cols[ci] = entries
             for r in entries:
@@ -213,15 +258,13 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
     for ci in list(cols):
         push_units(ci)
 
-    pivot_rows: list[int] = []
-    frozen: dict[int, tuple[int, dict[int, int]]] | None = {} if freeze else None
     while heap:
         _, r, c = heapq.heappop(heap)
         col = cols.get(c)
         if col is None or r not in col or col[r] not in (1, -1):
             continue
         v = col[r]
-        chain = chains.pop(c) if track else None
+        combo = chains.pop(c) if track else None
         # column ops clear row r everywhere else
         for c2 in list(rows.get(r, ())):
             if c2 == c:
@@ -239,7 +282,7 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
                         rows[rr].discard(c2)
             if track:
                 chain2 = chains[c2]
-                for k, x in chain.items():
+                for k, x in combo.items():
                     cur = chain2.get(k, 0) - factor * x
                     if cur:
                         chain2[k] = cur
@@ -299,8 +342,7 @@ def _dense(cols: dict[int, dict[int, int]], rows=None) -> np.ndarray:
     return dense
 
 
-def sparse_diagonal(columns, nrows: int, pivot_rows: list[int] | None = None
-                    ) -> tuple[list[int], int]:
+def sparse_diagonal(columns, pivot_rows: list[int] | None = None) -> tuple[list[int], int]:
     """Invariant factors of a sparse integer matrix given as column dicts.
 
     Unit pivots are consumed without transform tracking; whatever survives

@@ -119,6 +119,31 @@ def test_contiguity_domain_mismatch():
         contiguous(f, g)
 
 
+def _assert_canonical(c):
+    for p, fs in enumerate(c.faces):
+        assert fs == sorted(set(fs))
+        assert all(len(f) == p + 1 and list(f) == sorted(set(f)) for f in fs)
+        assert c.face_index[p] == {f: i for i, f in enumerate(fs)}
+
+
+def test_from_faces_and_subdivision_canonicalise_their_input():
+    # unsorted vertices, repeated faces and a repeated vertex
+    c = SimplicialComplex.from_faces(range(5), [(2, 1, 0), (0, 1, 2), (3, 1), (1, 3, 3), (4,)])
+    assert c.faces == [
+        [(0,), (1,), (2,), (3,), (4,)],
+        [(0, 1), (0, 2), (1, 2), (1, 3)],
+        [(0, 1, 2)],
+    ]
+    _assert_canonical(c)
+    assert [barycentric_subdivision(c, 1).n_faces(p) for p in range(3)] == [10, 14, 6]
+    for times in (1, 2):
+        sd = barycentric_subdivision(c, times)
+        _assert_canonical(sd)
+        # the same faces, reversed, through from_faces
+        faces = [f for fs in sd.faces for f in fs][::-1]
+        assert SimplicialComplex.from_faces(sd.labels, faces).faces == sd.faces
+
+
 def test_subdivision_counts_triangle():
     c = SimplicialComplex.from_label_faces([(0, 1, 2)])
     sd = barycentric_subdivision(c, 1)

@@ -1,3 +1,4 @@
+import time
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -7,8 +8,11 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from horokit import snf
+from horokit.complexes import SimplicialComplex
 from horokit.errors import BudgetExceededError
 from horokit.snf import (
+    _clear_pivot_rows,
+    _eliminate,
     column_hnf,
     kernel_lattice,
     lattice_coords,
@@ -76,9 +80,84 @@ def test_sparse_matches_dense_diag(rows):
         {i: int(a[i, j]) for i in range(a.shape[0]) if a[i, j]}
         for j in range(a.shape[1])
     ]
-    diag, rank = sparse_diagonal(cols, a.shape[0])
+    diag, rank = sparse_diagonal(cols)
     assert rank == dense.rank
     assert diag == dense.diag
+
+
+@st.composite
+def sparse_columns(draw):
+    """Columns over m shared rows (units, non-units and the odd explicit
+    zero, so column operations fill in), and for some columns a private row
+    holding a lone unit, which the peel takes and which may free others."""
+    m = draw(st.integers(1, 5))
+    values = st.sampled_from([1, -1, 1, -1, 2, -2, 3, 0])
+    cols = draw(st.lists(st.dictionaries(st.integers(0, m - 1), values, max_size=m),
+                         min_size=1, max_size=7))
+    for j, col in enumerate(cols):
+        if draw(st.booleans()):
+            col[m + j] = draw(st.sampled_from([1, -1]))
+    return cols
+
+
+def _dense_of(cols):
+    nrows = 1 + max((r for col in cols for r in col), default=0)
+    a = np.zeros((nrows, len(cols)), dtype=object)
+    for j, col in enumerate(cols):
+        for r, v in col.items():
+            a[r, j] = v
+    return a
+
+
+def _combine(cols, combo):
+    out = {}
+    for i, x in combo.items():
+        for r, v in cols[i].items():
+            out[r] = out.get(r, 0) + x * v
+    return {r: v for r, v in out.items() if v}
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_columns(), st.data())
+def test_eliminate_all_modes_match_oracles(cols, data):
+    a = _dense_of(cols)
+    # group types: the invariant factors are sympy's
+    assert sparse_diagonal(cols)[0] == _sympy_diag(a)
+    # track: each unpivoted column's combination gives its residue, or zero
+    pivots, residue, chains, _ = _eliminate(cols, track=True)
+    assert len(pivots) + len(chains) == len(cols)
+    for ci, combo in chains.items():
+        assert combo[ci] == 1
+        assert not (set(combo) - {ci}) & set(chains)  # the rest are pivot columns
+        assert _combine(cols, combo) == residue.get(ci, {})
+    for col in residue.values():
+        assert not set(col) & set(pivots)
+    # freeze: a vector is cleared off every pivot row, within its coset
+    pivots, _, _, frozen = _eliminate(cols, freeze=True)
+    assert sorted(frozen) == sorted(pivots)
+    # the pivots are an acyclic matching: each column is a unit on its row
+    # and zero on the rows of every earlier pivot
+    for k, r in enumerate(pivots):
+        step, col = frozen[r]
+        assert step == k and col[r] in (1, -1)
+        assert not any(col.get(earlier) for earlier in pivots[:k])
+    vec = data.draw(st.dictionaries(st.integers(0, a.shape[0] - 1),
+                                    st.integers(-4, 4).filter(bool), max_size=a.shape[0]))
+    cleared = _clear_pivot_rows(dict(vec), frozen)
+    assert not set(cleared) & set(pivots)
+    shift = [vec.get(r, 0) - cleared.get(r, 0) for r in range(a.shape[0])]
+    assert lattice_coords(column_hnf(a), shift) is not None
+
+
+def test_tracked_elimination_of_a_long_path_is_linear():
+    # the boundary of a path: every edge pivots with no fill, and a pivot
+    # order that grows each chain along the path is quadratic (tens of seconds)
+    n = 20_000
+    path = SimplicialComplex.from_faces(list(range(n + 1)), [(i, i + 1) for i in range(n)])
+    start = time.perf_counter()
+    pivots, residue, chains, _ = _eliminate(path.boundary_columns(1), track=True)
+    assert time.perf_counter() - start < 5
+    assert len(pivots) == n and not residue and not chains
 
 
 def test_snf_known_example():
