@@ -12,10 +12,13 @@ Every nerve and Rips face is enumerated here, by the clique kernel
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceededError, MapDomainMismatchError, NotSimplicialError, vertex_budget
+from .snf import CSC
 
 
 class SimplicialComplex:
@@ -39,10 +42,12 @@ class SimplicialComplex:
         self.faces: list[list[tuple[int, ...]]] = list(faces_by_dim)
         while len(self.faces) <= cap:
             self.faces.append([])
-        self.face_index: list[dict[tuple[int, ...], int]] = [
-            dict(zip(fs, range(len(fs)))) for fs in self.faces
-        ]
         self._span_test = span_test
+        # per dimension, built on first use: {face: index}, the facet table,
+        # and the sorted integer codes of the faces (``facets``)
+        self._face_index: dict[int, dict[tuple[int, ...], int]] = {}
+        self._facets: dict[int, np.ndarray] = {}
+        self._codes: dict[int, np.ndarray] = {}
         # (torsion, rank, unit pivot rows) of each boundary map C_p -> C_{p-1},
         # by p; filled in by homology._boundary_type, which eliminates each
         # transpose once and drops the columns of d_{p+1}^T on the p-faces
@@ -92,8 +97,17 @@ class SimplicialComplex:
 
     def has_face(self, vertices: Iterable[int]) -> bool:
         f = tuple(sorted(set(vertices)))
-        p = len(f) - 1
-        return 0 <= p < len(self.faces) and f in self.face_index[p]
+        return f in self.face_index(len(f) - 1)
+
+    def face_index(self, p: int) -> dict[tuple[int, ...], int]:
+        """{p-face: its index}, built on the first lookup in dimension p.
+        Boundaries never need it (they read ``facets``), so group types on a
+        large nerve build none."""
+        index = self._face_index.get(p)
+        if index is None:
+            fs = self.faces[p] if 0 <= p < len(self.faces) else []
+            index = self._face_index[p] = dict(zip(fs, range(len(fs))))
+        return index
 
     def spans(self, vertices: Iterable[int]) -> bool:
         """Whether the vertex set spans a simplex, beyond the cap if needed."""
@@ -108,24 +122,67 @@ class SimplicialComplex:
             f"cannot decide span of {len(f)} vertices beyond cap {self.cap}"
         )
 
+    def facets(self, p: int) -> np.ndarray:
+        """The facet table of dimension p >= 1: an n_p x (p+1) int64 array
+        whose entry (j, i) is the index of the (p-1)-face left when p-face j
+        drops its vertex i, which has boundary sign (-1)^i.
+
+        Faces are looked up by integer code, not by tuple (as Ripser indexes
+        simplices by number: Bauer, "Ripser", JACT 2021).  The code of a
+        q-face is the index of the face without its last vertex, times the
+        vertex count n, plus that vertex.  The face lists are lexicographic,
+        so each list's codes increase and a facet's index is a
+        ``searchsorted``.  A code is below (n_{q-1} + 1) * n for any cap, far
+        from 2^63 for the 200,000-vertex budget and any face count that fits
+        in memory."""
+        table = self._facets.get(p)
+        if table is None:
+            n = len(self.labels)
+            verts = self._vertex_array(p)
+            # the index of each prefix f[:1], f[:2], ..., f[:p]
+            head = self._find(0, verts[:, 0])
+            for k in range(1, p):
+                head = self._find(k, head * n + verts[:, k])
+            table = np.empty_like(verts)
+            table[:, p] = head
+            # dropping v_i, i < p, leaves facet i of f[:p] followed by v_p
+            below = self.facets(p - 1)[head] if p > 1 else np.zeros_like(verts)
+            for i in range(p):
+                table[:, i] = self._find(p - 1, below[:, i] * n + verts[:, p])
+            self._codes[p] = _increasing(head * n + verts[:, p])
+            self._facets[p] = table
+        return table
+
+    def _vertex_array(self, p: int) -> np.ndarray:
+        fs = self.faces[p]
+        flat = np.fromiter(chain.from_iterable(fs), np.int64, count=len(fs) * (p + 1))
+        return flat.reshape(len(fs), p + 1)
+
+    def _find(self, q: int, codes: np.ndarray) -> np.ndarray:
+        """Indices of the q-faces with the given codes."""
+        if q not in self._codes:
+            if q == 0:
+                self._codes[0] = _increasing(self._vertex_array(0)[:, 0])
+            else:
+                self.facets(q)
+        known = self._codes[q]
+        pos = np.searchsorted(known, codes)
+        found = known[np.minimum(pos, len(known) - 1)] if len(known) else known
+        if not np.array_equal(found, codes):
+            raise ValueError(f"a face has a facet missing from the {q}-faces")
+        return pos
+
     def boundary_columns(self, p: int) -> list[dict[int, int]]:
         """Columns of the boundary map C_p -> C_{p-1} as {row: coefficient}."""
         if p <= 0 or p >= len(self.faces):
             return [{} for _ in range(self.n_faces(max(p, 0)))] if p == 0 else []
-        idx = self.face_index[p - 1]
-        cols = []
-        for f in self.faces[p]:
-            col = {}
-            for i in range(len(f)):
-                sub = f[:i] + f[i + 1 :]
-                col[idx[sub]] = -1 if i % 2 else 1
-            cols.append(col)
-        return cols
+        signs = _signs(p)
+        return [dict(zip(row, signs)) for row in self.facets(p).tolist()]
 
-    def coboundary_columns(self, p: int, cleared: frozenset[int]) -> list[dict[int, int]]:
-        """Columns of the transpose of the boundary C_p -> C_{p-1}: one per
-        (p-1)-face not in ``cleared``, in index order, holding its p-cofaces
-        as {row: boundary sign}.
+    def coboundary_columns(self, p: int, cleared: frozenset[int]) -> CSC:
+        """The transpose of the boundary C_p -> C_{p-1}, in compressed sparse
+        columns: one column per (p-1)-face not in ``cleared``, in index order,
+        holding its p-cofaces in increasing order with their boundary signs.
 
         A matrix and its transpose have the same invariant factors, and the
         transpose needs far fewer columns: ``homology._boundary_type`` clears
@@ -141,26 +198,25 @@ class SimplicialComplex:
         """
         if not 0 < p < len(self.faces):
             raise ValueError(f"no coboundary columns in degree {p}")
-        cols = {r: {} for r in range(self.n_faces(p - 1)) if r not in cleared}
-        idx = self.face_index[p - 1]
-        for j, f in enumerate(self.faces[p]):
-            for i in range(len(f)):
-                col = cols.get(idx[f[:i] + f[i + 1 :]])
-                if col is not None:
-                    col[j] = -1 if i % 2 else 1
-        return list(cols.values())
+        flat = self.facets(p).ravel()
+        keep = np.ones(self.n_faces(p - 1), dtype=bool)
+        keep[np.fromiter(cleared, np.int64, len(cleared))] = False
+        entries = np.flatnonzero(keep[flat])
+        # a stable sort by column keeps each column's cofaces increasing
+        entries = entries[np.argsort(flat[entries], kind="stable")]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=len(keep))[keep])))
+        signs = np.array(_signs(p), dtype=np.int64)
+        return CSC(indptr, entries // (p + 1), signs[entries % (p + 1)])
 
     def chain_boundary(self, p: int, chain: dict[int, int]) -> dict[int, int]:
         """Boundary of a p-chain {face index: coefficient}, zeros dropped."""
-        if p == 0:
+        if p == 0 or not chain:
             return {}
-        idx = self.face_index[p - 1]
+        signs = _signs(p)
         out: dict[int, int] = {}
-        for r, coeff in chain.items():
-            f = self.faces[p][r]
-            for i in range(len(f)):
-                key = idx[f[:i] + f[i + 1 :]]
-                out[key] = out.get(key, 0) + (-coeff if i % 2 else coeff)
+        for row, coeff in zip(self.facets(p)[list(chain)].tolist(), chain.values()):
+            for key, sign in zip(row, signs):
+                out[key] = out.get(key, 0) + sign * coeff
         return {r: v for r, v in out.items() if v}
 
     def components(self) -> list[int]:
@@ -205,6 +261,17 @@ class SimplicialComplex:
         }
 
 
+def _signs(p: int) -> list[int]:
+    """The boundary signs (-1)^i of the p+1 facets of a p-face."""
+    return [1 - 2 * (i % 2) for i in range(p + 1)]
+
+
+def _increasing(codes: np.ndarray) -> np.ndarray:
+    if np.any(codes[1:] <= codes[:-1]):
+        raise ValueError("face lists must be lexicographic and without repeats")
+    return codes
+
+
 def clique_faces(adj: Sequence[int], cap: int, masks: Sequence[int] | None = None,
                  probe: bool = False):
     """Cliques of the bitset adjacency ``adj`` (``adj[i]`` holds the neighbours
@@ -218,10 +285,9 @@ def clique_faces(adj: Sequence[int], cap: int, masks: Sequence[int] | None = Non
     probing = probe
 
     def grow(face, common, cand):
-        # the extensions of an already yielded face by its candidate vertices
+        # the extensions of an already yielded face by its candidate vertices;
+        # a face of cap+1 vertices is grown only while the probe is open
         nonlocal probing
-        if len(face) > cap and not probing:
-            return
         c = cand
         while c:
             j = (c & -c).bit_length() - 1
@@ -232,11 +298,13 @@ def clique_faces(adj: Sequence[int], cap: int, masks: Sequence[int] | None = Non
                 if len(face) > cap:
                     probing = False
                     return
-                yield from grow(face + (j,), nc, cand & adj[j] & -(1 << (j + 1)))
+                if len(face) < cap or probing:
+                    yield from grow(face + (j,), nc, cand & adj[j] & -(1 << (j + 1)))
 
     for i in range(len(adj)):
         yield (i,)
-        yield from grow((i,), masks[i], adj[i] & -(1 << (i + 1)))
+        if cap > 0 or probing:
+            yield from grow((i,), masks[i], adj[i] & -(1 << (i + 1)))
 
 
 def clique_complex(labels: Sequence, faces: Iterable[tuple[int, ...]], cap: int,
@@ -332,7 +400,7 @@ class SimplicialMap:
     def chain_columns(self, p: int) -> list[dict[int, int]]:
         """Matrix of the induced chain map in degree p (degenerate -> 0)."""
         cols = []
-        tgt_index = self.target.face_index[p] if p < len(self.target.faces) else {}
+        tgt_index = self.target.face_index(p)
         for f in self.source.faces[p]:
             image = [self.vertex_images[v] for v in f]
             if len(set(image)) < len(image):

@@ -195,8 +195,10 @@ class GroupSpec:
         return self.normal_form(a + b)
 
     def word_metric(self, x: str, y: str) -> int:
-        """Left-invariant word metric: geodesic length of x^-1 y."""
-        return len(self.normal_form(self.inverse(x) + y))
+        """Left-invariant word metric: geodesic length of x^-1 y.  The normal
+        form is canonical, so x^-1 y needs one reduction, not one for x^-1
+        and another for the product."""
+        return len(self.normal_form(x.swapcase()[::-1] + y))
 
     def syllables(self, word: str) -> list[tuple[int, str]]:
         """Split a canonical word into (atom index, syllable) pairs."""

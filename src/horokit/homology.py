@@ -24,6 +24,7 @@ from .snf import (
     _dense,
     _eliminate,
     column_hnf,
+    csc_columns,
     kernel_lattice,
     lattice_coords,
     lattice_equal,
@@ -203,7 +204,8 @@ class DegreeCoordinates:
             self.group = AbelianGroup(max(rank, 0))
             return
         # the cycle basis: unmatched faces first, then the residue's kernel
-        _, residue, chains, _ = _eliminate(complex_.boundary_columns(degree), track=True)
+        d_p = csc_columns(complex_.boundary_columns(degree))
+        _, residue, chains, _ = _eliminate(d_p, track=True)
         unmatched = [c for c in chains if c not in residue]
         self._slot = {c: i for i, c in enumerate(unmatched)}
         self._basis = [chains[c] for c in unmatched]
@@ -214,7 +216,7 @@ class DegreeCoordinates:
             self._basis.append(chain_image(chains, kernel))
         # the boundaries in cycle coordinates
         expr = [self._cycle_coords(col) for col in complex_.boundary_columns(degree + 1)]
-        _, rest, _, self._pivots = _eliminate(expr, freeze=True)
+        _, rest, _, self._pivots = _eliminate(csc_columns(expr), freeze=True)
         self._rows = [s for s in range(len(self._basis)) if s not in self._pivots]
         res = smith_normal_form(_dense(rest, self._rows), want_u=True)
         self._U, self._Uinv = res.U, res.Uinv

@@ -126,10 +126,7 @@ def _snake_matrix(stage: MVStage, p: int) -> GroupMap:
     z_coords = stage.coords[("interface", p - 1)]
     whole = stage.nerves["whole"]
     thick_centers = set(stage.nerves["thick"].labels)
-    iface_index = {
-        f: i
-        for i, f in enumerate(stage.nerves["interface"].faces[p - 1])
-    }
+    iface_index = stage.nerves["interface"].face_index(p - 1)
     iface_pos = {c: i for i, c in enumerate(stage.nerves["interface"].labels)}
     cusp_centers = set(stage.nerves["cusp"].labels)
     bcols = whole.boundary_columns(p)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from math import gcd
 
 import numpy as np
@@ -159,7 +159,31 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 # -- sparse elimination ----------------------------------------------------
 
 
-def _eliminate(columns, track: bool = False, freeze: bool = False):
+@dataclass
+class CSC:
+    """A sparse integer matrix in compressed sparse columns: column c holds
+    the rows ``rows[indptr[c]:indptr[c + 1]]`` (nonnegative, distinct), with
+    the values in the same slice of ``values``."""
+
+    indptr: np.ndarray
+    rows: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+
+def csc_columns(columns) -> CSC:
+    """Column dicts {row: value} as CSC, each column in its dict order."""
+    columns = list(columns)
+    indptr = np.zeros(len(columns) + 1, dtype=np.int64)
+    np.cumsum([len(col) for col in columns], out=indptr[1:])
+    rows = np.fromiter(chain.from_iterable(columns), dtype=np.int64, count=int(indptr[-1]))
+    values = np.array([v for col in columns for v in col.values()], dtype=object)
+    return CSC(indptr, rows, values)
+
+
+def _eliminate(matrix: CSC, track: bool = False, freeze: bool = False):
     """Unit-pivot column elimination of a sparse integer matrix.
 
     Each pivot (row r, column c) has entry +-1; column operations clear row r
@@ -172,14 +196,14 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
     may leave further rows with a lone entry (coreduction: Mrozek and Batko,
     "Coreduction homology algorithm", DCG 2009; the reduction before Smith
     form of Kaczynski, Mrozek and Slusarek, 1998).  Each row keeps its count
-    of live columns and the sum of their indices, so a row whose count falls
-    to one names its column, and the peel is linear in the entries.  A peeled
-    row is zero in every other live column, so the peeled pivots satisfy the
-    acyclicity above and need neither a copy nor row sets; the columns left
-    are copied, normalised, and their unit pivots taken in a fill-aware order
-    from a heap.  Rows are indices (nonnegative integers); a zero entry
-    counts as an entry in the peel, which at worst leaves a pivot to the
-    heap.
+    of live columns and the sum of their indices, both counted from the CSC
+    arrays, so a row whose count falls to one names its column, and the peel
+    is linear in the entries.  A peeled row is zero in every other live
+    column, so the peeled pivots satisfy the acyclicity above; the peel reads
+    columns as slices of the CSC arrays and builds no dicts or row sets.
+    Only the columns left become dicts, normalised, with their unit pivots
+    taken in a fill-aware order from a heap.  A zero entry counts as an
+    entry in the peel, which at worst leaves a pivot to the heap.
 
     Returns ``(pivot_rows, residue, chains, frozen)``: the pivot rows in
     elimination order; the surviving nonzero columns by input index; with
@@ -201,23 +225,23 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
     form (``homology._boundary_type``).  Both arguments hold for peeled
     pivots, and ``_clear_pivot_rows`` relies on the same elimination order.
     """
-    columns = list(columns)
+    n = len(matrix)
+    indptr, rows, values = matrix.indptr.tolist(), matrix.rows.tolist(), matrix.values
     pivot_rows: list[int] = []
     frozen: dict[int, tuple[int, dict[int, int]]] | None = {} if freeze else None
-    live = [True] * len(columns)
-    sizes = list(map(len, columns))
-    flat = np.fromiter(chain.from_iterable(columns), dtype=np.int64, count=sum(sizes))
-    count = np.bincount(flat)
+    live = [True] * n
+    count = np.bincount(matrix.rows)
     total = np.zeros_like(count)
-    np.add.at(total, flat, np.repeat(np.arange(len(columns)), sizes))
+    np.add.at(total, matrix.rows, np.repeat(np.arange(n), np.diff(matrix.indptr)))
+    queue = np.flatnonzero(count == 1).tolist()
     count, total = count.tolist(), total.tolist()
-    queue = [r for r, k in enumerate(count) if k == 1]
     for r in queue:  # the queue grows while it is read
         if count[r] != 1:
             continue
         c = total[r]
-        col = columns[c]
-        if col[r] not in (1, -1):
+        start, end = indptr[c], indptr[c + 1]
+        col = rows[start:end]
+        if values[start + col.index(r)] not in (1, -1):
             continue
         live[c] = False
         for rr in col:
@@ -226,22 +250,21 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
             if count[rr] == 1:
                 queue.append(rr)
         if freeze:
-            frozen[r] = (len(pivot_rows), col)
+            frozen[r] = (len(pivot_rows), _entries(col, values[start:end].tolist()))
         pivot_rows.append(r)
 
     cols: dict[int, dict[int, int]] = {}
-    rows: dict[int, set[int]] = {}
+    rows_of: dict[int, set[int]] = {}
     chains: dict[int, dict[int, int]] | None = {} if track else None
-    for ci, col in enumerate(columns):
-        if not live[ci]:
-            continue
+    for ci in compress(range(n), live):
         if track:
             chains[ci] = {ci: 1}
-        entries = {r: int(v) for r, v in col.items() if v}
+        start, end = indptr[ci], indptr[ci + 1]
+        entries = _entries(rows[start:end], values[start:end].tolist())
         if entries:
             cols[ci] = entries
             for r in entries:
-                rows.setdefault(r, set()).add(ci)
+                rows_of.setdefault(r, set()).add(ci)
 
     heap: list[tuple[int, int, int]] = []
 
@@ -251,7 +274,7 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
             return
         for r, v in col.items():
             if v in (1, -1):
-                score = (len(col) - 1) * (len(rows.get(r, ())) - 1)
+                score = (len(col) - 1) * (len(rows_of.get(r, ())) - 1)
                 heapq.heappush(heap, (score, r, ci))
                 break  # one candidate per column is plenty
 
@@ -266,7 +289,7 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
         v = col[r]
         combo = chains.pop(c) if track else None
         # column ops clear row r everywhere else
-        for c2 in list(rows.get(r, ())):
+        for c2 in list(rows_of.get(r, ())):
             if c2 == c:
                 continue
             col2 = cols[c2]
@@ -275,11 +298,11 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
                 cur = col2.get(rr, 0) - factor * vv
                 if cur:
                     col2[rr] = cur
-                    rows.setdefault(rr, set()).add(c2)
+                    rows_of.setdefault(rr, set()).add(c2)
                 else:
                     if rr in col2:
                         del col2[rr]
-                        rows[rr].discard(c2)
+                        rows_of[rr].discard(c2)
             if track:
                 chain2 = chains[c2]
                 for k, x in combo.items():
@@ -294,14 +317,19 @@ def _eliminate(columns, track: bool = False, freeze: bool = False):
                 push_units(c2)
         # row r is now supported on column c only; remove the pivot pair
         for rr in col:
-            rows[rr].discard(c)
-            if not rows[rr]:
-                del rows[rr]
+            rows_of[rr].discard(c)
+            if not rows_of[rr]:
+                del rows_of[rr]
         del cols[c]
         if freeze:
             frozen[r] = (len(pivot_rows), col)
         pivot_rows.append(r)
     return pivot_rows, cols, chains, frozen
+
+
+def _entries(rows: list[int], values: list) -> dict[int, int]:
+    """One CSC column as a dict, zeros dropped."""
+    return {r: int(v) for r, v in zip(rows, values) if v}
 
 
 def _clear_pivot_rows(vec: dict[int, int], pivots) -> dict[int, int]:
@@ -342,8 +370,8 @@ def _dense(cols: dict[int, dict[int, int]], rows=None) -> np.ndarray:
     return dense
 
 
-def sparse_diagonal(columns, pivot_rows: list[int] | None = None) -> tuple[list[int], int]:
-    """Invariant factors of a sparse integer matrix given as column dicts.
+def sparse_diagonal(matrix: CSC, pivot_rows: list[int] | None = None) -> tuple[list[int], int]:
+    """Invariant factors of a sparse integer matrix in CSC form.
 
     Unit pivots are consumed without transform tracking; whatever survives
     is finished densely.  Returns the positive diagonal
@@ -352,7 +380,7 @@ def sparse_diagonal(columns, pivot_rows: list[int] | None = None) -> tuple[list[
     clearing the next degree.  The benchmark's tracer wraps this function
     and unpacks its ``(diag, rank)`` result, so both stay as they are.
     """
-    pivots, residue, _, _ = _eliminate(columns)
+    pivots, residue, _, _ = _eliminate(matrix)
     if pivot_rows is not None:
         pivot_rows.extend(pivots)
     diag = [1] * len(pivots)

@@ -42,7 +42,7 @@ def test_mask_nerve_matches_subset_oracle(masks, cap):
     assert cx.truncated_at_cap == bool(witness)
     for p, fs in enumerate(cx.faces):
         for i, f in enumerate(fs):
-            assert cx.face_index[p][f] == i
+            assert cx.face_index(p)[f] == i
     for k in range(2, len(masks) + 1):
         for s in combinations(range(len(masks)), k):
             assert cx.spans(s) == meet(masks, s)
@@ -70,7 +70,7 @@ def test_rips_matches_diameter_oracle(graph, diameter, cap):
     assert cx.truncated_at_cap == any(small(s) for s in combinations(range(n), cap + 2))
     for p, fs in enumerate(cx.faces):
         for i, f in enumerate(fs):
-            assert cx.face_index[p][f] == i
+            assert cx.face_index(p)[f] == i
 
 
 def test_nerve_face_budget_counts_kept_faces():

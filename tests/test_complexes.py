@@ -1,4 +1,6 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horokit.complexes import (
     SimplicialComplex,
@@ -8,6 +10,7 @@ from horokit.complexes import (
     full_simplex,
 )
 from horokit.errors import MapDomainMismatchError, NotSimplicialError
+from horokit.snf import CSC
 
 
 def test_downward_closure():
@@ -123,7 +126,7 @@ def _assert_canonical(c):
     for p, fs in enumerate(c.faces):
         assert fs == sorted(set(fs))
         assert all(len(f) == p + 1 and list(f) == sorted(set(f)) for f in fs)
-        assert c.face_index[p] == {f: i for i, f in enumerate(fs)}
+        assert c.face_index(p) == {f: i for i, f in enumerate(fs)}
 
 
 def test_from_faces_and_subdivision_canonicalise_their_input():
@@ -167,3 +170,68 @@ def test_induced_subcomplex():
     assert sub.n_faces(2) == 1
     assert sub.n_faces(0) == 3
     assert 3 not in remap
+
+
+# -- the facet table and the CSC coboundary against tuple slicing ----------------
+
+
+def _sliced_facets(c, p):
+    """Each p-face's facets by tuple slicing and the {face: index} lookup."""
+    index = c.face_index(p - 1)
+    return [[index[f[:i] + f[i + 1 :]] for i in range(p + 1)] for f in c.faces[p]]
+
+
+@st.composite
+def complexes_up_to_cap_4(draw):
+    n = draw(st.integers(1, 9))
+    cap = draw(st.integers(1, 4))
+    faces = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1, max_size=6), max_size=8))
+    return SimplicialComplex.from_faces(list(range(n)), [tuple(f) for f in faces], cap=cap)
+
+
+def _check_coboundary(c, p, cleared):
+    """The CSC coboundary against the transpose of ``boundary_columns``."""
+    d_p = c.boundary_columns(p)
+    kept = [r for r in range(c.n_faces(p - 1)) if r not in cleared]
+    csc = c.coboundary_columns(p, cleared)
+    assert isinstance(csc, CSC) and len(csc) == len(kept)
+    for k, r in enumerate(kept):
+        start, end = csc.indptr[k], csc.indptr[k + 1]
+        column = list(zip(csc.rows[start:end].tolist(), csc.values[start:end].tolist()))
+        assert column == [(j, col[r]) for j, col in enumerate(d_p) if r in col]
+    assert csc.indptr[-1] == len(csc.rows) == len(csc.values)
+
+
+@settings(max_examples=150, deadline=None)
+@given(complexes_up_to_cap_4(), st.data())
+def test_csc_coboundary_is_the_transpose_of_the_boundary(c, data):
+    for p in range(1, c.cap + 1):
+        table = c.facets(p)
+        assert table.dtype == np.int64 and table.shape == (c.n_faces(p), p + 1)
+        assert table.tolist() == _sliced_facets(c, p)
+        marks = data.draw(st.lists(st.booleans(), min_size=c.n_faces(p - 1),
+                                   max_size=c.n_faces(p - 1)))
+        _check_coboundary(c, p, frozenset(r for r, mark in enumerate(marks) if mark))
+
+
+def test_facet_codes_do_not_overflow_at_the_vertex_budget():
+    # cap-4 faces on the top vertices of 200,000, and faces from vertex 0 up
+    # to them: a code in base n would need n^5 > 2^63, and a wrapped code
+    # breaks the order between low and high faces; index * n + vertex stays
+    # below 2^63
+    n = 200_000
+    faces = [tuple(range(n - 5, n)), (0, 1, n - 3, n - 2, n - 1), (0, n // 2, n - 1)]
+    c = SimplicialComplex.from_faces(range(n), faces, cap=4)
+    assert [c.n_faces(p) for p in range(5)] == [n, 19, 20, 10, 2]
+    for p in range(1, 5):
+        assert c.facets(p).tolist() == _sliced_facets(c, p)
+        _check_coboundary(c, p, frozenset())
+
+
+def test_facet_lookup_refuses_an_open_or_unsorted_face_list():
+    missing = SimplicialComplex(range(3), [[(0,), (1,)], [(0, 2)]], 1)
+    with pytest.raises(ValueError):
+        missing.facets(1)
+    unsorted = SimplicialComplex(range(3), [[(0,), (1,), (2,)], [(1, 2), (0, 1)]], 1)
+    with pytest.raises(ValueError):
+        unsorted.facets(1)

@@ -23,7 +23,7 @@ from horokit.homology import (
     zero_map,
 )
 from horokit.instances import get_instance
-from horokit.snf import sparse_diagonal
+from horokit.snf import CSC, csc_columns, sparse_diagonal
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
@@ -303,6 +303,7 @@ def _check_cleared_types(cx, order):
 
     def spy(self, p, cleared):
         cols = build(self, p, cleared)
+        assert isinstance(cols, CSC)
         built[p] = len(cols)
         return cols
 
@@ -366,8 +367,9 @@ def test_cleared_coboundary_types_at_scale():
         AbelianGroup(1), AbelianGroup(0), AbelianGroup(21730)
     ]
     for p in (1, 2):
-        diag, rank = sparse_diagonal(cx.boundary_columns(p))
+        diag, rank = sparse_diagonal(csc_columns(cx.boundary_columns(p)))
         torsion, cleared_rank, pivots = _boundary_type(cx, p)
         assert (torsion, cleared_rank) == (tuple(d for d in diag if d > 1), rank)
         assert len(pivots) == rank
-    assert len(cx.coboundary_columns(2, _boundary_type(cx, 1)[2])) == 2146 - 132
+    d2t = cx.coboundary_columns(2, _boundary_type(cx, 1)[2])
+    assert isinstance(d2t, CSC) and len(d2t) == 2146 - 132

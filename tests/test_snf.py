@@ -14,6 +14,7 @@ from horokit.snf import (
     _clear_pivot_rows,
     _eliminate,
     column_hnf,
+    csc_columns,
     kernel_lattice,
     lattice_coords,
     lattice_equal,
@@ -80,7 +81,7 @@ def test_sparse_matches_dense_diag(rows):
         {i: int(a[i, j]) for i in range(a.shape[0]) if a[i, j]}
         for j in range(a.shape[1])
     ]
-    diag, rank = sparse_diagonal(cols)
+    diag, rank = sparse_diagonal(csc_columns(cols))
     assert rank == dense.rank
     assert diag == dense.diag
 
@@ -121,10 +122,12 @@ def _combine(cols, combo):
 @given(sparse_columns(), st.data())
 def test_eliminate_all_modes_match_oracles(cols, data):
     a = _dense_of(cols)
+    matrix = csc_columns(cols)
+    assert len(matrix) == len(cols)
     # group types: the invariant factors are sympy's
-    assert sparse_diagonal(cols)[0] == _sympy_diag(a)
+    assert sparse_diagonal(matrix)[0] == _sympy_diag(a)
     # track: each unpivoted column's combination gives its residue, or zero
-    pivots, residue, chains, _ = _eliminate(cols, track=True)
+    pivots, residue, chains, _ = _eliminate(matrix, track=True)
     assert len(pivots) + len(chains) == len(cols)
     for ci, combo in chains.items():
         assert combo[ci] == 1
@@ -133,7 +136,7 @@ def test_eliminate_all_modes_match_oracles(cols, data):
     for col in residue.values():
         assert not set(col) & set(pivots)
     # freeze: a vector is cleared off every pivot row, within its coset
-    pivots, _, _, frozen = _eliminate(cols, freeze=True)
+    pivots, _, _, frozen = _eliminate(matrix, freeze=True)
     assert sorted(frozen) == sorted(pivots)
     # the pivots are an acyclic matching: each column is a unit on its row
     # and zero on the rows of every earlier pivot
@@ -155,7 +158,7 @@ def test_tracked_elimination_of_a_long_path_is_linear():
     n = 20_000
     path = SimplicialComplex.from_faces(list(range(n + 1)), [(i, i + 1) for i in range(n)])
     start = time.perf_counter()
-    pivots, residue, chains, _ = _eliminate(path.boundary_columns(1), track=True)
+    pivots, residue, chains, _ = _eliminate(csc_columns(path.boundary_columns(1)), track=True)
     assert time.perf_counter() - start < 5
     assert len(pivots) == n and not residue and not chains
 
