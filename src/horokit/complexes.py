@@ -6,8 +6,9 @@ whether an arbitrary vertex set spans a simplex (nerves answer this from
 column intersections, so spans beyond the cap remain decidable).
 
 Every nerve and Rips face is enumerated here, by the clique kernel
-``clique_faces``; ``mask_nerve`` builds the nerves of covers (``covers``,
-``mv``, ``opencone``) and ``clique_complex`` the Rips complexes (``rips``).
+``clique_complex``, which fills the per-dimension face lists in one recursive
+pass; ``mask_nerve`` builds the nerves of covers (``covers``, ``mv``,
+``opencone``) on it, and ``rips`` the Rips complexes.
 """
 
 from __future__ import annotations
@@ -32,10 +33,9 @@ class SimplicialComplex:
     ):
         """A complex on the given face lists, kept as they come: list p holds
         the p-faces as increasing vertex tuples, in lexicographic order,
-        without repeats.  ``clique_complex`` (DFS preorder with increasing
-        extensions) and ``induced`` (an increasing remap) hand over lists in
-        that form; ``from_faces`` and ``_subdivide_once`` canonicalise theirs
-        first."""
+        without repeats.  ``clique_complex`` (increasing extensions) and
+        ``induced`` (an increasing remap) hand over lists in that form;
+        ``from_faces`` and ``_subdivide_once`` canonicalise theirs first."""
         self.labels = tuple(labels)
         self.cap = cap
         self.truncated_at_cap = truncated_at_cap
@@ -272,60 +272,61 @@ def _increasing(codes: np.ndarray) -> np.ndarray:
     return codes
 
 
-def clique_faces(adj: Sequence[int], cap: int, masks: Sequence[int] | None = None,
-                 probe: bool = False):
-    """Cliques of the bitset adjacency ``adj`` (``adj[i]`` holds the neighbours
-    of i) with at most cap+1 vertices: lazily, as increasing vertex tuples, in
-    DFS preorder.  With ``masks`` a clique of two or more vertices counts only
-    when their masks have a nonzero AND (a nerve).  With ``probe`` the first
-    clique of cap+2 vertices is yielded too, in its preorder place, as the
-    witness that the cap truncates; no later one is looked for."""
+def clique_complex(labels: Sequence, adj: Sequence[int], cap: int,
+                   span_test: Callable[[tuple[int, ...]], bool],
+                   masks: Sequence[int] | None = None, budget: int | None = None,
+                   what: str = "complex") -> SimplicialComplex:
+    """Complex of the cliques of the bitset adjacency ``adj`` (``adj[i]``
+    holds the neighbours of i) with at most cap+1 vertices.  With ``masks`` a
+    clique of two or more vertices counts only when their masks have a
+    nonzero AND (a nerve).  The first clique of cap+2 vertices sets
+    ``truncated_at_cap``; no later one is looked for.
+
+    Each face is built from its prefix by increasing extensions (Zomorodian,
+    "Fast construction of the Vietoris-Rips complex", 2010), so every
+    per-dimension list comes out lexicographic.  The kept faces count against
+    the face budget (ten times the vertex budget unless given), checked after
+    each root vertex."""
+    limit = vertex_budget(budget) * 10 if budget is None else budget
     if masks is None:
         masks = [-1] * len(adj)
-    probing = probe
-
-    def grow(face, common, cand):
-        # the extensions of an already yielded face by its candidate vertices;
-        # a face of cap+1 vertices is grown only while the probe is open
-        nonlocal probing
-        c = cand
-        while c:
-            j = (c & -c).bit_length() - 1
-            c &= c - 1
-            nc = common & masks[j]
-            if nc:
-                yield face + (j,)
-                if len(face) > cap:
-                    probing = False
-                    return
-                if len(face) < cap or probing:
-                    yield from grow(face + (j,), nc, cand & adj[j] & -(1 << (j + 1)))
-
-    for i in range(len(adj)):
-        yield (i,)
-        if cap > 0 or probing:
-            yield from grow((i,), masks[i], adj[i] & -(1 << (i + 1)))
-
-
-def clique_complex(labels: Sequence, faces: Iterable[tuple[int, ...]], cap: int,
-                   span_test: Callable[[tuple[int, ...]], bool],
-                   budget: int | None = None, what: str = "complex") -> SimplicialComplex:
-    """Complex of a probed ``clique_faces`` stream: a face past the cap only
-    sets ``truncated_at_cap``, and the kept faces count against the face
-    budget (ten times the vertex budget unless given)."""
-    limit = vertex_budget(budget) * 10 if budget is None else budget
     by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
-    count = 0
-    truncated = False
-    for face in faces:
-        if len(face) > cap + 1:
-            truncated = True
-            continue
-        by_dim[len(face) - 1].append(face)
-        count += 1
+    by_dim[0] = [(i,) for i in range(len(adj))]
+    probing = True
+    for i in range(len(adj)):
+        if cap > 0 or probing:
+            probing = _extend(by_dim, by_dim[0][i], masks[i], adj[i] & -(1 << (i + 1)),
+                              adj, masks, cap, probing)
+        count = sum(map(len, by_dim))
         if count > limit:
-            raise BudgetExceededError(f"{what} exceeds face budget {limit}")
-    return SimplicialComplex(labels, by_dim, cap, span_test=span_test, truncated_at_cap=truncated)
+            raise BudgetExceededError(
+                f"complexes: {what} has at least {count} faces, over the face budget of {limit}"
+            )
+    return SimplicialComplex(labels, by_dim, cap, span_test=span_test,
+                             truncated_at_cap=not probing)
+
+
+def _extend(by_dim, face, common, cand, adj, masks, cap, probing) -> bool:
+    """Append the cliques that extend ``face`` by its candidate vertices
+    (bits of ``cand``, all above the face), in preorder.  A face of cap+1
+    vertices is extended only while ``probing``, and only to find the first
+    clique of cap+2 vertices, which is not kept.  Returns whether the probe is
+    still open.  (Module level, not a closure: a closure that calls itself
+    holds a reference cycle, and the face lists with it, until a full
+    collection.)"""
+    k = len(face)
+    while cand:
+        j = (cand & -cand).bit_length() - 1
+        cand &= cand - 1
+        nc = common & masks[j]
+        if nc:
+            if k > cap:
+                return False
+            grown = face + by_dim[0][j]  # shares vertex j's int with every face
+            by_dim[k].append(grown)
+            if k < cap or probing:
+                probing = _extend(by_dim, grown, nc, cand & adj[j], adj, masks, cap, probing)
+    return probing
 
 
 def mask_adjacency(masks: Sequence[int]) -> list[int]:
@@ -341,15 +342,11 @@ def mask_adjacency(masks: Sequence[int]) -> list[int]:
     return adj
 
 
-def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int, budget: int | None = None,
-               faces: Iterable[tuple[int, ...]] | None = None) -> SimplicialComplex:
+def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int,
+               budget: int | None = None) -> SimplicialComplex:
     """Nerve of a family of bitmask sets up to the cap: a simplex per
-    subfamily whose masks have a nonzero AND.  ``faces`` is the probed clique
-    stream of the masks, when the caller enumerates it.  The span test answers
-    from the masks, so spans beyond the cap stay decidable (contiguity needs
-    that)."""
-    if faces is None:
-        faces = clique_faces(mask_adjacency(masks), cap, masks, probe=True)
+    subfamily whose masks have a nonzero AND.  The span test answers from the
+    masks, so spans beyond the cap stay decidable (contiguity needs that)."""
 
     def span_test(vertices: tuple[int, ...]) -> bool:
         common = -1
@@ -359,7 +356,7 @@ def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int, budget: int | N
                 return False
         return True
 
-    return clique_complex(labels, faces, cap, span_test, budget, "nerve")
+    return clique_complex(labels, mask_adjacency(masks), cap, span_test, masks, budget, "nerve")
 
 
 def full_simplex(n: int) -> SimplicialComplex:
@@ -427,17 +424,16 @@ class SimplicialMap:
             name=f"{self.name}*{other.name}",
         )
 
-    def to_csv_rows(self):
-        for v, w in enumerate(self.vertex_images):
-            yield (repr(self.source.labels[v]), repr(self.target.labels[w]))
-
     def to_csv(self, path) -> None:
         import csv
 
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["source", "target"])
-            w.writerows(self.to_csv_rows())
+            w.writerows(
+                (repr(self.source.labels[v]), repr(self.target.labels[i]))
+                for v, i in enumerate(self.vertex_images)
+            )
 
 
 def _permutation_sign(order: Sequence[int]) -> int:

@@ -9,9 +9,9 @@ contiguity reduce to integer AND.  Covers are formal families indexed by
 centers: distinct centers stay distinct nerve vertices even when their
 vertex sets coincide.
 
-Cover nerve faces are enumerated only through ``iter_faces``, which runs the
-clique kernel ``complexes.clique_faces`` on the column masks; ``nerve`` and
-the map checks read it.
+Cover nerve faces are enumerated only by ``nerve``, which runs the clique
+kernel (``complexes.mask_nerve``) on the column masks; contiguity scans the
+faces of the source nerve.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .complexes import SimplicialComplex, SimplicialMap, clique_faces, mask_adjacency, mask_nerve
+from .complexes import SimplicialComplex, SimplicialMap, mask_nerve
 from .errors import (
     BudgetExceededError,
     DecompositionError,
@@ -225,21 +225,12 @@ def decompose(space: AugmentedSpace, n: int, schedule: Schedule) -> Decompositio
 # -- nerves ------------------------------------------------------------------
 
 
-def iter_faces(family: Family, cap: int, probe: bool = False):
-    """Nerve faces of the family up to the cap, as local index tuples in DFS
-    preorder; ``probe`` as in ``complexes.clique_faces``."""
-    masks = [c.mask for c in family.columns]
-    return clique_faces(mask_adjacency(masks), cap, masks, probe)
-
-
 def nerve(family: Family, cap: int = 3, budget: int | None = None) -> SimplicialComplex:
     """Nerve of the family: a simplex per subfamily with common intersection
     (``complexes.mask_nerve`` of the column masks)."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    masks = [c.mask for c in family.columns]
-    faces = iter_faces(family, cap, probe=True)
-    return mask_nerve(tuple(family.centers), masks, cap, budget, faces)
+    return mask_nerve(tuple(family.centers), [c.mask for c in family.columns], cap, budget)
 
 
 # -- connecting maps ---------------------------------------------------------
@@ -259,18 +250,6 @@ class CoverMap:
         for c in self.source.columns:
             out.append(self.target.index_of_center(self.center_map(c.center)))
         return out
-
-    def verify_simplicial(self, cap: int):
-        """Image of every source face (up to cap) spans a target face."""
-        images = self.image_positions()
-        tmasks = [c.mask for c in self.target.columns]
-        for face in iter_faces(self.source, cap):
-            common = -1
-            for v in face:
-                common &= tmasks[images[v]]
-            if common == 0:
-                return tuple(self.source.centers[v] for v in face)
-        return None
 
     def to_simplicial_map(
         self,
@@ -300,8 +279,9 @@ class CoverMap:
 
 
 def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
-    """(True, None) when f(s) | g(s) has common intersection for each source
-    face s up to the cap; otherwise (False, witness centers)."""
+    """(True, None) when f(s) | g(s) has common intersection for each face s
+    of the source nerve up to the cap; otherwise (False, the centers of the
+    lexicographically least failing face)."""
     if f.source is not g.source and f.source.positions != g.source.positions:
         raise ValueError("contiguity needs a common source family")
     fi = f.image_positions()
@@ -310,14 +290,21 @@ def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
         raise ValueError("contiguity needs a common target cover")
     tmasks = [c.mask for c in f.target.columns]
     gmasks = [c.mask for c in g.target.columns]
-    for face in iter_faces(f.source, cap):
-        common = -1
-        for v in face:
-            common &= tmasks[fi[v]]
-            common &= gmasks[gi[v]]
+    # each face list is lexicographic, so the least failing face is the least
+    # of the first failures per dimension
+    least = None
+    for fs in nerve(f.source, cap).faces:
+        for face in fs:
+            common = -1
+            for v in face:
+                common &= tmasks[fi[v]] & gmasks[gi[v]]
             if common == 0:
-                return False, tuple(f.source.centers[v] for v in face)
-    return True, None
+                if least is None or face < least:
+                    least = face
+                break
+    if least is None:
+        return True, None
+    return False, tuple(f.source.centers[v] for v in least)
 
 
 def _thick_meeting(space: AugmentedSpace, level: int, scale: int, name: str) -> Family:

@@ -2,15 +2,15 @@
 
 Vertices are (element, level, coset) triples: level 0 with coset 0 for
 Cayley-graph vertices, level >= 1 with a positive coset index for horoball
-vertices.  Distances come from memoized breadth-first search; penumbra and
-the omega-excisive check are built on multi-source BFS.
+vertices.  Every distance comes from one breadth-first search,
+``multi_source_distances``: single rows, the all-pairs matrix, penumbra and
+the omega-excisive check.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import threading
 from collections import deque
 from typing import Iterable, NamedTuple
 
@@ -26,10 +26,6 @@ class Vertex(NamedTuple):
     level: int
     coset: int
 
-    @property
-    def is_cayley(self) -> bool:
-        return self.level == 0
-
 
 def _label_key(element):
     if isinstance(element, bool) or not isinstance(element, (int, str)):
@@ -44,7 +40,7 @@ def vertex_key(v: Vertex):
 
 
 class MetricGraph:
-    """Immutable undirected graph; BFS rows are cached behind a lock."""
+    """Immutable undirected graph with its shortest-path metric."""
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple], meta=None):
         vs = sorted(set(Vertex(*v) for v in vertices), key=vertex_key)
@@ -67,8 +63,6 @@ class MetricGraph:
         )
         self.edges: frozenset[tuple[int, int]] = frozenset(edge_set)
         self.meta = dict(meta) if meta else {}
-        self._rows: dict[int, list[int]] = {}
-        self._lock = threading.Lock()
 
     def __len__(self):
         return len(self.vertices)
@@ -82,33 +76,13 @@ class MetricGraph:
         except KeyError:
             raise UnknownVertexError(f"{v} is not a vertex") from None
 
-    def _bfs_row(self, src: int) -> list[int]:
-        with self._lock:
-            row = self._rows.get(src)
-        if row is not None:
-            return row
-        row = [-1] * len(self.vertices)
-        row[src] = 0
-        q = deque([src])
-        while q:
-            u = q.popleft()
-            du = row[u]
-            for w in self.adjacency[u]:
-                if row[w] < 0:
-                    row[w] = du + 1
-                    q.append(w)
-        with self._lock:
-            self._rows[src] = row
-        return row
-
     def distance(self, u: Vertex, v: Vertex):
         """Shortest-path length, math.inf when disconnected."""
-        iu, iv = self._require(Vertex(*u)), self._require(Vertex(*v))
-        d = self._bfs_row(iu)[iv]
+        d = self.multi_source_distances([u])[self._require(Vertex(*v))]
         return math.inf if d < 0 else d
 
     def distances_from(self, v: Vertex) -> list[int]:
-        return self._bfs_row(self._require(Vertex(*v)))
+        return self.multi_source_distances([v])
 
     def distance_matrix(self) -> np.ndarray:
         """Dense all-pairs matrix (-1 for unreachable); refuses large graphs."""
@@ -119,11 +93,12 @@ class MetricGraph:
                 f"the cap of {ALL_PAIRS_LIMIT} vertices"
             )
         out = np.empty((n, n), dtype=np.int32)
-        for i in range(n):
-            out[i] = self._bfs_row(i)
+        for i, v in enumerate(self.vertices):
+            out[i] = self.multi_source_distances([v])
         return out
 
     def multi_source_distances(self, sources: Iterable[Vertex]) -> list[int]:
+        """Distance of every vertex to the nearest source (-1 if unreachable)."""
         row = [-1] * len(self.vertices)
         q = deque()
         for v in sources:

@@ -129,10 +129,9 @@ def _snake_matrix(stage: MVStage, p: int) -> GroupMap:
     iface_index = stage.nerves["interface"].face_index(p - 1)
     iface_pos = {c: i for i, c in enumerate(stage.nerves["interface"].labels)}
     cusp_centers = set(stage.nerves["cusp"].labels)
-    bcols = whole.boundary_columns(p)
     cols = []
     for cycle in u_coords.generator_cycles():
-        part = {}
+        thick_part = {}
         for fi, coeff in cycle.items():
             face = whole.faces[p][fi]
             in_thick = all(whole.labels[v] in thick_centers for v in face)
@@ -143,12 +142,9 @@ def _snake_matrix(stage: MVStage, p: int) -> GroupMap:
                     "a face is neither all-thick nor all-cusp; excision broken"
                 )
             if in_thick:
-                for r, sgn in bcols[fi].items():
-                    part[r] = part.get(r, 0) + coeff * sgn
+                thick_part[fi] = coeff
         chain = {}
-        for r, coeff in part.items():
-            if not coeff:
-                continue
+        for r, coeff in whole.chain_boundary(p, thick_part).items():
             face = whole.faces[p - 1][r]
             labels = tuple(whole.labels[v] for v in face)
             try:

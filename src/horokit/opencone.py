@@ -55,10 +55,6 @@ class ConedSpace:
         d = self._xyz[i] - self._xyz[j]
         return float(d @ d)
 
-    def point_dist2(self, i: int, xyz: np.ndarray) -> float:
-        d = self._xyz[i] - xyz
-        return float(d @ d)
-
     def level_points(self, n: int) -> list[int]:
         """Indices of the exact level-n points (one per ray)."""
         return [

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .complexes import SimplicialComplex, clique_complex, clique_faces
+from .complexes import SimplicialComplex, clique_complex
 from .graphs import MetricGraph
 from .homology import homology_type
 
@@ -46,8 +46,7 @@ def rips(graph: MetricGraph, diameter: int, cap: int = 3, budget: int | None = N
                     return False
         return True
 
-    faces = clique_faces(adj, cap, probe=True)
-    return clique_complex(graph.vertices, faces, cap, span_test, budget, "rips complex")
+    return clique_complex(graph.vertices, adj, cap, span_test, budget=budget, what="rips complex")
 
 
 def _window_vertices(complex_: SimplicialComplex, window: LevelWindow, which: str):

@@ -1,11 +1,12 @@
 """The clique kernel against brute-force subset enumeration, and face budgets."""
 
+import gc
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horokit.complexes import clique_faces, mask_adjacency, mask_nerve
+from horokit.complexes import mask_nerve
 from horokit.covers import build_cover, nerve
 from horokit.errors import BudgetExceededError
 from horokit.graphs import MetricGraph, Vertex
@@ -31,15 +32,12 @@ def nerve_oracle(masks, size):
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=9), st.integers(1, 3))
 def test_mask_nerve_matches_subset_oracle(masks, cap):
     by_size = [nerve_oracle(masks, k) for k in range(1, cap + 3)]
-    kept = sorted(f for fs in by_size[: cap + 1] for f in fs)
-    witness = by_size[cap + 1][:1]
-    adj = mask_adjacency(masks)
-    # DFS preorder of increasing tuples is lexicographic order
-    assert list(clique_faces(adj, cap, masks)) == kept
-    assert list(clique_faces(adj, cap, masks, probe=True)) == sorted(kept + witness)
-    cx = mask_nerve(list(range(len(masks))), masks, cap)
+    kept = sum(len(fs) for fs in by_size[: cap + 1])
+    cx = mask_nerve(list(range(len(masks))), masks, cap, budget=kept)
     assert cx.faces == by_size[: cap + 1]
-    assert cx.truncated_at_cap == bool(witness)
+    assert cx.truncated_at_cap == bool(by_size[cap + 1])
+    with pytest.raises(BudgetExceededError, match=f"nerve has at least {kept} faces"):
+        mask_nerve(list(range(len(masks))), masks, cap, budget=kept - 1)
     for p, fs in enumerate(cx.faces):
         for i, f in enumerate(fs):
             assert cx.face_index(p)[f] == i
@@ -90,3 +88,22 @@ def test_rips_face_budget_counts_kept_faces():
     assert sum(len(fs) for fs in rips(g, 2, cap=2, budget=kept).faces) == kept
     with pytest.raises(BudgetExceededError, match="face budget"):
         rips(g, 2, cap=2, budget=kept - 1)
+
+
+def test_nerve_build_leaves_no_garbage_cycle():
+    # the face lists must be freed by reference counting alone: a reference
+    # cycle through the enumeration would keep them until a full collection
+    z = GroupSpec.free_abelian(1, names=("x",))
+    fam = build_cover(build_augmented(z, (0,), Truncation(rg=3, lmax=2, mmax=1)), 1).whole()
+    vs = [Vertex(i, 0, 0) for i in range(6)]
+    g = MetricGraph(vs, [(vs[i], vs[i + 1]) for i in range(5)])
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(3):
+            assert nerve(fam, cap=3).n_faces(1) > 0
+            assert mask_nerve(list(range(5)), [7, 3, 6, 12, 9], 2).n_faces(2) > 0
+            assert rips(g, 2, cap=2).n_faces(2) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

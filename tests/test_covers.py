@@ -1,15 +1,18 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from horokit.covers import (
     LINEAR_SCHEDULE,
     PAPER_SCHEDULE,
+    Column,
+    Cover,
+    CoverMap,
     build_cover,
     connecting_map,
     contiguous_cover_maps,
     decompose,
-    iter_faces,
     nerve,
 )
 from horokit.errors import ScheduleMismatchError
@@ -145,7 +148,13 @@ def test_refine_map_is_columnwise_inclusion():
     big = build_cover(sp, 3)
     for c in small.columns:
         assert c.mask & ~big.columns[big.pos[c.center]].mask == 0
-    assert m.verify_simplicial(cap=2) is None
+    assert_simplicial(m, cap=2)
+
+
+def assert_simplicial(m, cap):
+    """The cover map is simplicial on the nerves up to the cap (the map
+    check raises ``NotSimplicialError`` otherwise)."""
+    m.to_simplicial_map(nerve(m.source, cap=cap), nerve(m.target, cap=cap), check=True)
 
 
 def test_floor_zero_is_plain_refinement():
@@ -167,7 +176,7 @@ def test_connecting_maps_simplicial_and_contiguous():
     alpha1 = connecting_map(sp, "inclusion", 1, PAPER_SCHEDULE)
     gamma = connecting_map(sp, "stage-refine", 0, PAPER_SCHEDULE)
     for m in (beta, alpha1, gamma):
-        assert m.verify_simplicial(cap=3) is None
+        assert_simplicial(m, cap=3)
     ok, _ = contiguous_cover_maps(alpha1.compose(beta), gamma, cap=3)
     assert ok
 
@@ -175,14 +184,12 @@ def test_connecting_maps_simplicial_and_contiguous():
 def test_refinement_composition_contiguity():
     # the two-step refinement agrees with the direct one on centers, hence
     # is trivially contiguous to it
-    from horokit.covers import CoverMap
-
     sp = get_instance("z_horoball")
     r01 = connecting_map(sp, "refine", 0, PAPER_SCHEDULE)
     r12 = connecting_map(sp, "refine", 1, PAPER_SCHEDULE)
     comp = r12.compose(r01)
     direct = CoverMap(r01.source, r12.target, lambda v: v, name="direct")
-    assert direct.verify_simplicial(cap=2) is None
+    assert_simplicial(direct, cap=2)
     assert [comp.center_map(c.center) for c in comp.source.columns] == [
         direct.center_map(c.center) for c in comp.source.columns
     ]
@@ -233,8 +240,66 @@ def test_floor_maps_contiguous_as_simplicial_maps():
     assert ok and wit is None
 
 
-def test_iter_faces_respects_cap():
-    sp = z_instance(rg=2, lmax=1)
-    fam = build_cover(sp, 1).whole()
-    for face in iter_faces(fam, 2):
-        assert len(face) <= 3
+def synthetic_maps(source_masks, target_masks, f_images, g_images):
+    """Two cover maps from one family of source columns to one family of
+    target columns, given by the target position of each source column."""
+    src = Cover(None, 1, tuple(Column(Vertex(i, 0, 0), 1, m) for i, m in enumerate(source_masks)))
+    tgt = Cover(None, 1, tuple(Column(Vertex(j, 1, 1), 1, m) for j, m in enumerate(target_masks)))
+    source, target = src.whole(), tgt.whole()
+
+    def cover_map(images, name):
+        return CoverMap(source, target, lambda v: target.centers[images[v.element]], name)
+
+    return cover_map(f_images, "f"), cover_map(g_images, "g")
+
+
+def least_failing_face(source_masks, target_masks, f_images, g_images, cap):
+    """The first failing source face in lexicographic order, by brute force
+    over ``itertools.combinations``."""
+    def meets(masks):
+        common = -1
+        for m in masks:
+            common &= m
+        return common != 0
+
+    failing = [
+        s
+        for k in range(1, cap + 2)
+        for s in combinations(range(len(source_masks)), k)
+        if (k == 1 or meets(source_masks[v] for v in s))
+        and not meets(target_masks[i[v]] for v in s for i in (f_images, g_images))
+    ]
+    return min(failing, default=None)
+
+
+@st.composite
+def synthetic_cases(draw):
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 5))
+    images = st.lists(st.integers(0, m - 1), min_size=n, max_size=n)
+    return (
+        draw(st.lists(st.integers(1, 31), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, 15), min_size=m, max_size=m)),
+        draw(images),
+        draw(images),
+    )
+
+
+# vertices 0 and 1 pass alone, the edge {0, 1} fails, and so does the later
+# vertex 2: the edge comes first in lexicographic order
+EDGE_BEFORE_VERTEX = ([1, 1, 1], [0b01, 0b10], [0, 1, 0], [0, 1, 1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(synthetic_cases(), st.integers(1, 3))
+@example(EDGE_BEFORE_VERTEX, 1)
+@example(EDGE_BEFORE_VERTEX, 2)
+@example(EDGE_BEFORE_VERTEX, 3)
+def test_contiguity_reports_the_least_failing_face(case, cap):
+    least = least_failing_face(*case, cap)
+    f, g = synthetic_maps(*case)
+    ok, witness = contiguous_cover_maps(f, g, cap)
+    if least is None:
+        assert (ok, witness) == (True, None)
+    else:
+        assert (ok, witness) == (False, tuple(f.source.centers[v] for v in least))
