@@ -34,13 +34,35 @@ from .groups import GroupSpec
 SCHEMA = "horokit-report/1"
 
 
-def _dump(report: dict, out: str | None) -> None:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+def _write(text: str, out: str | None) -> None:
     if out:
         with open(out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _dump(report: dict, out: str | None) -> None:
+    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+
+
+# stands in for a nerve report's face lists while json encodes the rest
+_FACES = "\0faces\0"
+
+
+def _face_lists(faces: list[list[tuple[int, ...]]]) -> str:
+    """The face lists as ``json.dumps(..., indent=2)`` writes them one level
+    into a report, each face from its dimension's format string.  (The
+    stdlib encoder indents in pure Python, one token at a time, and took most
+    of the time and memory of exporting a nerve of a million faces.)"""
+    dims = []
+    for fs in faces:
+        if not fs:
+            dims.append("[]")
+            continue
+        face = "[\n" + ",\n".join(["        %d"] * len(fs[0])) + "\n      ]"
+        dims.append("[\n      " + ",\n      ".join(map(face.__mod__, fs)) + "\n    ]")
+    return "[\n    " + ",\n    ".join(dims) + "\n  ]"
 
 
 def _report(command: str, config: dict, body: dict) -> dict:
@@ -70,12 +92,7 @@ def _cmd_build_augmented(args) -> int:
         trunc = Truncation(rg=args.rg, lmax=args.lmax, mmax=args.mmax)
         space = build_augmented(spec, peripherals, trunc, name=args.group)
     if args.format == "dot":
-        text = space.graph.to_dot()
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(space.graph.to_dot(), args.out)
         return 0
     report = _report(
         "build-augmented",
@@ -107,17 +124,16 @@ def _cmd_delta(args) -> int:
     return 0
 
 
-def _cmd_nerve(args) -> int:
+def _family_nerve(args):
+    """The --family of the stage decomposition, and its nerve to --dimcap."""
     space = resolve_instance(args.instance)
-    schedule = SCHEDULES[args.schedule]
-    dec = decompose(space, args.stage, schedule)
-    fam = {
-        "whole": dec.whole,
-        "thick": dec.thick,
-        "cusp": dec.cusp,
-        "interface": dec.interface,
-    }[args.family]
-    cx = nerve(fam, cap=args.dimcap)
+    dec = decompose(space, args.stage, SCHEDULES[args.schedule])
+    fam = getattr(dec, args.family)
+    return fam, nerve(fam, cap=args.dimcap)
+
+
+def _cmd_nerve(args) -> int:
+    fam, cx = _family_nerve(args)
     report = _report(
         "nerve",
         {
@@ -129,25 +145,17 @@ def _cmd_nerve(args) -> int:
         },
         {
             "columns": len(fam),
-            "faces": [[list(f) for f in fs] for fs in cx.faces],
+            "faces": _FACES,
             "face_counts": [cx.n_faces(p) for p in range(args.dimcap + 1)],
         },
     )
-    _dump(report, args.out)
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    _write(text.replace(json.dumps(_FACES), _face_lists(cx.faces), 1), args.out)
     return 0
 
 
 def _cmd_homology(args) -> int:
-    space = resolve_instance(args.instance)
-    schedule = SCHEDULES[args.schedule]
-    dec = decompose(space, args.stage, schedule)
-    fam = {
-        "whole": dec.whole,
-        "thick": dec.thick,
-        "cusp": dec.cusp,
-        "interface": dec.interface,
-    }[args.family]
-    cx = nerve(fam, cap=args.dimcap)
+    _, cx = _family_nerve(args)
     groups = {
         str(p): homology_type(cx, p).as_dict() for p in range(args.degree + 1)
     }

@@ -11,7 +11,7 @@ vertex sets coincide.
 
 Cover nerve faces are enumerated only by ``nerve``, which runs the clique
 kernel (``complexes.mask_nerve``) on the column masks; contiguity scans the
-faces of the source nerve.
+faces of a source nerve its caller built.
 """
 
 from __future__ import annotations
@@ -109,6 +109,16 @@ class Family:
             name,
             tuple(p for p in self.positions if self.cover.columns[p].center in wanted),
         )
+
+    def by_coset(self) -> dict[int, "Family"]:
+        """The family split by the coset of its centers (0 for Cayley
+        columns), in coset order; the piece of coset i is named name@i."""
+        pieces: dict[int, list[int]] = {}
+        for p in self.positions:
+            pieces.setdefault(self.cover.columns[p].center.coset, []).append(p)
+        return {
+            i: self.cover.family(f"{self.name}@{i}", ps) for i, ps in sorted(pieces.items())
+        }
 
     def union_mask(self) -> int:
         out = 0
@@ -208,18 +218,10 @@ def decompose(space: AugmentedSpace, n: int, schedule: Schedule) -> Decompositio
         raise DecompositionError("thick and cusp families do not cover the whole")
     if set(thick.positions) & set(cusp.positions) != set(interface.positions):
         raise DecompositionError("thick-cusp overlap differs from the interface")
-    clusters: dict[int, list[int]] = {}
-    for p in interface.positions:
-        c = cover.columns[p]
-        if c.center.coset == 0:
-            raise DecompositionError(
-                "a Cayley column meets the slice; schedule too shallow"
-            )
-        clusters.setdefault(c.center.coset, []).append(p)
-    cluster_fams = {
-        i: cover.family(f"interface[{n}]@{i}", ps) for i, ps in sorted(clusters.items())
-    }
-    return Decomposition(n, scale, level, whole, thick, cusp, interface, cluster_fams)
+    clusters = interface.by_coset()
+    if 0 in clusters:
+        raise DecompositionError("a Cayley column meets the slice; schedule too shallow")
+    return Decomposition(n, scale, level, whole, thick, cusp, interface, clusters)
 
 
 # -- nerves ------------------------------------------------------------------
@@ -278,33 +280,39 @@ class CoverMap:
         )
 
 
-def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
+def contiguous_cover_maps(f: CoverMap, g: CoverMap, source: SimplicialComplex):
     """(True, None) when f(s) | g(s) has common intersection for each face s
-    of the source nerve up to the cap; otherwise (False, the centers of the
-    lexicographically least failing face)."""
+    of ``source``, the nerve of the common source family (to the caller's
+    cap); otherwise (False, the centers of the lexicographically least
+    failing face)."""
     if f.source is not g.source and f.source.positions != g.source.positions:
         raise ValueError("contiguity needs a common source family")
+    centers = tuple(f.source.centers)
+    if source.labels != centers:
+        raise ValueError("contiguity needs the nerve of the source family")
     fi = f.image_positions()
     gi = g.image_positions()
     if f.target.cover is not g.target.cover:
         raise ValueError("contiguity needs a common target cover")
     tmasks = [c.mask for c in f.target.columns]
     gmasks = [c.mask for c in g.target.columns]
+    # the target columns of f(v) and g(v), intersected, per source vertex v
+    both = [tmasks[a] & gmasks[b] for a, b in zip(fi, gi)]
     # each face list is lexicographic, so the least failing face is the least
     # of the first failures per dimension
     least = None
-    for fs in nerve(f.source, cap).faces:
+    for fs in source.faces:
         for face in fs:
             common = -1
             for v in face:
-                common &= tmasks[fi[v]] & gmasks[gi[v]]
+                common &= both[v]
             if common == 0:
                 if least is None or face < least:
                     least = face
                 break
     if least is None:
         return True, None
-    return False, tuple(f.source.centers[v] for v in least)
+    return False, tuple(centers[v] for v in least)
 
 
 def _thick_meeting(space: AugmentedSpace, level: int, scale: int, name: str) -> Family:

@@ -3,7 +3,6 @@
 import os
 
 DEFAULT_VERTEX_BUDGET = 200_000
-DEFAULT_FACE_BUDGET = 2_000_000
 
 BUDGET_ENV_VAR = "HOROKIT_VERTEX_BUDGET"
 

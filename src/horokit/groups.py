@@ -169,18 +169,11 @@ class GroupSpec:
         """Canonical form: per-atom reduction with cascading syllable merges."""
         letters = word if isinstance(word, str) else "".join(word)
         self.check_letters(letters)
-        # group consecutive same-atom letters into runs
-        runs: list[tuple[int, str]] = []
-        for c in letters:
-            i = self._atom_of[c]
-            if runs and runs[-1][0] == i:
-                runs[-1] = (i, runs[-1][1] + c)
-            else:
-                runs.append((i, c))
-        # reduce; a vanishing syllable may expose a same-atom merge with the
-        # previous result entry, which the next run then absorbs
+        # reduce each run of same-atom letters; a vanishing syllable may expose
+        # a same-atom merge with the previous result entry, which the next run
+        # then absorbs
         result: list[tuple[int, str]] = []
-        for atom_idx, raw in runs:
+        for atom_idx, raw in self.syllables(letters):
             if result and result[-1][0] == atom_idx:
                 raw = result.pop()[1] + raw
             canon = self._canon_syllable(atom_idx, raw)
@@ -201,7 +194,8 @@ class GroupSpec:
         return len(self.normal_form(x.swapcase()[::-1] + y))
 
     def syllables(self, word: str) -> list[tuple[int, str]]:
-        """Split a canonical word into (atom index, syllable) pairs."""
+        """Split a word into its runs of same-atom letters, as (atom index,
+        syllable) pairs."""
         out: list[tuple[int, str]] = []
         for c in word:
             i = self._atom_of[c]

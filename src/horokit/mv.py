@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import SimplicialComplex, SimplicialMap
+from .complexes import SimplicialComplex, SimplicialMap, mask_nerve
 from .covers import (
     CoverMap,
     Family,
@@ -273,22 +273,11 @@ class VanishingReport:
         }
 
 
-def _split_by_coset(family: Family) -> dict[int, Family]:
-    out: dict[int, list[int]] = {}
-    for p in family.positions:
-        c = family.cover.columns[p].center.coset
-        out.setdefault(c, []).append(p)
-    return {
-        i: family.cover.family(f"{family.name}@{i}", ps) for i, ps in sorted(out.items())
-    }
-
-
 def y_vanishing_check(
     space: AugmentedSpace,
     n: int,
     schedule: Schedule = PAPER_SCHEDULE,
     max_degree: int = 2,
-    contiguity_cap: int = 3,
 ) -> VanishingReport:
     """The tower map on cusp families induces zero on reduced homology.
 
@@ -296,30 +285,33 @@ def y_vanishing_check(
     group is recorded as vacuously zero; otherwise a basis of the source
     cycles is pushed through the chain map, and each image must have zero
     coordinates in the target's homology (it bounds there).  The floor-map
-    contiguity chain is verified for every floor up to the truncation depth.
+    contiguity chain is verified for every floor up to the truncation depth,
+    on one source nerve up to dimension max_degree + 1.
     """
     level_next = schedule.slice_level(n + 1)
     if level_next > space.trunc.lmax:
         raise EmptyWindowError(
             f"stage {n + 1} slice level {level_next} exceeds depth {space.trunc.lmax}"
         )
-    tower_map = connecting_map(space, "floor", n, schedule, s=0)
+    floors = [
+        connecting_map(space, "floor", n, schedule, s=s) for s in range(space.trunc.lmax + 1)
+    ]
+    tower_map = floors[0]
     if not tower_map.source.positions:
         return VanishingReport(n, [], [], True)
-    # mechanism: consecutive floor maps are contiguous
-    chain = []
-    for s in range(space.trunc.lmax):
-        f = connecting_map(space, "floor", n, schedule, s=s)
-        g = connecting_map(space, "floor", n, schedule, s=s + 1)
-        ok, wit = contiguous_cover_maps(f, g, cap=contiguity_cap)
-        chain.append((s, ok, wit))
-    src_pieces = _split_by_coset(tower_map.source)
-    tgt_pieces = _split_by_coset(tower_map.target)
+    # mechanism: consecutive floor maps are contiguous; all of them share the
+    # source family, so they share its nerve
+    source = nerve(tower_map.source, cap=max_degree + 1)
+    chain = [
+        (s, *contiguous_cover_maps(f, g, source))
+        for s, (f, g) in enumerate(zip(floors, floors[1:]))
+    ]
+    del source  # freed before the cluster eliminations, which set the peak
+    tgt_pieces = tower_map.target.by_coset()
     clusters = []
     all_zero = all(ok for _, ok, _ in chain)
-    for coset, src_fam in src_pieces.items():
-        tgt_fam = tgt_pieces[coset]
-        entry = _cluster_vanishing(src_fam, tgt_fam, tower_map, coset, max_degree)
+    for coset, src_fam in tower_map.source.by_coset().items():
+        entry = _cluster_vanishing(src_fam, tgt_pieces[coset], tower_map, coset, max_degree)
         clusters.append(entry)
         all_zero = all_zero and all(d["zero"] for d in entry.degrees.values())
     return VanishingReport(n, clusters, chain, all_zero)
@@ -328,20 +320,23 @@ def y_vanishing_check(
 def _cluster_vanishing(
     src_fam: Family, tgt_fam: Family, tower_map: CoverMap, coset: int, max_degree: int
 ) -> ClusterVanishing:
-    src_nerve = nerve(src_fam, cap=max_degree + 1)
+    cap = max_degree + 1
+    src_nerve = nerve(src_fam, cap=cap)
     piece_map = CoverMap(src_fam, tgt_fam, tower_map.center_map, name=f"tower@{coset}")
+    tgt_cx = None  # built on the first degree whose source group is nontrivial
     degrees = {}
     for p in range(max_degree + 1):
         group = homology_type(src_nerve, p, reduced=True)
         rec = {"source": group.as_dict()}
+        degrees[p] = rec
         if group.is_trivial:
             rec.update(zero=True, how="source reduced homology is trivial")
-            degrees[p] = rec
             continue
+        if tgt_cx is None:
+            tgt_cx = nerve(tgt_fam, cap=cap)
         if p == 0:
-            tgt_edges = nerve(tgt_fam, cap=1)
-            comps = tgt_edges.components()
-            tpos = {c: i for i, c in enumerate(tgt_edges.labels)}
+            comps = tgt_cx.components()
+            tpos = {c: i for i, c in enumerate(tgt_cx.labels)}
             images = {
                 comps[tpos[piece_map.center_map(c)]] for c in src_nerve.labels
             }
@@ -349,18 +344,15 @@ def _cluster_vanishing(
                 zero=len(images) <= 1,
                 how="all source columns land in one target component",
             )
-            degrees[p] = rec
             continue
         # push a basis of the source p-cycles; boundaries push to boundaries,
         # so cycle generators suffice
         gens = DegreeCoordinates(src_nerve, p).cycle_basis()
-        tgt_cx = nerve(tgt_fam, cap=p + 1)
         tgt = DegreeCoordinates(tgt_cx, p)
         smap = piece_map.to_simplicial_map(src_nerve, tgt_cx, check=False)
         chain_cols = smap.chain_columns(p)
         ok = not any(any(tgt.project(chain_image(chain_cols, z))) for z in gens)
         rec.update(zero=ok, how=f"pushed {len(gens)} cycle generators bound in target")
-        degrees[p] = rec
     return ClusterVanishing(coset, degrees)
 
 
@@ -410,11 +402,12 @@ def cluster_check(
             cosets = {coset_of[whole.labels[v]] for v in f}
             if len(cosets) > 1:
                 block = False
+    cluster_nerves = [nerve(f, cap=cap) for f in clusters.values()]
     additive = {}
     types = {"whole": {}, "clusters": {}}
     for p in range(cap):
         whole_t = homology_type(whole, p)
-        parts = [homology_type(nerve(f, cap=cap), p) for f in clusters.values()]
+        parts = [homology_type(cx, p) for cx in cluster_nerves]
         summed = canonical_type(direct_sum_group(*parts)) if parts else AbelianGroup(0)
         additive[p] = whole_t == summed
         types["whole"][str(p)] = whole_t.as_dict()
@@ -499,20 +492,6 @@ def ladder_check(ladder: Ladder) -> LadderVerdict:
 # -- the half-line tower demonstration ----------------------------------------
 
 
-def _half_line_nerve(points: list[int]) -> SimplicialComplex:
-    """Nerve of the unit-ball cover of a subset of the integer line."""
-    pts = sorted(points)
-    faces = []
-    for i, a in enumerate(pts):
-        faces.append((i,))
-        for j in range(i + 1, len(pts)):
-            b = pts[j]
-            # common point within distance 1 of both centers
-            if any(abs(y - a) <= 1 and abs(y - b) <= 1 for y in pts):
-                faces.append((i, j))
-    return SimplicialComplex.from_faces(pts, faces, cap=2)
-
-
 def milnor_counterexample_demo(halfwidth: int = 8, stages: int = 5) -> dict:
     """Deterministic report on the tower of punctured lines.
 
@@ -530,7 +509,9 @@ def milnor_counterexample_demo(halfwidth: int = 8, stages: int = 5) -> dict:
     stage_records = []
     for n in range(1, stages + 1):
         pts = [x for x in window if abs(x) > n]
-        cx = _half_line_nerve(pts)
+        # nerve of the unit-ball cover
+        balls = [sum(1 << j for j, y in enumerate(pts) if abs(y - x) <= 1) for x in pts]
+        cx = mask_nerve(pts, balls, 1)
         complexes.append((pts, cx))
         comps = cx.components()
         stage_records.append(

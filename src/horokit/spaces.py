@@ -175,9 +175,9 @@ def build_augmented(
                     if spec.word_metric(x, y) <= reach:
                         edges.append((Vertex(x, l, entry.index), Vertex(y, l, entry.index)))
         for x in base:
-            edges.append((Vertex(x, 0, 0), Vertex(x, 1, entry.index)))
-            for l in range(1, trunc.lmax):
-                edges.append((Vertex(x, l, entry.index), Vertex(x, l + 1, entry.index)))
+            for l in range(trunc.lmax):
+                lower = Vertex(x, l, entry.index if l else 0)
+                edges.append((lower, Vertex(x, l + 1, entry.index)))
 
     meta = {
         "kind": "augmented",
@@ -227,6 +227,8 @@ def build_vertex_space(
                     d = spec.word_metric(x, y)
                     if 0 < d <= reach:
                         edges.append((Vertex(x, t, entry.index), Vertex(y, t, entry.index)))
+        if lmax < 1:
+            continue
         for x in base:
             edges.append((Vertex(x, 0, 0), Vertex(x, 1, entry.index)))
             for t in range(1, lmax):

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import os
 import pathlib
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horokit.cli import run
 
@@ -113,6 +118,15 @@ def test_build_augmented_from_group_config(tmp_path):
     assert code == 0
     rep = json.loads(out.read_text())
     assert len(rep["graph"]["vertices"]) == 5 + 5 * 2
+
+
+def test_build_augmented_depth_zero_instance(tmp_path):
+    cfg = {"group": {"family": "free", "rank": 2, "peripherals": [0]}, "rg": 1, "lmax": 0}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "g.json"
+    assert run(["build-augmented", "--instance", str(path), "--out", str(out)]) == 0
+    assert len(json.loads(out.read_text())["graph"]["vertices"]) == 5
 
 
 def test_mv_verify_exit_zero(tmp_path):
@@ -257,6 +271,27 @@ def test_nerve_and_homology_reports(tmp_path):
     assert rep2["homology"]["0"]["rank"] == 3  # three clusters
 
 
+@pytest.mark.parametrize("family", ["whole", "cusp", "interface"])
+def test_nerve_report_bytes_are_the_json_encoding(tmp_path, family):
+    out = tmp_path / "n.json"
+    argv = ["nerve", "--instance", "z_horoball", "--family", family, "--dimcap", "3"]
+    assert run(argv + ["--out", str(out)]) == 0
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 40), max_size=4), min_size=1, max_size=6))
+def test_face_lists_match_the_json_encoding(firsts):
+    from horokit.cli import _FACES, _face_lists
+
+    # dimension p holds faces of p+1 vertices, one per drawn first vertex
+    faces = [[tuple(range(v, v + p + 1)) for v in vs] for p, vs in enumerate(firsts)]
+    expected = json.dumps({"faces": [[list(f) for f in fs] for fs in faces]}, indent=2)
+    fast = json.dumps({"faces": _FACES}, indent=2).replace(json.dumps(_FACES), _face_lists(faces))
+    assert fast == expected
+
+
 def test_bad_instance_path_exits_2(capsys):
     assert run(["delta", "--instance", "/nonexistent/nope.json"]) == 2
     capsys.readouterr()
@@ -316,3 +351,53 @@ def test_all_pairs_refusal_exits_3_without_traceback(argv, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("horokit: graphs: ") and "42 vertices" in err and "cap of 10" in err
     assert "Traceback" not in err
+
+
+FUZZ_GROUPS = {
+    "free2": {"family": "free", "rank": 2, "peripherals": [0]},
+    "z": {"family": "free-abelian", "rank": 1, "peripherals": [0]},
+    "z2*z": {
+        "family": "free-product",
+        "atoms": [
+            {"kind": "free-abelian", "rank": 2, "names": ["x", "y"]},
+            {"kind": "free", "rank": 1, "names": ["t"]},
+        ],
+        "peripherals": [0],
+    },
+}
+
+
+@st.composite
+def small_invocations(draw):
+    """A small instance config and a command line that reads it."""
+    config = {
+        "group": FUZZ_GROUPS[draw(st.sampled_from(sorted(FUZZ_GROUPS)))],
+        "rg": draw(st.integers(0, 2)),
+        "lmax": draw(st.integers(0, 3)),
+    }
+    commands = ["mv-verify", "y-vanish", "homology", "nerve", "build-augmented"]
+    command = draw(st.sampled_from(commands))
+    argv = [command]
+    if command != "build-augmented":
+        argv += ["--schedule", draw(st.sampled_from(["paper", "linear"]))]
+        argv += ["--stage", str(draw(st.integers(0, 1)))]
+    if command in ("mv-verify", "homology", "nerve"):
+        argv += ["--dimcap", str(draw(st.integers(0, 3)))]
+    return config, argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_invocations())
+def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, invocation):
+    config, argv = invocation
+    path = tmp_path_factory.getbasetemp() / "fuzz-instance.json"
+    path.write_text(json.dumps(config))
+    err = io.StringIO()
+    start = time.perf_counter()
+    # reports go nowhere: the dimcap-3 nerve of a stage-1 Z2*Z cover at rg 2
+    # is a 100 MB report
+    with contextlib.redirect_stderr(err):
+        code = run(argv + ["--instance", str(path), "--out", os.devnull])
+    assert time.perf_counter() - start < 5.0, (config, argv)
+    assert code in (0, 1, 2, 3), (config, argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

@@ -177,7 +177,7 @@ def test_connecting_maps_simplicial_and_contiguous():
     gamma = connecting_map(sp, "stage-refine", 0, PAPER_SCHEDULE)
     for m in (beta, alpha1, gamma):
         assert_simplicial(m, cap=3)
-    ok, _ = contiguous_cover_maps(alpha1.compose(beta), gamma, cap=3)
+    ok, _ = contiguous_cover_maps(alpha1.compose(beta), gamma, nerve(beta.source, cap=3))
     assert ok
 
 
@@ -193,7 +193,7 @@ def test_refinement_composition_contiguity():
     assert [comp.center_map(c.center) for c in comp.source.columns] == [
         direct.center_map(c.center) for c in comp.source.columns
     ]
-    ok, _ = contiguous_cover_maps(comp, direct, cap=2)
+    ok, _ = contiguous_cover_maps(comp, direct, nerve(comp.source, cap=2))
     assert ok
 
 
@@ -203,8 +203,17 @@ def test_floor_chain_contiguity_all_instances():
         for s in range(sp.trunc.lmax):
             f = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=s)
             g = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=s + 1)
-            ok, wit = contiguous_cover_maps(f, g, cap=3)
+            ok, wit = contiguous_cover_maps(f, g, nerve(f.source, cap=3))
             assert ok, (name, s, wit)
+
+
+def test_contiguity_needs_the_source_family_nerve():
+    sp = get_instance("z_horoball")
+    f = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=0)
+    g = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=1)
+    part = f.source.restrict_to_centers(f.source.centers[1:], "part")
+    with pytest.raises(ValueError, match="nerve of the source family"):
+        contiguous_cover_maps(f, g, nerve(part))
 
 
 def test_interface_columns_meet_slice_exactly():
@@ -298,7 +307,7 @@ EDGE_BEFORE_VERTEX = ([1, 1, 1], [0b01, 0b10], [0, 1, 0], [0, 1, 1])
 def test_contiguity_reports_the_least_failing_face(case, cap):
     least = least_failing_face(*case, cap)
     f, g = synthetic_maps(*case)
-    ok, witness = contiguous_cover_maps(f, g, cap)
+    ok, witness = contiguous_cover_maps(f, g, nerve(f.source, cap))
     if least is None:
         assert (ok, witness) == (True, None)
     else:

@@ -8,7 +8,7 @@ from horokit.errors import EmptyWindowError
 from horokit.graphs import Vertex
 from horokit.groups import GroupSpec
 from horokit.homology import AbelianGroup, GroupMap, identity_map, zero_map
-from horokit.instances import get_instance
+from horokit.instances import SHIPPED, get_instance
 from horokit.mv import (
     Ladder,
     assemble_mv,
@@ -105,6 +105,60 @@ def test_y_vanishing_shipped_instances():
         assert all(ok for _, ok, _ in rep.contiguity_chain), name
 
 
+def recorded_builds(monkeypatch) -> list:
+    """The labels of every complex built by the clique kernel from now on."""
+    from horokit import complexes
+
+    builds = []
+    kernel = complexes.clique_complex
+
+    def counted(labels, *args, **kwargs):
+        builds.append(tuple(labels))
+        return kernel(labels, *args, **kwargs)
+
+    monkeypatch.setattr(complexes, "clique_complex", counted)
+    return builds
+
+
+def test_y_vanishing_builds_each_nerve_once(monkeypatch):
+    builds = recorded_builds(monkeypatch)
+    y_vanishing_check(get_instance("z2_free_z"), 0)
+    # the cusp family's nerve, shared by every floor pair, then per horoball
+    # the source piece's nerve and, when its homology is nontrivial in some
+    # degree, the target piece's
+    assert len(builds) == 6 and len(set(builds)) == 6
+
+
+def test_cluster_check_builds_each_cluster_nerve_once(monkeypatch):
+    from horokit.covers import decompose
+
+    builds = recorded_builds(monkeypatch)
+    for name in SHIPPED:
+        sp = get_instance(name)
+        builds.clear()
+        cluster_check(sp, 0, PAPER_SCHEDULE, cap=2)
+        dec = decompose(sp, 0, PAPER_SCHEDULE)
+        clusters = [tuple(f.centers) for f in dec.clusters.values()]
+        assert builds == [tuple(dec.interface.centers), *clusters], name
+
+
+def test_cluster_vanishing_builds_the_target_nerve_once(monkeypatch):
+    # a hollow square of columns and a lone column, all sent to one target
+    # column: the source has reduced homology in degrees 0 and 1
+    from horokit.covers import Column, Cover, CoverMap
+    from horokit.mv import _cluster_vanishing
+
+    masks = [0b0011, 0b0110, 0b1100, 0b1001, 0b10000]
+    src = Cover(None, 1, tuple(Column(Vertex(i, 0, 0), 1, m) for i, m in enumerate(masks)))
+    tgt = Cover(None, 1, (Column(Vertex(0, 1, 1), 1, 1),))
+    collapse = CoverMap(src.whole(), tgt.whole(), lambda v: tgt.columns[0].center)
+    builds = recorded_builds(monkeypatch)
+    entry = _cluster_vanishing(src.whole(), tgt.whole(), collapse, 1, max_degree=2)
+    assert [d["source"]["rank"] for d in entry.degrees.values()] == [1, 1, 0]
+    assert all(d["zero"] for d in entry.degrees.values())
+    assert builds == [tuple(src.pos), tuple(tgt.pos)]
+
+
 def test_y_vanishing_window_error():
     z = GroupSpec.free_abelian(1, names=("x",))
     sp = build_augmented(z, (0,), Truncation(rg=8, lmax=3, mmax=1))
@@ -174,14 +228,14 @@ def test_vanishing_detects_component_merge():
     # a deliberately disconnected source piece: two level-1 columns too far
     # apart to intersect, merged by the connected coarser target
     from horokit.covers import connecting_map
-    from horokit.mv import _cluster_vanishing, _split_by_coset
+    from horokit.mv import _cluster_vanishing
 
     z = GroupSpec.free_abelian(1, names=("x",))
     sp = build_augmented(z, (0,), Truncation(rg=6, lmax=4, mmax=1))
     tower = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=0)
     far = {Vertex("xxxxxx", 1, 1), Vertex("XXXXXX", 1, 1)}
     src = tower.source.restrict_to_centers(far, "far-pair")
-    tgt = _split_by_coset(tower.target)[1]
+    tgt = tower.target.by_coset()[1]
     from horokit.covers import nerve as build_nerve
 
     pair_nerve = build_nerve(src, cap=2)
@@ -373,7 +427,6 @@ def test_cusp_tower_eventual_images_vanish():
     # stage: the eventual image collapses to the trivial group
     from horokit.covers import connecting_map, nerve as build_nerve
     from horokit.homology import DegreeCoordinates, induced_map
-    from horokit.mv import _split_by_coset
     from horokit.towers import Tower, direct_limit_report
 
     z = GroupSpec.free_abelian(1, names=("x",))
@@ -381,7 +434,7 @@ def test_cusp_tower_eventual_images_vanish():
     tower_map = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=0)
     far = {Vertex("xxxxxx", 1, 1), Vertex("XXXXXX", 1, 1)}
     src = tower_map.source.restrict_to_centers(far, "far-pair")
-    tgt = _split_by_coset(tower_map.target)[1]
+    tgt = tower_map.target.by_coset()[1]
     src_nerve = build_nerve(src, cap=2)
     tgt_nerve = build_nerve(tgt, cap=2)
     smap = tower_map.__class__(src, tgt, tower_map.center_map).to_simplicial_map(

@@ -121,6 +121,20 @@ def test_augmented_matches_independent_builder():
     assert ea == eb
 
 
+def test_depth_zero_adds_no_vertical_edges():
+    # lmax = 0 puts no horoball vertex over any coset, so both builders give
+    # the Cayley ball of the build that attaches no horoball
+    f2 = GroupSpec.free(2)
+
+    def shape(g):
+        edges = {tuple(sorted((g.vertices[i], g.vertices[j]))) for i, j in g.edges}
+        return set(g.vertices), edges
+
+    bare = build_augmented(f2, (0,), Truncation(rg=1, lmax=0, mmax=0)).graph
+    assert shape(build_augmented(f2, (0,), Truncation(rg=1, lmax=0)).graph) == shape(bare)
+    assert shape(build_vertex_space(f2, (0,), rg=1, lmax=0)) == shape(bare)
+
+
 def test_gluing_identifies_level_zero_with_cayley():
     z = GroupSpec.free_abelian(1, names=("x",))
     sp = build_augmented(z, (0,), Truncation(rg=3, lmax=2, mmax=1))
