@@ -9,8 +9,10 @@ Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from typing import Iterable, Iterator
 
 from . import __version__
 from .covers import SCHEDULES, decompose, nerve
@@ -34,35 +36,47 @@ from .groups import GroupSpec
 SCHEMA = "horokit-report/1"
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write the report's text, given in consecutive pieces."""
+    fh = open(out, "w") if out else sys.stdout
+    try:
+        for chunk in chunks:
+            fh.write(chunk)
+    finally:
+        if out:
+            fh.close()
 
 
 def _dump(report: dict, out: str | None) -> None:
-    _write(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+    _write((json.dumps(report, indent=2, sort_keys=True) + "\n",), out)
 
 
 # stands in for a nerve report's face lists while json encodes the rest
 _FACES = "\0faces\0"
+_FACE_BLOCK = 1 << 16  # faces formatted per written piece
 
 
-def _face_lists(faces: list[list[tuple[int, ...]]]) -> str:
+def _face_lists(faces: list[list[tuple[int, ...]]]) -> Iterator[str]:
     """The face lists as ``json.dumps(..., indent=2)`` writes them one level
-    into a report, each face from its dimension's format string.  (The
-    stdlib encoder indents in pure Python, one token at a time, and took most
-    of the time and memory of exporting a nerve of a million faces.)"""
-    dims = []
-    for fs in faces:
+    into a report, in pieces of at most ``_FACE_BLOCK`` faces, each face from
+    its dimension's format string.  (The stdlib encoder indents in pure
+    Python, one token at a time, and took most of the time and memory of
+    exporting a nerve of a million faces; one piece at a time, the text
+    never holds more than a block.)"""
+    yield "[\n    "
+    for p, fs in enumerate(faces):
+        if p:
+            yield ",\n    "
         if not fs:
-            dims.append("[]")
+            yield "[]"
             continue
         face = "[\n" + ",\n".join(["        %d"] * len(fs[0])) + "\n      ]"
-        dims.append("[\n      " + ",\n      ".join(map(face.__mod__, fs)) + "\n    ]")
-    return "[\n    " + ",\n    ".join(dims) + "\n  ]"
+        for k in range(0, len(fs), _FACE_BLOCK):
+            yield ("[\n      " if k == 0 else ",\n      ") + ",\n      ".join(
+                map(face.__mod__, fs[k : k + _FACE_BLOCK])
+            )
+        yield "\n    ]"
+    yield "\n  ]"
 
 
 def _report(command: str, config: dict, body: dict) -> dict:
@@ -92,7 +106,7 @@ def _cmd_build_augmented(args) -> int:
         trunc = Truncation(rg=args.rg, lmax=args.lmax, mmax=args.mmax)
         space = build_augmented(spec, peripherals, trunc, name=args.group)
     if args.format == "dot":
-        _write(space.graph.to_dot(), args.out)
+        _write((space.graph.to_dot(),), args.out)
         return 0
     report = _report(
         "build-augmented",
@@ -149,8 +163,10 @@ def _cmd_nerve(args) -> int:
             "face_counts": [cx.n_faces(p) for p in range(args.dimcap + 1)],
         },
     )
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    _write(text.replace(json.dumps(_FACES), _face_lists(cx.faces), 1), args.out)
+    head, tail = (json.dumps(report, indent=2, sort_keys=True) + "\n").split(
+        json.dumps(_FACES), 1
+    )
+    _write(itertools.chain((head,), _face_lists(cx.faces), (tail,)), args.out)
     return 0
 
 

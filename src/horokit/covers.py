@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
+import numpy as np
+
 from .complexes import SimplicialComplex, SimplicialMap, mask_nerve
 from .errors import (
     BudgetExceededError,
@@ -128,7 +130,13 @@ class Family:
 
 
 def build_cover(space: AugmentedSpace, scale: int, budget: int | None = None) -> Cover:
-    """One column per vertex of the carrier; cached per space and scale."""
+    """One column per vertex of the carrier; cached per space and scale.
+
+    Distances come in blocks from the space's ``WordBall``: a Cayley
+    column's from one row over the ball ids, a horoball column's from its
+    coset base's matrix.  Each block of columns becomes a boolean matrix
+    over the carrier's vertices, packed into one mask per row.
+    """
     if scale < 1:
         raise ValueError("cover scale must be >= 1")
     cached = space._covers.get(scale)
@@ -138,29 +146,57 @@ def build_cover(space: AugmentedSpace, scale: int, budget: int | None = None) ->
     cap = vertex_budget(budget)
     if len(g) > cap:
         raise BudgetExceededError(f"carrier exceeds vertex budget {cap}")
-    by_coset: dict[int, list[tuple[int, Vertex]]] = {}
-    for i, v in enumerate(g.vertices):
-        if v.coset:
-            by_coset.setdefault(v.coset, []).append((i, v))
-    columns = []
-    for v in g.vertices:
-        if v.level == 0:
-            reach = 2**scale
-            mask = 0
-            for i, w in enumerate(g.vertices):
-                if w.level <= scale and space.element_distance(v.element, w.element) <= reach:
-                    mask |= 1 << i
-        else:
-            reach = 2 ** (v.level + scale)
-            lo, hi = v.level, v.level + scale
-            mask = 0
-            for i, w in by_coset.get(v.coset, ()):
-                if lo <= w.level <= hi and space.element_distance(v.element, w.element) <= reach:
-                    mask |= 1 << i
-        columns.append(Column(v, scale, mask))
-    cover = Cover(space, scale, tuple(columns))
+    ball = space.ball
+    n = len(g)
+    elem = np.fromiter((ball.index[v.element] for v in g.vertices), np.int64, n)
+    level = np.fromiter((v.level for v in g.vertices), np.int64, n)
+    coset = np.fromiter((v.coset for v in g.vertices), np.int64, n)
+    masks = [0] * n
+    # a Cayley column: every vertex at level <= scale within 2^scale
+    low = np.flatnonzero(level <= scale)
+    every = np.arange(len(ball))
+    for rows in _blocks(np.flatnonzero(level == 0), max(n, len(ball))):
+        near = ball.distances(elem[rows], every)[:, elem[low]] <= 2 ** min(scale, 62)
+        bits = np.zeros((len(rows), n), bool)
+        bits[:, low] = near
+        for i, m in zip(rows.tolist(), _row_masks(bits)):
+            masks[i] = m
+    # a horoball column at (x, t): its coset's vertices at levels t..t+scale
+    # within 2^(t+scale); a coset's vertices are contiguous in vertex order
+    local = np.empty(len(ball), np.int64)
+    for c, base in space.bases.items():
+        span = np.flatnonzero(coset == c)
+        if not len(span):
+            continue
+        start, width = int(span[0]), int(span[-1]) + 1 - int(span[0])
+        local[base] = np.arange(len(base))
+        dist = ball.distances(base, base)[:, local[elem[span]]]
+        lv = level[span]
+        for rows in _blocks(np.arange(len(span)), width):
+            t = lv[rows, None]
+            reach = 2 ** np.minimum(t + scale, 62)
+            near = (dist[local[elem[span[rows]]]] <= reach) & (lv >= t) & (lv <= t + scale)
+            bits = np.zeros((len(rows), width), bool)
+            bits[:, span - start] = near
+            for i, m in zip(span[rows].tolist(), _row_masks(bits)):
+                masks[i] = m << start
+    columns = tuple(Column(v, scale, m) for v, m in zip(g.vertices, masks))
+    cover = Cover(space, scale, columns)
     space._covers[scale] = cover
     return cover
+
+
+def _blocks(rows: np.ndarray, width: int, cells: int = 1 << 18):
+    """``rows`` in consecutive blocks of about ``cells`` / ``width`` rows."""
+    step = max(1, cells // max(width, 1))
+    for k in range(0, len(rows), step):
+        yield rows[k : k + step]
+
+
+def _row_masks(bits: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int, column i as bit i."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 # -- schedules ---------------------------------------------------------------
@@ -177,6 +213,16 @@ class Schedule:
 
     def slice_level(self, n: int) -> int:
         return self.slice_fn(n)
+
+    def stage(self, n: int) -> tuple[int, int]:
+        """(scale, slice level) of stage n, whose slice must lie above the
+        scale for a clean split."""
+        scale, level = self.scale(n), self.slice_level(n)
+        if level <= scale:
+            raise ScheduleMismatchError(
+                f"slice level {level} must exceed scale {scale} for a clean split"
+            )
+        return scale, level
 
 
 PAPER_SCHEDULE = Schedule("paper", lambda n: 3**n, lambda n: 3**n + 1)
@@ -200,12 +246,7 @@ class Decomposition:
 def decompose(space: AugmentedSpace, n: int, schedule: Schedule) -> Decomposition:
     """Split the scale-j_n cover by the level-N_n slice and verify the
     excision identities as exact set equalities of column families."""
-    scale = schedule.scale(n)
-    level = schedule.slice_level(n)
-    if level <= scale:
-        raise ScheduleMismatchError(
-            f"slice level {level} must exceed scale {scale} for a clean split"
-        )
+    scale, level = schedule.stage(n)
     cover = build_cover(space, scale)
     thick_mask = cover.level_mask(hi=level)
     cusp_mask = cover.level_mask(lo=level)

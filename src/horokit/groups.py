@@ -5,15 +5,26 @@ such atoms.  An element is a canonical word over a symmetrized single-letter
 alphabet; the formal inverse of a lowercase generator is its uppercase twin.
 Left cosets of a designated peripheral atom are enumerated with shortlex-least
 representatives and round-robin interleaved indices.
+
+``WordBall`` is a ball as integer element ids.  Its breadth-first search
+forms each product once, and those products give the Cayley edges too.  Each
+element is split into syllables once, and distances then come from those
+syllables, never from a normal form of x^-1 y.  In a free product, |x^-1 y|
+is the length of the two syllable suffixes left after the longest common
+syllable prefix.  When the first differing syllables lie in one atom, their
+atom distance replaces their two lengths: the L1 norm of the exponent
+difference in a free-abelian atom, the reduced length in a free atom.
+``GroupSpec.word_metric`` stays the normal-form oracle.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import BudgetExceededError, UnknownLetterError, vertex_budget
 
@@ -212,29 +223,36 @@ class GroupSpec:
 
     def ball(self, radius: int, budget: int | None = None) -> list[str]:
         """All elements with word length <= radius, in BFS discovery order."""
+        return self._bfs(radius, budget)[0]
+
+    def _bfs(self, radius: int, budget: int | None) -> tuple[list[str], list[tuple[int, int]]]:
+        """The ball in BFS discovery order, and its Cayley edges as (inner,
+        outer) positions in that order.  Every generator changes the total
+        exponent by one and every relator has even length, so the Cayley
+        graph is bipartite: each edge joins consecutive spheres and is found
+        once, from its inner end."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
         cap = vertex_budget(budget)
-        seen = {""}
         order = [""]
-        frontier = deque([""])
-        depth = {"": 0}
-        while frontier:
-            w = frontier.popleft()
-            if depth[w] == radius:
+        index = {"": 0}
+        edges = []
+        for i, w in enumerate(order):  # the loop sees the appended elements
+            if len(w) == radius:
                 continue
             for c in self.alphabet:
                 nxt = self.normal_form(w + c)
-                if nxt not in seen:
-                    seen.add(nxt)
-                    if len(seen) > cap:
+                j = index.get(nxt)
+                if j is None:
+                    if len(order) >= cap:
                         raise BudgetExceededError(
                             f"ball of radius {radius} exceeds vertex budget {cap}"
                         )
-                    depth[nxt] = depth[w] + 1
+                    j = index[nxt] = len(order)
                     order.append(nxt)
-                    frontier.append(nxt)
-        return order
+                if len(nxt) > len(w):
+                    edges.append((i, j))
+        return order, edges
 
     def in_atom(self, word: str, atom_idx: int) -> bool:
         """True if the canonical word lies in the given atom's subgroup."""
@@ -286,42 +304,153 @@ class CosetTable:
                 w.writerow([e.index, e.rep, e.slot])
 
 
+class WordBall:
+    """The elements of length <= radius as integer ids, with the syllable
+    tables behind their word metric.
+
+    Ids follow BFS discovery order (``words``, the order of
+    ``GroupSpec.ball``); ``edges`` are the Cayley edges the BFS formed, each
+    once.  Each element is split once into tokens: a free-abelian syllable
+    is one token, a free syllable one token per letter.  A token prefix of a
+    normal form is again a normal form in the ball, so every element has an
+    ancestor id at each token depth up to its own.  Two elements share the
+    first j tokens iff their depth-j ancestors are equal, and then
+
+        |x^-1 y| = |x| + |y| - 2 |common prefix|,
+
+    unless the next tokens of both are syllables of one free-abelian atom.
+    Then those two syllables merge in x^-1 y, and the L1 norm of their
+    exponent difference replaces their two lengths.  Splitting free
+    syllables into letters makes the common prefix run on into a shared
+    free syllable, which is its reduced length |s| + |t| - 2 lcp(s, t).
+    """
+
+    def __init__(self, spec: GroupSpec, radius: int, budget: int | None = None):
+        self.spec = spec
+        self.radius = radius
+        self.words, self.edges = spec._bfs(radius, budget)
+        self.index = {w: i for i, w in enumerate(self.words)}
+        self._buckets: dict[int, dict[str, list[int]]] = {}
+        abelian_col, rank = {}, 0
+        for a, atom in enumerate(spec.atoms):
+            if atom.kind == "abelian":
+                abelian_col[a] = rank
+                rank += atom.rank
+        tokens: dict[tuple[int, str], int] = {}
+        split = []  # per element: its token ids and the word length after each
+        for w in self.words:
+            toks, ends = [], []
+            for a, syl in spec.syllables(w):
+                for part in (syl,) if a in abelian_col else syl:
+                    toks.append(tokens.setdefault((a, part), len(tokens)))
+                    ends.append((ends[-1] if ends else 0) + len(part))
+            split.append((toks, ends))
+        n, depth = len(self.words), max(len(t) for t, _ in split)
+        end = len(tokens)  # stands for the token after an element's last one
+        # _anc[y, j-1] is the id of y's first j tokens, and -(y+1), which is
+        # no other element's entry, past y's depth; _plen[y, j] is the length
+        # of that prefix and _next[y, j] the token after it
+        self._anc = np.empty((n, depth), np.int64)
+        self._plen = np.zeros((n, depth + 1), np.int64)
+        self._next = np.full((n, depth + 1), end, np.int64)
+        self._depth = np.empty(n, np.int64)
+        self._len = np.fromiter(map(len, self.words), np.int64, n)
+        for y, (w, (toks, ends)) in enumerate(zip(self.words, split)):
+            k = self._depth[y] = len(toks)
+            self._anc[y, :k] = [self.index[w[:e]] for e in ends]
+            self._anc[y, k:] = -(y + 1)
+            self._plen[y, 1 : k + 1] = ends
+            self._next[y, :k] = toks
+        self._tok_atom = np.full(end + 1, -1, np.int64)
+        self._tok_len = np.zeros(end + 1, np.int64)
+        self._tok_abelian = np.zeros(end + 1, bool)
+        self._tok_exps = np.zeros((end + 1, rank), np.int64)
+        for (a, part), t in tokens.items():
+            self._tok_atom[t] = a
+            self._tok_len[t] = len(part)
+            if a in abelian_col:
+                self._tok_abelian[t] = True
+                letters = spec.atoms[a].letters
+                for c in part:
+                    col = abelian_col[a] + letters.index(c.lower())
+                    self._tok_exps[t, col] += 1 if c.islower() else -1
+
+    def __len__(self):
+        return len(self.words)
+
+    def distances(self, xs, ys) -> np.ndarray:
+        """The matrix of |x^-1 y| for ids x in ``xs`` (rows) and y in ``ys``
+        (columns).  Temporary memory grows as len(xs) * len(ys) * radius,
+        so callers that need many rows ask for them in blocks."""
+        xs = np.asarray(xs, np.int64)[:, None]
+        ys = np.asarray(ys, np.int64)[None, :]
+        same = self._anc[xs] == self._anc[ys]  # monotone along the depth axis
+        common = np.minimum(same.sum(axis=2), self._depth[xs])
+        d = self._len[xs] + self._len[ys] - 2 * self._plen[xs, common]
+        tx, ty = self._next[xs, common], self._next[ys, common]
+        merge = self._tok_abelian[tx] & (self._tok_atom[tx] == self._tok_atom[ty])
+        if merge.any():
+            a, b = tx[merge], ty[merge]
+            d[merge] += (
+                np.abs(self._tok_exps[a] - self._tok_exps[b]).sum(axis=1)
+                - self._tok_len[a]
+                - self._tok_len[b]
+            )
+        return d
+
+    def cosets(self, atom: int) -> dict[str, list[int]]:
+        """The ball's ids bucketed by left coset of the atom, keyed by the
+        coset's shortlex-least representative (``GroupSpec.coset_rep``: the
+        word without a trailing syllable of the atom); one pass, cached."""
+        buckets = self._buckets.get(atom)
+        if buckets is None:
+            atom_of = self.spec._atom_of
+            buckets = {}
+            for i, w in enumerate(self.words):
+                k = len(w)
+                while k and atom_of[w[k - 1]] == atom:
+                    k -= 1
+                buckets.setdefault(w[:k], []).append(i)
+            self._buckets[atom] = buckets
+        return buckets
+
+    def coset_table(self, peripherals: Sequence[int]) -> CosetTable:
+        """Cosets g*P_r meeting the ball, round-robin over r.
+
+        Within each peripheral the cosets are ordered by representative, and
+        the global index interleaves peripherals so index = a*k + r.
+        """
+        spec = self.spec
+        peripherals = tuple(peripherals)
+        if not peripherals:
+            raise ValueError("need at least one peripheral atom")
+        for i in peripherals:
+            if not 0 <= i < len(spec.atoms):
+                raise ValueError(f"peripheral atom index {i} out of range")
+        if len(set(peripherals)) != len(peripherals):
+            raise ValueError("peripheral atoms must be distinct")
+        k = len(peripherals)
+        per_slot = [sorted(self.cosets(a), key=spec.shortlex_key) for a in peripherals]
+        entries = []
+        for a in range(max(len(r) for r in per_slot)):
+            for slot0, reps in enumerate(per_slot):
+                if a < len(reps):
+                    entries.append(
+                        CosetEntry(
+                            index=a * k + slot0 + 1,
+                            rep=reps[a],
+                            slot=slot0 + 1,
+                            atom=peripherals[slot0],
+                        )
+                    )
+        return CosetTable(entries=tuple(entries), peripherals=peripherals, radius=self.radius)
+
+
 def enumerate_cosets(
     spec: GroupSpec,
     peripherals: Sequence[int],
     radius: int,
     budget: int | None = None,
 ) -> CosetTable:
-    """Enumerate cosets g*P_r meeting the radius ball, round-robin over r.
-
-    Representatives are shortlex-least; within each peripheral the cosets are
-    ordered by representative, and the global index interleaves peripherals so
-    index = a*k + r.
-    """
-    peripherals = tuple(peripherals)
-    if not peripherals:
-        raise ValueError("need at least one peripheral atom")
-    for i in peripherals:
-        if not 0 <= i < len(spec.atoms):
-            raise ValueError(f"peripheral atom index {i} out of range")
-    if len(set(peripherals)) != len(peripherals):
-        raise ValueError("peripheral atoms must be distinct")
-    ball = spec.ball(radius, budget)
-    k = len(peripherals)
-    per_slot: list[list[str]] = []
-    for atom_idx in peripherals:
-        reps = {spec.coset_rep(x, atom_idx) for x in ball}
-        per_slot.append(sorted(reps, key=spec.shortlex_key))
-    entries = []
-    for a in range(max(len(r) for r in per_slot)):
-        for slot0, reps in enumerate(per_slot):
-            if a < len(reps):
-                entries.append(
-                    CosetEntry(
-                        index=a * k + slot0 + 1,
-                        rep=reps[a],
-                        slot=slot0 + 1,
-                        atom=peripherals[slot0],
-                    )
-                )
-    return CosetTable(entries=tuple(entries), peripherals=peripherals, radius=radius)
+    """Enumerate cosets g*P_r meeting the radius ball (``WordBall.coset_table``)."""
+    return WordBall(spec, radius, budget).coset_table(peripherals)

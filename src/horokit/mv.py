@@ -79,14 +79,18 @@ def assemble_mv(
     cap: int = 2,
     windowed: bool = True,
 ) -> MVStage:
-    """Build the stage-n excision triple with nerves and homology coordinates."""
-    dec = decompose(space, n, schedule)
+    """Build the stage-n excision triple with nerves and homology coordinates.
+
+    An empty interior window is refused before the cover is built."""
+    scale, _ = schedule.stage(n)
     if windowed:
-        window = interior_window(space, dec.scale)
+        window = interior_window(space, scale)
         if not window:
             raise EmptyWindowError(
-                f"no interior vertices at scale {dec.scale}; truncation too small"
+                f"no interior vertices at scale {scale}; truncation too small"
             )
+    dec = decompose(space, n, schedule)
+    if windowed:
         fams = {
             "whole": dec.whole.restrict_to_centers(window, "whole|win"),
             "thick": dec.thick.restrict_to_centers(window, "thick|win"),

@@ -3,9 +3,15 @@
 A horoball over a finite base puts a copy of the base at each level, joins
 (p,l)-(q,l) when 0 < d(p,q) <= 2^l, and adds vertical edges.  The augmented
 space glues one horoball onto each enumerated peripheral coset of a Cayley
-ball; level-0 horizontal edges are the Cayley edges themselves.  A second,
+ball; level-0 horizontal edges are the Cayley edges themselves.
+
+``build_augmented`` computes the ball once, as a ``groups.WordBall`` of
+integer element ids.  Its Cayley edges come from the BFS products, and its
+coset bases from one bucketing pass per peripheral atom.  Each base's
+distance matrix comes from the syllable metric, once for all levels.  The
+space keeps the ball and the bases for its covers and boundary.  A second,
 independently coded builder realizes the distance-one presentation of the
-same space and doubles as a cross-check oracle.
+same space from normal forms and doubles as a cross-check oracle.
 """
 
 from __future__ import annotations
@@ -13,9 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .errors import BudgetExceededError, EmptyBaseError, vertex_budget
 from .graphs import MetricGraph, Vertex
-from .groups import CosetTable, GroupSpec, enumerate_cosets
+from .groups import CosetTable, GroupSpec, WordBall, enumerate_cosets
 
 
 def interval_points(lo: int, hi: int) -> list[int]:
@@ -92,7 +100,8 @@ class Truncation:
 
 
 class AugmentedSpace:
-    """A truncated augmented space together with its group-side context."""
+    """A truncated augmented space together with its group-side context:
+    the ball as element ids, and the ids of each attached coset's base."""
 
     def __init__(
         self,
@@ -100,27 +109,22 @@ class AugmentedSpace:
         peripherals: tuple[int, ...],
         trunc: Truncation,
         graph: MetricGraph,
+        ball: WordBall,
         table: CosetTable,
         attached: tuple,
+        bases: dict[int, list[int]],
         name: str = "",
     ):
         self.spec = spec
         self.peripherals = peripherals
         self.trunc = trunc
         self.graph = graph
+        self.ball = ball
         self.table = table
         self.attached = attached  # CosetEntry list for horoballs actually built
+        self.bases = bases  # coset index -> ball ids of the coset's base
         self.name = name
-        self._dist_cache: dict[tuple[str, str], int] = {}
         self._covers = {}
-
-    def element_distance(self, x: str, y: str) -> int:
-        key = (x, y) if x <= y else (y, x)
-        d = self._dist_cache.get(key)
-        if d is None:
-            d = self.spec.word_metric(x, y)
-            self._dist_cache[key] = d
-        return d
 
     def describe(self) -> dict:
         return {
@@ -141,53 +145,46 @@ def build_augmented(
 ) -> AugmentedSpace:
     """Cayley ball with horoballs glued along the first mmax peripheral cosets."""
     cap = vertex_budget(budget)
-    ball = spec.ball(trunc.rg, cap)
-    ball_set = set(ball)
-    table = enumerate_cosets(spec, tuple(peripherals), trunc.rg, cap)
+    ball = WordBall(spec, trunc.rg, cap)
+    table = ball.coset_table(peripherals)
     mmax = len(table.entries) if trunc.mmax is None else trunc.mmax
     attached = table.entries[:mmax]
 
-    vertices = [Vertex(x, 0, 0) for x in ball]
-    edges = []
-    for x in ball:
-        for c in spec.alphabet:
-            y = spec.multiply(x, c)
-            if y in ball_set and y != x:
-                edges.append((Vertex(x, 0, 0), Vertex(y, 0, 0)))
-    built = []
+    words = ball.words
+    cayley = [Vertex(x, 0, 0) for x in words]
+    vertices = list(cayley)
+    edges = [(cayley[i], cayley[j]) for i, j in ball.edges]
+    bases = {}
     for entry in attached:
-        base = sorted(
-            (x for x in ball if spec.coset_rep(x, entry.atom) == entry.rep),
-            key=spec.shortlex_key,
-        )
-        if not base:
-            continue
-        built.append(entry)
-        vertices.extend(
-            Vertex(x, l, entry.index) for x in base for l in range(1, trunc.lmax + 1)
-        )
+        base = bases[entry.index] = ball.cosets(entry.atom)[entry.rep]
+        floors = [
+            [Vertex(words[i], l, entry.index) for i in base] for l in range(1, trunc.lmax + 1)
+        ]
+        for floor in floors:
+            vertices.extend(floor)
         if len(vertices) > cap:
             raise BudgetExceededError(f"augmented space exceeds budget {cap}")
-        for l in range(1, trunc.lmax + 1):
-            reach = 2**l
-            for i, x in enumerate(base):
-                for y in base[i + 1 :]:
-                    if spec.word_metric(x, y) <= reach:
-                        edges.append((Vertex(x, l, entry.index), Vertex(y, l, entry.index)))
-        for x in base:
-            for l in range(trunc.lmax):
-                lower = Vertex(x, l, entry.index if l else 0)
-                edges.append((lower, Vertex(x, l + 1, entry.index)))
+        iu, ju = np.triu_indices(len(base), 1)
+        dist = ball.distances(base, base)[iu, ju]
+        below = [cayley[i] for i in base]
+        for l, floor in enumerate(floors, 1):
+            near = dist <= 2**l
+            pairs = zip(iu[near].tolist(), ju[near].tolist())
+            edges.extend((floor[i], floor[j]) for i, j in pairs)
+            edges.extend(zip(below, floor))
+            below = floor
 
     meta = {
         "kind": "augmented",
         "rg": trunc.rg,
         "lmax": trunc.lmax,
-        "attached": [e.index for e in built],
+        "attached": [e.index for e in attached],
         "name": name,
     }
     graph = MetricGraph(vertices, edges, meta=meta)
-    return AugmentedSpace(spec, tuple(peripherals), trunc, graph, table, tuple(built), name)
+    return AugmentedSpace(
+        spec, tuple(peripherals), trunc, graph, ball, table, tuple(attached), bases, name
+    )
 
 
 def build_vertex_space(
@@ -248,22 +245,15 @@ def cusp_vertices(space: AugmentedSpace, level: int) -> set[Vertex]:
 def boundary_vertices(space: AugmentedSpace) -> set[Vertex]:
     """Outer shell of the truncation: the Cayley sphere at the ball radius,
     the top horoball slice, and Cayley vertices whose coset has no horoball."""
-    g = space.graph
-    spec = space.spec
     rg, lmax = space.trunc.rg, space.trunc.lmax
-    attached_reps = {(e.atom, e.rep) for e in space.attached}
+    words = space.ball.words
+    covered = {words[i] for base in space.bases.values() for i in base}
     out = set()
-    for v in g.vertices:
+    for v in space.graph.vertices:
         if v.level == lmax:
             out.add(v)
-        elif v.level == 0:
-            if len(v.element) == rg:
-                out.add(v)
-            elif not any(
-                (atom, spec.coset_rep(v.element, atom)) in attached_reps
-                for atom in space.peripherals
-            ):
-                out.add(v)
+        elif v.level == 0 and (len(v.element) == rg or v.element not in covered):
+            out.add(v)
     return out
 
 

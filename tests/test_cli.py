@@ -4,6 +4,7 @@ import json
 import os
 import pathlib
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -281,14 +282,19 @@ def test_nerve_report_bytes_are_the_json_encoding(tmp_path, family):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 40), max_size=4), min_size=1, max_size=6))
-def test_face_lists_match_the_json_encoding(firsts):
+@given(
+    st.lists(st.lists(st.integers(0, 40), max_size=4), min_size=1, max_size=6),
+    st.sampled_from([1, 2, 3, 1 << 16]),
+)
+def test_face_lists_match_the_json_encoding(firsts, block):
     from horokit.cli import _FACES, _face_lists
 
     # dimension p holds faces of p+1 vertices, one per drawn first vertex
     faces = [[tuple(range(v, v + p + 1)) for v in vs] for p, vs in enumerate(firsts)]
     expected = json.dumps({"faces": [[list(f) for f in fs] for fs in faces]}, indent=2)
-    fast = json.dumps({"faces": _FACES}, indent=2).replace(json.dumps(_FACES), _face_lists(faces))
+    with mock.patch("horokit.cli._FACE_BLOCK", block):
+        lists = "".join(_face_lists(faces))
+    fast = json.dumps({"faces": _FACES}, indent=2).replace(json.dumps(_FACES), lists)
     assert fast == expected
 
 

@@ -18,7 +18,7 @@ from horokit.covers import (
 from horokit.errors import ScheduleMismatchError
 from horokit.graphs import Vertex
 from horokit.groups import GroupSpec
-from horokit.instances import get_instance
+from horokit.instances import SHIPPED, get_instance
 from horokit.spaces import Truncation, build_augmented
 
 
@@ -44,7 +44,65 @@ def test_column_vertex_sets():
     members = {g.vertices[i] for i in range(len(g)) if (col.mask >> i) & 1}
     for v in members:
         assert v.coset == 1 and 1 <= v.level <= 2
-        assert sp.element_distance("", v.element) <= 4
+        assert sp.spec.word_metric("", v.element) <= 4
+
+
+def reference_masks(space, scale):
+    """Column masks straight off the definition, from ``word_metric``."""
+    g, spec = space.graph, space.spec
+    dist = {}
+
+    def d(x, y):
+        if (x, y) not in dist:
+            dist[x, y] = dist[y, x] = spec.word_metric(x, y)
+        return dist[x, y]
+
+    masks = []
+    for v in g.vertices:
+        if v.level == 0:
+            lo, hi, reach = 0, scale, 2**scale
+        else:
+            lo, hi, reach = v.level, v.level + scale, 2 ** (v.level + scale)
+        mask = 0
+        for i, w in enumerate(g.vertices):
+            if (v.level == 0 or w.coset == v.coset) and lo <= w.level <= hi:
+                if d(v.element, w.element) <= reach:
+                    mask |= 1 << i
+        masks.append(mask)
+    return masks
+
+
+Z2_FREE_Z = GroupSpec.free_product(
+    GroupSpec.free_abelian(2, names=("x", "y")), GroupSpec.free(1, names=("t",))
+)
+
+
+@pytest.mark.parametrize("name", SHIPPED + ("rg2",))
+def test_cover_masks_match_word_metric_reference(name):
+    if name == "rg2":
+        sp = build_augmented(Z2_FREE_Z, (0,), Truncation(rg=2, lmax=4))
+    else:
+        sp = get_instance(name)
+    for scale in (1, 3):
+        cover = build_cover(sp, scale)
+        assert [c.center for c in cover.columns] == list(sp.graph.vertices)
+        assert [c.mask for c in cover.columns] == reference_masks(sp, scale)
+
+
+def test_build_and_cover_form_no_word_per_pair(monkeypatch):
+    calls = {"word_metric": 0, "normal_form": 0}
+    for method in calls:
+        real = getattr(GroupSpec, method)
+
+        def counted(self, *args, _real=real, _name=method):
+            calls[_name] += 1
+            return _real(self, *args)
+
+        monkeypatch.setattr(GroupSpec, method, counted)
+    sp = build_augmented(Z2_FREE_Z, (0,), Truncation(rg=2, lmax=4))
+    build_cover(sp, 1)
+    assert calls["word_metric"] == 0
+    assert 0 < calls["normal_form"] <= len(sp.ball) * len(Z2_FREE_Z.alphabet)
 
 
 def test_cayley_column_dips_into_horoballs():
@@ -236,7 +294,7 @@ def test_floor_maps_contiguous_as_simplicial_maps():
     # the cover-level contiguity agrees with the complex-level checker
     from horokit.complexes import contiguous
     from horokit.covers import nerve as build_nerve
-    from horokit.instances import get_instance
+    from horokit.instances import SHIPPED, get_instance
 
     sp = get_instance("z2_free_z_deep")
     f = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=0)

@@ -1,8 +1,10 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from horokit.errors import BudgetExceededError, UnknownLetterError
-from horokit.groups import Atom, GroupSpec, enumerate_cosets
+import numpy as np
+
+from horokit.groups import Atom, GroupSpec, WordBall, enumerate_cosets
 
 F2 = GroupSpec.free(2)
 ZA2 = GroupSpec.free_abelian(2, names=("x", "y"))
@@ -227,3 +229,64 @@ def test_atom_validation():
         Atom("weird", ("a",))
     with pytest.raises(ValueError):
         GroupSpec.free_product(GroupSpec.free(1, ("a",)), GroupSpec.free(1, ("a",)))
+
+
+@st.composite
+def free_products(draw):
+    """1-3 atoms: free of rank 1-2 (a rank-2 free atom is one syllable of
+    several letters) or free-abelian of rank 1-3, with distinct letters."""
+    pool = iter("abcdefghijklmnopqrsuvw")
+    atoms = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["free", "abelian"]))
+        rank = draw(st.integers(1, 2 if kind == "free" else 3))
+        atoms.append(Atom(kind, tuple(next(pool) for _ in range(rank))))
+    return GroupSpec(atoms)
+
+
+def _small_ball(spec, most=90):
+    radius = 4
+    while len(spec.ball(radius)) > most:
+        radius -= 1
+    return WordBall(spec, radius)
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_products())
+@example(GroupSpec.free(1, ("a",)))
+@example(GroupSpec([Atom("free", ("a", "b"))]))
+@example(GroupSpec.free_abelian(1, ("x",)))
+@example(GroupSpec.free_abelian(2, ("x", "y")))
+@example(GroupSpec.free_abelian(3, ("x", "y", "z")))
+@example(PROD)
+@example(
+    GroupSpec([Atom("abelian", ("x",)), Atom("free", ("a", "b")), Atom("abelian", ("y", "z"))])
+)
+def test_syllable_metric_matches_word_metric(spec):
+    ball = _small_ball(spec)
+    assert ball.words == spec.ball(ball.radius)
+    ids = np.arange(len(ball))
+    dist = ball.distances(ids, ids)
+    for i, x in enumerate(ball.words):
+        for j, y in enumerate(ball.words):
+            assert dist[i, j] == spec.word_metric(x, y), (x, y)
+
+
+def test_word_ball_edges_are_the_cayley_edges():
+    ball = WordBall(PROD, 3)
+    expected = set()
+    for i, x in enumerate(ball.words):
+        for c in PROD.alphabet:
+            j = ball.index.get(PROD.multiply(x, c))
+            if j is not None:
+                expected.add((min(i, j), max(i, j)))
+    assert sorted(ball.edges) == sorted(expected)  # each edge once
+
+
+def test_word_ball_cosets_match_coset_rep():
+    for spec, atom in ((PROD, 0), (PROD, 1), (F2, 1)):
+        ball = WordBall(spec, 3)
+        buckets = ball.cosets(atom)
+        assert sorted(i for ids in buckets.values() for i in ids) == list(range(len(ball)))
+        for rep, ids in buckets.items():
+            assert all(spec.coset_rep(ball.words[i], atom) == rep for i in ids)

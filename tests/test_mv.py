@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from horokit.covers import PAPER_SCHEDULE, build_cover
-from horokit.errors import EmptyWindowError
+from horokit import covers
+from horokit.covers import PAPER_SCHEDULE, Schedule, build_cover
+from horokit.errors import EmptyWindowError, ScheduleMismatchError
 from horokit.graphs import Vertex
 from horokit.groups import GroupSpec
 from horokit.homology import AbelianGroup, GroupMap, identity_map, zero_map
@@ -34,6 +35,24 @@ def test_assemble_window_error_at_stage_one():
     # the scale-3 margin empties the window on every shipped truncation
     with pytest.raises(EmptyWindowError):
         assemble_mv(get_instance("z_horoball"), 1, PAPER_SCHEDULE)
+
+
+def test_empty_window_is_refused_before_the_cover(monkeypatch):
+    built = []
+    real = covers.build_cover
+    monkeypatch.setattr(covers, "build_cover", lambda *a, **k: built.append(a) or real(*a, **k))
+    z = GroupSpec.free_abelian(1, names=("x",))
+    sp = build_augmented(z, (0,), Truncation(rg=3, lmax=5, mmax=1))
+    with pytest.raises(EmptyWindowError):
+        assemble_mv(sp, 1, PAPER_SCHEDULE)
+    assert built == []
+    # a schedule whose slice is not above its scale is refused first
+    flat = Schedule("flat", lambda n: 3, lambda n: 3)
+    with pytest.raises(ScheduleMismatchError):
+        assemble_mv(sp, 1, flat)
+    assert built == []
+    assemble_mv(sp, 0, PAPER_SCHEDULE)
+    assert len(built) == 1
 
 
 def test_y_vanishing_stage_one_needs_depth():

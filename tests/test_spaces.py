@@ -2,7 +2,7 @@ import pytest
 
 from horokit.errors import BudgetExceededError, EmptyBaseError
 from horokit.graphs import MetricGraph, Vertex
-from horokit.groups import GroupSpec
+from horokit.groups import Atom, GroupSpec
 from horokit.spaces import (
     Truncation,
     boundary_vertices,
@@ -119,6 +119,46 @@ def test_augmented_matches_independent_builder():
     ea = {tuple(sorted((a.graph.vertices[i], a.graph.vertices[j]))) for i, j in a.graph.edges}
     eb = {tuple(sorted((b.vertices[i], b.vertices[j]))) for i, j in b.edges}
     assert ea == eb
+
+
+@pytest.mark.parametrize(
+    "spec, peripherals, rg",
+    [
+        (GroupSpec.free(2), (0, 1), 3),
+        (GroupSpec([Atom("free", ("a", "b")), Atom("abelian", ("x",))]), (0,), 3),
+        (GroupSpec([Atom("free", ("a", "b")), Atom("abelian", ("x",))]), (1, 0), 2),
+        (GroupSpec.free_abelian(3), (0,), 2),
+        (
+            GroupSpec([Atom("abelian", ("x", "y")), Atom("abelian", ("z",)), Atom("free", ("t",))]),
+            (0, 1),
+            2,
+        ),
+    ],
+    ids=["F2-both", "F2*Z-rel-F2", "F2*Z-rel-both", "Z3", "Z2*Z*Z-rel-Z2-Z"],
+)
+def test_augmented_matches_independent_builder_across_atoms(spec, peripherals, rg):
+    a = build_augmented(spec, peripherals, Truncation(rg=rg, lmax=3)).graph
+    b = build_vertex_space(spec, peripherals, rg=rg, lmax=3)
+    assert a.vertices == b.vertices
+    assert a.edges == b.edges
+
+
+def test_boundary_uses_attached_cosets_only():
+    prod = GroupSpec.free_product(
+        GroupSpec.free_abelian(2, names=("x", "y")), GroupSpec.free(1, names=("t",))
+    )
+    sp = build_augmented(prod, (0,), Truncation(rg=2, lmax=2, mmax=2))
+    attached = {(e.atom, e.rep) for e in sp.attached}
+    expected = {
+        v
+        for v in sp.graph.vertices
+        if v.level == 2
+        or (
+            v.level == 0
+            and (len(v.element) == 2 or (0, prod.coset_rep(v.element, 0)) not in attached)
+        )
+    }
+    assert boundary_vertices(sp) == expected
 
 
 def test_depth_zero_adds_no_vertical_edges():
