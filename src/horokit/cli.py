@@ -2,8 +2,8 @@
 
 Reports are deterministic JSON (sorted keys, no timestamps) embedding the
 full run configuration; identical configurations produce identical bytes.
-Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage error,
-3 a resource budget exceeded.
+Exit codes: 0 all verdicts pass, 1 some verdict failed, 2 usage or file
+error, 3 a resource budget exceeded.
 """
 
 from __future__ import annotations
@@ -373,7 +373,7 @@ def run(argv=None) -> int:
         return 2 if e.code not in (0,) else 0
     try:
         return args.func(args)
-    except (FileNotFoundError, KeyError, ValueError) as e:
+    except (OSError, KeyError, ValueError) as e:
         print(f"horokit: {e}", file=sys.stderr)
         return 2
     except BudgetExceededError as e:

@@ -1,9 +1,7 @@
 """Abstract finite simplicial complexes, vertex maps, and subdivision.
 
 Faces are stored per dimension as sorted tuples of local vertex indices, up
-to a recorded dimension cap.  A complex may carry a ``span_test`` deciding
-whether an arbitrary vertex set spans a simplex (nerves answer this from
-column intersections, so spans beyond the cap remain decidable).
+to a recorded dimension cap, and a complex answers from these face lists.
 
 Every nerve and Rips face is enumerated here, by the clique kernel
 ``clique_complex``, which fills the per-dimension face lists in one recursive
@@ -14,7 +12,7 @@ pass; ``mask_nerve`` builds the nerves of covers (``covers``, ``mv``,
 from __future__ import annotations
 
 from itertools import chain, combinations
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,7 +26,6 @@ class SimplicialComplex:
         labels: Sequence,
         faces_by_dim: Sequence[list[tuple[int, ...]]],
         cap: int,
-        span_test: Callable[[tuple[int, ...]], bool] | None = None,
         truncated_at_cap: bool = False,
     ):
         """A complex on the given face lists, kept as they come: list p holds
@@ -42,7 +39,6 @@ class SimplicialComplex:
         self.faces: list[list[tuple[int, ...]]] = list(faces_by_dim)
         while len(self.faces) <= cap:
             self.faces.append([])
-        self._span_test = span_test
         # per dimension, built on first use: {face: index}, the facet table,
         # and the sorted integer codes of the faces (``facets``)
         self._face_index: dict[int, dict[tuple[int, ...], int]] = {}
@@ -110,10 +106,9 @@ class SimplicialComplex:
         return index
 
     def spans(self, vertices: Iterable[int]) -> bool:
-        """Whether the vertex set spans a simplex, beyond the cap if needed."""
+        """Whether the vertex set spans a simplex, from the face lists.  Beyond
+        the cap: False if the lists are complete, else a ValueError."""
         f = tuple(sorted(set(vertices)))
-        if self._span_test is not None:
-            return self._span_test(f)
         if len(f) - 1 <= self.cap:
             return self.has_face(f)
         if not self.truncated_at_cap:
@@ -249,7 +244,7 @@ class SimplicialComplex:
                 [tuple(remap[v] for v in f) for f in fs if all(v in remap for v in f)]
             )
         labels = [self.labels[i] for i in keep]
-        return SimplicialComplex(labels, by_dim, self.cap), remap
+        return SimplicialComplex(labels, by_dim, self.cap, self.truncated_at_cap), remap
 
     def to_json(self) -> dict:
         return {
@@ -273,7 +268,6 @@ def _increasing(codes: np.ndarray) -> np.ndarray:
 
 
 def clique_complex(labels: Sequence, adj: Sequence[int], cap: int,
-                   span_test: Callable[[tuple[int, ...]], bool],
                    masks: Sequence[int] | None = None, budget: int | None = None,
                    what: str = "complex") -> SimplicialComplex:
     """Complex of the cliques of the bitset adjacency ``adj`` (``adj[i]``
@@ -302,8 +296,7 @@ def clique_complex(labels: Sequence, adj: Sequence[int], cap: int,
             raise BudgetExceededError(
                 f"complexes: {what} has at least {count} faces, over the face budget of {limit}"
             )
-    return SimplicialComplex(labels, by_dim, cap, span_test=span_test,
-                             truncated_at_cap=not probing)
+    return SimplicialComplex(labels, by_dim, cap, truncated_at_cap=not probing)
 
 
 def _extend(by_dim, face, common, cand, adj, masks, cap, probing) -> bool:
@@ -345,18 +338,8 @@ def mask_adjacency(masks: Sequence[int]) -> list[int]:
 def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int,
                budget: int | None = None) -> SimplicialComplex:
     """Nerve of a family of bitmask sets up to the cap: a simplex per
-    subfamily whose masks have a nonzero AND.  The span test answers from the
-    masks, so spans beyond the cap stay decidable (contiguity needs that)."""
-
-    def span_test(vertices: tuple[int, ...]) -> bool:
-        common = -1
-        for v in vertices:
-            common &= masks[v]
-            if common == 0:
-                return False
-        return True
-
-    return clique_complex(labels, mask_adjacency(masks), cap, span_test, masks, budget, "nerve")
+    subfamily whose masks have a nonzero AND."""
+    return clique_complex(labels, mask_adjacency(masks), cap, masks, budget, "nerve")
 
 
 def full_simplex(n: int) -> SimplicialComplex:
@@ -450,23 +433,6 @@ def _permutation_sign(order: Sequence[int]) -> int:
         if length % 2 == 0:
             sign = -sign
     return sign
-
-
-def contiguous(f: SimplicialMap, g: SimplicialMap):
-    """Contiguity: f(s) | g(s) spans a target simplex for every source face.
-
-    Returns (True, None) or (False, witness face as label tuple).
-    """
-    if f.source is not g.source or f.target is not g.target:
-        raise MapDomainMismatchError("contiguity needs shared source and target")
-    for fs in f.source.faces:
-        for face in fs:
-            union = {f.vertex_images[v] for v in face} | {
-                g.vertex_images[v] for v in face
-            }
-            if not f.target.spans(union):
-                return False, tuple(f.source.labels[v] for v in face)
-    return True, None
 
 
 def barycentric_subdivision(c: SimplicialComplex, times: int = 1) -> SimplicialComplex:

@@ -95,15 +95,6 @@ class Family:
     def centers(self) -> list[Vertex]:
         return [self.cover.columns[p].center for p in self.positions]
 
-    def index_of_center(self, center: Vertex) -> int:
-        p = self.cover.pos.get(center)
-        if p is None:
-            raise KeyError(f"no column centered at {center}")
-        try:
-            return self.positions.index(p)
-        except ValueError:
-            raise KeyError(f"column {center} not in family {self.name!r}") from None
-
     def restrict_to_centers(self, centers: Iterable[Vertex], name: str) -> "Family":
         wanted = set(centers)
         return Family(
@@ -289,10 +280,14 @@ class CoverMap:
     name: str = ""
 
     def image_positions(self) -> list[int]:
-        out = []
-        for c in self.source.columns:
-            out.append(self.target.index_of_center(self.center_map(c.center)))
-        return out
+        index = {center: i for i, center in enumerate(self.target.centers)}
+        images = [self.center_map(c.center) for c in self.source.columns]
+        for image in images:
+            if image not in index:
+                if image not in self.target.cover.pos:
+                    raise KeyError(f"no column centered at {image}")
+                raise KeyError(f"column {image} not in family {self.target.name!r}")
+        return [index[image] for image in images]
 
     def to_simplicial_map(
         self,
@@ -300,13 +295,9 @@ class CoverMap:
         target_nerve: SimplicialComplex,
         check: bool = True,
     ) -> SimplicialMap:
-        images = []
         tpos = {c: i for i, c in enumerate(target_nerve.labels)}
-        for c in source_nerve.labels:
-            images.append(tpos[self.center_map(c)])
-        return SimplicialMap(
-            source_nerve, target_nerve, images, check=check, name=self.name
-        )
+        images = [tpos[self.center_map(c)] for c in source_nerve.labels]
+        return SimplicialMap(source_nerve, target_nerve, images, check=check, name=self.name)
 
     def compose(self, other: "CoverMap") -> "CoverMap":
         """self after other."""

@@ -127,6 +127,8 @@ def four_point_delta(
     truncation: dict | None = None,
 ) -> DeltaEstimate:
     """Four-point constant, exact (exhaustive) or a sampled lower bound."""
+    if mode == "sampled" and samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     n = len(graph)
     trunc = dict(truncation or {})
     trunc.setdefault("vertices", n)

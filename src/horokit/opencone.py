@@ -82,6 +82,8 @@ def embed_and_cone(
     are normalized onto the sphere.  The achieved metric distortion (max
     expansion times max contraction) is recorded and gated.
     """
+    if levels < 1:
+        raise ValueError(f"levels must be >= 1, got {levels}")
     d = np.asarray(dist_matrix, dtype=float)
     m = d.shape[0]
     if coords is not None:
@@ -180,6 +182,8 @@ def cone_cover_tower(
     maps are vertex-wise and simplicial; degree-0 and degree-1 homology
     towers are handed to the stabilization report.
     """
+    if i_max < 1:
+        raise ValueError(f"i_max must be >= 1, got {i_max}")
     centers = [c for net in nets for c in net.centers]
     complexes = []
     covering = []

@@ -38,15 +38,7 @@ def rips(graph: MetricGraph, diameter: int, cap: int = 3, budget: int | None = N
             if 0 <= row[j] <= diameter:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-
-    def span_test(vertices):
-        for a in vertices:
-            for b in vertices:
-                if a < b and not (adj[a] >> b) & 1:
-                    return False
-        return True
-
-    return clique_complex(graph.vertices, adj, cap, span_test, budget=budget, what="rips complex")
+    return clique_complex(graph.vertices, adj, cap, budget=budget, what="rips complex")
 
 
 def _window_vertices(complex_: SimplicialComplex, window: LevelWindow, which: str):

@@ -1,4 +1,6 @@
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -301,6 +303,53 @@ def test_face_lists_match_the_json_encoding(firsts, block):
 def test_bad_instance_path_exits_2(capsys):
     assert run(["delta", "--instance", "/nonexistent/nope.json"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("where", ["instance", "out"])
+def test_file_errors_exit_2_without_traceback(where, tmp_path, capsys):
+    # a directory where a file is read or written: IsADirectoryError
+    argv = ["delta", "--instance", "z_horoball", "--out", str(tmp_path)]
+    if where == "instance":
+        argv = ["delta", "--instance", str(tmp_path)]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("horokit: ") and "Is a directory" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["delta", "--instance", "z_horoball", "--mode", "sampled", "--samples", "-3"],
+         "samples"),
+        (["delta", "--instance", "z_horoball", "--mode", "sampled", "--samples", "0"],
+         "samples"),
+        (["opencone", "--levels", "0"], "levels"),
+        (["opencone", "--levels", "-2"], "levels"),
+        (["opencone", "--imax", "0"], "i_max"),
+    ],
+)
+def test_out_of_range_counts_exit_2(argv, name, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"horokit: {name} must be >= 1")
+    assert captured.out == ""
+
+
+def test_run_checks_reports_match_the_benchmark_pins(tmp_path):
+    # every verdict of scripts/run_checks.py, in process: its exit code and
+    # the sha256 of its report bytes as pinned for the benchmark's suite
+    root = pathlib.Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("run_checks", root / "scripts" / "run_checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    pins = json.loads((root / "perfbench" / "pins.json").read_text())["suite"]
+    assert sorted(label for label, _ in checks.CHECKS) == sorted(pins)
+    for label, argv in checks.CHECKS:
+        out = tmp_path / f"{label}.json"
+        code = run(argv + ["--out", str(out)])
+        digest = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert {"exit": code, "sha256": digest} == pins[label], label
 
 
 def test_opencone_from_json_fixture(tmp_path):

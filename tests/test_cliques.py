@@ -6,9 +6,9 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horokit.complexes import mask_nerve
+from horokit.complexes import SimplicialMap, mask_nerve
 from horokit.covers import build_cover, nerve
-from horokit.errors import BudgetExceededError
+from horokit.errors import BudgetExceededError, NotSimplicialError
 from horokit.graphs import MetricGraph, Vertex
 from horokit.groups import GroupSpec
 from horokit.rips import rips
@@ -41,9 +41,53 @@ def test_mask_nerve_matches_subset_oracle(masks, cap):
     for p, fs in enumerate(cx.faces):
         for i, f in enumerate(fs):
             assert cx.face_index(p)[f] == i
+    # the face lists decide spans up to cap+1 vertices, and beyond that only
+    # when they are complete
     for k in range(2, len(masks) + 1):
         for s in combinations(range(len(masks)), k):
-            assert cx.spans(s) == meet(masks, s)
+            if k <= cap + 1:
+                assert cx.spans(s) == meet(masks, s)
+            elif cx.truncated_at_cap:
+                with pytest.raises(ValueError, match="beyond cap"):
+                    cx.spans(s)
+            else:
+                assert not cx.spans(s)
+
+
+@st.composite
+def nerve_maps(draw):
+    """Source and target masks, and a target vertex per source vertex."""
+    n = draw(st.integers(1, 7))
+    m = draw(st.integers(1, 5))
+    return (
+        draw(st.lists(st.integers(0, 31), min_size=n, max_size=n)),
+        draw(st.lists(st.integers(0, 15), min_size=m, max_size=m)),
+        draw(st.lists(st.integers(0, m - 1), min_size=n, max_size=n)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(nerve_maps(), st.integers(1, 3))
+def test_nerve_map_check_matches_the_mask_oracle(case, cap):
+    # a vertex map of nerves is simplicial when the images of each source
+    # face have masks with a nonzero AND (one image vertex is always a face);
+    # the witness is the first failing face by dimension, then lexicographic
+    source_masks, target_masks, images = case
+
+    def fails(face):
+        image = {images[v] for v in face}
+        return len(image) > 1 and not meet(target_masks, image)
+
+    faces = [f for k in range(1, cap + 2) for f in nerve_oracle(source_masks, k)]
+    failing = next((f for f in faces if fails(f)), None)
+    src = mask_nerve(list(range(len(source_masks))), source_masks, cap)
+    tgt = mask_nerve(list(range(len(target_masks))), target_masks, cap)
+    if failing is None:
+        SimplicialMap(src, tgt, images, check=True)
+    else:
+        with pytest.raises(NotSimplicialError) as exc:
+            SimplicialMap(src, tgt, images, check=True)
+        assert exc.value.witness == failing
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,8 +6,8 @@ from horokit.complexes import (
     SimplicialComplex,
     SimplicialMap,
     barycentric_subdivision,
-    contiguous,
     full_simplex,
+    mask_nerve,
 )
 from horokit.errors import MapDomainMismatchError, NotSimplicialError
 from horokit.snf import CSC
@@ -87,41 +87,6 @@ def test_compose_and_domain_mismatch():
         f.compose(g)
 
 
-def test_contiguous_equal_maps():
-    c = SimplicialComplex.from_label_faces([(0, 1, 2)])
-    f = SimplicialMap(c, c, [0, 1, 2])
-    ok, wit = contiguous(f, f)
-    assert ok and wit is None
-
-
-def test_contiguous_constant_maps_nonadjacent():
-    src = SimplicialComplex.from_label_faces([(0, 1)])
-    tgt = SimplicialComplex.from_label_faces([(0,), (1,)])
-    f = SimplicialMap(src, tgt, [0, 0])
-    g = SimplicialMap(src, tgt, [1, 1])
-    ok, wit = contiguous(f, g)
-    assert not ok
-    assert wit is not None
-
-
-def test_contiguous_adjacent_constants():
-    src = SimplicialComplex.from_label_faces([(0, 1)])
-    tgt = SimplicialComplex.from_label_faces([(0, 1)])
-    f = SimplicialMap(src, tgt, [0, 0])
-    g = SimplicialMap(src, tgt, [1, 1])
-    ok, _ = contiguous(f, g)
-    assert ok
-
-
-def test_contiguity_domain_mismatch():
-    a = SimplicialComplex.from_label_faces([(0, 1)])
-    b = SimplicialComplex.from_label_faces([(0, 1, 2)])
-    f = SimplicialMap(a, a, [0, 1])
-    g = SimplicialMap(b, b, [0, 1, 2])
-    with pytest.raises(MapDomainMismatchError):
-        contiguous(f, g)
-
-
 def _assert_canonical(c):
     for p, fs in enumerate(c.faces):
         assert fs == sorted(set(fs))
@@ -170,6 +135,20 @@ def test_induced_subcomplex():
     assert sub.n_faces(2) == 1
     assert sub.n_faces(0) == 3
     assert 3 not in remap
+
+
+def test_induced_subcomplex_keeps_the_truncation_flag():
+    # five masks that all meet: the cap-1 nerve is truncated, and so is any
+    # full subcomplex, whose 3-face past the cap is then undecided
+    cx = mask_nerve(range(5), [1] * 5, 1)
+    sub, _ = cx.induced([0, 1, 2, 3])
+    assert cx.truncated_at_cap and sub.truncated_at_cap
+    for c in (cx, sub):
+        with pytest.raises(ValueError, match="beyond cap 1"):
+            c.spans((0, 1, 2, 3))
+    # a complete complex keeps complete full subcomplexes
+    whole, _ = full_simplex(4).induced([0, 1, 2])
+    assert not whole.truncated_at_cap and whole.spans((0, 1, 2))
 
 
 # -- the facet table and the CSC coboundary against tuple slicing ----------------

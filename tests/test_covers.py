@@ -239,6 +239,21 @@ def test_connecting_maps_simplicial_and_contiguous():
     assert ok
 
 
+def test_image_positions_name_a_missing_center():
+    sp = get_instance("z_horoball")
+    f = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=0)
+    assert f.image_positions() == [
+        f.target.centers.index(f.center_map(v)) for v in f.source.centers
+    ]
+    nowhere = Vertex("nowhere", 0, 0)
+    with pytest.raises(KeyError, match="no column centered at"):
+        CoverMap(f.source, f.target, lambda v: nowhere).image_positions()
+    outside = next(c.center for p, c in enumerate(f.target.cover.columns)
+                   if p not in f.target.positions)
+    with pytest.raises(KeyError, match=r"not in family 'cusp\[1\]'"):
+        CoverMap(f.source, f.target, lambda v: outside).image_positions()
+
+
 def test_refinement_composition_contiguity():
     # the two-step refinement agrees with the direct one on centers, hence
     # is trivially contiguous to it
@@ -291,20 +306,23 @@ def test_interface_columns_meet_slice_exactly():
 
 
 def test_floor_maps_contiguous_as_simplicial_maps():
-    # the cover-level contiguity agrees with the complex-level checker
-    from horokit.complexes import contiguous
-    from horokit.covers import nerve as build_nerve
-    from horokit.instances import SHIPPED, get_instance
-
+    # the mask check on the real floor maps agrees with the brute-force
+    # search for a source face whose images fail to meet, at every floor
     sp = get_instance("z2_free_z_deep")
-    f = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=0)
-    g = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=1)
-    src_nerve = build_nerve(f.source, cap=3)
-    tgt_nerve = build_nerve(f.target, cap=3)
-    fs = f.to_simplicial_map(src_nerve, tgt_nerve)
-    gs = g.to_simplicial_map(src_nerve, tgt_nerve)
-    ok, wit = contiguous(fs, gs)
-    assert ok and wit is None
+    for s in range(sp.trunc.lmax):
+        f = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=s)
+        g = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=s + 1)
+        source_masks = [c.mask for c in f.source.columns]
+        target_masks = [c.mask for c in f.target.columns]
+        least = least_failing_face(
+            source_masks, target_masks, f.image_positions(), g.image_positions(), 3
+        )
+        verdict = contiguous_cover_maps(f, g, nerve(f.source, cap=3))
+        if least is None:
+            assert verdict == (True, None)
+        else:
+            assert verdict == (False, tuple(f.source.centers[v] for v in least))
+        assert verdict[0], (s, verdict)
 
 
 def synthetic_maps(source_masks, target_masks, f_images, g_images):
