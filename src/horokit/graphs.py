@@ -115,25 +115,6 @@ class MetricGraph:
                     q.append(w)
         return row
 
-    def connected_components(self) -> list[list[Vertex]]:
-        seen = [False] * len(self.vertices)
-        comps = []
-        for i in range(len(self.vertices)):
-            if seen[i]:
-                continue
-            comp = []
-            q = deque([i])
-            seen[i] = True
-            while q:
-                u = q.popleft()
-                comp.append(self.vertices[u])
-                for w in self.adjacency[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        q.append(w)
-            comps.append(comp)
-        return comps
-
     # -- interchange -------------------------------------------------------
 
     def to_json(self) -> dict:

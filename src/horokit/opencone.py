@@ -40,6 +40,10 @@ class ConedSpace:
     points: list[ConePoint] = field(default_factory=list)
 
     def __post_init__(self):
+        if self.levels < 1:
+            raise ValueError(f"levels must be >= 1, got {self.levels}")
+        if not 0 < self.grid_step < Fraction(1, 2):
+            raise ValueError("grid step must lie in (0, 1/2) for conclusive ball checks")
         if not self.points:
             step = self.grid_step
             pts = [ConePoint(0, Fraction(0))]  # the apex, once
@@ -82,8 +86,6 @@ def embed_and_cone(
     are normalized onto the sphere.  The achieved metric distortion (max
     expansion times max contraction) is recorded and gated.
     """
-    if levels < 1:
-        raise ValueError(f"levels must be >= 1, got {levels}")
     d = np.asarray(dist_matrix, dtype=float)
     m = d.shape[0]
     if coords is not None:
@@ -111,8 +113,6 @@ def embed_and_cone(
     distortion = float(expansion * contraction)
     if distortion > max_distortion:
         raise EmbeddingError(distortion, max_distortion)
-    if grid_step >= Fraction(1, 2):
-        raise ValueError("grid step must be below 1/2 for conclusive ball checks")
     return ConedSpace(x, levels, grid_step, distortion)
 
 

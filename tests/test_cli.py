@@ -408,6 +408,52 @@ def test_all_pairs_refusal_exits_3_without_traceback(argv, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_tree_past_the_all_pairs_cap_is_certified(tmp_path, monkeypatch, capsys):
+    # the F2 ball of radius 2 (no horoballs) is a tree of 17 vertices
+    from horokit import graphs
+
+    monkeypatch.setattr(graphs, "ALL_PAIRS_LIMIT", 10)
+    cfg = {"group": {"family": "free", "rank": 2, "peripherals": [0]}, "rg": 2, "lmax": 0}
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "delta.json"
+    assert run(["delta", "--instance", str(path), "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["result"]
+    assert result["delta"] == 0.0 and result["method"] == "block-graph-certificate"
+    assert result["truncation"]["vertices"] == 17
+
+
+def test_sampled_delta_over_the_sample_cap_exits_3(capsys):
+    argv = ["delta", "--instance", "z_horoball", "--mode", "sampled",
+            "--samples", str(10**12)]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("horokit: hyperbolicity: ") and "1000000000000 quadruples" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("levels", 0, "levels must be >= 1"),
+        # a zero step would grid the rays forever
+        ("grid_step", [0, 1], "grid step must lie in (0, 1/2)"),
+        ("grid_step", [1, 2], "grid step must lie in (0, 1/2)"),
+    ],
+)
+def test_opencone_json_fixture_out_of_range_exits_2(key, value, message, tmp_path, capsys):
+    from horokit.opencone import cone_fixture, cone_to_json
+
+    data = dict(cone_to_json(cone_fixture("two_rays")), **{key: value})
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    assert run(["opencone", "--fixture", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"horokit: {message}")
+    assert "Traceback" not in err and not out.exists()
+
+
 FUZZ_GROUPS = {
     "free2": {"family": "free", "rank": 2, "peripherals": [0]},
     "z": {"family": "free-abelian", "rank": 1, "peripherals": [0]},

@@ -125,13 +125,6 @@ def test_monotone_s_in_r():
     assert values == sorted(values)
 
 
-def test_components():
-    vs = [Vertex(i, 0, 0) for i in range(4)]
-    g = MetricGraph(vs, [(vs[0], vs[1])])
-    comps = g.connected_components()
-    assert len(comps) == 3
-
-
 def test_json_roundtrip_and_dot():
     g = path_graph(3)
     back = MetricGraph.from_json(g.to_json())

@@ -3,6 +3,7 @@ import json
 import math
 import pathlib
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -122,7 +123,52 @@ def test_delta_tree_certificate():
     sp = build_augmented(f2, (0,), Truncation(rg=3, lmax=0, mmax=0))
     est = four_point_delta(sp.graph)
     assert est.delta == 0.0
-    assert est.method == "basepoint-certificate"
+    assert est.method == "block-graph-certificate"
+    assert est.quadruples_checked == math.comb(len(sp.graph), 4)
+
+
+@st.composite
+def trees_of_cliques(draw):
+    # a clique (K_n alone when no more come), then pendant cliques glued on at
+    # one existing vertex each: a block graph
+    sizes = draw(st.lists(st.integers(2, 8), min_size=1, max_size=6))
+    n, edges = sizes[0], list(itertools.combinations(range(sizes[0]), 2))
+    for k in sizes[1:]:
+        if n + k - 1 > 14:
+            break
+        cut = draw(st.integers(0, n - 1))
+        members = [cut] + list(range(n, n + k - 1))
+        edges += list(itertools.combinations(members, 2))
+        n += k - 1
+    vs = [Vertex(i, 0, 0) for i in range(n)]
+    return MetricGraph(vs, [(vs[a], vs[b]) for a, b in edges])
+
+
+def every_block_a_clique(g):
+    nxg = nx.Graph(list(g.edges))
+    return all(
+        nxg.subgraph(c).number_of_edges() == len(c) * (len(c) - 1) // 2
+        for c in nx.biconnected_components(nxg)
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(trees_of_cliques(), connected_graphs()))
+def test_block_graph_certificate_fires_iff_every_block_is_a_clique(g):
+    est = four_point_delta(g)
+    certified = est.method == "block-graph-certificate"
+    assert certified == (len(g) >= 4 and every_block_a_clique(g))
+    assert est.delta == brute_force_delta(g)
+
+
+def test_long_path_is_certified_without_a_distance_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("distance matrix built")
+
+    monkeypatch.setattr(MetricGraph, "distance_matrix", refuse)
+    est = four_point_delta(path(100_000))
+    assert (est.delta, est.method) == (0.0, "block-graph-certificate")
+    assert est.quadruples_checked == math.comb(100_000, 4)
 
 
 def test_delta_invariant_under_relabeling():
@@ -163,6 +209,28 @@ def test_delta_disconnected_error():
     g = MetricGraph(vs, [(vs[0], vs[1]), (vs[2], vs[3])])
     with pytest.raises(DisconnectedGraphError):
         four_point_delta(g)
+
+
+@pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+def test_disconnected_forest_is_refused_in_both_modes(mode):
+    # a forest: every block is a clique, but two trees and a lone vertex
+    vs = [Vertex(i, 0, 0) for i in range(6)]
+    g = MetricGraph(vs, [(vs[0], vs[1]), (vs[1], vs[2]), (vs[3], vs[4])])
+    with pytest.raises(DisconnectedGraphError):
+        four_point_delta(g, mode=mode, samples=100)
+
+
+def test_sampled_budget_refuses_before_sampling(monkeypatch):
+    def refuse(self):
+        raise AssertionError("distance matrix built")
+
+    monkeypatch.setattr(MetricGraph, "distance_matrix", refuse)
+    limit = hyperbolicity.SAMPLE_LIMIT
+    with pytest.raises(BudgetExceededError) as err:
+        four_point_delta(cycle(6), mode="sampled", samples=limit + 1)
+    msg = str(err.value)
+    assert msg.startswith("hyperbolicity: ")
+    assert f"{limit + 1} quadruples" in msg and f"budget of {limit}" in msg
 
 
 def test_estimate_reports_truncation():
