@@ -133,18 +133,23 @@ class SimplicialComplex:
         table = self._facets.get(p)
         if table is None:
             n = len(self.labels)
-            verts = self._vertex_array(p)
+            table = self._vertex_array(p)  # overwritten in place, column by column
+            last = table[:, p].copy()
             # the index of each prefix f[:1], f[:2], ..., f[:p]
-            head = self._find(0, verts[:, 0])
+            head = self._find(0, table[:, 0])
             for k in range(1, p):
-                head = self._find(k, head * n + verts[:, k])
-            table = np.empty_like(verts)
-            table[:, p] = head
+                head *= n
+                head += table[:, k]
+                head = self._find(k, head)
             # dropping v_i, i < p, leaves facet i of f[:p] followed by v_p
-            below = self.facets(p - 1)[head] if p > 1 else np.zeros_like(verts)
             for i in range(p):
-                table[:, i] = self._find(p - 1, below[:, i] * n + verts[:, p])
-            self._codes[p] = _increasing(head * n + verts[:, p])
+                code = self.facets(p - 1)[head, i] * n if p > 1 else np.zeros_like(last)
+                code += last
+                table[:, i] = self._find(p - 1, code)
+            table[:, p] = head
+            head *= n
+            head += last
+            self._codes[p] = _increasing(head)
             self._facets[p] = table
         return table
 
@@ -177,7 +182,8 @@ class SimplicialComplex:
     def coboundary_columns(self, p: int, cleared: frozenset[int]) -> CSC:
         """The transpose of the boundary C_p -> C_{p-1}, in compressed sparse
         columns: one column per (p-1)-face not in ``cleared``, in index order,
-        holding its p-cofaces in increasing order with their boundary signs.
+        holding its p-cofaces in increasing order with their boundary signs
+        (int8 values).
 
         A matrix and its transpose have the same invariant factors, and the
         transpose needs far fewer columns: ``homology._boundary_type`` clears
@@ -194,14 +200,17 @@ class SimplicialComplex:
         if not 0 < p < len(self.faces):
             raise ValueError(f"no coboundary columns in degree {p}")
         flat = self.facets(p).ravel()
-        keep = np.ones(self.n_faces(p - 1), dtype=bool)
+        n = self.n_faces(p - 1)
+        keep = np.ones(n, dtype=bool)
         keep[np.fromiter(cleared, np.int64, len(cleared))] = False
-        entries = np.flatnonzero(keep[flat])
-        # a stable sort by column keeps each column's cofaces increasing
-        entries = entries[np.argsort(flat[entries], kind="stable")]
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=len(keep))[keep])))
-        signs = np.array(_signs(p), dtype=np.int64)
-        return CSC(indptr, entries // (p + 1), signs[entries % (p + 1)])
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=n)[keep])))
+        # a stable sort by column keeps each column's cofaces increasing; the
+        # cleared faces sort last, and are cut off
+        entries = np.argsort(np.where(keep[flat], flat, n), kind="stable")[: indptr[-1]]
+        signs = np.array(_signs(p), dtype=np.int8)
+        values = signs[entries % (p + 1)]
+        entries //= p + 1
+        return CSC(indptr, entries, values)
 
     def chain_boundary(self, p: int, chain: dict[int, int]) -> dict[int, int]:
         """Boundary of a p-chain {face index: coefficient}, zeros dropped."""
@@ -323,16 +332,36 @@ def _extend(by_dim, face, common, cand, adj, masks, cap, probing) -> bool:
 
 
 def mask_adjacency(masks: Sequence[int]) -> list[int]:
-    """Bitset adjacency of the sets whose masks meet pairwise."""
-    m = len(masks)
-    adj = [0] * m
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if mi & masks[j]:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    """Bitset adjacency of the sets whose masks meet pairwise.
+
+    Two sets meet iff some point lies in both (Dowker, "Homology groups of
+    relations", Annals 1952), so ``adj[i]`` is the union of the stars of the
+    points of set i, less i itself; the star of a point is the bitset of the
+    sets that contain it, built in one pass over each mask's points."""
+    points = [_set_bits(mask) for mask in masks]
+    stars: dict[int, int] = {}
+    for i, pts in enumerate(points):
+        bit = 1 << i
+        for p in pts:
+            stars[p] = stars.get(p, 0) | bit
+    adj = []
+    for i, pts in enumerate(points):
+        row = 0
+        for p in pts:
+            row |= stars[p]
+        adj.append(row & ~(1 << i))
     return adj
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The positions of the set bits of a nonnegative int, increasing."""
+    bits = bin(mask)[:1:-1]  # bit k at index k
+    out = []
+    k = bits.find("1")
+    while k >= 0:
+        out.append(k)
+        k = bits.find("1", k + 1)
+    return out
 
 
 def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int,

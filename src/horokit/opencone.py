@@ -235,7 +235,14 @@ def cone_to_json(cone: ConedSpace) -> dict:
 
 
 def cone_from_json(data: dict) -> ConedSpace:
-    step = Fraction(data["grid_step"][0], data["grid_step"][1])
+    num_den = data["grid_step"]
+    if not (isinstance(num_den, list) and len(num_den) == 2
+            and all(type(x) is int for x in num_den) and num_den[1]):
+        raise ValueError(
+            f"grid step must be [numerator, denominator], two integers with a "
+            f"nonzero denominator, got {num_den!r}"
+        )
+    step = Fraction(*num_den)
     return ConedSpace(
         np.array(data["base"], dtype=float),
         int(data["levels"]),

@@ -439,6 +439,10 @@ def test_sampled_delta_over_the_sample_cap_exits_3(capsys):
         # a zero step would grid the rays forever
         ("grid_step", [0, 1], "grid step must lie in (0, 1/2)"),
         ("grid_step", [1, 2], "grid step must lie in (0, 1/2)"),
+        # a zero denominator, a float and a lone number are not fractions
+        ("grid_step", [1, 0], "grid step must be [numerator, denominator]"),
+        ("grid_step", [0.5, 4], "grid step must be [numerator, denominator]"),
+        ("grid_step", [1], "grid step must be [numerator, denominator]"),
     ],
 )
 def test_opencone_json_fixture_out_of_range_exits_2(key, value, message, tmp_path, capsys):

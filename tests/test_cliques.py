@@ -4,9 +4,9 @@ import gc
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from horokit.complexes import SimplicialMap, mask_nerve
+from horokit.complexes import SimplicialMap, mask_adjacency, mask_nerve
 from horokit.covers import build_cover, nerve
 from horokit.errors import BudgetExceededError, NotSimplicialError
 from horokit.graphs import MetricGraph, Vertex
@@ -52,6 +52,29 @@ def test_mask_nerve_matches_subset_oracle(masks, cap):
                     cx.spans(s)
             else:
                 assert not cx.spans(s)
+
+
+def pairwise_adjacency(masks):
+    """The oracle: one AND per pair of masks."""
+    adj = [0] * len(masks)
+    for i, j in combinations(range(len(masks)), 2):
+        if masks[i] & masks[j]:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return adj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2**70 - 1) | st.sampled_from([0, 1, 2**69, 2**70 - 1]),
+                max_size=12))
+@example([])
+@example([0b101])  # one column meets only itself
+@example([0, 0, 0b11])
+@example([0b110, 0b110, 0b1])
+def test_point_star_adjacency_matches_the_pairwise_and(masks):
+    # wide masks, empty masks and repeats (equal masks meet unless empty)
+    assert mask_adjacency(masks) == pairwise_adjacency(masks)
+    assert mask_adjacency(masks + masks) == pairwise_adjacency(masks + masks)
 
 
 @st.composite

@@ -163,6 +163,127 @@ def test_tracked_elimination_of_a_long_path_is_linear():
     assert len(pivots) == n and not residue and not chains
 
 
+def _scalar_peel(matrix):
+    """The reference for ``snf._peel``: the peel as a loop that reads a queue
+    one row at a time.  Returns the pivot rows and columns in peel order, and
+    each peeled row's frozen column."""
+    indptr, rows, values = matrix.indptr.tolist(), matrix.rows.tolist(), matrix.values
+    count = [0] * (1 + max(rows, default=-1))
+    total = count.copy()
+    for c in range(len(matrix)):
+        for r in rows[indptr[c]:indptr[c + 1]]:
+            count[r] += 1
+            total[r] += c
+    queue = [r for r, k in enumerate(count) if k == 1]
+    pivot_rows, pivot_cols, frozen = [], [], {}
+    for r in queue:  # the queue grows while it is read
+        if count[r] != 1:
+            continue
+        c = total[r]
+        start, end = indptr[c], indptr[c + 1]
+        col = rows[start:end]
+        if values[start + col.index(r)] not in (1, -1):
+            continue
+        for rr in col:
+            count[rr] -= 1
+            total[rr] -= c
+            if count[rr] == 1:
+                queue.append(rr)
+        frozen[r] = {rr: int(v) for rr, v in zip(col, values[start:end].tolist()) if v}
+        pivot_rows.append(r)
+        pivot_cols.append(c)
+    return pivot_rows, pivot_cols, frozen
+
+
+def _csc(columns, dtype):
+    """Column dicts as CSC arrays with values of the given dtype."""
+    matrix = csc_columns(columns)
+    return snf.CSC(matrix.indptr, matrix.rows, np.array(list(matrix.values), dtype=dtype))
+
+
+def _check_peel_against_the_scalar_peel(matrix):
+    want_rows, want_cols, want_frozen = _scalar_peel(matrix)
+    rows, cols = snf._peel(matrix)
+    assert rows.dtype == cols.dtype == np.int64
+    assert rows.tolist() == want_rows and cols.tolist() == want_cols
+    got = _eliminate(matrix, track=True, freeze=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snf, "_peel", lambda m: tuple(np.array(x, dtype=np.int64)
+                                                for x in _scalar_peel(m)[:2]))
+        assert _eliminate(matrix, track=True, freeze=True) == got
+    pivots, _, _, frozen = got
+    assert pivots[: len(want_rows)] == want_rows
+    assert {r: frozen[r] for r in want_rows} == {
+        r: (k, want_frozen[r]) for k, r in enumerate(want_rows)
+    }
+
+
+@st.composite
+def peel_matrices(draw):
+    """Sparse integer CSC matrices, values int64, int8 or python ints: shared
+    rows with units, non-units and explicit zeros, and private rows that start
+    alone in their column, up to three per column, so one round may peel a
+    column with several lone rows, and a shared row may fall to one and then
+    to zero in the same round."""
+    m = draw(st.integers(1, 8))
+    values = st.sampled_from([1, -1, 1, -1, 2, -2, 3, 0])
+    cols = draw(st.lists(st.dictionaries(st.integers(0, m - 1), values, max_size=m),
+                         max_size=12))
+    fresh = m
+    for col in cols:
+        for _ in range(draw(st.integers(0, 3))):
+            col[fresh] = draw(values)
+            fresh += 1
+    for col in cols:  # keys in a drawn order, not by row
+        keys = draw(st.permutations(list(col)))
+        items = dict(col)
+        col.clear()
+        col.update((k, items[k]) for k in keys)
+    return _csc(cols, draw(st.sampled_from([np.int64, np.int8, object])))
+
+
+@settings(max_examples=400, deadline=None)
+@given(peel_matrices())
+def test_peel_rounds_match_the_scalar_peel(matrix):
+    _check_peel_against_the_scalar_peel(matrix)
+
+
+def test_peel_rounds_on_named_cases():
+    # column 0 has three lone rows: 3 (a non-unit) is skipped, 4 peels it and
+    # 5 finds it gone; row 0 sits in columns 0 and 1, both peeled in round
+    # one, so it falls to one and then to zero; rows 2, 1 and 7 fall to one in
+    # that order, so round two reads row 2 first, and it takes column 2
+    cols = [{3: 2, 0: 1, 4: -1, 5: 1, 2: 1}, {0: -1, 6: 1, 1: 1}, {1: 1, 2: -1, 7: 3},
+            {7: 1, 8: 1}]
+    for dtype in (np.int64, object):
+        matrix = _csc(cols, dtype)
+        _check_peel_against_the_scalar_peel(matrix)
+        rows, peeled = snf._peel(matrix)
+        assert rows.tolist() == [4, 6, 8, 2] and peeled.tolist() == [0, 1, 3, 2]
+    # python ints past int64: a lone one is no pivot, and peeling a column
+    # that holds one frees the row it shares
+    big = [{0: 2**70}, {1: 1, 2: -(2**70)}, {2: 1, 3: -1}, {3: 2}]
+    _check_peel_against_the_scalar_peel(_csc(big, object))
+    assert [x.tolist() for x in snf._peel(_csc(big, object))] == [[1, 2], [1, 2]]
+    empty = _csc([], np.int64)
+    assert [x.tolist() for x in snf._peel(empty)] == [[], []]
+    assert _eliminate(_csc([{}, {}], object), track=True) == ([], {}, {0: {0: 1}, 1: {1: 1}}, None)
+
+
+def test_peel_of_a_long_path_matches_the_scalar_peel():
+    # the worst case for rounds: the boundary of a path peels one pivot from
+    # each end per round, 10,000 rounds for 20,000 edges
+    n = 20_000
+    path = SimplicialComplex.from_faces(list(range(n + 1)), [(i, i + 1) for i in range(n)])
+    matrix = csc_columns(path.boundary_columns(1))
+    start = time.perf_counter()
+    rows, cols = snf._peel(matrix)
+    assert time.perf_counter() - start < 10
+    want_rows, want_cols, _ = _scalar_peel(matrix)
+    assert rows.tolist() == want_rows and cols.tolist() == want_cols
+    assert len(rows) == n
+
+
 def test_snf_known_example():
     a = np.array([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert smith_normal_form(a).diag == [2, 2, 156]
