@@ -81,13 +81,6 @@ class SimplicialComplex:
 
     # -- queries ------------------------------------------------------------
 
-    @property
-    def dim(self) -> int:
-        for p in range(len(self.faces) - 1, -1, -1):
-            if self.faces[p]:
-                return p
-        return -1
-
     def n_faces(self, p: int) -> int:
         return len(self.faces[p]) if 0 <= p < len(self.faces) else 0
 
@@ -254,15 +247,6 @@ class SimplicialComplex:
             )
         labels = [self.labels[i] for i in keep]
         return SimplicialComplex(labels, by_dim, self.cap, self.truncated_at_cap), remap
-
-    def to_json(self) -> dict:
-        return {
-            "format": "horokit-complex",
-            "version": 1,
-            "labels": [repr(l) for l in self.labels],
-            "cap": self.cap,
-            "faces": [[list(f) for f in fs] for fs in self.faces],
-        }
 
 
 def _signs(p: int) -> list[int]:
@@ -435,17 +419,6 @@ class SimplicialMap:
             other.source, self.target, images, check=False,
             name=f"{self.name}*{other.name}",
         )
-
-    def to_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["source", "target"])
-            w.writerows(
-                (repr(self.source.labels[v]), repr(self.target.labels[i]))
-                for v, i in enumerate(self.vertex_images)
-            )
 
 
 def _permutation_sign(order: Sequence[int]) -> int:

@@ -81,9 +81,6 @@ class MetricGraph:
         d = self.multi_source_distances([u])[self._require(Vertex(*v))]
         return math.inf if d < 0 else d
 
-    def distances_from(self, v: Vertex) -> list[int]:
-        return self.multi_source_distances([v])
-
     def distance_matrix(self) -> np.ndarray:
         """Dense all-pairs matrix (-1 for unreachable); refuses large graphs."""
         n = len(self.vertices)

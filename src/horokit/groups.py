@@ -150,12 +150,6 @@ class GroupSpec:
             if c not in self._atom_of:
                 raise UnknownLetterError(c)
 
-    def atom_of(self, letter: str) -> int:
-        try:
-            return self._atom_of[letter]
-        except KeyError:
-            raise UnknownLetterError(letter) from None
-
     def _canon_syllable(self, atom_idx: int, letters: str) -> str:
         atom = self.atoms[atom_idx]
         if atom.kind == "abelian":
@@ -191,12 +185,6 @@ class GroupSpec:
             if canon:
                 result.append((atom_idx, canon))
         return "".join(s for _, s in result)
-
-    def inverse(self, word: str) -> str:
-        return self.normal_form(word.swapcase()[::-1])
-
-    def multiply(self, a: str, b: str) -> str:
-        return self.normal_form(a + b)
 
     def word_metric(self, x: str, y: str) -> int:
         """Left-invariant word metric: geodesic length of x^-1 y.  The normal
@@ -253,11 +241,6 @@ class GroupSpec:
                 if len(nxt) > len(w):
                     edges.append((i, j))
         return order, edges
-
-    def in_atom(self, word: str, atom_idx: int) -> bool:
-        """True if the canonical word lies in the given atom's subgroup."""
-        w = self.normal_form(word)
-        return all(self._atom_of[c] == atom_idx for c in w)
 
     def coset_rep(self, word: str, atom_idx: int) -> str:
         """Shortlex-least representative of word * <atom>.

@@ -23,11 +23,9 @@ from .snf import (
     _clear_pivot_rows,
     _dense,
     _eliminate,
-    column_hnf,
     csc_columns,
     kernel_lattice,
     lattice_coords,
-    lattice_equal,
     lattice_sum,
     smith_normal_form,
     sparse_diagonal,
@@ -192,16 +190,13 @@ class DegreeCoordinates:
     gives the group coordinates.
     """
 
-    def __init__(self, complex_: SimplicialComplex, degree: int, reduced: bool = False):
+    def __init__(self, complex_: SimplicialComplex, degree: int):
         self.complex = complex_
         self.degree = degree
-        self.reduced = reduced
         if degree == 0:
-            comps = complex_.components()
-            self._comps = comps
-            self._n_comp = len(set(comps)) if comps else 0
-            rank = self._n_comp - (1 if reduced and self._n_comp else 0)
-            self.group = AbelianGroup(max(rank, 0))
+            self._comps = complex_.components()
+            self._n_comp = len(set(self._comps))
+            self.group = AbelianGroup(self._n_comp)
             return
         # the cycle basis: unmatched faces first, then the residue's kernel
         d_p = csc_columns(complex_.boundary_columns(degree))
@@ -241,14 +236,9 @@ class DegreeCoordinates:
     def project(self, chain: dict[int, int]) -> tuple[int, ...]:
         """Class of a cycle in group coordinates (torsion reduced)."""
         if self.degree == 0:
-            vec = [0] * max(self._n_comp, 1)
+            vec = [0] * self._n_comp
             for v, coeff in chain.items():
                 vec[self._comps[v]] += coeff
-            vec = vec[: self._n_comp]
-            if self.reduced:
-                if sum(vec) != 0:
-                    raise ValueError("chain has nonzero augmentation")
-                vec = vec[1:]
             return tuple(vec)
         if self.complex.chain_boundary(self.degree, chain):
             raise ValueError("chain is not a cycle")
@@ -266,9 +256,6 @@ class DegreeCoordinates:
             reps = {}
             for v, comp in enumerate(self._comps):
                 reps.setdefault(comp, v)
-            if self.reduced:
-                # reduced classes are differences against the base component
-                return [{reps[c]: 1, reps[0]: -1} for c in range(1, self._n_comp)]
             return [{reps[c]: 1} for c in range(self._n_comp)]
         out = []
         for i in self._keep:
@@ -346,19 +333,6 @@ class GroupMap:
         ker = kernel_lattice(self.matrix, _relation_lattice(self.target))
         return lattice_sum(ker, _relation_lattice(self.source))
 
-    def is_isomorphism(self) -> bool:
-        if canonical_type(self.source) != canonical_type(self.target):
-            return False
-        full = column_hnf(np.eye(self.target.dim, dtype=object))
-        if not lattice_equal(self.image_lattice(), full):
-            return False
-        rel_src = column_hnf(_relation_lattice(self.source))
-        return lattice_equal(self.kernel_lattice(), rel_src)
-
-
-def zero_map(source, target) -> GroupMap:
-    return GroupMap(source, target, np.zeros((target.dim, source.dim), dtype=object))
-
 
 def identity_map(group) -> GroupMap:
     return GroupMap(group, group, np.eye(group.dim, dtype=object))
@@ -419,11 +393,10 @@ def induced_map(
     degree: int,
     source_coords: DegreeCoordinates | None = None,
     target_coords: DegreeCoordinates | None = None,
-    reduced: bool = False,
 ) -> GroupMap:
     """Matrix of f_* on H_degree in the coordinate systems of both sides."""
-    sc = source_coords or DegreeCoordinates(f.source, degree, reduced)
-    tc = target_coords or DegreeCoordinates(f.target, degree, reduced)
+    sc = source_coords or DegreeCoordinates(f.source, degree)
+    tc = target_coords or DegreeCoordinates(f.target, degree)
     gens = sc.generator_cycles()
     chain_cols = f.chain_columns(degree) if gens else None
     cols = [tc.project(chain_image(chain_cols, cycle)) for cycle in gens]

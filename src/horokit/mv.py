@@ -8,8 +8,8 @@ and checks exactness of
 
 with the (incoming, -outgoing) sign convention, plus the connecting-map
 slots via an explicit chain-level snake.  The cusp-vanishing check, the
-cluster decomposition of the interface, ladder commutativity with a
-five-lemma verdict, and the half-line tower demonstration live here too.
+cluster decomposition of the interface and the half-line tower
+demonstration live here too.
 """
 
 from __future__ import annotations
@@ -417,80 +417,6 @@ def cluster_check(
         types["whole"][str(p)] = whole_t.as_dict()
         types["clusters"][str(p)] = [t.as_dict() for t in parts]
     return ClusterVerdict(n, disjoint, block, additive, types)
-
-
-# -- ladders -------------------------------------------------------------------
-
-
-@dataclass
-class Ladder:
-    top_groups: list
-    top_maps: list[GroupMap]
-    bottom_groups: list
-    bottom_maps: list[GroupMap]
-    verticals: list[GroupMap]
-
-
-@dataclass
-class LadderVerdict:
-    squares_commute: list[bool]
-    top_exact: list[bool]
-    bottom_exact: list[bool]
-    vertical_iso: list[bool]
-    five_lemma_consistent: bool
-
-    @property
-    def ok(self):
-        return (
-            all(self.squares_commute)
-            and all(self.top_exact)
-            and all(self.bottom_exact)
-            and self.five_lemma_consistent
-        )
-
-    def as_dict(self):
-        return {
-            "squares_commute": self.squares_commute,
-            "top_exact": self.top_exact,
-            "bottom_exact": self.bottom_exact,
-            "vertical_iso": self.vertical_iso,
-            "five_lemma_consistent": self.five_lemma_consistent,
-            "ok": self.ok,
-        }
-
-
-def ladder_check(ladder: Ladder) -> LadderVerdict:
-    """Square commutativity, row exactness, and a five-lemma consistency flag."""
-    n = len(ladder.top_groups)
-    if (
-        len(ladder.bottom_groups) != n
-        or len(ladder.verticals) != n
-        or len(ladder.top_maps) != n - 1
-        or len(ladder.bottom_maps) != n - 1
-    ):
-        raise ValueError("ladder shape mismatch")
-    squares = []
-    for i in range(n - 1):
-        left = ladder.verticals[i + 1].compose(ladder.top_maps[i])
-        right = ladder.bottom_maps[i].compose(ladder.verticals[i])
-        diff = GroupMap(left.source, left.target, left.matrix - right.matrix)
-        squares.append(diff.is_zero)
-    top_exact = [
-        exactness_check(ladder.top_maps[i], ladder.top_maps[i + 1]).exact
-        for i in range(n - 2)
-    ]
-    bottom_exact = [
-        exactness_check(ladder.bottom_maps[i], ladder.bottom_maps[i + 1]).exact
-        for i in range(n - 2)
-    ]
-    iso = [v.is_isomorphism() for v in ladder.verticals]
-    consistent = True
-    for i in range(n):
-        others = [iso[j] for j in range(n) if j != i]
-        if all(others) and all(squares) and all(top_exact) and all(bottom_exact):
-            if not iso[i]:
-                consistent = False
-    return LadderVerdict(squares, top_exact, bottom_exact, iso, consistent)
 
 
 # -- the half-line tower demonstration ----------------------------------------

@@ -234,7 +234,26 @@ def cone_to_json(cone: ConedSpace) -> dict:
     }
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def cone_from_json(data: dict) -> ConedSpace:
+    """The cone of a ``cone_to_json`` file; every field is checked before use,
+    and a bad one raises ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError("a cone file holds one JSON object")
+    base = data["base"]
+    if not (isinstance(base, list) and base
+            and all(isinstance(row, list) and row and len(row) == len(base[0])
+                    and all(_is_number(x) for x in row) for row in base)):
+        raise ValueError("base must be a non-empty list of equal-length numeric rows")
+    levels = data["levels"]
+    if type(levels) is not int:
+        raise ValueError(f"levels must be an integer, got {levels!r}")
+    distortion = data.get("distortion", 1.0)
+    if not _is_number(distortion):
+        raise ValueError(f"distortion must be a number, got {distortion!r}")
     num_den = data["grid_step"]
     if not (isinstance(num_den, list) and len(num_den) == 2
             and all(type(x) is int for x in num_den) and num_den[1]):
@@ -243,12 +262,7 @@ def cone_from_json(data: dict) -> ConedSpace:
             f"nonzero denominator, got {num_den!r}"
         )
     step = Fraction(*num_den)
-    return ConedSpace(
-        np.array(data["base"], dtype=float),
-        int(data["levels"]),
-        step,
-        float(data.get("distortion", 1.0)),
-    )
+    return ConedSpace(np.array(base, dtype=float), levels, step, float(distortion))
 
 
 def cone_fixture(name: str, levels: int = 4) -> ConedSpace:

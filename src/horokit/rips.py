@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from .complexes import SimplicialComplex, clique_complex
 from .graphs import MetricGraph
-from .homology import homology_type
 
 
 @dataclass(frozen=True)
@@ -121,42 +120,3 @@ def remark_decomposition_check(
             if len(witnesses) < 10:
                 witnesses.append(tuple(lf))
     return DecompositionCheck(union_ok, band_ok, witnesses)
-
-
-@dataclass
-class ContractibilityProxy:
-    reduced_betti: tuple[int, ...]
-    torsion: tuple[tuple[int, ...], ...]
-    proxy_contractible: bool
-    top_degree_cap_limited: bool
-
-    def as_dict(self):
-        return {
-            "reduced_betti": list(self.reduced_betti),
-            "torsion": [list(t) for t in self.torsion],
-            "proxy_contractible": self.proxy_contractible,
-            "top_degree_cap_limited": self.top_degree_cap_limited,
-        }
-
-
-def contractibility_proxy(complex_: SimplicialComplex) -> ContractibilityProxy:
-    """Reduced Betti numbers up to the cap; a proxy, not a contractibility proof.
-
-    When face enumeration was truncated at the cap, the top degree reports
-    the homology of the cap-skeleton only; the verdict then ignores it.
-    """
-    if not complex_.labels:
-        raise ValueError("empty complex")
-    betti = []
-    torsion = []
-    for p in range(complex_.cap + 1):
-        g = homology_type(complex_, p, reduced=True)
-        betti.append(g.rank)
-        torsion.append(g.torsion)
-    judged = complex_.cap if complex_.truncated_at_cap else complex_.cap + 1
-    proxy = all(b == 0 for b in betti[:judged]) and all(
-        not t for t in torsion[:judged]
-    )
-    return ContractibilityProxy(
-        tuple(betti), tuple(torsion), proxy, complex_.truncated_at_cap
-    )

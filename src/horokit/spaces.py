@@ -234,14 +234,6 @@ def build_vertex_space(
     return MetricGraph(vertices, edges, meta=meta)
 
 
-def thick_vertices(space: AugmentedSpace, level: int) -> set[Vertex]:
-    return {v for v in space.graph.vertices if v.level <= level}
-
-
-def cusp_vertices(space: AugmentedSpace, level: int) -> set[Vertex]:
-    return {v for v in space.graph.vertices if v.level >= level}
-
-
 def boundary_vertices(space: AugmentedSpace) -> set[Vertex]:
     """Outer shell of the truncation: the Cayley sphere at the ball radius,
     the top horoball slice, and Cayley vertices whose coset has no horoball."""

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import time
 from unittest import mock
 
@@ -300,6 +301,38 @@ def test_face_lists_match_the_json_encoding(firsts, block):
     assert fast == expected
 
 
+def _documented_exit_codes() -> dict[str, int]:
+    """Exception name -> exit code, from the README's exit-code table."""
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| `(\w+)` \| (\d) \|", readme, re.MULTILINE)
+    return {name: int(code) for name, code in rows}
+
+
+def _exception_classes():
+    import horokit.errors as errors
+
+    own = [c for c in vars(errors).values()
+           if isinstance(c, type) and issubclass(c, Exception)
+           and c.__module__ == errors.__name__]
+    return [OSError, KeyError, *own]
+
+
+_ERROR_ARGS = {"NotSimplicialError": ((0, 1),), "EmbeddingError": (2.0, 1.5)}
+
+
+@pytest.mark.parametrize("cls", _exception_classes(), ids=lambda c: c.__name__)
+def test_every_error_class_exits_with_its_documented_code(cls, monkeypatch, capsys):
+    exc = cls(*_ERROR_ARGS.get(cls.__name__, ("boom",)))
+
+    def handler(args):
+        raise exc
+
+    monkeypatch.setattr("horokit.cli._cmd_milnor_demo", handler)
+    assert run(["milnor-demo"]) == _documented_exit_codes()[cls.__name__]
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"horokit: {exc}\n"
+
+
 def test_bad_instance_path_exits_2(capsys):
     assert run(["delta", "--instance", "/nonexistent/nope.json"]) == 2
     capsys.readouterr()
@@ -443,6 +476,10 @@ def test_sampled_delta_over_the_sample_cap_exits_3(capsys):
         ("grid_step", [1, 0], "grid step must be [numerator, denominator]"),
         ("grid_step", [0.5, 4], "grid step must be [numerator, denominator]"),
         ("grid_step", [1], "grid step must be [numerator, denominator]"),
+        ("levels", None, "levels must be an integer"),
+        ("base", 5, "base must be a non-empty list of equal-length numeric rows"),
+        ("base", None, "base must be a non-empty list of equal-length numeric rows"),
+        ("base", [[1.0], [-1.0, 0.0]], "base must be a non-empty list of equal-length"),
     ],
 )
 def test_opencone_json_fixture_out_of_range_exits_2(key, value, message, tmp_path, capsys):
@@ -456,6 +493,13 @@ def test_opencone_json_fixture_out_of_range_exits_2(key, value, message, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith(f"horokit: {message}")
     assert "Traceback" not in err and not out.exists()
+
+
+def test_opencone_json_fixture_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "cone.json"
+    path.write_text("[]")
+    assert run(["opencone", "--fixture", str(path)]) == 2
+    assert capsys.readouterr().err == "horokit: a cone file holds one JSON object\n"
 
 
 FUZZ_GROUPS = {

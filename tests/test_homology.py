@@ -20,13 +20,16 @@ from horokit.homology import (
     identity_map,
     induced_map,
     stack_maps,
-    zero_map,
 )
 from horokit.instances import get_instance
 from horokit.snf import CSC, csc_columns, sparse_diagonal
 
 Z = AbelianGroup(1)
 Z2 = AbelianGroup(0, (2,))
+
+
+def _zero(source, target) -> GroupMap:
+    return GroupMap(source, target, np.zeros((target.dim, source.dim), dtype=object))
 
 RP2_TRIANGLES = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -111,7 +114,7 @@ def test_project_rejects_non_cycles():
 
 def test_exactness_identity():
     trivial = AbelianGroup(0)
-    f = zero_map(trivial, Z)
+    f = _zero(trivial, Z)
     g = identity_map(Z)
     res = exactness_check(f, g)
     # image 0, kernel of identity 0
@@ -129,15 +132,15 @@ def test_exactness_failure_flags_cokernel():
     # 0 -> Z --2--> Z -> 0 fails at the right slot: kernel of the zero map
     # out of Z is everything, the image is 2Z
     f = GroupMap(Z, Z, np.array([[2]]))
-    g = zero_map(Z, AbelianGroup(0))
+    g = _zero(Z, AbelianGroup(0))
     res = exactness_check(f, g)
     assert not res.exact
     assert res.image_in_kernel and not res.kernel_in_image
 
 
 def test_exactness_0_A_A_0():
-    f = zero_map(AbelianGroup(0), Z)
-    g = zero_map(Z, AbelianGroup(0))
+    f = _zero(AbelianGroup(0), Z)
+    g = _zero(Z, AbelianGroup(0))
     res = exactness_check(f, g)
     assert not res.exact  # identity row would be needed; kernel is all of Z
     f2 = identity_map(Z)
@@ -171,27 +174,10 @@ def test_stack_and_concat():
     assert composite.is_zero
 
 
-def test_is_isomorphism():
-    assert identity_map(Z2).is_isomorphism()
-    assert not GroupMap(Z, Z, np.array([[2]])).is_isomorphism()
-    flip = GroupMap(AbelianGroup(2), AbelianGroup(2), np.array([[0, 1], [1, 0]]))
-    assert flip.is_isomorphism()
-
-
 def test_orders_group():
     g = OrdersGroup((2, 0, 3))
     assert g.dim == 3
     assert canonical_type(g) == AbelianGroup(1, (6,))
-
-
-def test_simplicial_map_csv(tmp_path):
-    c = SimplicialComplex.from_label_faces([(0, 1)])
-    f = SimplicialMap(c, c, [1, 0])
-    path = tmp_path / "map.csv"
-    f.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "source,target"
-    assert len(lines) == 3
 
 
 # -- the chain reduction against sympy's Smith normal form -------------------

@@ -6,7 +6,6 @@ import horokit.errors as errors
 from horokit.covers import LINEAR_SCHEDULE, decompose
 from horokit.graphs import Vertex, omega_excisive_check
 from horokit.instances import BUILDERS, SHIPPED, get_instance, load_instance, resolve_instance
-from horokit.spaces import cusp_vertices, thick_vertices
 
 
 def test_registry_names():
@@ -48,8 +47,8 @@ def test_thick_cusp_split_is_omega_excisive():
     for name in SHIPPED:
         sp = get_instance(name)
         level = 2
-        thick = thick_vertices(sp, level)
-        cusp = cusp_vertices(sp, level)
+        thick = {v for v in sp.graph.vertices if v.level <= level}
+        cusp = {v for v in sp.graph.vertices if v.level >= level}
         out = omega_excisive_check(sp.graph, thick, cusp, [1, 2, 3, 4])
         values = [s for _, s in out]
         assert all(s is not None for s in values), name
@@ -84,6 +83,6 @@ def test_bfs_matches_networkx_oracle():
     ng.add_edges_from(g.edges)
     lengths = dict(nx.all_pairs_shortest_path_length(ng))
     for i in range(0, len(g), 5):
-        row = g.distances_from(g.vertices[i])
+        row = g.multi_source_distances([g.vertices[i]])
         for j in range(len(g)):
             assert row[j] == lengths[i].get(j, -1)

@@ -5,10 +5,9 @@ import pytest
 from horokit.complexes import barycentric_subdivision
 from horokit.graphs import MetricGraph, Vertex
 from horokit.groups import GroupSpec
-from horokit.homology import homology_type
+from horokit.homology import AbelianGroup, homology_type
 from horokit.rips import (
     LevelWindow,
-    contractibility_proxy,
     full_subcomplex,
     remark_decomposition_check,
     rips,
@@ -141,12 +140,16 @@ def test_subdivision_preserves_homology_on_rips_fixture():
         assert homology_type(c, p) == homology_type(sd, p)
 
 
+def _reduced_types(complex_, degrees):
+    return [homology_type(complex_, p, reduced=True) for p in degrees]
+
+
 def test_proxy_full_simplex():
+    # vanishing reduced homology, the contractibility proxy, through the cap
     from horokit.complexes import full_simplex
 
-    pr = contractibility_proxy(full_simplex(4))
-    assert pr.proxy_contractible
-    assert all(b == 0 for b in pr.reduced_betti)
+    c = full_simplex(4)
+    assert all(g.is_trivial for g in _reduced_types(c, range(c.cap + 1)))
 
 
 def test_proxy_circle():
@@ -155,9 +158,7 @@ def test_proxy_circle():
         [(Vertex(i, 0, 0), Vertex((i + 1) % 6, 0, 0)) for i in range(6)],
     )
     c = rips(hexagon, 1, cap=2)
-    pr = contractibility_proxy(c)
-    assert pr.reduced_betti[1] == 1
-    assert not pr.proxy_contractible
+    assert _reduced_types(c, (0, 1)) == [AbelianGroup(0), AbelianGroup(1)]
 
 
 def test_proxy_tree_thickening():
@@ -165,5 +166,6 @@ def test_proxy_tree_thickening():
     ball = build_augmented(f2, (0,), Truncation(rg=3, lmax=0, mmax=0))
     for d in (1, 2):
         c = rips(ball.graph, d, cap=3)
-        pr = contractibility_proxy(c)
-        assert pr.proxy_contractible, (d, pr)
+        # the top degree of a cap-truncated complex is left out
+        degrees = range(c.cap if c.truncated_at_cap else c.cap + 1)
+        assert all(g.is_trivial for g in _reduced_types(c, degrees)), d
