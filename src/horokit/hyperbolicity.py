@@ -4,14 +4,16 @@ The exhaustive mode returns the exact four-point constant: the smallest
 delta such that d(x,y)+d(z,w) <= max(d(x,z)+d(y,w), d(x,w)+d(y,z)) + 2*delta
 over all vertex quadruples.
 
-First, one depth-first search finds the blocks (Hopcroft and Tarjan, CACM
-1973).  A connected graph is 0-hyperbolic iff every block is a clique
+Every block (biconnected component) is an isometric subgraph, and the
+constant of a connected graph is the largest constant of its blocks (Cohen,
+Coudert and Lancin, "On computing the Gromov hyperbolicity", ACM JEA 2015).
+So one depth-first search finds the blocks (Hopcroft and Tarjan, CACM 1973)
+and refuses disconnected graphs.  Cliques are 0-hyperbolic and are skipped,
+so a block graph, trees included, has nothing to scan and is certified
+delta = 0 with no distance matrix; these are exactly the 0-hyperbolic graphs
 (Howorka, JCTB 1979; Bandelt and Mulder, "Distance-hereditary graphs", JCTB
-1986), so trees and other block graphs are certified delta = 0 in linear
-time with no distance matrix.  The search also refuses disconnected graphs.
-
-Every other graph is scanned by pairs, following Cohen, Coudert and Lancin,
-"On computing the Gromov hyperbolicity" (ACM JEA 2015):
+1986).  Every other block gets its own
+distance matrix and is scanned by pairs:
 
 - Only far-apart pairs take part.  (x, y) is far-apart when no neighbour of
   x is farther from y than x is, and no neighbour of y farther from x.  If
@@ -67,14 +69,15 @@ class DeltaEstimate:
         return out
 
 
-def _every_block_complete(adjacency) -> bool:
-    """Whether every block is a clique, by one iterative DFS from vertex 0;
-    DisconnectedGraphError when it misses a vertex.  An edge is counted at
-    its later-found end, in the block of that end's tree edge."""
+def _blocks(adjacency) -> list[list[int]]:
+    """The vertex lists of the blocks that are not cliques, by one iterative
+    DFS from vertex 0; DisconnectedGraphError when it misses a vertex.  An
+    edge is counted at its later-found end, in the block of that end's tree
+    edge."""
     n = len(adjacency)
     disc, low, at = [-1] * n, [0] * n, [0] * n
-    disc[0], found, complete = 0, 1, True
-    counts = []  # edges to earlier-found neighbours, per vertex of an open block
+    disc[0], found, blocks = 0, 1, []
+    members, counts = [], []  # vertices of open blocks, edges to earlier-found neighbours
     stack = [(0, iter(adjacency[0]))]
     while stack:
         u, nbrs = stack[-1]
@@ -83,6 +86,7 @@ def _every_block_complete(adjacency) -> bool:
                 disc[v] = low[v] = found
                 found += 1
                 at[v] = len(counts)
+                members.append(v)
                 counts.append(sum(disc[w] >= 0 for w in adjacency[v]))
                 stack.append((v, iter(adjacency[v])))
                 break
@@ -94,11 +98,12 @@ def _every_block_complete(adjacency) -> bool:
                 low[p] = min(low[p], low[u])
                 if low[u] >= disc[p]:  # p closes a block: p and the vertices from u on
                     k = len(counts) - at[u] + 1
-                    complete = complete and sum(counts[at[u]:]) == k * (k - 1) // 2
-                    del counts[at[u]:]
+                    if sum(counts[at[u]:]) < k * (k - 1) // 2:
+                        blocks.append([p] + members[at[u]:])
+                    del members[at[u]:], counts[at[u]:]
     if found < n:
         raise DisconnectedGraphError("four-point scan needs a connected graph")
-    return complete
+    return blocks
 
 
 def _far_apart_pairs(graph: MetricGraph, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -152,23 +157,29 @@ def four_point_delta(
     total = math.comb(n, 4)
     if n < 4:
         return DeltaEstimate(0.0, mode, 0, method="degenerate", truncation=trunc)
-    block_graph = _every_block_complete(graph.adjacency)
+    blocks = _blocks(graph.adjacency)
     if mode == "exhaustive":
-        if block_graph:
-            return DeltaEstimate(
-                0.0, "exhaustive", total, method="block-graph-certificate", truncation=trunc
+        best = 0
+        for block in blocks:
+            inside = set(block)
+            sub = graph if len(block) == n else MetricGraph(
+                [graph.vertices[i] for i in block],
+                [(graph.vertices[i], graph.vertices[j])
+                 for i in block for j in graph.adjacency[i] if j > i and j in inside],
             )
-        dist = graph.distance_matrix()
-        xs, ys = _far_apart_pairs(graph, dist)
-        f = len(xs)
-        if f * (f - 1) // 2 > EXHAUSTIVE_CELL_LIMIT:
-            raise BudgetExceededError(
-                f"hyperbolicity: exhaustive scan of {n} vertices needs "
-                f"{f * (f - 1) // 2} pair comparisons ({f} far-apart pairs), "
-                f"over the budget of {EXHAUSTIVE_CELL_LIMIT}; use sampled mode"
-            )
-        best = _pair_scan_doubled_delta(dist, xs, ys)
-        return DeltaEstimate(best / 2, "exhaustive", total, method="scan", truncation=trunc)
+            dist = sub.distance_matrix()
+            xs, ys = _far_apart_pairs(sub, dist)
+            f = len(xs)
+            if f * (f - 1) // 2 > EXHAUSTIVE_CELL_LIMIT:
+                raise BudgetExceededError(
+                    f"hyperbolicity: exhaustive scan of a block of {len(block)} "
+                    f"vertices needs {f * (f - 1) // 2} pair comparisons ({f} "
+                    f"far-apart pairs), over the budget of {EXHAUSTIVE_CELL_LIMIT}; "
+                    f"use sampled mode"
+                )
+            best = max(best, _pair_scan_doubled_delta(dist, xs, ys))
+        method = "scan" if blocks else "block-graph-certificate"
+        return DeltaEstimate(best / 2, "exhaustive", total, method=method, truncation=trunc)
     dist = graph.distance_matrix().astype(np.int64)
     rng = np.random.default_rng(seed)
     best = 0

@@ -11,15 +11,19 @@ values, which are exact for dyadic fixtures.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .complexes import SimplicialMap, mask_nerve
-from .errors import EmbeddingError
+from .errors import BudgetExceededError, EmbeddingError, vertex_budget
 from .homology import DegreeCoordinates, induced_map
 from .towers import Tower, direct_limit_report
+
+COVER_CELL_LIMIT = 1_000_000  # distance tests of the cover masks: centers x points x scales
 
 
 @dataclass(frozen=True)
@@ -37,22 +41,26 @@ class ConedSpace:
     levels: int
     grid_step: Fraction
     distortion: float
-    points: list[ConePoint] = field(default_factory=list)
+    points: list[ConePoint] = field(init=False)
 
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        if not 0 < self.grid_step < Fraction(1, 2):
+        step = self.grid_step
+        if not 0 < step < Fraction(1, 2):
             raise ValueError("grid step must lie in (0, 1/2) for conclusive ball checks")
-        if not self.points:
-            step = self.grid_step
-            pts = [ConePoint(0, Fraction(0))]  # the apex, once
-            t = step
-            while t <= self.levels:
-                for ray in range(len(self.base)):
-                    pts.append(ConePoint(ray, t))
-                t += step
-            self.points = pts
+        steps = int(self.levels / step)  # t = step, 2 step, ..., up to levels
+        size, cap = 1 + steps * len(self.base), vertex_budget()
+        if size > cap:
+            raise BudgetExceededError(
+                f"opencone: cone grid of {size} points is over the budget of {cap} points"
+            )
+        # the apex once, then one point per ray at each t; t never decreases,
+        # so levels and bands are bisected out of the sorted t values
+        self.points = [ConePoint(0, Fraction(0))] + [
+            ConePoint(ray, k * step) for k in range(1, steps + 1) for ray in range(len(self.base))
+        ]
+        self._ts = [p.t for p in self.points]
         self._xyz = np.array([p.coords(self.base) for p in self.points])
 
     def dist2(self, i: int, j: int) -> float:
@@ -61,14 +69,10 @@ class ConedSpace:
 
     def level_points(self, n: int) -> list[int]:
         """Indices of the exact level-n points (one per ray)."""
-        return [
-            i
-            for i, p in enumerate(self.points)
-            if p.t == n or (n == 0 and p.t == 0)
-        ]
+        return self.band_points(n, n)
 
     def band_points(self, lo: Fraction, hi: Fraction) -> list[int]:
-        return [i for i, p in enumerate(self.points) if lo <= p.t <= hi]
+        return list(range(bisect_left(self._ts, lo), bisect_right(self._ts, hi)))
 
 
 def embed_and_cone(
@@ -185,11 +189,21 @@ def cone_cover_tower(
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
     centers = [c for net in nets for c in net.centers]
+    cells = len(centers) * len(cone.points) * i_max
+    if cells > COVER_CELL_LIMIT:
+        raise BudgetExceededError(
+            f"opencone: cover tower of {len(centers)} centers, {len(cone.points)} "
+            f"points and {i_max} scales needs {cells} distance tests, over the "
+            f"budget of {COVER_CELL_LIMIT}"
+        )
+    # no two points lie farther apart than twice the largest norm, so every
+    # larger radius takes every point (and 3**i may not fit a float)
+    reach = 2 * float(np.sqrt((cone._xyz**2).sum(axis=1).max()))
     complexes = []
     covering = []
     scales = list(range(1, i_max + 1))
     for i in scales:
-        r2 = float(3**i) ** 2
+        r2 = float(3**i) ** 2 if 3**i <= reach else math.inf
         masks = []
         for c in centers:
             mask = 0

@@ -447,14 +447,34 @@ def column_hnf(mat) -> np.ndarray:
     """Canonical column-style Hermite form: pivot rows increasing, positive
     pivots, entries left of a pivot reduced modulo it.  Zero columns dropped.
 
-    The echelon basis comes from ``LazyLattice``; the form is unique per
-    lattice, so only its normalisation happens here."""
+    Each column is absorbed into an echelon basis of sparse {row: value}
+    columns keyed by their pivot rows: a Bezout step against the basis column
+    of its pivot row keeps their gcd there and leaves a rest with a later
+    pivot.  The form is unique per lattice, so only its normalisation follows."""
     A = _as_int_matrix(mat)
-    lattice = LazyLattice(A.shape[0])
+    basis: dict[int, dict[int, int]] = {}
     for j in range(A.shape[1]):
-        lattice._absorb(A[:, j])
-    H = lattice.basis_matrix()
-    pivots = sorted(lattice._basis)
+        v = {i: int(x) for i, x in enumerate(A[:, j]) if x}
+        while v:
+            p = min(v)
+            b = basis.get(p)
+            if b is None:
+                basis[p] = v
+                break
+            g = gcd(b[p], v[p])
+            s, t = _bezout(b[p], v[p])
+            bp_g, vp_g = b[p] // g, v[p] // g
+            nb, nv = {}, {}
+            for i in set(b) | set(v):
+                bi, vi = b.get(i, 0), v.get(i, 0)
+                x, y = s * bi + t * vi, bp_g * vi - vp_g * bi
+                if x:
+                    nb[i] = x
+                if y:
+                    nv[i] = y
+            basis[p], v = nb, nv
+    H = _dense(basis, range(A.shape[0]))
+    pivots = sorted(basis)
     for j, p in enumerate(pivots):
         if H[p, j] < 0:
             H[:, j] = -H[:, j]
@@ -521,49 +541,3 @@ def lattice_sum(*mats) -> np.ndarray:
         return column_hnf(mats[0])
     stacked = np.concatenate([np.array(m, dtype=object) for m in cols], axis=1)
     return column_hnf(stacked)
-
-
-class LazyLattice:
-    """Incremental column lattice in echelon form: ``column_hnf``'s basis.
-
-    Columns live as sparse {row: value} dicts keyed by their pivot row.
-    """
-
-    def __init__(self, dim: int):
-        self.dim = dim
-        self._basis: dict[int, dict[int, int]] = {}  # pivot row -> column
-
-    def _absorb(self, col):
-        v = {i: int(x) for i, x in enumerate(col) if x}
-        while v:
-            p = min(v)
-            b = self._basis.get(p)
-            if b is None:
-                if v[p] < 0:
-                    v = {i: -x for i, x in v.items()}
-                self._basis[p] = v
-                return
-            g = gcd(b[p], v[p])
-            s, t = _bezout(b[p], v[p])
-            bp_g, vp_g = b[p] // g, v[p] // g
-            support = set(b) | set(v)
-            nb, nv = {}, {}
-            for i in support:
-                bi, vi = b.get(i, 0), v.get(i, 0)
-                x = s * bi + t * vi
-                y = bp_g * vi - vp_g * bi
-                if x:
-                    nb[i] = x
-                if y:
-                    nv[i] = y
-            self._basis[p] = nb
-            v = nv
-
-    def basis_matrix(self) -> np.ndarray:
-        """Echelon basis as a dense column matrix (pivot rows increasing)."""
-        cols = [self._basis[p] for p in sorted(self._basis)]
-        out = np.zeros((self.dim, len(cols)), dtype=object)
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                out[i, j] = x
-        return out

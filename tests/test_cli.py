@@ -397,6 +397,19 @@ def test_opencone_from_json_fixture(tmp_path):
     assert all(rep["band_covering"])
 
 
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        (["opencone", "--levels", "1000000000"], {3}),  # the grid is refused unbuilt
+        (["opencone", "--imax", "400"], {0, 3}),  # 3**400 squared is past a float
+    ],
+)
+def test_large_opencone_inputs_exit_without_traceback(argv, codes, tmp_path, capsys):
+    assert run(argv + ["--out", str(tmp_path / "report.json")]) in codes
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and (err == "" or "budget" in err)
+
+
 def test_console_entry_point(tmp_path):
     import subprocess
     import sys

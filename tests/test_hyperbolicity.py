@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horokit import hyperbolicity
+from horokit import graphs, hyperbolicity
 from horokit.errors import BudgetExceededError, DisconnectedGraphError
 from horokit.graphs import MetricGraph, Vertex
 from horokit.groups import GroupSpec
@@ -152,8 +152,43 @@ def every_block_a_clique(g):
     )
 
 
+@st.composite
+def glued_blocks(draw):
+    # cycles, grids, cliques and random connected pieces, each glued on at one
+    # existing vertex: the constant is the largest of the pieces' blocks
+    def piece():
+        kind = draw(st.sampled_from(["cycle", "grid", "clique", "random"]))
+        if kind == "cycle":
+            k = draw(st.integers(4, 7))
+            return k, [(i, (i + 1) % k) for i in range(k)]
+        if kind == "grid":
+            rows, cols = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+            k = rows * cols
+            return k, [(i, i + 1) for i in range(k) if (i + 1) % cols] + [
+                (i, i + cols) for i in range(k - cols)
+            ]
+        if kind == "clique":
+            k = draw(st.integers(2, 5))
+            return k, list(itertools.combinations(range(k), 2))
+        k = draw(st.integers(2, 6))
+        extra = draw(st.lists(st.sampled_from(list(itertools.combinations(range(k), 2))),
+                              max_size=k))
+        return k, [(i, draw(st.integers(0, i - 1))) for i in range(1, k)] + extra
+
+    n, edges = 1, []
+    for _ in range(draw(st.integers(1, 5))):
+        k, piece_edges = piece()
+        if n + k - 1 > 14:
+            break
+        ids = [draw(st.integers(0, n - 1))] + list(range(n, n + k - 1))
+        edges += [(ids[a], ids[b]) for a, b in piece_edges]
+        n += k - 1
+    vs = [Vertex(i, 0, 0) for i in range(n)]
+    return MetricGraph(vs, [(vs[a], vs[b]) for a, b in edges])
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.one_of(trees_of_cliques(), connected_graphs()))
+@given(st.one_of(trees_of_cliques(), connected_graphs(), glued_blocks()))
 def test_block_graph_certificate_fires_iff_every_block_is_a_clique(g):
     est = four_point_delta(g)
     certified = est.method == "block-graph-certificate"
@@ -169,6 +204,24 @@ def test_long_path_is_certified_without_a_distance_matrix(monkeypatch):
     est = four_point_delta(path(100_000))
     assert (est.delta, est.method) == (0.0, "block-graph-certificate")
     assert est.quadruples_checked == math.comb(100_000, 4)
+
+
+def test_chain_of_cycles_is_scanned_block_by_block(monkeypatch):
+    # ten 4-cycles, each glued to the next at one vertex: 31 vertices, past
+    # an all-pairs cap of 10, in blocks of 4
+    monkeypatch.setattr(graphs, "ALL_PAIRS_LIMIT", 10)
+    sizes, matrix = [], MetricGraph.distance_matrix
+
+    def spy(self):
+        sizes.append(len(self))
+        return matrix(self)
+
+    monkeypatch.setattr(MetricGraph, "distance_matrix", spy)
+    vs = [Vertex(i, 0, 0) for i in range(31)]
+    edges = [(vs[3 * c + i], vs[3 * c + (i + 1) % 4]) for c in range(10) for i in range(4)]
+    est = four_point_delta(MetricGraph(vs, edges))
+    assert (est.delta, est.method, est.quadruples_checked) == (1.0, "scan", math.comb(31, 4))
+    assert sizes == [4] * 10
 
 
 def test_delta_invariant_under_relabeling():

@@ -4,7 +4,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from horokit.errors import EmbeddingError
+from horokit import opencone
+from horokit.errors import BudgetExceededError, EmbeddingError
 from horokit.opencone import (
     adversarial_net,
     band_cover_check,
@@ -138,3 +139,25 @@ def test_cone_json_roundtrip():
     assert back.levels == cone.levels
     for i in range(0, len(cone.points), 7):
         assert back.dist2(0, i) == cone.dist2(0, i)
+
+
+def test_cover_tower_refuses_before_any_mask(monkeypatch):
+    # two_rays at 4 levels: 8 centers and 33 points, 264 distance tests a scale
+    cone = cone_fixture("two_rays", levels=4)
+    nets = [build_net(cone, n) for n in range(1, 5)]
+    monkeypatch.setattr(opencone, "COVER_CELL_LIMIT", 527)
+
+    def refuse(i, j):
+        raise AssertionError("a mask was built")
+
+    monkeypatch.setattr(cone, "dist2", refuse)
+    with pytest.raises(BudgetExceededError, match="needs 528 distance tests"):
+        cone_cover_tower(cone, nets, 2)
+
+
+def test_cone_grid_is_counted_before_it_is_built(monkeypatch):
+    monkeypatch.setenv("HOROKIT_VERTEX_BUDGET", "32")
+    with pytest.raises(BudgetExceededError, match="cone grid of 33 points"):
+        cone_fixture("two_rays", levels=4)
+    monkeypatch.setenv("HOROKIT_VERTEX_BUDGET", "33")
+    assert len(cone_fixture("two_rays", levels=4).points) == 33
