@@ -28,7 +28,7 @@ from .mv import (
     milnor_counterexample_demo,
     y_vanishing_check,
 )
-from .opencone import band_cover_check, build_net, cone_cover_tower, cone_fixture
+from .opencone import band_cover_check, build_net, cone_cover_tower, cone_fixture, tower_budget
 from .rips import remark_decomposition_check
 from .spaces import Truncation, build_augmented
 from .groups import GroupSpec
@@ -255,6 +255,7 @@ def _cmd_opencone(args) -> int:
     else:
         cone = cone_fixture(args.fixture, levels=args.levels)
     levels = cone.levels
+    tower_budget(cone, args.imax)  # refused from the grid, before any net
     nets = [build_net(cone, n) for n in range(1, levels + 1)]
     bands = [band_cover_check(cone, nets[n - 1], n) for n in range(1, levels + 1)]
     tower = cone_cover_tower(cone, nets, args.imax)

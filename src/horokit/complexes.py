@@ -5,8 +5,9 @@ to a recorded dimension cap, and a complex answers from these face lists.
 
 Every nerve and Rips face is enumerated here, by the clique kernel
 ``clique_complex``, which fills the per-dimension face lists in one recursive
-pass; ``mask_nerve`` builds the nerves of covers (``covers``, ``mv``,
-``opencone``) on it, and ``rips`` the Rips complexes.
+pass; ``mask_nerve`` builds the nerves of covers on it, and ``rips`` the Rips
+complexes.  Below the cap, ``mv`` and ``opencone`` take homology on the
+nerve of a family's dominated-column core (``mask_core_nerve``) instead.
 """
 
 from __future__ import annotations
@@ -355,6 +356,49 @@ def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int,
     return clique_complex(labels, mask_adjacency(masks), cap, masks, budget, "nerve")
 
 
+def mask_core(masks: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The dominated-column core of a mask family: (kept, retract).
+
+    If mask(a) is a nonempty subset of mask(b), a is a dominated vertex of the
+    nerve (every face with a stays a face with b added), and deleting it is a
+    strong collapse, which keeps the homotopy type (Barmak and Minian, "Strong
+    homotopy types, nerves and collapses", DCG 2012; Boissonnat, Pritam and
+    Pareek, "Strong collapse for persistence", ESA 2018).  The columns are
+    scanned by decreasing popcount, ties by index, and a column is kept unless
+    an already-kept mask contains it, so among equal masks the least index
+    stays, and the scan costs one AND per column and kept column.  ``kept``
+    lists the kept columns in increasing order; ``retract[i]`` is the first
+    kept column of the scan that contains column i (i itself when kept).  An
+    empty mask is an isolated vertex and is always kept.
+
+    The retraction is simplicial at every cap, since a dominator's mask only
+    grows; with j the inclusion, r∘j = id and j∘r is contiguous to the
+    identity through faces of one more dimension.  So a cap-c nerve of the
+    core has the full cap-c nerve's H_p, through r and j, for every p < c."""
+    order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
+    scanned: list[int] = []
+    retract = list(range(len(masks)))
+    for i in order:
+        m = masks[i]
+        for k in scanned if m else ():
+            if m & masks[k] == m:
+                retract[i] = k
+                break
+        else:
+            scanned.append(i)
+    return sorted(scanned), retract
+
+
+def mask_core_nerve(labels: Sequence, masks: Sequence[int], cap: int,
+                    budget: int | None = None) -> tuple[SimplicialComplex, dict]:
+    """The nerve of the ``mask_core`` of a mask family, labelled as the family
+    is, and the retraction as {label: core label}.  Its H_p is the full
+    nerve's for p < cap, not at the cap."""
+    kept, retract = mask_core(masks)
+    cx = mask_nerve([labels[i] for i in kept], [masks[i] for i in kept], cap, budget)
+    return cx, {label: labels[r] for label, r in zip(labels, retract)}
+
+
 def full_simplex(n: int) -> SimplicialComplex:
     """The genuine n-vertex full simplex (all faces, no cap truncation)."""
     return SimplicialComplex.from_faces(list(range(n)), [tuple(range(n))])
@@ -395,13 +439,11 @@ class SimplicialMap:
         cols = []
         tgt_index = self.target.face_index(p)
         for f in self.source.faces[p]:
-            image = [self.vertex_images[v] for v in f]
-            if len(set(image)) < len(image):
+            image = push_face([self.vertex_images[v] for v in f])
+            if image is None:
                 cols.append({})
                 continue
-            order = sorted(range(len(image)), key=lambda i: image[i])
-            sign = _permutation_sign(order)
-            key = tuple(image[i] for i in order)
+            key, sign = image
             if key not in tgt_index:
                 raise NotSimplicialError(
                     tuple(self.source.labels[v] for v in f),
@@ -419,6 +461,16 @@ class SimplicialMap:
             other.source, self.target, images, check=False,
             name=f"{self.name}*{other.name}",
         )
+
+
+def push_face(image: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
+    """The image of an oriented face under a vertex map, given as the list of
+    its vertices' images: (the sorted face, the sign of the sorting
+    permutation), or None when two vertices meet (a degenerate face, 0)."""
+    if len(set(image)) < len(image):
+        return None
+    order = sorted(range(len(image)), key=lambda i: image[i])
+    return tuple(image[i] for i in order), _permutation_sign(order)
 
 
 def _permutation_sign(order: Sequence[int]) -> int:

@@ -10,8 +10,9 @@ centers: distinct centers stay distinct nerve vertices even when their
 vertex sets coincide.
 
 Cover nerve faces are enumerated only by ``nerve``, which runs the clique
-kernel (``complexes.mask_nerve``) on the column masks; contiguity scans the
-faces of a source nerve its caller built.
+kernel (``complexes.mask_nerve``) on the column masks, and by ``core_nerve``,
+which runs it on the dominated-column core only; contiguity scans the faces
+of a source nerve its caller built.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .complexes import SimplicialComplex, SimplicialMap, mask_nerve
+from .complexes import SimplicialComplex, SimplicialMap, mask_core_nerve, mask_nerve
 from .errors import (
     BudgetExceededError,
     DecompositionError,
@@ -267,6 +268,19 @@ def nerve(family: Family, cap: int = 3, budget: int | None = None) -> Simplicial
     return mask_nerve(tuple(family.centers), [c.mask for c in family.columns], cap, budget)
 
 
+def core_nerve(
+    family: Family, cap: int = 3, budget: int | None = None
+) -> tuple[SimplicialComplex, dict[Vertex, Vertex]]:
+    """Nerve of the family's dominated-column core, and the retraction of the
+    family's centers onto the core's (``complexes.mask_core_nerve``): the
+    full nerve's H_p for every p below the cap."""
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+    return mask_core_nerve(
+        tuple(family.centers), [c.mask for c in family.columns], cap, budget
+    )
+
+
 # -- connecting maps ---------------------------------------------------------
 
 
@@ -294,10 +308,17 @@ class CoverMap:
         source_nerve: SimplicialComplex,
         target_nerve: SimplicialComplex,
         check: bool = True,
+        retract: dict[Vertex, Vertex] | None = None,
     ) -> SimplicialMap:
+        """The vertex map of the nerves; with ``retract`` (a target core's
+        retraction, ``core_nerve``) each image goes on to its core column."""
         tpos = {c: i for i, c in enumerate(target_nerve.labels)}
-        images = [tpos[self.center_map(c)] for c in source_nerve.labels]
-        return SimplicialMap(source_nerve, target_nerve, images, check=check, name=self.name)
+        images = [self.center_map(c) for c in source_nerve.labels]
+        if retract is not None:
+            images = [retract[c] for c in images]
+        return SimplicialMap(
+            source_nerve, target_nerve, [tpos[c] for c in images], check=check, name=self.name
+        )
 
     def compose(self, other: "CoverMap") -> "CoverMap":
         """self after other."""

@@ -43,14 +43,20 @@ class MetricGraph:
     """Immutable undirected graph with its shortest-path metric."""
 
     def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple], meta=None):
-        vs = sorted(set(Vertex(*v) for v in vertices), key=vertex_key)
+        # endpoints already given as Vertex (every caller in the package) are
+        # not wrapped again
+        vs = sorted({v if type(v) is Vertex else Vertex(*v) for v in vertices}, key=vertex_key)
         self.vertices: tuple[Vertex, ...] = tuple(vs)
         self.index: dict[Vertex, int] = {v: i for i, v in enumerate(vs)}
+        index = self.index
         adj: list[set[int]] = [set() for _ in vs]
         edge_set = set()
         for u, v in edges:
-            u, v = Vertex(*u), Vertex(*v)
-            iu, iv = self.index.get(u), self.index.get(v)
+            if type(u) is not Vertex:
+                u = Vertex(*u)
+            if type(v) is not Vertex:
+                v = Vertex(*v)
+            iu, iv = index.get(u), index.get(v)
             if iu is None or iv is None:
                 raise UnknownVertexError(f"edge endpoint not a vertex: {u} -- {v}")
             if iu == iv:

@@ -264,12 +264,6 @@ class DegreeCoordinates:
             out.append(chain_image(self._basis, coeffs))
         return out
 
-    def cycle_basis(self) -> list[dict[int, int]]:
-        """A basis of the p-cycles (degree >= 1), as sparse chains."""
-        if self.degree == 0:
-            raise ValueError("cycle_basis needs degree >= 1")
-        return list(self._basis)
-
 
 # -- maps between groups ------------------------------------------------------
 

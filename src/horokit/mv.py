@@ -1,24 +1,26 @@
 """Mayer-Vietoris verification at the nerve-homology level.
 
 A stage assembles the thick/cusp/interface families of one cover scale
-(restricted to the interior window), builds their nerves and inclusion maps,
-and checks exactness of
+(restricted to the interior window), builds the nerves of their
+dominated-column cores and the maps between them, and checks exactness of
 
     H_p(interface) -> H_p(thick) + H_p(cusp) -> H_p(whole)
 
 with the (incoming, -outgoing) sign convention, plus the connecting-map
-slots via an explicit chain-level snake.  The cusp-vanishing check, the
+slots via an explicit chain-level snake.  Only degrees below the nerve cap
+are asked for, where a core nerve has the full nerve's homology.  The cusp-vanishing check, the
 cluster decomposition of the interface and the half-line tower
 demonstration live here too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
-from .complexes import SimplicialComplex, SimplicialMap, mask_nerve
+from .complexes import SimplicialComplex, SimplicialMap, mask_nerve, push_face
 from .covers import (
     CoverMap,
     Family,
@@ -26,10 +28,11 @@ from .covers import (
     PAPER_SCHEDULE,
     connecting_map,
     contiguous_cover_maps,
+    core_nerve,
     decompose,
     nerve,
 )
-from .errors import EmptyWindowError
+from .errors import DecompositionError, EmptyWindowError
 from .homology import (
     AbelianGroup,
     DegreeCoordinates,
@@ -52,6 +55,12 @@ from .towers import Tower, inverse_limit, ml_lim1
 
 @dataclass
 class MVStage:
+    """One stage's excision triple below the cap.  Each family's nerve is the
+    nerve of its dominated-column core (``covers.core_nerve``), with H_p of
+    the full nerve for every p < cap; the maps between cores are r_B ∘ incl ∘
+    j_A, which the core isomorphisms conjugate to the full inclusions, so
+    every exactness verdict and group type is the full nerves'."""
+
     space: AugmentedSpace
     stage: int
     schedule: Schedule
@@ -59,17 +68,37 @@ class MVStage:
     windowed: bool
     window_size: int
     families: dict  # whole/thick/cusp/interface (window-restricted)
-    nerves: dict  # same keys -> SimplicialComplex
+    nerves: dict  # same keys -> SimplicialComplex (of the core)
     coords: dict  # (key, degree) -> DegreeCoordinates
     inclusions: dict  # ("interface","thick") etc -> SimplicialMap
+    # key -> {center of the family: its core center}; a key left out retracts
+    # by the identity onto its nerve's labels
+    retractions: dict = field(default_factory=dict)
 
     def degrees(self):
         return range(0, self.cap)
 
+    def retraction(self, key: str) -> dict:
+        r = self.retractions.get(key)
+        return r if r is not None else {c: c for c in self.nerves[key].labels}
 
-def _inclusion(src: SimplicialComplex, tgt: SimplicialComplex, name: str) -> SimplicialMap:
+
+_MAPS = {
+    ("interface", "thick"): "int->thick",
+    ("interface", "cusp"): "int->cusp",
+    ("thick", "whole"): "thick->whole",
+    ("cusp", "whole"): "cusp->whole",
+}
+
+
+def _inclusion(
+    src: SimplicialComplex, tgt: SimplicialComplex, name: str, retract: dict | None = None
+) -> SimplicialMap:
+    """The inclusion of a subfamily's nerve, each column then sent on by the
+    target's retraction onto its core (the identity when None)."""
+    images = src.labels if retract is None else [retract[c] for c in src.labels]
     pos = {c: i for i, c in enumerate(tgt.labels)}
-    return SimplicialMap(src, tgt, [pos[c] for c in src.labels], check=False, name=name)
+    return SimplicialMap(src, tgt, [pos[c] for c in images], check=False, name=name)
 
 
 def assemble_mv(
@@ -79,7 +108,8 @@ def assemble_mv(
     cap: int = 2,
     windowed: bool = True,
 ) -> MVStage:
-    """Build the stage-n excision triple with nerves and homology coordinates.
+    """Build the stage-n excision triple with core nerves and homology
+    coordinates; no full nerve is built.
 
     An empty interior window is refused before the cover is built."""
     scale, _ = schedule.stage(n)
@@ -108,57 +138,74 @@ def assemble_mv(
             "interface": dec.interface,
         }
         window_size = len(space.graph)
-    nerves = {k: nerve(f, cap=cap) for k, f in fams.items()}
-    coords = {}
-    for k, cx in nerves.items():
-        for p in range(cap):
-            coords[(k, p)] = DegreeCoordinates(cx, p)
+    return _core_stage(fams, cap, space, n, schedule, windowed, window_size)
+
+
+def _core_stage(
+    fams: dict, cap: int, space=None, n: int = 0, schedule=None,
+    windowed: bool = False, window_size: int = 0,
+) -> MVStage:
+    """The stage of four families on their cores."""
+    nerves, retractions = {}, {}
+    for k, f in fams.items():
+        nerves[k], retractions[k] = core_nerve(f, cap=cap)
+    coords = {(k, p): DegreeCoordinates(cx, p) for k, cx in nerves.items() for p in range(cap)}
     inclusions = {
-        ("interface", "thick"): _inclusion(nerves["interface"], nerves["thick"], "int->thick"),
-        ("interface", "cusp"): _inclusion(nerves["interface"], nerves["cusp"], "int->cusp"),
-        ("thick", "whole"): _inclusion(nerves["thick"], nerves["whole"], "thick->whole"),
-        ("cusp", "whole"): _inclusion(nerves["cusp"], nerves["whole"], "cusp->whole"),
+        (a, b): _inclusion(nerves[a], nerves[b], name, retractions[b])
+        for (a, b), name in _MAPS.items()
     }
     return MVStage(
-        space, n, schedule, cap, windowed, window_size, fams, nerves, coords, inclusions
+        space, n, schedule, cap, windowed, window_size, fams, nerves, coords, inclusions,
+        retractions,
     )
 
 
 def _snake_matrix(stage: MVStage, p: int) -> GroupMap:
-    """Connecting map H_p(whole) -> H_{p-1}(interface) by chain splitting."""
+    """Connecting map H_p(whole) -> H_{p-1}(interface) by chain splitting.
+
+    A generator of the whole core's H_p is split by the thick membership of
+    its faces' columns.  The boundary of the thick part, taken in the whole
+    core (a full subcomplex of the whole nerve, so it is the whole nerve's
+    boundary), lies on interface columns; it is pushed through the interface
+    retraction, degenerate faces dropped and each face signed by its sorting
+    permutation, and projected in the interface core's coordinates.  (A
+    column kept in the whole core is kept in the interface core too, so on an
+    assembled stage the push only renumbers; it is the chain map r_# all the
+    same.)"""
     u_coords = stage.coords[("whole", p)]
     z_coords = stage.coords[("interface", p - 1)]
     whole = stage.nerves["whole"]
-    thick_centers = set(stage.nerves["thick"].labels)
+    thick, cusp = stage.retraction("thick"), stage.retraction("cusp")
+    r_iface = stage.retraction("interface")
     iface_index = stage.nerves["interface"].face_index(p - 1)
     iface_pos = {c: i for i, c in enumerate(stage.nerves["interface"].labels)}
-    cusp_centers = set(stage.nerves["cusp"].labels)
     cols = []
     for cycle in u_coords.generator_cycles():
         thick_part = {}
         for fi, coeff in cycle.items():
-            face = whole.faces[p][fi]
-            in_thick = all(whole.labels[v] in thick_centers for v in face)
-            if not in_thick and not all(
-                whole.labels[v] in cusp_centers for v in face
-            ):
-                raise RuntimeError(
+            labels = [whole.labels[v] for v in whole.faces[p][fi]]
+            in_thick = all(c in thick for c in labels)
+            if not in_thick and not all(c in cusp for c in labels):
+                raise DecompositionError(
                     "a face is neither all-thick nor all-cusp; excision broken"
                 )
             if in_thick:
                 thick_part[fi] = coeff
-        chain = {}
+        chain: dict[int, int] = {}
         for r, coeff in whole.chain_boundary(p, thick_part).items():
-            face = whole.faces[p - 1][r]
-            labels = tuple(whole.labels[v] for v in face)
             try:
-                zface = tuple(sorted(iface_pos[l] for l in labels))
+                image = push_face(
+                    [iface_pos[r_iface[whole.labels[v]]] for v in whole.faces[p - 1][r]]
+                )
             except KeyError:
-                raise RuntimeError(
+                raise DecompositionError(
                     "snake boundary leaves the interface; excision identities broken"
                 ) from None
-            chain[iface_index[zface]] = coeff
-        cols.append(z_coords.project(chain))
+            if image is not None:
+                face, sign = image
+                z = iface_index[face]
+                chain[z] = chain.get(z, 0) + sign * coeff
+        cols.append(z_coords.project({z: v for z, v in chain.items() if v}))
     mat = (
         np.array(cols, dtype=object).T
         if cols
@@ -285,10 +332,11 @@ def y_vanishing_check(
 ) -> VanishingReport:
     """The tower map on cusp families induces zero on reduced homology.
 
-    Verified cluster-by-cluster (one horoball at a time): a trivial source
-    group is recorded as vacuously zero; otherwise a basis of the source
-    cycles is pushed through the chain map, and each image must have zero
-    coordinates in the target's homology (it bounds there).  The floor-map
+    Verified cluster-by-cluster (one horoball at a time), on the cores of
+    the pieces: a trivial source group is recorded as vacuously zero;
+    otherwise the source group's generator cycles are pushed through the
+    chain map, and each image must have zero coordinates in the target's
+    homology (it bounds there).  The floor-map
     contiguity chain is verified for every floor up to the truncation depth,
     on one source nerve up to dimension max_degree + 1.
     """
@@ -324,10 +372,13 @@ def y_vanishing_check(
 def _cluster_vanishing(
     src_fam: Family, tgt_fam: Family, tower_map: CoverMap, coset: int, max_degree: int
 ) -> ClusterVanishing:
+    """Every degree is below the cap max_degree + 1, so source and target
+    types, components and pushed cycles are taken on the cores, through
+    r_T ∘ f ∘ j_S."""
     cap = max_degree + 1
-    src_nerve = nerve(src_fam, cap=cap)
+    src_nerve, _ = core_nerve(src_fam, cap=cap)
     piece_map = CoverMap(src_fam, tgt_fam, tower_map.center_map, name=f"tower@{coset}")
-    tgt_cx = None  # built on the first degree whose source group is nontrivial
+    smap = None  # built with the target core on the first nontrivial source degree
     degrees = {}
     for p in range(max_degree + 1):
         group = homology_type(src_nerve, p, reduced=True)
@@ -336,24 +387,20 @@ def _cluster_vanishing(
         if group.is_trivial:
             rec.update(zero=True, how="source reduced homology is trivial")
             continue
-        if tgt_cx is None:
-            tgt_cx = nerve(tgt_fam, cap=cap)
+        if smap is None:
+            tgt_cx, retract = core_nerve(tgt_fam, cap=cap)
+            smap = piece_map.to_simplicial_map(src_nerve, tgt_cx, check=False, retract=retract)
         if p == 0:
             comps = tgt_cx.components()
-            tpos = {c: i for i, c in enumerate(tgt_cx.labels)}
-            images = {
-                comps[tpos[piece_map.center_map(c)]] for c in src_nerve.labels
-            }
+            images = {comps[t] for t in smap.vertex_images}
             rec.update(
                 zero=len(images) <= 1,
                 how="all source columns land in one target component",
             )
             continue
-        # push a basis of the source p-cycles; boundaries push to boundaries,
-        # so cycle generators suffice
-        gens = DegreeCoordinates(src_nerve, p).cycle_basis()
+        # f_* is zero iff it kills each generator of the source group
+        gens = DegreeCoordinates(src_nerve, p).generator_cycles()
         tgt = DegreeCoordinates(tgt_cx, p)
-        smap = piece_map.to_simplicial_map(src_nerve, tgt_cx, check=False)
         chain_cols = smap.chain_columns(p)
         ok = not any(any(tgt.project(chain_image(chain_cols, z))) for z in gens)
         rec.update(zero=ok, how=f"pushed {len(gens)} cycle generators bound in target")
@@ -389,24 +436,18 @@ class ClusterVerdict:
 def cluster_check(
     space: AugmentedSpace, n: int, schedule: Schedule = PAPER_SCHEDULE, cap: int = 2
 ) -> ClusterVerdict:
-    """Interface homology decomposes as the direct sum over horoballs."""
+    """Interface homology decomposes as the direct sum over horoballs.
+
+    Columns of two clusters share a nerve edge iff the clusters' union masks
+    meet, so the interface nerve has no face across cosets (its block
+    structure) exactly when the clusters are disjoint.  Group types come from
+    the interface and cluster cores; every degree is below the cap."""
     dec = decompose(space, n, schedule)
-    clusters = dec.clusters
-    disjoint = True
-    fams = list(clusters.values())
-    for a in range(len(fams)):
-        for b in range(a + 1, len(fams)):
-            if fams[a].union_mask() & fams[b].union_mask():
-                disjoint = False
-    whole = nerve(dec.interface, cap=cap)
-    coset_of = {c: c.coset for c in whole.labels}
-    block = True
-    for fs in whole.faces[1:]:
-        for f in fs:
-            cosets = {coset_of[whole.labels[v]] for v in f}
-            if len(cosets) > 1:
-                block = False
-    cluster_nerves = [nerve(f, cap=cap) for f in clusters.values()]
+    clusters = list(dec.clusters.values())
+    unions = [f.union_mask() for f in clusters]
+    disjoint = not any(a & b for a, b in combinations(unions, 2))
+    whole, _ = core_nerve(dec.interface, cap=cap)
+    cluster_nerves = [core_nerve(f, cap=cap)[0] for f in clusters]
     additive = {}
     types = {"whole": {}, "clusters": {}}
     for p in range(cap):
@@ -416,7 +457,7 @@ def cluster_check(
         additive[p] = whole_t == summed
         types["whole"][str(p)] = whole_t.as_dict()
         types["clusters"][str(p)] = [t.as_dict() for t in parts]
-    return ClusterVerdict(n, disjoint, block, additive, types)
+    return ClusterVerdict(n, disjoint, disjoint, additive, types)
 
 
 # -- the half-line tower demonstration ----------------------------------------

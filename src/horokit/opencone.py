@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .complexes import SimplicialMap, mask_nerve
+from .complexes import SimplicialMap, mask_core_nerve
 from .errors import BudgetExceededError, EmbeddingError, vertex_budget
 from .homology import DegreeCoordinates, induced_map
 from .towers import Tower, direct_limit_report
@@ -177,6 +177,23 @@ class ConeCoverReport:
         }
 
 
+def tower_budget(cone: ConedSpace, i_max: int, centers: int | None = None) -> None:
+    """Refuse a cover tower of more than ``COVER_CELL_LIMIT`` distance tests,
+    centers x points x scales.  With ``centers`` unknown, before any net is
+    built, the level count stands in for it: each level's net has at least
+    one center, so the count is a lower bound on the tower's tests."""
+    if i_max < 1:
+        raise ValueError(f"i_max must be >= 1, got {i_max}")
+    n = cone.levels if centers is None else centers
+    cells = n * len(cone.points) * i_max
+    if cells > COVER_CELL_LIMIT:
+        raise BudgetExceededError(
+            f"opencone: cover tower of {'at least ' if centers is None else ''}{n} "
+            f"centers, {len(cone.points)} points and {i_max} scales needs "
+            f"{cells} distance tests, over the budget of {COVER_CELL_LIMIT}"
+        )
+
+
 def cone_cover_tower(
     cone: ConedSpace, nets: list[LevelNet], i_max: int, cap: int = 2
 ) -> ConeCoverReport:
@@ -184,51 +201,52 @@ def cone_cover_tower(
 
     Elements keep their center identity across scales, so the refinement
     maps are vertex-wise and simplicial; degree-0 and degree-1 homology
-    towers are handed to the stabilization report.
+    towers are handed to the stabilization report.  Both degrees lie below
+    the cap, so each scale's nerve is that of its dominated-column core
+    (``complexes.mask_core_nerve``), and the refinement from scale k to k+1
+    is r_{k+1} ∘ j_k: the balls only grow, so a face stays a face.
     """
-    if i_max < 1:
-        raise ValueError(f"i_max must be >= 1, got {i_max}")
     centers = [c for net in nets for c in net.centers]
-    cells = len(centers) * len(cone.points) * i_max
-    if cells > COVER_CELL_LIMIT:
-        raise BudgetExceededError(
-            f"opencone: cover tower of {len(centers)} centers, {len(cone.points)} "
-            f"points and {i_max} scales needs {cells} distance tests, over the "
-            f"budget of {COVER_CELL_LIMIT}"
-        )
+    tower_budget(cone, i_max, len(centers))
     # no two points lie farther apart than twice the largest norm, so every
     # larger radius takes every point (and 3**i may not fit a float)
     reach = 2 * float(np.sqrt((cone._xyz**2).sum(axis=1).max()))
+    # each distance once; a scale's masks compare the same values
+    d2 = np.array(
+        [[cone.dist2(c, j) for j in range(len(cone.points))] for c in centers], dtype=float
+    ).reshape(len(centers), len(cone.points))
     complexes = []
+    retractions = []
     covering = []
     scales = list(range(1, i_max + 1))
     for i in scales:
         r2 = float(3**i) ** 2 if 3**i <= reach else math.inf
-        masks = []
-        for c in centers:
-            mask = 0
-            for j in range(len(cone.points)):
-                if cone.dist2(c, j) <= r2:
-                    mask |= 1 << j
-            masks.append(mask)
+        near = np.packbits(d2 <= r2, axis=1, bitorder="little")
+        masks = [int.from_bytes(row.tobytes(), "little") for row in near]
         union = 0
         for m in masks:
             union |= m
         covering.append(union == (1 << len(cone.points)) - 1)
-        complexes.append(mask_nerve(list(range(len(centers))), masks, cap))
+        cx, retract = mask_core_nerve(list(range(len(centers))), masks, cap)
+        complexes.append(cx)
+        retractions.append(retract)
+    refinements = []
+    for k in range(len(complexes) - 1):
+        pos = {c: i for i, c in enumerate(complexes[k + 1].labels)}
+        refinements.append(SimplicialMap(
+            complexes[k],
+            complexes[k + 1],
+            [pos[retractions[k + 1][c]] for c in complexes[k].labels],
+            check=True,
+            name=f"refine{k}",
+        ))
     towers = {}
     for degree in (0, 1):
         coords = [DegreeCoordinates(cx, degree) for cx in complexes]
-        maps = []
-        for k in range(len(complexes) - 1):
-            smap = SimplicialMap(
-                complexes[k],
-                complexes[k + 1],
-                list(range(len(centers))),
-                check=True,
-                name=f"refine{k}",
-            )
-            maps.append(induced_map(smap, degree, coords[k], coords[k + 1]))
+        maps = [
+            induced_map(smap, degree, coords[k], coords[k + 1])
+            for k, smap in enumerate(refinements)
+        ]
         tower = Tower("inductive", [c.group for c in coords], maps)
         towers[degree] = direct_limit_report(tower).as_dict()
     # penumbra inclusion: cover elements are cut to cone points, so every

@@ -1,0 +1,144 @@
+"""The dominated-column core of a mask family against its full nerve."""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Matrix, ZZ
+from sympy.matrices.normalforms import smith_normal_form
+
+from horokit.complexes import SimplicialMap, mask_core, mask_core_nerve, mask_nerve
+from horokit.homology import AbelianGroup, DegreeCoordinates, GroupMap, homology_type, induced_map
+
+RP2_TRIANGLES = [
+    (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
+    (1, 2, 3), (1, 2, 5), (1, 3, 4), (2, 4, 5), (3, 4, 5),
+]
+
+
+def test_core_keeps_the_least_index_among_equal_masks():
+    kept, retract = mask_core([0b011, 0b111, 0b111, 0b110, 0b100])
+    assert kept == [1]
+    assert retract == [1, 1, 1, 1, 1]
+    # unrelated masks all stay, each its own retraction
+    kept, retract = mask_core([0b01, 0b10, 0b01])
+    assert kept == [0, 1] and retract == [0, 1, 0]
+
+
+def test_core_retracts_to_the_first_container_of_the_scan():
+    # column 2 lies in both kept columns; the scan meets the larger one first
+    kept, retract = mask_core([0b0011, 0b1110, 0b0010])
+    assert kept == [0, 1] and retract == [0, 1, 1]
+
+
+def test_empty_masks_are_isolated_and_kept():
+    kept, retract = mask_core([0, 0b1, 0, 0b11])
+    assert kept == [0, 2, 3] and retract == [0, 3, 2, 3]
+    cx, r = mask_core_nerve("abcd", [0, 0b1, 0, 0b11], cap=2)
+    assert cx.labels == ("a", "c", "d") and r == {"a": "a", "b": "d", "c": "c", "d": "d"}
+    assert homology_type(cx, 0) == homology_type(mask_nerve("abcd", [0, 1, 0, 3], 2), 0)
+
+
+masks_families = st.lists(st.integers(0, (1 << 7) - 1), min_size=1, max_size=10)
+
+
+@settings(max_examples=120, deadline=None)
+@given(masks_families)
+def test_every_column_retracts_into_a_kept_container(masks):
+    kept, retract = mask_core(masks)
+    assert kept == sorted(set(retract))
+    scan = sorted(kept, key=lambda k: (-bin(masks[k]).count("1"), k))
+    for i, r in enumerate(retract):
+        assert masks[i] | masks[r] == masks[r]
+        if masks[i]:
+            # no kept column ahead of r in the scan holds column i
+            ahead = scan[: scan.index(r)]
+            assert all(masks[i] | masks[k] != masks[k] for k in ahead)
+        else:
+            assert r == i
+    # equal masks keep their least index, and no kept mask holds another
+    for a, b in combinations(kept, 2):
+        if masks[a] and masks[b]:
+            assert masks[a] | masks[b] not in (masks[a], masks[b])
+    for k in kept:
+        assert masks[k] not in masks[:k] or not masks[k]
+
+
+def _sympy_type(cx, p) -> AbelianGroup:
+    """H_p from sympy's Smith normal form of the dense boundaries."""
+
+    def invariants(q):
+        rows, cols = cx.n_faces(q - 1), cx.n_faces(q)
+        if q > cx.cap or not rows or not cols:
+            return []
+        mat = Matrix.zeros(rows, cols)
+        for j, col in enumerate(cx.boundary_columns(q)):
+            for r, v in col.items():
+                mat[r, j] = v
+        d = smith_normal_form(mat, domain=ZZ)
+        return [abs(int(d[i, i])) for i in range(min(rows, cols)) if d[i, i] != 0]
+
+    rank_dp = len(invariants(p)) if p else 0
+    d_next = invariants(p + 1)
+    return AbelianGroup(
+        cx.n_faces(p) - rank_dp - len(d_next), tuple(d for d in d_next if d > 1)
+    )
+
+
+def _check_core(labels, masks, cap):
+    """The core's H_p against the full nerve's, p < cap, through r and j."""
+    full = mask_nerve(labels, masks, cap)
+    core, retract = mask_core_nerve(labels, masks, cap)
+    pos = {c: i for i, c in enumerate(core.labels)}
+    fpos = {c: i for i, c in enumerate(full.labels)}
+    r = SimplicialMap(full, core, [pos[retract[c]] for c in full.labels])
+    j = SimplicialMap(core, full, [fpos[c] for c in core.labels])
+    for p in range(cap):
+        group = homology_type(full, p)
+        assert homology_type(core, p) == group, (p, masks, cap)
+        # j_* r_* is the identity on the full nerve's H_p (j r is contiguous
+        # to the identity through (p+1)-faces, which the cap keeps)
+        coords = DegreeCoordinates(full, p)
+        jr = induced_map(j.compose(r), p, coords, coords)
+        assert GroupMap(group, group, jr.matrix - np.eye(group.dim, dtype=object)).is_zero
+    return full, core
+
+
+@settings(max_examples=150, deadline=None)
+@given(masks_families, st.integers(1, 4))
+def test_core_types_equal_the_full_nerve_below_the_cap(masks, cap):
+    full, core = _check_core(list(range(len(masks))), masks, cap)
+    if sum(map(len, full.faces)) <= 60:
+        for p in range(cap):
+            assert homology_type(core, p) == _sympy_type(full, p)
+
+
+def _facet_masks(facets, extra=()):
+    """Columns = vertices (then the given extra vertex sets), each with the
+    mask of the facets that contain it: the nerve is the complex itself."""
+    vertices = sorted({v for f in facets for v in f})
+    sets = [(v,) for v in vertices] + list(extra)
+    masks = [sum(1 << k for k, f in enumerate(facets) if set(s) <= set(f)) for s in sets]
+    return sets, masks
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_rp2_as_a_mask_family(cap):
+    # the edges are dominated columns: each lies in its end vertices' masks
+    edges = sorted({e for t in RP2_TRIANGLES for e in combinations(t, 2)})
+    labels, masks = _facet_masks(RP2_TRIANGLES, edges)
+    full, core = _check_core(labels, masks, cap)
+    assert core.labels == tuple((v,) for v in range(6))
+    assert homology_type(core, 1) == AbelianGroup(0, (2,))
+
+
+def test_suspended_rp2_as_a_mask_family():
+    tetrahedra = [t + (a,) for t in RP2_TRIANGLES for a in (6, 7)]
+    triangles = sorted({s for t in tetrahedra for s in combinations(t, 3)})
+    labels, masks = _facet_masks(tetrahedra, triangles)
+    full, core = _check_core(labels, masks, 3)
+    assert len(core.labels) == 8
+    assert homology_type(core, 1) == AbelianGroup(0)
+    assert homology_type(core, 2) == AbelianGroup(0, (2,))
+    assert homology_type(core, 2) == _sympy_type(core, 2)

@@ -205,11 +205,15 @@ def _check_reduction(cx):
         )
         coords = DegreeCoordinates(cx, p)
         assert coords.group == homology_type(cx, p) == oracle
-        basis = coords.cycle_basis()
+        # the cycle basis behind the coordinates spans Z_p
+        basis = coords._basis
         assert len(basis) == cx.n_faces(p) - rank_dp
         assert all(cx.chain_boundary(p, z) == {} for z in basis)
         dim = coords.group.dim
-        for i, z in enumerate(coords.generator_cycles()):
+        gens = coords.generator_cycles()
+        assert len(gens) == dim
+        for i, z in enumerate(gens):
+            assert cx.chain_boundary(p, z) == {}
             assert coords.project(z) == tuple(int(i == j) for j in range(dim))
         for col in cx.boundary_columns(p + 1):
             assert coords.project(col) == (0,) * dim

@@ -140,12 +140,22 @@ def test_y_vanishing_builds_each_nerve_once(monkeypatch):
     builds = recorded_builds(monkeypatch)
     y_vanishing_check(get_instance("z2_free_z"), 0)
     # the cusp family's nerve, shared by every floor pair, then per horoball
-    # the source piece's nerve and, when its homology is nontrivial in some
-    # degree, the target piece's
+    # the source piece's core nerve and, when its homology is nontrivial in
+    # some degree, the target piece's
     assert len(builds) == 6 and len(set(builds)) == 6
 
 
+def core_centers(family) -> tuple:
+    """The centers of the family's dominated-column core, in family order."""
+    from horokit.complexes import mask_core
+
+    kept, _ = mask_core([c.mask for c in family.columns])
+    return tuple(family.centers[i] for i in kept)
+
+
 def test_cluster_check_builds_each_cluster_nerve_once(monkeypatch):
+    # one core nerve for the interface's types and one per cluster; the
+    # block structure needs no nerve at all
     from horokit.covers import decompose
 
     builds = recorded_builds(monkeypatch)
@@ -154,8 +164,8 @@ def test_cluster_check_builds_each_cluster_nerve_once(monkeypatch):
         builds.clear()
         cluster_check(sp, 0, PAPER_SCHEDULE, cap=2)
         dec = decompose(sp, 0, PAPER_SCHEDULE)
-        clusters = [tuple(f.centers) for f in dec.clusters.values()]
-        assert builds == [tuple(dec.interface.centers), *clusters], name
+        clusters = [core_centers(f) for f in dec.clusters.values()]
+        assert builds == [core_centers(dec.interface), *clusters], name
 
 
 def test_cluster_vanishing_builds_the_target_nerve_once(monkeypatch):
@@ -219,14 +229,14 @@ def test_push_cycles_into_target_coordinates():
     hollow = SimplicialComplex.from_label_faces([(0, 1), (1, 2), (2, 3), (0, 3)])
     filled = SimplicialComplex.from_label_faces([(0, 1, 2), (0, 2, 3)])
     f = SimplicialMap(hollow, filled, [0, 1, 2, 3])
-    gens = DegreeCoordinates(hollow, 1).cycle_basis()
+    gens = DegreeCoordinates(hollow, 1).generator_cycles()
     assert len(gens) == 1  # one independent square cycle
     pushed = chain_image(f.chain_columns(1), gens[0])
     assert pushed and DegreeCoordinates(filled, 1).project(pushed) == ()
     # and a cycle that does not bound is rejected
     ring = SimplicialComplex.from_label_faces([(0, 1), (1, 2), (2, 3), (0, 3)], cap=2)
     ring_coords = DegreeCoordinates(ring, 1)
-    assert any(ring_coords.project(ring_coords.cycle_basis()[0]))
+    assert any(ring_coords.project(ring_coords.generator_cycles()[0]))
 
 
 def test_vanishing_pushes_degree_one_cycles():
@@ -430,3 +440,122 @@ def test_milnor_demo_deterministic():
     a = json.dumps(milnor_counterexample_demo(), sort_keys=True)
     b = json.dumps(milnor_counterexample_demo(), sort_keys=True)
     assert a == b
+
+
+def test_snake_refuses_a_broken_excision_with_a_decomposition_error():
+    from horokit.errors import DecompositionError
+    from horokit.mv import _snake_matrix
+
+    # the edge (0, 2) joins a thick-only and a cusp-only column
+    stage = _synthetic_stage(
+        whole_faces=[(0, 1), (1, 2), (0, 2)],
+        thick_faces=[(0, 1)],
+        cusp_faces=[(1, 2)],
+        iface_faces=[(1,)],
+    )
+    with pytest.raises(DecompositionError, match="neither all-thick nor all-cusp"):
+        _snake_matrix(stage, 1)
+    # the thick arc ends at column 2, which the interface lacks
+    stage = _synthetic_stage(
+        whole_faces=[(0, 1), (1, 2), (2, 3), (0, 3)],
+        thick_faces=[(0, 1), (1, 2)],
+        cusp_faces=[(1, 2), (2, 3), (0, 3)],
+        iface_faces=[(0,), (1,)],
+    )
+    with pytest.raises(DecompositionError, match="leaves the interface"):
+        _snake_matrix(stage, 1)
+
+
+# -- the stage on cores against a full-nerve reference ------------------------
+
+
+def _full_stage(fams, cap):
+    """The stage on the full nerves of the four families, inclusions plain."""
+    from horokit.covers import nerve as build_nerve
+    from horokit.homology import DegreeCoordinates
+    from horokit.mv import _MAPS, MVStage, _inclusion
+
+    nerves = {k: build_nerve(f, cap=cap) for k, f in fams.items()}
+    coords = {(k, p): DegreeCoordinates(cx, p) for k, cx in nerves.items() for p in range(cap)}
+    inclusions = {(a, b): _inclusion(nerves[a], nerves[b], n) for (a, b), n in _MAPS.items()}
+    return MVStage(None, 0, None, cap, False, 0, fams, nerves, coords, inclusions)
+
+
+def _map_ranks(stage):
+    """Rank over Q of each inclusion's and snake's induced map, by degree."""
+    import numpy as np
+    from sympy import Matrix
+
+    from horokit.homology import induced_map
+    from horokit.mv import _snake_matrix
+
+    def rank(m):
+        rows = [i for i, d in enumerate(m.target.orders) if d == 0]
+        cols = [j for j, d in enumerate(m.source.orders) if d == 0]
+        if not rows or not cols:
+            return 0
+        return Matrix(m.matrix[np.ix_(rows, cols)].tolist()).rank()
+
+    out = {}
+    for p in stage.degrees():
+        for (a, b), smap in stage.inclusions.items():
+            out[(a, b, p)] = rank(
+                induced_map(smap, p, stage.coords[(a, p)], stage.coords[(b, p)])
+            )
+        if p:
+            out[("snake", p)] = rank(_snake_matrix(stage, p))
+    return out
+
+
+def _level_split_families(n_points, levels, masks):
+    """A cover of points at levels 0 (thick only), 1 (the slice) and 2 (cusp
+    only), split as ``decompose`` splits a stage; a column that meets levels
+    0 and 2 is given the first slice point, so it lies in the interface."""
+    from horokit.covers import Column, Cover
+
+    low, mid, high = (
+        sum(1 << k for k in range(n_points) if levels[k] == lv) for lv in (0, 1, 2)
+    )
+    masks = [m | (mid & -mid) if m & low and m & high else m for m in masks]
+    cover = Cover(None, 1, tuple(Column(Vertex(i, 0, 0), 1, m) for i, m in enumerate(masks)))
+    return {
+        "whole": cover.whole(),
+        "thick": cover.meeting(low | mid, "thick"),
+        "cusp": cover.meeting(mid | high, "cusp"),
+        "interface": cover.meeting(mid, "interface"),
+    }
+
+
+def test_stage_on_cores_matches_the_full_nerves_on_random_triples():
+    from hypothesis import given, settings, strategies as st
+
+    from horokit.mv import _core_stage
+
+    @st.composite
+    def triples(draw):
+        # a ring of points: a slice run, a thick run, a slice run, a cusp run;
+        # arcs of two points around it (one may be missing) give the whole
+        # nerve a cycle through two interface components, so the snake is
+        # often nonzero; a few random arcs and masks may fill the cycle in
+        runs = [draw(st.integers(lo, lo + 1)) for lo in (1, 2, 1, 2)]
+        levels = [lv for lv, r in zip((1, 0, 1, 2), runs) for _ in range(r)]
+        n = len(levels)
+        gap = draw(st.one_of(st.none(), st.integers(0, n - 1)))
+        arcs = [(a, 2) for a in range(n) if a != gap] + draw(
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 3)), max_size=4)
+        )
+        masks = [sum(1 << (a + k) % n for k in range(length)) for a, length in arcs]
+        masks += draw(st.lists(st.integers(1, (1 << n) - 1), max_size=1))
+        return n, levels, masks
+
+    @settings(max_examples=60, deadline=None)
+    @given(triples(), st.integers(2, 3))
+    def check(triple, cap):
+        fams = _level_split_families(*triple)
+        core, full = _core_stage(fams, cap), _full_stage(fams, cap)
+        verdict = check_mv_exactness(core)
+        assert verdict.as_dict() == check_mv_exactness(full).as_dict()
+        assert verdict.all_exact
+        assert _map_ranks(core) == _map_ranks(full)
+
+    check()

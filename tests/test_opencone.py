@@ -161,3 +161,34 @@ def test_cone_grid_is_counted_before_it_is_built(monkeypatch):
         cone_fixture("two_rays", levels=4)
     monkeypatch.setenv("HOROKIT_VERTEX_BUDGET", "33")
     assert len(cone_fixture("two_rays", levels=4).points) == 33
+
+
+def test_levels_are_refused_from_the_grid_before_any_net(monkeypatch):
+    # 2,000 levels hold at least 2,000 centers over 16,001 points: far over
+    # the budget at any imax, so no net and no band check is made
+    from horokit import cli
+
+    def refuse(*args):
+        raise AssertionError("a net was built")
+
+    monkeypatch.setattr(cli, "build_net", refuse)
+    monkeypatch.setattr(cli, "band_cover_check", refuse)
+    assert cli.run(["opencone", "--fixture", "two_rays", "--levels", "2000"]) == 3
+    assert cli.run(["opencone", "--fixture", "two_rays", "--imax", "0"]) == 2
+
+
+@pytest.mark.parametrize(
+    "fixture, levels, imax", [("two_rays", 4, 3), ("circle4", 3, 4), ("graph6", 4, 5)]
+)
+def test_tower_on_cores_matches_the_full_nerve_tower(monkeypatch, fixture, levels, imax):
+    from horokit.complexes import mask_nerve
+
+    cone = cone_fixture(fixture, levels=levels)
+    nets = [build_net(cone, n) for n in range(1, levels + 1)]
+    on_cores = cone_cover_tower(cone, nets, imax).as_dict()
+
+    def full_nerve(labels, masks, cap):
+        return mask_nerve(labels, masks, cap), {c: c for c in labels}
+
+    monkeypatch.setattr(opencone, "mask_core_nerve", full_nerve)
+    assert on_cores == cone_cover_tower(cone, nets, imax).as_dict()
