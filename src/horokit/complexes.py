@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, MapDomainMismatchError, NotSimplicialError, vertex_budget
+from .errors import BudgetExceededError, NotSimplicialError, vertex_budget
 from .snf import CSC
 
 
@@ -451,16 +451,6 @@ class SimplicialMap:
                 )
             cols.append({tgt_index[key]: sign})
         return cols
-
-    def compose(self, other: "SimplicialMap") -> "SimplicialMap":
-        """self after other (other first)."""
-        if other.target is not self.source:
-            raise MapDomainMismatchError("composition needs matching middle complex")
-        images = tuple(self.vertex_images[v] for v in other.vertex_images)
-        return SimplicialMap(
-            other.source, self.target, images, check=False,
-            name=f"{self.name}*{other.name}",
-        )
 
 
 def push_face(image: Sequence[int]) -> tuple[tuple[int, ...], int] | None:

@@ -11,8 +11,9 @@ vertex sets coincide.
 
 Cover nerve faces are enumerated only by ``nerve``, which runs the clique
 kernel (``complexes.mask_nerve``) on the column masks, and by ``core_nerve``,
-which runs it on the dominated-column core only; contiguity scans the faces
-of a source nerve its caller built.
+which runs it on the dominated-column core only.  Contiguity needs no nerve
+from its caller: it intersects the target masks over each point's star and
+scans only the nerve of the points where that intersection is empty.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .complexes import SimplicialComplex, SimplicialMap, mask_core_nerve, mask_nerve
+from .complexes import SimplicialComplex, SimplicialMap, _set_bits, mask_core_nerve, mask_nerve
 from .errors import (
     BudgetExceededError,
     DecompositionError,
@@ -38,10 +39,6 @@ class Column:
     center: Vertex
     scale: int
     mask: int
-
-    @property
-    def size(self) -> int:
-        return bin(self.mask).count("1")
 
 
 class Cover:
@@ -320,29 +317,24 @@ class CoverMap:
             source_nerve, target_nerve, [tpos[c] for c in images], check=check, name=self.name
         )
 
-    def compose(self, other: "CoverMap") -> "CoverMap":
-        """self after other."""
-        if other.target.cover is not self.source.cover:
-            raise ValueError("composition needs matching covers")
-        inner, outer = other.center_map, self.center_map
-        return CoverMap(
-            other.source,
-            self.target,
-            lambda v: outer(inner(v)),
-            name=f"{self.name}*{other.name}",
-        )
 
-
-def contiguous_cover_maps(f: CoverMap, g: CoverMap, source: SimplicialComplex):
+def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
     """(True, None) when f(s) | g(s) has common intersection for each face s
-    of ``source``, the nerve of the common source family (to the caller's
-    cap); otherwise (False, the centers of the lexicographically least
-    failing face)."""
+    of the common source family's nerve up to the cap; otherwise (False, the
+    centers of the lexicographically least failing face).
+
+    No source nerve is built.  Every face of two or more columns has a common
+    point p, and the face lies in the star of p, the columns containing p
+    (Dowker, "Homology groups of relations", Annals 1952).  So if the
+    intersection of the images over the star of p is nonempty, every face
+    in that star passes.  The points whose star fails form the mask ``failing``;
+    a failing face has all its common points there, so the failing faces are
+    exactly those of the nerve of the source masks cut to ``failing``, whose
+    vertices are all the columns (singletons and empty masks included).  That
+    cut nerve, only its vertices when every star passes, is the one scanned.
+    """
     if f.source is not g.source and f.source.positions != g.source.positions:
         raise ValueError("contiguity needs a common source family")
-    centers = tuple(f.source.centers)
-    if source.labels != centers:
-        raise ValueError("contiguity needs the nerve of the source family")
     fi = f.image_positions()
     gi = g.image_positions()
     if f.target.cover is not g.target.cover:
@@ -351,10 +343,22 @@ def contiguous_cover_maps(f: CoverMap, g: CoverMap, source: SimplicialComplex):
     gmasks = [c.mask for c in g.target.columns]
     # the target columns of f(v) and g(v), intersected, per source vertex v
     both = [tmasks[a] & gmasks[b] for a, b in zip(fi, gi)]
+    # the intersection of ``both`` over the star of each source point
+    masks = [c.mask for c in f.source.columns]
+    stars: dict[int, int] = {}
+    for v, mask in enumerate(masks):
+        for p in _set_bits(mask):
+            stars[p] = stars.get(p, -1) & both[v]
+    failing = 0
+    for p, common in stars.items():
+        if not common:
+            failing |= 1 << p
+    centers = tuple(f.source.centers)
+    cut = mask_nerve(centers, [m & failing for m in masks], cap)
     # each face list is lexicographic, so the least failing face is the least
     # of the first failures per dimension
     least = None
-    for fs in source.faces:
+    for fs in cut.faces:
         for face in fs:
             common = -1
             for v in face:

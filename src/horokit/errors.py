@@ -53,10 +53,6 @@ class NotSimplicialError(ValueError):
         super().__init__(f"{message}; witness simplex {witness!r}")
 
 
-class MapDomainMismatchError(ValueError):
-    """Two maps do not share source and target complexes."""
-
-
 class DisconnectedGraphError(ValueError):
     """Operation requires vertices in a common connected component."""
 

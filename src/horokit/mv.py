@@ -30,7 +30,6 @@ from .covers import (
     contiguous_cover_maps,
     core_nerve,
     decompose,
-    nerve,
 )
 from .errors import DecompositionError, EmptyWindowError
 from .homology import (
@@ -338,7 +337,8 @@ def y_vanishing_check(
     chain map, and each image must have zero coordinates in the target's
     homology (it bounds there).  The floor-map
     contiguity chain is verified for every floor up to the truncation depth,
-    on one source nerve up to dimension max_degree + 1.
+    on faces up to dimension max_degree + 1, from the column masks
+    (``covers.contiguous_cover_maps``): no cusp-family nerve is built.
     """
     level_next = schedule.slice_level(n + 1)
     if level_next > space.trunc.lmax:
@@ -351,14 +351,11 @@ def y_vanishing_check(
     tower_map = floors[0]
     if not tower_map.source.positions:
         return VanishingReport(n, [], [], True)
-    # mechanism: consecutive floor maps are contiguous; all of them share the
-    # source family, so they share its nerve
-    source = nerve(tower_map.source, cap=max_degree + 1)
+    # mechanism: consecutive floor maps are contiguous
     chain = [
-        (s, *contiguous_cover_maps(f, g, source))
+        (s, *contiguous_cover_maps(f, g, max_degree + 1))
         for s, (f, g) in enumerate(zip(floors, floors[1:]))
     ]
-    del source  # freed before the cluster eliminations, which set the peak
     tgt_pieces = tower_map.target.by_coset()
     clusters = []
     all_zero = all(ok for _, ok, _ in chain)

@@ -10,7 +10,13 @@ from itertools import combinations
 
 import pytest
 
-from horokit.covers import PAPER_SCHEDULE, connecting_map, contiguous_cover_maps, decompose, nerve
+from horokit.covers import (
+    PAPER_SCHEDULE,
+    CoverMap,
+    connecting_map,
+    contiguous_cover_maps,
+    decompose,
+)
 from horokit.graphs import MetricGraph, Vertex, omega_excisive_check
 from horokit.groups import GroupSpec
 from horokit.hyperbolicity import four_point_delta
@@ -96,14 +102,15 @@ def test_criterion_4_contiguity_assertions():
         beta = connecting_map(sp, "collar", 0, PAPER_SCHEDULE)
         alpha_next = connecting_map(sp, "inclusion", 1, PAPER_SCHEDULE)
         gamma = connecting_map(sp, "stage-refine", 0, PAPER_SCHEDULE)
-        ok, wit = contiguous_cover_maps(
-            alpha_next.compose(beta), gamma, nerve(beta.source, cap=3)
-        )
+        # alpha_next after beta, composed on centers
+        composite = CoverMap(beta.source, alpha_next.target,
+                             lambda v: alpha_next.center_map(beta.center_map(v)))
+        ok, wit = contiguous_cover_maps(composite, gamma, 3)
         assert ok, (name, wit)
         for s in range(sp.trunc.lmax):
             f = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=s)
             g = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=s + 1)
-            ok, wit = contiguous_cover_maps(f, g, nerve(f.source, cap=3))
+            ok, wit = contiguous_cover_maps(f, g, 3)
             assert ok, (name, s, wit)
     print("criterion 4: PASS — stage and floor maps contiguous on all instances")
 

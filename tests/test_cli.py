@@ -179,6 +179,26 @@ def test_y_vanish_exit_zero(tmp_path):
     assert json.loads(out.read_text())["vanishing"]["all_zero"] is True
 
 
+def test_y_vanish_rg4_contiguity_builds_no_cusp_nerve(tmp_path):
+    # Z^2*Z rel Z^2 at rg 4, lmax 4, mmax 5: the full cap-3 nerve of the cusp
+    # family runs past the 2,000,000 face budget; contiguity from point stars
+    # never builds it
+    group = {
+        "family": "free-product",
+        "atoms": [
+            {"kind": "free-abelian", "rank": 2, "names": ["x", "y"]},
+            {"kind": "free", "rank": 1, "names": ["t"]},
+        ],
+        "peripherals": [0],
+    }
+    cfg = tmp_path / "rg4.json"
+    cfg.write_text(json.dumps({"group": group, "rg": 4, "lmax": 4, "mmax": 5}))
+    out = tmp_path / "y.json"
+    assert run(["y-vanish", "--instance", str(cfg), "--stage", "0", "--out", str(out)]) == 0
+    chain = json.loads(out.read_text())["vanishing"]["contiguity_chain"]
+    assert [(link["s"], link["contiguous"]) for link in chain] == [(s, True) for s in range(4)]
+
+
 def test_rips_check_exit_codes(tmp_path):
     out = tmp_path / "r.json"
     code = run(

@@ -9,7 +9,7 @@ from horokit.complexes import (
     full_simplex,
     mask_nerve,
 )
-from horokit.errors import MapDomainMismatchError, NotSimplicialError
+from horokit.errors import NotSimplicialError
 from horokit.snf import CSC
 
 
@@ -73,18 +73,6 @@ def test_chain_map_signs_and_degeneracy():
     point = SimplicialComplex.from_label_faces([(0,)])
     g = SimplicialMap(src, point, [0, 0])
     assert g.chain_columns(1)[0] == {}
-
-
-def test_compose_and_domain_mismatch():
-    a = SimplicialComplex.from_label_faces([(0, 1)])
-    b = SimplicialComplex.from_label_faces([(0, 1)])
-    c = SimplicialComplex.from_label_faces([(0, 1)])
-    f = SimplicialMap(a, b, [0, 1])
-    g = SimplicialMap(b, c, [1, 0])
-    h = g.compose(f)
-    assert h.vertex_images == (1, 0)
-    with pytest.raises(MapDomainMismatchError):
-        f.compose(g)
 
 
 def _assert_canonical(c):

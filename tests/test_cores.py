@@ -100,7 +100,8 @@ def _check_core(labels, masks, cap):
         # j_* r_* is the identity on the full nerve's H_p (j r is contiguous
         # to the identity through (p+1)-faces, which the cap keeps)
         coords = DegreeCoordinates(full, p)
-        jr = induced_map(j.compose(r), p, coords, coords)
+        j_r = SimplicialMap(full, full, [j.vertex_images[v] for v in r.vertex_images])
+        jr = induced_map(j_r, p, coords, coords)
         assert GroupMap(group, group, jr.matrix - np.eye(group.dim, dtype=object)).is_zero
     return full, core
 

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from horokit import covers
-from horokit.covers import PAPER_SCHEDULE, Schedule, build_cover
+from horokit.covers import PAPER_SCHEDULE, Schedule, build_cover, connecting_map
 from horokit.errors import EmptyWindowError, ScheduleMismatchError
 from horokit.graphs import Vertex
 from horokit.groups import GroupSpec
@@ -122,27 +122,34 @@ def test_y_vanishing_shipped_instances():
 
 
 def recorded_builds(monkeypatch) -> list:
-    """The labels of every complex built by the clique kernel from now on."""
+    """Every complex built by the clique kernel from now on."""
     from horokit import complexes
 
     builds = []
     kernel = complexes.clique_complex
 
-    def counted(labels, *args, **kwargs):
-        builds.append(tuple(labels))
-        return kernel(labels, *args, **kwargs)
+    def counted(*args, **kwargs):
+        builds.append(kernel(*args, **kwargs))
+        return builds[-1]
 
     monkeypatch.setattr(complexes, "clique_complex", counted)
     return builds
 
 
 def test_y_vanishing_builds_each_nerve_once(monkeypatch):
+    sp = get_instance("z2_free_z")
     builds = recorded_builds(monkeypatch)
-    y_vanishing_check(get_instance("z2_free_z"), 0)
-    # the cusp family's nerve, shared by every floor pair, then per horoball
-    # the source piece's core nerve and, when its homology is nontrivial in
-    # some degree, the target piece's
-    assert len(builds) == 6 and len(set(builds)) == 6
+    y_vanishing_check(sp, 0)
+    # each floor pair's contiguity builds the cusp family's nerve cut to the
+    # points whose star fails; every star passes, so it holds only vertices
+    cusp = tuple(connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=0).source.centers)
+    cut = [cx for cx in builds if cx.labels == cusp]
+    assert len(cut) == sp.trunc.lmax
+    assert all(sum(map(len, cx.faces)) == len(cusp) for cx in cut)
+    # then per horoball the source piece's core nerve and, when its homology
+    # is nontrivial in some degree, the target piece's
+    cores = [cx.labels for cx in builds if cx.labels != cusp]
+    assert len(cores) == 5 and len(set(cores)) == 5
 
 
 def core_centers(family) -> tuple:
@@ -165,7 +172,7 @@ def test_cluster_check_builds_each_cluster_nerve_once(monkeypatch):
         cluster_check(sp, 0, PAPER_SCHEDULE, cap=2)
         dec = decompose(sp, 0, PAPER_SCHEDULE)
         clusters = [core_centers(f) for f in dec.clusters.values()]
-        assert builds == [core_centers(dec.interface), *clusters], name
+        assert [cx.labels for cx in builds] == [core_centers(dec.interface), *clusters], name
 
 
 def test_cluster_vanishing_builds_the_target_nerve_once(monkeypatch):
@@ -182,7 +189,7 @@ def test_cluster_vanishing_builds_the_target_nerve_once(monkeypatch):
     entry = _cluster_vanishing(src.whole(), tgt.whole(), collapse, 1, max_degree=2)
     assert [d["source"]["rank"] for d in entry.degrees.values()] == [1, 1, 0]
     assert all(d["zero"] for d in entry.degrees.values())
-    assert builds == [tuple(src.pos), tuple(tgt.pos)]
+    assert [cx.labels for cx in builds] == [tuple(src.pos), tuple(tgt.pos)]
 
 
 def test_y_vanishing_window_error():
