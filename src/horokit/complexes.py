@@ -27,7 +27,6 @@ class SimplicialComplex:
         labels: Sequence,
         faces_by_dim: Sequence[list[tuple[int, ...]]],
         cap: int,
-        truncated_at_cap: bool = False,
     ):
         """A complex on the given face lists, kept as they come: list p holds
         the p-faces as increasing vertex tuples, in lexicographic order,
@@ -36,7 +35,6 @@ class SimplicialComplex:
         ``from_faces`` and ``_subdivide_once`` canonicalise theirs first."""
         self.labels = tuple(labels)
         self.cap = cap
-        self.truncated_at_cap = truncated_at_cap
         self.faces: list[list[tuple[int, ...]]] = list(faces_by_dim)
         while len(self.faces) <= cap:
             self.faces.append([])
@@ -58,9 +56,8 @@ class SimplicialComplex:
     def from_faces(labels: Sequence, faces: Iterable[Sequence[int]], cap: int | None = None):
         """Downward closure of the given faces (local vertex indices)."""
         faces = [tuple(sorted(set(f))) for f in faces]
-        top = max((len(f) - 1 for f in faces), default=0)
         if cap is None:
-            cap = top
+            cap = max((len(f) - 1 for f in faces), default=0)
         by_dim: list[set] = [set() for _ in range(cap + 1)]
         for i in range(len(labels)):
             by_dim[0].add((i,))
@@ -68,9 +65,7 @@ class SimplicialComplex:
             for k in range(1, min(len(f), cap + 1) + 1):
                 for sub in combinations(f, k):
                     by_dim[k - 1].add(sub)
-        return SimplicialComplex(
-            labels, [sorted(fs) for fs in by_dim], cap, truncated_at_cap=top > cap
-        )
+        return SimplicialComplex(labels, [sorted(fs) for fs in by_dim], cap)
 
     @staticmethod
     def from_label_faces(faces: Iterable[Sequence], cap: int | None = None):
@@ -98,18 +93,6 @@ class SimplicialComplex:
             fs = self.faces[p] if 0 <= p < len(self.faces) else []
             index = self._face_index[p] = dict(zip(fs, range(len(fs))))
         return index
-
-    def spans(self, vertices: Iterable[int]) -> bool:
-        """Whether the vertex set spans a simplex, from the face lists.  Beyond
-        the cap: False if the lists are complete, else a ValueError."""
-        f = tuple(sorted(set(vertices)))
-        if len(f) - 1 <= self.cap:
-            return self.has_face(f)
-        if not self.truncated_at_cap:
-            return False  # face lists are complete, so absence is decisive
-        raise ValueError(
-            f"cannot decide span of {len(f)} vertices beyond cap {self.cap}"
-        )
 
     def facets(self, p: int) -> np.ndarray:
         """The facet table of dimension p >= 1: an n_p x (p+1) int64 array
@@ -247,7 +230,7 @@ class SimplicialComplex:
                 [tuple(remap[v] for v in f) for f in fs if all(v in remap for v in f)]
             )
         labels = [self.labels[i] for i in keep]
-        return SimplicialComplex(labels, by_dim, self.cap, self.truncated_at_cap), remap
+        return SimplicialComplex(labels, by_dim, self.cap), remap
 
 
 def _signs(p: int) -> list[int]:
@@ -261,44 +244,42 @@ def _increasing(codes: np.ndarray) -> np.ndarray:
     return codes
 
 
+FACES_PER_VERTEX = 10  # the face budget is this many times the vertex budget
+
+
 def clique_complex(labels: Sequence, adj: Sequence[int], cap: int,
-                   masks: Sequence[int] | None = None, budget: int | None = None,
+                   masks: Sequence[int] | None = None,
                    what: str = "complex") -> SimplicialComplex:
     """Complex of the cliques of the bitset adjacency ``adj`` (``adj[i]``
     holds the neighbours of i) with at most cap+1 vertices.  With ``masks`` a
     clique of two or more vertices counts only when their masks have a
-    nonzero AND (a nerve).  The first clique of cap+2 vertices sets
-    ``truncated_at_cap``; no later one is looked for.
+    nonzero AND (a nerve).  No clique past the cap is looked for.
 
     Each face is built from its prefix by increasing extensions (Zomorodian,
     "Fast construction of the Vietoris-Rips complex", 2010), so every
     per-dimension list comes out lexicographic.  The kept faces count against
-    the face budget (ten times the vertex budget unless given), checked after
-    each root vertex."""
-    limit = vertex_budget(budget) * 10 if budget is None else budget
+    the face budget, ``FACES_PER_VERTEX`` times the vertex budget, checked
+    after each root vertex."""
+    limit = vertex_budget() * FACES_PER_VERTEX
     if masks is None:
         masks = [-1] * len(adj)
     by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
     by_dim[0] = [(i,) for i in range(len(adj))]
-    probing = True
     for i in range(len(adj)):
-        if cap > 0 or probing:
-            probing = _extend(by_dim, by_dim[0][i], masks[i], adj[i] & -(1 << (i + 1)),
-                              adj, masks, cap, probing)
+        if cap > 0:
+            _extend(by_dim, by_dim[0][i], masks[i], adj[i] & -(1 << (i + 1)), adj, masks, cap)
         count = sum(map(len, by_dim))
         if count > limit:
             raise BudgetExceededError(
                 f"complexes: {what} has at least {count} faces, over the face budget of {limit}"
             )
-    return SimplicialComplex(labels, by_dim, cap, truncated_at_cap=not probing)
+    return SimplicialComplex(labels, by_dim, cap)
 
 
-def _extend(by_dim, face, common, cand, adj, masks, cap, probing) -> bool:
+def _extend(by_dim, face, common, cand, adj, masks, cap) -> None:
     """Append the cliques that extend ``face`` by its candidate vertices
-    (bits of ``cand``, all above the face), in preorder.  A face of cap+1
-    vertices is extended only while ``probing``, and only to find the first
-    clique of cap+2 vertices, which is not kept.  Returns whether the probe is
-    still open.  (Module level, not a closure: a closure that calls itself
+    (bits of ``cand``, all above the face), in preorder, up to cap+1
+    vertices.  (Module level, not a closure: a closure that calls itself
     holds a reference cycle, and the face lists with it, until a full
     collection.)"""
     k = len(face)
@@ -307,13 +288,10 @@ def _extend(by_dim, face, common, cand, adj, masks, cap, probing) -> bool:
         cand &= cand - 1
         nc = common & masks[j]
         if nc:
-            if k > cap:
-                return False
             grown = face + by_dim[0][j]  # shares vertex j's int with every face
             by_dim[k].append(grown)
-            if k < cap or probing:
-                probing = _extend(by_dim, grown, nc, cand & adj[j], adj, masks, cap, probing)
-    return probing
+            if k < cap:
+                _extend(by_dim, grown, nc, cand & adj[j], adj, masks, cap)
 
 
 def mask_adjacency(masks: Sequence[int]) -> list[int]:
@@ -349,11 +327,10 @@ def _set_bits(mask: int) -> list[int]:
     return out
 
 
-def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int,
-               budget: int | None = None) -> SimplicialComplex:
+def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int) -> SimplicialComplex:
     """Nerve of a family of bitmask sets up to the cap: a simplex per
     subfamily whose masks have a nonzero AND."""
-    return clique_complex(labels, mask_adjacency(masks), cap, masks, budget, "nerve")
+    return clique_complex(labels, mask_adjacency(masks), cap, masks, "nerve")
 
 
 def mask_core(masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -389,13 +366,13 @@ def mask_core(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     return sorted(scanned), retract
 
 
-def mask_core_nerve(labels: Sequence, masks: Sequence[int], cap: int,
-                    budget: int | None = None) -> tuple[SimplicialComplex, dict]:
+def mask_core_nerve(labels: Sequence, masks: Sequence[int],
+                    cap: int) -> tuple[SimplicialComplex, dict]:
     """The nerve of the ``mask_core`` of a mask family, labelled as the family
     is, and the retraction as {label: core label}.  Its H_p is the full
     nerve's for p < cap, not at the cap."""
     kept, retract = mask_core(masks)
-    cx = mask_nerve([labels[i] for i in kept], [masks[i] for i in kept], cap, budget)
+    cx = mask_nerve([labels[i] for i in kept], [masks[i] for i in kept], cap)
     return cx, {label: labels[r] for label, r in zip(labels, retract)}
 
 
@@ -425,10 +402,12 @@ class SimplicialMap:
             self.verify()
 
     def verify(self):
+        """Every source face must land on a face of the target; an image past
+        the target's cap is not among its faces, so it is refused too."""
         for fs in self.source.faces:
             for f in fs:
                 image = {self.vertex_images[v] for v in f}
-                if not self.target.spans(image):
+                if not self.target.has_face(image):
                     raise NotSimplicialError(
                         tuple(self.source.labels[v] for v in f),
                         f"map {self.name or '<anon>'} is not simplicial",

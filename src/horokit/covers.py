@@ -118,7 +118,7 @@ class Family:
         return out
 
 
-def build_cover(space: AugmentedSpace, scale: int, budget: int | None = None) -> Cover:
+def build_cover(space: AugmentedSpace, scale: int) -> Cover:
     """One column per vertex of the carrier; cached per space and scale.
 
     Distances come in blocks from the space's ``WordBall``: a Cayley
@@ -132,7 +132,7 @@ def build_cover(space: AugmentedSpace, scale: int, budget: int | None = None) ->
     if cached is not None:
         return cached
     g = space.graph
-    cap = vertex_budget(budget)
+    cap = vertex_budget()
     if len(g) > cap:
         raise BudgetExceededError(f"carrier exceeds vertex budget {cap}")
     ball = space.ball
@@ -257,25 +257,21 @@ def decompose(space: AugmentedSpace, n: int, schedule: Schedule) -> Decompositio
 # -- nerves ------------------------------------------------------------------
 
 
-def nerve(family: Family, cap: int = 3, budget: int | None = None) -> SimplicialComplex:
+def nerve(family: Family, cap: int = 3) -> SimplicialComplex:
     """Nerve of the family: a simplex per subfamily with common intersection
     (``complexes.mask_nerve`` of the column masks)."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return mask_nerve(tuple(family.centers), [c.mask for c in family.columns], cap, budget)
+    return mask_nerve(tuple(family.centers), [c.mask for c in family.columns], cap)
 
 
-def core_nerve(
-    family: Family, cap: int = 3, budget: int | None = None
-) -> tuple[SimplicialComplex, dict[Vertex, Vertex]]:
+def core_nerve(family: Family, cap: int = 3) -> tuple[SimplicialComplex, dict[Vertex, Vertex]]:
     """Nerve of the family's dominated-column core, and the retraction of the
     family's centers onto the core's (``complexes.mask_core_nerve``): the
     full nerve's H_p for every p below the cap."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return mask_core_nerve(
-        tuple(family.centers), [c.mask for c in family.columns], cap, budget
-    )
+    return mask_core_nerve(tuple(family.centers), [c.mask for c in family.columns], cap)
 
 
 # -- connecting maps ---------------------------------------------------------

@@ -7,10 +7,8 @@ DEFAULT_VERTEX_BUDGET = 200_000
 BUDGET_ENV_VAR = "HOROKIT_VERTEX_BUDGET"
 
 
-def vertex_budget(override=None):
-    """Effective vertex budget: explicit override > env var > default."""
-    if override is not None:
-        return int(override)
+def vertex_budget():
+    """Effective vertex budget: the env var, else the default."""
     env = os.environ.get(BUDGET_ENV_VAR)
     if env is not None:
         return int(env)

@@ -209,11 +209,11 @@ class GroupSpec:
 
     # -- balls and cosets --------------------------------------------------
 
-    def ball(self, radius: int, budget: int | None = None) -> list[str]:
+    def ball(self, radius: int) -> list[str]:
         """All elements with word length <= radius, in BFS discovery order."""
-        return self._bfs(radius, budget)[0]
+        return self._bfs(radius)[0]
 
-    def _bfs(self, radius: int, budget: int | None) -> tuple[list[str], list[tuple[int, int]]]:
+    def _bfs(self, radius: int) -> tuple[list[str], list[tuple[int, int]]]:
         """The ball in BFS discovery order, and its Cayley edges as (inner,
         outer) positions in that order.  Every generator changes the total
         exponent by one and every relator has even length, so the Cayley
@@ -221,7 +221,7 @@ class GroupSpec:
         once, from its inner end."""
         if radius < 0:
             raise ValueError("radius must be >= 0")
-        cap = vertex_budget(budget)
+        cap = vertex_budget()
         order = [""]
         index = {"": 0}
         edges = []
@@ -308,10 +308,10 @@ class WordBall:
     free syllable, which is its reduced length |s| + |t| - 2 lcp(s, t).
     """
 
-    def __init__(self, spec: GroupSpec, radius: int, budget: int | None = None):
+    def __init__(self, spec: GroupSpec, radius: int):
         self.spec = spec
         self.radius = radius
-        self.words, self.edges = spec._bfs(radius, budget)
+        self.words, self.edges = spec._bfs(radius)
         self.index = {w: i for i, w in enumerate(self.words)}
         self._buckets: dict[int, dict[str, list[int]]] = {}
         abelian_col, rank = {}, 0
@@ -429,11 +429,6 @@ class WordBall:
         return CosetTable(entries=tuple(entries), peripherals=peripherals, radius=self.radius)
 
 
-def enumerate_cosets(
-    spec: GroupSpec,
-    peripherals: Sequence[int],
-    radius: int,
-    budget: int | None = None,
-) -> CosetTable:
+def enumerate_cosets(spec: GroupSpec, peripherals: Sequence[int], radius: int) -> CosetTable:
     """Enumerate cosets g*P_r meeting the radius ball (``WordBall.coset_table``)."""
-    return WordBall(spec, radius, budget).coset_table(peripherals)
+    return WordBall(spec, radius).coset_table(peripherals)

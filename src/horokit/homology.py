@@ -299,15 +299,6 @@ class GroupMap:
                 if (e == 0 and v != 0) or (e != 0 and v % e):
                     raise ValueError("matrix does not respect torsion relations")
 
-    @property
-    def is_zero(self) -> bool:
-        for j in range(self.source.dim):
-            for i, e in enumerate(self.target.orders):
-                v = self.matrix[i, j]
-                if (e == 0 and v != 0) or (e != 0 and v % e):
-                    return False
-        return True
-
     def negate(self) -> "GroupMap":
         return GroupMap(self.source, self.target, -self.matrix)
 
@@ -385,18 +376,16 @@ def exactness_check(f: GroupMap, g: GroupMap) -> ExactnessResult:
 def induced_map(
     f: SimplicialMap,
     degree: int,
-    source_coords: DegreeCoordinates | None = None,
-    target_coords: DegreeCoordinates | None = None,
+    source_coords: DegreeCoordinates,
+    target_coords: DegreeCoordinates,
 ) -> GroupMap:
     """Matrix of f_* on H_degree in the coordinate systems of both sides."""
-    sc = source_coords or DegreeCoordinates(f.source, degree)
-    tc = target_coords or DegreeCoordinates(f.target, degree)
-    gens = sc.generator_cycles()
+    gens = source_coords.generator_cycles()
     chain_cols = f.chain_columns(degree) if gens else None
-    cols = [tc.project(chain_image(chain_cols, cycle)) for cycle in gens]
+    cols = [target_coords.project(chain_image(chain_cols, cycle)) for cycle in gens]
     mat = (
         np.array(cols, dtype=object).T
         if cols
-        else np.zeros((tc.group.dim, 0), dtype=object)
+        else np.zeros((target_coords.group.dim, 0), dtype=object)
     )
-    return GroupMap(sc.group, tc.group, mat)
+    return GroupMap(source_coords.group, target_coords.group, mat)

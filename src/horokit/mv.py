@@ -15,7 +15,7 @@ demonstration live here too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -60,26 +60,16 @@ class MVStage:
     j_A, which the core isomorphisms conjugate to the full inclusions, so
     every exactness verdict and group type is the full nerves'."""
 
-    space: AugmentedSpace
     stage: int
-    schedule: Schedule
     cap: int
-    windowed: bool
     window_size: int
-    families: dict  # whole/thick/cusp/interface (window-restricted)
-    nerves: dict  # same keys -> SimplicialComplex (of the core)
+    nerves: dict  # whole/thick/cusp/interface -> SimplicialComplex (of the core)
     coords: dict  # (key, degree) -> DegreeCoordinates
     inclusions: dict  # ("interface","thick") etc -> SimplicialMap
-    # key -> {center of the family: its core center}; a key left out retracts
-    # by the identity onto its nerve's labels
-    retractions: dict = field(default_factory=dict)
+    retractions: dict  # key -> {center of the family: its core center}
 
     def degrees(self):
         return range(0, self.cap)
-
-    def retraction(self, key: str) -> dict:
-        r = self.retractions.get(key)
-        return r if r is not None else {c: c for c in self.nerves[key].labels}
 
 
 _MAPS = {
@@ -91,13 +81,12 @@ _MAPS = {
 
 
 def _inclusion(
-    src: SimplicialComplex, tgt: SimplicialComplex, name: str, retract: dict | None = None
+    src: SimplicialComplex, tgt: SimplicialComplex, name: str, retract: dict
 ) -> SimplicialMap:
     """The inclusion of a subfamily's nerve, each column then sent on by the
-    target's retraction onto its core (the identity when None)."""
-    images = src.labels if retract is None else [retract[c] for c in src.labels]
+    target's retraction onto its core."""
     pos = {c: i for i, c in enumerate(tgt.labels)}
-    return SimplicialMap(src, tgt, [pos[c] for c in images], check=False, name=name)
+    return SimplicialMap(src, tgt, [pos[retract[c]] for c in src.labels], check=False, name=name)
 
 
 def assemble_mv(
@@ -105,46 +94,31 @@ def assemble_mv(
     n: int,
     schedule: Schedule = PAPER_SCHEDULE,
     cap: int = 2,
-    windowed: bool = True,
 ) -> MVStage:
-    """Build the stage-n excision triple with core nerves and homology
-    coordinates; no full nerve is built.
+    """Build the stage-n excision triple, restricted to the interior window,
+    with core nerves and homology coordinates; no full nerve is built.
 
     An empty interior window is refused before the cover is built."""
     scale, _ = schedule.stage(n)
-    if windowed:
-        window = interior_window(space, scale)
-        if not window:
-            raise EmptyWindowError(
-                f"no interior vertices at scale {scale}; truncation too small"
-            )
+    window = interior_window(space, scale)
+    if not window:
+        raise EmptyWindowError(
+            f"no interior vertices at scale {scale}; truncation too small"
+        )
     dec = decompose(space, n, schedule)
-    if windowed:
-        fams = {
-            "whole": dec.whole.restrict_to_centers(window, "whole|win"),
-            "thick": dec.thick.restrict_to_centers(window, "thick|win"),
-            "cusp": dec.cusp.restrict_to_centers(window, "cusp|win"),
-            "interface": dec.interface.restrict_to_centers(window, "interface|win"),
-        }
-        if not fams["whole"].positions:
-            raise EmptyWindowError("interior window contains no column centers")
-        window_size = len(window)
-    else:
-        fams = {
-            "whole": dec.whole,
-            "thick": dec.thick,
-            "cusp": dec.cusp,
-            "interface": dec.interface,
-        }
-        window_size = len(space.graph)
-    return _core_stage(fams, cap, space, n, schedule, windowed, window_size)
+    fams = {
+        "whole": dec.whole.restrict_to_centers(window, "whole|win"),
+        "thick": dec.thick.restrict_to_centers(window, "thick|win"),
+        "cusp": dec.cusp.restrict_to_centers(window, "cusp|win"),
+        "interface": dec.interface.restrict_to_centers(window, "interface|win"),
+    }
+    if not fams["whole"].positions:
+        raise EmptyWindowError("interior window contains no column centers")
+    return _core_stage(fams, cap, n, len(window))
 
 
-def _core_stage(
-    fams: dict, cap: int, space=None, n: int = 0, schedule=None,
-    windowed: bool = False, window_size: int = 0,
-) -> MVStage:
-    """The stage of four families on their cores."""
+def _core_stage(fams: dict, cap: int, n: int, window_size: int) -> MVStage:
+    """Stage n of four families on their cores."""
     nerves, retractions = {}, {}
     for k, f in fams.items():
         nerves[k], retractions[k] = core_nerve(f, cap=cap)
@@ -153,10 +127,7 @@ def _core_stage(
         (a, b): _inclusion(nerves[a], nerves[b], name, retractions[b])
         for (a, b), name in _MAPS.items()
     }
-    return MVStage(
-        space, n, schedule, cap, windowed, window_size, fams, nerves, coords, inclusions,
-        retractions,
-    )
+    return MVStage(n, cap, window_size, nerves, coords, inclusions, retractions)
 
 
 def _snake_matrix(stage: MVStage, p: int) -> GroupMap:
@@ -174,8 +145,8 @@ def _snake_matrix(stage: MVStage, p: int) -> GroupMap:
     u_coords = stage.coords[("whole", p)]
     z_coords = stage.coords[("interface", p - 1)]
     whole = stage.nerves["whole"]
-    thick, cusp = stage.retraction("thick"), stage.retraction("cusp")
-    r_iface = stage.retraction("interface")
+    thick, cusp = stage.retractions["thick"], stage.retractions["cusp"]
+    r_iface = stage.retractions["interface"]
     iface_index = stage.nerves["interface"].face_index(p - 1)
     iface_pos = {c: i for i, c in enumerate(stage.nerves["interface"].labels)}
     cols = []
@@ -237,10 +208,13 @@ class MVVerdict:
 
 
 def check_mv_exactness(stage: MVStage) -> MVVerdict:
-    """Slot-by-slot exactness verdicts for the assembled stage."""
+    """Slot-by-slot exactness verdicts for the assembled stage.
+
+    (i, -j) followed by [k | l] is k∘i - l∘j, so the two composites through
+    thick and cusp agree exactly when every degree's incoming image lies in
+    the outgoing kernel."""
     sk = stage.coords
     degrees = {}
-    composites_agree = True
     snakes, intos = {}, {}
     for p in stage.degrees():
         i_map = induced_map(
@@ -259,11 +233,6 @@ def check_mv_exactness(stage: MVStage) -> MVVerdict:
             stage.inclusions[("cusp", "whole")], p,
             sk[("cusp", p)], sk[("whole", p)],
         )
-        diff = k_map.compose(i_map).matrix - l_map.compose(j_map).matrix
-        if not GroupMap(
-            sk[("interface", p)].group, sk[("whole", p)].group, diff
-        ).is_zero:
-            composites_agree = False
         into = intos[p] = stack_maps(i_map, j_map.negate())
         outof = concat_maps(k_map, l_map)
         middle = exactness_check(into, outof)
@@ -285,6 +254,7 @@ def check_mv_exactness(stage: MVStage) -> MVVerdict:
     for p in stage.degrees():
         if p + 1 in snakes:
             degrees[p]["interface_slot"] = exactness_check(snakes[p + 1], intos[p]).exact
+    composites_agree = all(d["middle_detail"]["image_in_kernel"] for d in degrees.values())
     cap_limited = [
         f"degree {stage.cap} and above not computed (cap {stage.cap})",
         f"interface slot at degree {stage.cap - 1} needs the degree-{stage.cap} snake",
@@ -323,11 +293,11 @@ class VanishingReport:
         }
 
 
+VANISHING_DEGREE = 2  # the top degree of reduced homology checked to vanish
+
+
 def y_vanishing_check(
-    space: AugmentedSpace,
-    n: int,
-    schedule: Schedule = PAPER_SCHEDULE,
-    max_degree: int = 2,
+    space: AugmentedSpace, n: int, schedule: Schedule = PAPER_SCHEDULE
 ) -> VanishingReport:
     """The tower map on cusp families induces zero on reduced homology.
 
@@ -337,7 +307,7 @@ def y_vanishing_check(
     chain map, and each image must have zero coordinates in the target's
     homology (it bounds there).  The floor-map
     contiguity chain is verified for every floor up to the truncation depth,
-    on faces up to dimension max_degree + 1, from the column masks
+    on faces up to dimension VANISHING_DEGREE + 1, from the column masks
     (``covers.contiguous_cover_maps``): no cusp-family nerve is built.
     """
     level_next = schedule.slice_level(n + 1)
@@ -353,14 +323,14 @@ def y_vanishing_check(
         return VanishingReport(n, [], [], True)
     # mechanism: consecutive floor maps are contiguous
     chain = [
-        (s, *contiguous_cover_maps(f, g, max_degree + 1))
+        (s, *contiguous_cover_maps(f, g, VANISHING_DEGREE + 1))
         for s, (f, g) in enumerate(zip(floors, floors[1:]))
     ]
     tgt_pieces = tower_map.target.by_coset()
     clusters = []
     all_zero = all(ok for _, ok, _ in chain)
     for coset, src_fam in tower_map.source.by_coset().items():
-        entry = _cluster_vanishing(src_fam, tgt_pieces[coset], tower_map, coset, max_degree)
+        entry = _cluster_vanishing(src_fam, tgt_pieces[coset], tower_map, coset, VANISHING_DEGREE)
         clusters.append(entry)
         all_zero = all_zero and all(d["zero"] for d in entry.degrees.values())
     return VanishingReport(n, clusters, chain, all_zero)
@@ -460,7 +430,7 @@ def cluster_check(
 # -- the half-line tower demonstration ----------------------------------------
 
 
-def milnor_counterexample_demo(halfwidth: int = 8, stages: int = 5) -> dict:
+def milnor_counterexample_demo() -> dict:
     """Deterministic report on the tower of punctured lines.
 
     The stage-n space removes [-n, n] from a window of the integer line; its
@@ -470,8 +440,7 @@ def milnor_counterexample_demo(halfwidth: int = 8, stages: int = 5) -> dict:
     the intersection of the family is empty with trivial homology.  The
     naive limit sequence therefore cannot be exact for these towers.
     """
-    if stages >= halfwidth:
-        raise ValueError("window too small for the requested number of stages")
+    halfwidth, stages = 8, 5
     window = list(range(-halfwidth, halfwidth + 1))
     complexes = []
     stage_records = []

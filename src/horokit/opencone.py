@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .homology import DegreeCoordinates, induced_map
 from .towers import Tower, direct_limit_report
 
 COVER_CELL_LIMIT = 1_000_000  # distance tests of the cover masks: centers x points x scales
+GRID_STEP = Fraction(1, 4)  # the radial grid step of an embedded cone
 
 
 @dataclass(frozen=True)
@@ -41,27 +43,39 @@ class ConedSpace:
     levels: int
     grid_step: Fraction
     distortion: float
-    points: list[ConePoint] = field(init=False)
+    size: int = field(init=False)  # grid points, counted before any is built
 
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError(f"levels must be >= 1, got {self.levels}")
-        step = self.grid_step
-        if not 0 < step < Fraction(1, 2):
+        if not 0 < self.grid_step < Fraction(1, 2):
             raise ValueError("grid step must lie in (0, 1/2) for conclusive ball checks")
-        steps = int(self.levels / step)  # t = step, 2 step, ..., up to levels
-        size, cap = 1 + steps * len(self.base), vertex_budget()
-        if size > cap:
+        self._steps = int(self.levels / self.grid_step)  # t = step, 2 step, ..., up to levels
+        self.size, cap = 1 + self._steps * len(self.base), vertex_budget()
+        if self.size > cap:
             raise BudgetExceededError(
-                f"opencone: cone grid of {size} points is over the budget of {cap} points"
+                f"opencone: cone grid of {self.size} points is over the budget of {cap} points"
             )
-        # the apex once, then one point per ray at each t; t never decreases,
-        # so levels and bands are bisected out of the sorted t values
-        self.points = [ConePoint(0, Fraction(0))] + [
-            ConePoint(ray, k * step) for k in range(1, steps + 1) for ray in range(len(self.base))
+
+    @cached_property
+    def points(self) -> list[ConePoint]:
+        """The grid, built on first use: the apex once, then one point per ray
+        at each t.  t never decreases, so levels and bands are bisected out of
+        the sorted t values."""
+        step = self.grid_step
+        return [ConePoint(0, Fraction(0))] + [
+            ConePoint(ray, k * step)
+            for k in range(1, self._steps + 1)
+            for ray in range(len(self.base))
         ]
-        self._ts = [p.t for p in self.points]
-        self._xyz = np.array([p.coords(self.base) for p in self.points])
+
+    @cached_property
+    def _ts(self) -> list[Fraction]:
+        return [p.t for p in self.points]
+
+    @cached_property
+    def _xyz(self) -> np.ndarray:
+        return np.array([p.coords(self.base) for p in self.points])
 
     def dist2(self, i: int, j: int) -> float:
         d = self._xyz[i] - self._xyz[j]
@@ -79,11 +93,11 @@ def embed_and_cone(
     dist_matrix,
     dim: int,
     levels: int,
-    grid_step: Fraction = Fraction(1, 4),
     max_distortion: float = 1.5,
     coords=None,
 ) -> ConedSpace:
-    """Embed a finite metric space in the unit sphere and build its cone.
+    """Embed a finite metric space in the unit sphere and build its cone on
+    the ``GRID_STEP`` grid.
 
     With explicit coordinates the embedding is taken as given (distortion
     still measured); otherwise a classical-scaling fit is used and the rows
@@ -117,7 +131,7 @@ def embed_and_cone(
     distortion = float(expansion * contraction)
     if distortion > max_distortion:
         raise EmbeddingError(distortion, max_distortion)
-    return ConedSpace(x, levels, grid_step, distortion)
+    return ConedSpace(x, levels, GRID_STEP, distortion)
 
 
 @dataclass
@@ -181,28 +195,27 @@ def tower_budget(cone: ConedSpace, i_max: int, centers: int | None = None) -> No
     """Refuse a cover tower of more than ``COVER_CELL_LIMIT`` distance tests,
     centers x points x scales.  With ``centers`` unknown, before any net is
     built, the level count stands in for it: each level's net has at least
-    one center, so the count is a lower bound on the tower's tests."""
+    one center, so the count is a lower bound on the tower's tests.  The
+    points are counted, not built, so a refused tower builds no grid."""
     if i_max < 1:
         raise ValueError(f"i_max must be >= 1, got {i_max}")
     n = cone.levels if centers is None else centers
-    cells = n * len(cone.points) * i_max
+    cells = n * cone.size * i_max
     if cells > COVER_CELL_LIMIT:
         raise BudgetExceededError(
             f"opencone: cover tower of {'at least ' if centers is None else ''}{n} "
-            f"centers, {len(cone.points)} points and {i_max} scales needs "
+            f"centers, {cone.size} points and {i_max} scales needs "
             f"{cells} distance tests, over the budget of {COVER_CELL_LIMIT}"
         )
 
 
-def cone_cover_tower(
-    cone: ConedSpace, nets: list[LevelNet], i_max: int, cap: int = 2
-) -> ConeCoverReport:
+def cone_cover_tower(cone: ConedSpace, nets: list[LevelNet], i_max: int) -> ConeCoverReport:
     """Covers by 3^i-balls at all net centers and their nerve tower.
 
     Elements keep their center identity across scales, so the refinement
     maps are vertex-wise and simplicial; degree-0 and degree-1 homology
     towers are handed to the stabilization report.  Both degrees lie below
-    the cap, so each scale's nerve is that of its dominated-column core
+    the nerve cap 2, so each scale's nerve is that of its dominated-column core
     (``complexes.mask_core_nerve``), and the refinement from scale k to k+1
     is r_{k+1} ∘ j_k: the balls only grow, so a face stays a face.
     """
@@ -227,7 +240,7 @@ def cone_cover_tower(
         for m in masks:
             union |= m
         covering.append(union == (1 << len(cone.points)) - 1)
-        cx, retract = mask_core_nerve(list(range(len(centers))), masks, cap)
+        cx, retract = mask_core_nerve(list(range(len(centers))), masks, 2)
         complexes.append(cx)
         retractions.append(retract)
     refinements = []

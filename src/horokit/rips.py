@@ -24,7 +24,7 @@ class LevelWindow:
             raise ValueError("window needs 1 <= r <= R")
 
 
-def rips(graph: MetricGraph, diameter: int, cap: int = 3, budget: int | None = None) -> SimplicialComplex:
+def rips(graph: MetricGraph, diameter: int, cap: int = 3) -> SimplicialComplex:
     """Rips complex: faces are subsets of diameter <= the parameter."""
     if diameter < 1:
         raise ValueError("diameter parameter must be >= 1")
@@ -37,7 +37,7 @@ def rips(graph: MetricGraph, diameter: int, cap: int = 3, budget: int | None = N
             if 0 <= row[j] <= diameter:
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return clique_complex(graph.vertices, adj, cap, budget=budget, what="rips complex")
+    return clique_complex(graph.vertices, adj, cap, what="rips complex")
 
 
 def _window_vertices(complex_: SimplicialComplex, window: LevelWindow, which: str):

@@ -43,15 +43,14 @@ def build_horoball(
     dist: Callable[[object, object], int],
     interval: tuple[int, int | None] = (0, None),
     lmax: int = 0,
-    budget: int | None = None,
-    coset: int = 1,
 ) -> MetricGraph:
     """Horoball truncation over a finite base metric space.
 
     ``interval`` selects the levels (upper bound None means "up to lmax");
     horizontal edges join base points at distance <= 2^level, vertical edges
-    join consecutive present levels.  Level-0 vertices carry coset tag 0 so a
-    single-coset augmented space has the same labels.
+    join consecutive present levels.  Level-0 vertices carry coset tag 0 and
+    the others coset 1, so a single-coset augmented space has the same
+    labels.
     """
     points = list(points)
     if not points:
@@ -59,12 +58,12 @@ def build_horoball(
     levels = _levels_in(interval, lmax)
     if not levels:
         raise ValueError(f"no levels in {interval} truncated at {lmax}")
-    cap = vertex_budget(budget)
+    cap = vertex_budget()
     if len(points) * len(levels) > cap:
         raise BudgetExceededError(
             f"{len(points)} x {len(levels)} vertices exceed budget {cap}"
         )
-    vof = lambda p, l: Vertex(p, l, 0 if l == 0 else coset)
+    vof = lambda p, l: Vertex(p, l, 0 if l == 0 else 1)
     vertices = [vof(p, l) for p in points for l in levels]
     edges = []
     for l in levels:
@@ -140,12 +139,11 @@ def build_augmented(
     spec: GroupSpec,
     peripherals: Sequence[int],
     trunc: Truncation,
-    budget: int | None = None,
     name: str = "",
 ) -> AugmentedSpace:
     """Cayley ball with horoballs glued along the first mmax peripheral cosets."""
-    cap = vertex_budget(budget)
-    ball = WordBall(spec, trunc.rg, cap)
+    cap = vertex_budget()
+    ball = WordBall(spec, trunc.rg)
     table = ball.coset_table(peripherals)
     mmax = len(table.entries) if trunc.mmax is None else trunc.mmax
     attached = table.entries[:mmax]
@@ -192,7 +190,6 @@ def build_vertex_space(
     peripherals: Sequence[int],
     rg: int,
     lmax: int,
-    budget: int | None = None,
 ) -> MetricGraph:
     """Distance-one presentation of the augmented space (second construction).
 
@@ -201,9 +198,9 @@ def build_vertex_space(
     of build_augmented on purpose: for word metrics the two presentations
     produce the same graph, which the tests exploit as an oracle.
     """
-    cap = vertex_budget(budget)
-    ball = spec.ball(rg, cap)
-    table = enumerate_cosets(spec, tuple(peripherals), rg, cap)
+    cap = vertex_budget()
+    ball = spec.ball(rg)
+    table = enumerate_cosets(spec, tuple(peripherals), rg)
     vertices = [Vertex(x, 0, 0) for x in ball]
     edges = []
     for i, x in enumerate(ball):

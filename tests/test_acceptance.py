@@ -127,7 +127,7 @@ def test_criterion_5_mv_exactness():
 
 def test_criterion_6_cusp_vanishing():
     for name in SHIPPED:
-        rep = y_vanishing_check(get_instance(name), 0, PAPER_SCHEDULE, max_degree=2)
+        rep = y_vanishing_check(get_instance(name), 0, PAPER_SCHEDULE)
         assert rep.all_zero, name
         for cluster in rep.clusters:
             for p in (0, 1, 2):

@@ -1,14 +1,16 @@
 """The clique kernel against brute-force subset enumeration, and face budgets."""
 
 import gc
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from horokit import complexes
 from horokit.complexes import SimplicialMap, mask_adjacency, mask_nerve
 from horokit.covers import build_cover, nerve
-from horokit.errors import BudgetExceededError, NotSimplicialError
+from horokit.errors import BUDGET_ENV_VAR, BudgetExceededError, NotSimplicialError
 from horokit.graphs import MetricGraph, Vertex
 from horokit.groups import GroupSpec
 from horokit.rips import rips
@@ -22,6 +24,16 @@ def meet(masks, subset):
     return common != 0
 
 
+@contextmanager
+def face_budget(limit):
+    """The face budget set to exactly ``limit`` faces: the vertex budget's
+    environment variable at ``limit``, and one face per vertex."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv(BUDGET_ENV_VAR, str(limit))
+        mp.setattr(complexes, "FACES_PER_VERTEX", 1)
+        yield
+
+
 def nerve_oracle(masks, size):
     """Vertex subsets of the given size in the nerve, in lexicographic order;
     every single vertex is a face."""
@@ -31,27 +43,22 @@ def nerve_oracle(masks, size):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=9), st.integers(1, 3))
 def test_mask_nerve_matches_subset_oracle(masks, cap):
-    by_size = [nerve_oracle(masks, k) for k in range(1, cap + 3)]
-    kept = sum(len(fs) for fs in by_size[: cap + 1])
-    cx = mask_nerve(list(range(len(masks))), masks, cap, budget=kept)
-    assert cx.faces == by_size[: cap + 1]
-    assert cx.truncated_at_cap == bool(by_size[cap + 1])
-    with pytest.raises(BudgetExceededError, match=f"nerve has at least {kept} faces"):
-        mask_nerve(list(range(len(masks))), masks, cap, budget=kept - 1)
+    by_size = [nerve_oracle(masks, k) for k in range(1, cap + 2)]
+    kept = sum(map(len, by_size))
+    with face_budget(kept):
+        cx = mask_nerve(list(range(len(masks))), masks, cap)
+    assert cx.faces == by_size
+    with face_budget(kept - 1), pytest.raises(
+        BudgetExceededError, match=f"nerve has at least {kept} faces"
+    ):
+        mask_nerve(list(range(len(masks))), masks, cap)
     for p, fs in enumerate(cx.faces):
         for i, f in enumerate(fs):
             assert cx.face_index(p)[f] == i
-    # the face lists decide spans up to cap+1 vertices, and beyond that only
-    # when they are complete
-    for k in range(2, len(masks) + 1):
+    # the face lists decide every vertex set of up to cap+1 vertices
+    for k in range(2, cap + 2):
         for s in combinations(range(len(masks)), k):
-            if k <= cap + 1:
-                assert cx.spans(s) == meet(masks, s)
-            elif cx.truncated_at_cap:
-                with pytest.raises(ValueError, match="beyond cap"):
-                    cx.spans(s)
-            else:
-                assert not cx.spans(s)
+            assert cx.has_face(s) == meet(masks, s)
 
 
 def pairwise_adjacency(masks):
@@ -132,7 +139,6 @@ def test_rips_matches_diameter_oracle(graph, diameter, cap):
 
     for k in range(1, cap + 2):
         assert cx.faces[k - 1] == [s for s in combinations(range(n), k) if small(s)]
-    assert cx.truncated_at_cap == any(small(s) for s in combinations(range(n), cap + 2))
     for p, fs in enumerate(cx.faces):
         for i, f in enumerate(fs):
             assert cx.face_index(p)[f] == i
@@ -143,18 +149,20 @@ def test_nerve_face_budget_counts_kept_faces():
     sp = build_augmented(z, (0,), Truncation(rg=2, lmax=1, mmax=1))
     fam = build_cover(sp, 1).whole()
     kept = sum(len(fs) for fs in nerve(fam, cap=2).faces)
-    assert sum(len(fs) for fs in nerve(fam, cap=2, budget=kept).faces) == kept
-    with pytest.raises(BudgetExceededError, match="face budget"):
-        nerve(fam, cap=2, budget=kept - 1)
+    with face_budget(kept):
+        assert sum(len(fs) for fs in nerve(fam, cap=2).faces) == kept
+    with face_budget(kept - 1), pytest.raises(BudgetExceededError, match="face budget"):
+        nerve(fam, cap=2)
 
 
 def test_rips_face_budget_counts_kept_faces():
     vs = [Vertex(i, 0, 0) for i in range(5)]
     g = MetricGraph(vs, [(vs[i], vs[i + 1]) for i in range(4)])
     kept = sum(len(fs) for fs in rips(g, 2, cap=2).faces)
-    assert sum(len(fs) for fs in rips(g, 2, cap=2, budget=kept).faces) == kept
-    with pytest.raises(BudgetExceededError, match="face budget"):
-        rips(g, 2, cap=2, budget=kept - 1)
+    with face_budget(kept):
+        assert sum(len(fs) for fs in rips(g, 2, cap=2).faces) == kept
+    with face_budget(kept - 1), pytest.raises(BudgetExceededError, match="face budget"):
+        rips(g, 2, cap=2)
 
 
 def test_nerve_build_leaves_no_garbage_cycle():

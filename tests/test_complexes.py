@@ -39,24 +39,27 @@ def test_boundary_squares_to_zero():
 def test_has_face_and_spans():
     c = SimplicialComplex.from_label_faces([(0, 1, 2)])
     assert c.has_face((0, 1))
-    assert c.spans((0, 1, 2))
+    assert c.has_face((0, 1, 2))
     assert not c.has_face((0, 3))
 
 
-def test_spans_beyond_cap():
-    # complete complex: absence of a bigger face is decisive
-    c = SimplicialComplex.from_label_faces([(0, 1)], cap=1)
-    assert not c.spans((0, 1, 2, 3))
-    # cap-truncated complex without a span test cannot decide
-    t = SimplicialComplex.from_label_faces([(0, 1, 2, 3)], cap=1)
-    assert t.truncated_at_cap
-    with pytest.raises(ValueError):
-        t.spans((0, 1, 2))
+def test_verify_refuses_an_image_past_the_target_cap():
+    # the target's face lists stop at its cap, so a face that lands past it
+    # is refused (a ValueError, exit 2), although the target's vertices span
+    # a triangle and the nerve's five masks all meet
+    src = SimplicialComplex.from_label_faces([(0, 1, 2)])
+    for tgt in (
+        SimplicialComplex.from_label_faces([(0, 1, 2)], cap=1),
+        mask_nerve(range(5), [1] * 5, 1),
+    ):
+        with pytest.raises(NotSimplicialError) as exc:
+            SimplicialMap(src, tgt, [0, 1, 2])
+        assert exc.value.witness == (0, 1, 2)
 
 
 def test_simplicial_map_checked():
     src = SimplicialComplex.from_label_faces([(0, 1)])
-    tgt = SimplicialComplex.from_label_faces([(0,), (1,)])  # two points, no edge
+    tgt = SimplicialComplex.from_label_faces([(0,), (1,)], cap=1)  # two points, no edge
     with pytest.raises(NotSimplicialError) as exc:
         SimplicialMap(src, tgt, [0, 1])
     assert exc.value.witness == (0, 1)
@@ -123,20 +126,6 @@ def test_induced_subcomplex():
     assert sub.n_faces(2) == 1
     assert sub.n_faces(0) == 3
     assert 3 not in remap
-
-
-def test_induced_subcomplex_keeps_the_truncation_flag():
-    # five masks that all meet: the cap-1 nerve is truncated, and so is any
-    # full subcomplex, whose 3-face past the cap is then undecided
-    cx = mask_nerve(range(5), [1] * 5, 1)
-    sub, _ = cx.induced([0, 1, 2, 3])
-    assert cx.truncated_at_cap and sub.truncated_at_cap
-    for c in (cx, sub):
-        with pytest.raises(ValueError, match="beyond cap 1"):
-            c.spans((0, 1, 2, 3))
-    # a complete complex keeps complete full subcomplexes
-    whole, _ = full_simplex(4).induced([0, 1, 2])
-    assert not whole.truncated_at_cap and whole.spans((0, 1, 2))
 
 
 # -- the facet table and the CSC coboundary against tuple slicing ----------------

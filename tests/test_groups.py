@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from horokit.errors import BudgetExceededError, UnknownLetterError
+from horokit.errors import BUDGET_ENV_VAR, BudgetExceededError, UnknownLetterError
 import numpy as np
 
 from horokit.groups import Atom, GroupSpec, WordBall, enumerate_cosets
@@ -157,9 +157,13 @@ def test_ball_bfs_order_and_oracle():
     assert lengths == sorted(lengths)
 
 
-def test_ball_budget():
+def test_ball_budget(monkeypatch):
+    size = len(F2.ball(4))
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(size))
+    assert len(F2.ball(4)) == size
+    monkeypatch.setenv(BUDGET_ENV_VAR, str(size - 1))
     with pytest.raises(BudgetExceededError):
-        F2.ball(4, budget=10)
+        F2.ball(4)
 
 
 def test_coset_enumeration_free2():

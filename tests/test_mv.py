@@ -57,13 +57,24 @@ def test_y_vanishing_stage_one_needs_depth():
         y_vanishing_check(get_instance("z_horoball"), 1, PAPER_SCHEDULE)
 
 
+def _unwindowed_stage(sp, cap=2):
+    """Stage 0 on the four families of the whole cover, not cut to the
+    interior window."""
+    from horokit.covers import decompose
+    from horokit.mv import _core_stage
+
+    dec = decompose(sp, 0, PAPER_SCHEDULE)
+    fams = {k: getattr(dec, k) for k in ("whole", "thick", "cusp", "interface")}
+    return fams, _core_stage(fams, cap, 0, len(sp.graph))
+
+
 def test_mv_degenerate_without_horoballs():
     # no cusp side: the sequence degenerates to thick == whole (with every
     # vertical neighbor clipped, the interior window is empty, so unwindowed)
     f2 = GroupSpec.free(2)
     sp = build_augmented(f2, (0,), Truncation(rg=2, lmax=0, mmax=0))
-    stage = assemble_mv(sp, 0, PAPER_SCHEDULE, cap=2, windowed=False)
-    assert len(stage.families["cusp"]) == 0
+    fams, stage = _unwindowed_stage(sp)
+    assert len(fams["cusp"]) == 0
     v = check_mv_exactness(stage)
     assert v.all_exact
     for p in (0, 1):
@@ -87,8 +98,7 @@ def test_mv_stage0_exact_on_shipped_instances(name):
 
 
 def test_mv_unwindowed_also_exact_on_small_instance():
-    sp = get_instance("z2_free_z_deep")
-    stage = assemble_mv(sp, 0, PAPER_SCHEDULE, cap=2, windowed=False)
+    _, stage = _unwindowed_stage(get_instance("z2_free_z_deep"))
     v = check_mv_exactness(stage)
     assert v.all_exact
 
@@ -269,29 +279,32 @@ def test_vanishing_pushes_degree_one_cycles():
         assert entry.degrees[1]["how"] == "pushed 1 cycle generators bound in target"
 
 
+def _identity(cx):
+    """The retraction of a nerve that is its own core."""
+    return {c: c for c in cx.labels}
+
+
+def _stage_on(nerves, cap):
+    """A stage on the given nerves, each its own core, inclusions plain."""
+    from horokit.homology import DegreeCoordinates
+    from horokit.mv import _MAPS, MVStage, _inclusion
+
+    retractions = {k: _identity(cx) for k, cx in nerves.items()}
+    coords = {(k, p): DegreeCoordinates(cx, p) for k, cx in nerves.items() for p in range(cap)}
+    inclusions = {
+        (a, b): _inclusion(nerves[a], nerves[b], n, retractions[b]) for (a, b), n in _MAPS.items()
+    }
+    return MVStage(0, cap, 0, nerves, coords, inclusions, retractions)
+
+
 def _synthetic_stage(whole_faces, thick_faces, cusp_faces, iface_faces, cap=2):
     from horokit.complexes import SimplicialComplex
-    from horokit.homology import DegreeCoordinates
-    from horokit.mv import MVStage, _inclusion
 
-    nerves = {
-        "whole": SimplicialComplex.from_label_faces(whole_faces, cap=cap),
-        "thick": SimplicialComplex.from_label_faces(thick_faces, cap=cap),
-        "cusp": SimplicialComplex.from_label_faces(cusp_faces, cap=cap),
-        "interface": SimplicialComplex.from_label_faces(iface_faces, cap=cap),
-    }
-    coords = {
-        (k, p): DegreeCoordinates(cx, p)
-        for k, cx in nerves.items()
-        for p in range(cap)
-    }
-    inclusions = {
-        ("interface", "thick"): _inclusion(nerves["interface"], nerves["thick"], "zi"),
-        ("interface", "cusp"): _inclusion(nerves["interface"], nerves["cusp"], "zj"),
-        ("thick", "whole"): _inclusion(nerves["thick"], nerves["whole"], "xk"),
-        ("cusp", "whole"): _inclusion(nerves["cusp"], nerves["whole"], "yl"),
-    }
-    return MVStage(None, 0, None, cap, False, 0, {}, nerves, coords, inclusions)
+    faces = {"whole": whole_faces, "thick": thick_faces, "cusp": cusp_faces,
+             "interface": iface_faces}
+    return _stage_on(
+        {k: SimplicialComplex.from_label_faces(fs, cap=cap) for k, fs in faces.items()}, cap
+    )
 
 
 def test_mv_line_split_into_half_lines():
@@ -326,6 +339,22 @@ def test_mv_circle_split_has_nontrivial_snake():
     assert v.degrees[1]["whole_slot"] and v.degrees[0]["interface_slot"]
 
 
+def test_composites_disagree_through_a_twisted_inclusion():
+    # whole is two points; the interface point goes to the first through
+    # thick and, by a twisted cusp -> whole map, to the second through cusp
+    from horokit.complexes import SimplicialMap
+
+    stage = _synthetic_stage(
+        whole_faces=[(0,), (1,)], thick_faces=[(0,)], cusp_faces=[(0,)], iface_faces=[(0,)]
+    )
+    nerves = stage.nerves
+    stage.inclusions[("cusp", "whole")] = SimplicialMap(nerves["cusp"], nerves["whole"], [1])
+    v = check_mv_exactness(stage)
+    assert not v.composites_agree and not v.all_exact
+    assert not v.degrees[0]["middle_detail"]["image_in_kernel"]
+    assert v.degrees[1]["middle_detail"]["image_in_kernel"]
+
+
 def test_mv_exactness_on_random_window_restrictions():
     # restricting all four families to a common center subset preserves the
     # excision identities, so middle exactness must survive any restriction
@@ -357,22 +386,13 @@ def test_mv_exactness_on_random_window_restrictions():
         }
         nerves = {k: build_nerve(f, cap=2) for k, f in fams.items()}
         coords = {k: DegreeCoordinates(nerves[k], 0) for k in nerves}
-        i_map = induced_map(
-            _inclusion(nerves["interface"], nerves["thick"], "i"), 0,
-            coords["interface"], coords["thick"],
-        )
-        j_map = induced_map(
-            _inclusion(nerves["interface"], nerves["cusp"], "j"), 0,
-            coords["interface"], coords["cusp"],
-        )
-        k_map = induced_map(
-            _inclusion(nerves["thick"], nerves["whole"], "k"), 0,
-            coords["thick"], coords["whole"],
-        )
-        l_map = induced_map(
-            _inclusion(nerves["cusp"], nerves["whole"], "l"), 0,
-            coords["cusp"], coords["whole"],
-        )
+
+        def induced(a, b):
+            smap = _inclusion(nerves[a], nerves[b], f"{a}->{b}", _identity(nerves[b]))
+            return induced_map(smap, 0, coords[a], coords[b])
+
+        i_map, j_map = induced("interface", "thick"), induced("interface", "cusp")
+        k_map, l_map = induced("thick", "whole"), induced("cusp", "whole")
         res = exactness_check(stack_maps(i_map, j_map.negate()), concat_maps(k_map, l_map))
         assert res.exact
 
@@ -479,13 +499,8 @@ def test_snake_refuses_a_broken_excision_with_a_decomposition_error():
 def _full_stage(fams, cap):
     """The stage on the full nerves of the four families, inclusions plain."""
     from horokit.covers import nerve as build_nerve
-    from horokit.homology import DegreeCoordinates
-    from horokit.mv import _MAPS, MVStage, _inclusion
 
-    nerves = {k: build_nerve(f, cap=cap) for k, f in fams.items()}
-    coords = {(k, p): DegreeCoordinates(cx, p) for k, cx in nerves.items() for p in range(cap)}
-    inclusions = {(a, b): _inclusion(nerves[a], nerves[b], n) for (a, b), n in _MAPS.items()}
-    return MVStage(None, 0, None, cap, False, 0, fams, nerves, coords, inclusions)
+    return _stage_on({k: build_nerve(f, cap=cap) for k, f in fams.items()}, cap)
 
 
 def _map_ranks(stage):
@@ -559,7 +574,7 @@ def test_stage_on_cores_matches_the_full_nerves_on_random_triples():
     @given(triples(), st.integers(2, 3))
     def check(triple, cap):
         fams = _level_split_families(*triple)
-        core, full = _core_stage(fams, cap), _full_stage(fams, cap)
+        core, full = _core_stage(fams, cap, 0, 0), _full_stage(fams, cap)
         verdict = check_mv_exactness(core)
         assert verdict.as_dict() == check_mv_exactness(full).as_dict()
         assert verdict.all_exact

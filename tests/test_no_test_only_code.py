@@ -12,9 +12,17 @@ nothing in the program names, not every test-only method.
 
 The allow-list holds the labelled oracles and test constructors that stay on
 purpose; each entry says why.
+
+A second guard does the same for parameters: it fails on a defaulted
+parameter of a public function, method or class that no call in ``src/`` or
+``scripts/`` passes, by keyword or by position, since such a parameter is a
+knob only the tests turn.  Calls are matched by the called name alone, as
+above; a call to a class counts for its ``__init__``, or for the fields of a
+dataclass.
 """
 
 import ast
+import math
 import pathlib
 import re
 
@@ -31,6 +39,13 @@ ALLOWED = {
     "cone_to_json": "writes the cone files that cone_from_json reads",
     "omega_excisive_check": "the excision check of the thick/cusp level split",
     "distance": "pairwise oracle for MetricGraph.multi_source_distances",
+}
+
+
+DEFAULTS_ALLOWED = {
+    "complexes.SimplicialComplex.from_label_faces(cap)":
+        "test constructor: a cap below the top face",
+    "complexes.barycentric_subdivision(times)": "test constructor: iterated subdivision",
 }
 
 
@@ -73,6 +88,113 @@ def unreached_names(root: pathlib.Path = ROOT) -> list[str]:
     return out
 
 
+def _defaulted(fn: ast.FunctionDef, bound: int):
+    """(name, position) of each defaulted parameter of a def, the position
+    as a call counts it (``bound`` leaves out self) and None for a
+    keyword-only one."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    first = len(pos) - len(args.defaults)
+    out = [(a.arg, i - bound) for i, a in enumerate(pos) if i >= first]
+    return out + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+
+
+def _defaulted_fields(cls: ast.ClassDef):
+    """(name, position) of each defaulted init field of a dataclass."""
+    out, position = [], 0
+    for st in cls.body:
+        if not (isinstance(st, ast.AnnAssign) and isinstance(st.target, ast.Name)):
+            continue
+        value = st.value
+        if isinstance(value, ast.Call) and getattr(value.func, "id", None) == "field":
+            kw = {k.arg: k.value for k in value.keywords}
+            if getattr(kw.get("init"), "value", True) is False:
+                continue
+            if "default" in kw or "default_factory" in kw:
+                out.append((st.target.id, position))
+        elif value is not None:
+            out.append((st.target.id, position))
+        position += 1
+    return out
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(
+        getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def _parameters(path: pathlib.Path):
+    """(qualified name, name a call uses, defaulted parameters) of each
+    public function, public method and class constructor of one module."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, _defaulted(node, 0)
+        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+            continue
+        for sub in node.body:
+            if isinstance(sub, ast.FunctionDef) and (
+                sub.name == "__init__" or not sub.name.startswith("_")
+            ):
+                static = any(getattr(d, "id", None) == "staticmethod" for d in sub.decorator_list)
+                called = node.name if sub.name == "__init__" else sub.name
+                yield f"{node.name}.{sub.name}", called, _defaulted(sub, 0 if static else 1)
+        if _is_dataclass(node):
+            yield node.name, node.name, _defaulted_fields(node)
+
+
+def _calls(root: pathlib.Path) -> dict[str, tuple[float, set]]:
+    """{called name: (most positional arguments, keywords)} over the calls
+    in ``src/`` and ``scripts/``; a starred argument stands for every
+    position and a ``**`` argument for every keyword (None)."""
+    out: dict[str, tuple[float, set]] = {}
+    for path in sorted((root / "src" / "horokit").glob("*.py")) + sorted(
+        (root / "scripts").glob("*.py")
+    ):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+            if name is None:
+                continue
+            most, keywords = out.get(name, (0, set()))
+            n = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
+            out[name] = (max(most, n), keywords | {k.arg for k in call.keywords})
+    return out
+
+
+def unset_defaults(root: pathlib.Path = ROOT) -> list[str]:
+    """The defaulted parameters under ``root/src/horokit`` that no call in
+    ``src/`` or ``scripts/`` passes, as ``module.function(parameter)``."""
+    calls = _calls(root)
+    out = []
+    for path in sorted((root / "src" / "horokit").glob("*.py")):
+        for qualified, called, params in _parameters(path):
+            most, keywords = calls.get(called, (0, set()))
+            out.extend(
+                f"{path.stem}.{qualified}({name})"
+                for name, position in params
+                if name not in keywords and None not in keywords
+                and (position is None or position >= most)
+            )
+    return sorted(out)
+
+
+def _copy_tree(tmp_path: pathlib.Path) -> pathlib.Path:
+    """A copy of ``src/horokit`` and ``scripts/`` under tmp_path; returns the
+    package copy."""
+    (tmp_path / "src").mkdir()
+    copy = tmp_path / "src" / "horokit"
+    copy.mkdir()
+    for p in PACKAGE.glob("*.py"):
+        (copy / p.name).write_text(p.read_text())
+    (tmp_path / "scripts").mkdir()
+    for p in (ROOT / "scripts").glob("*.py"):
+        (tmp_path / "scripts" / p.name).write_text(p.read_text())
+    return copy
+
+
 def test_every_public_name_is_reached_outside_the_tests():
     assert unreached_names() == []
 
@@ -82,17 +204,27 @@ def test_allow_list_names_are_still_defined():
     assert sorted(set(ALLOWED) - defined) == []
 
 
+def test_every_defaulted_parameter_is_passed_outside_the_tests():
+    # the allow-listed ones, and no others, are still defaulted and unpassed
+    assert unset_defaults() == sorted(DEFAULTS_ALLOWED)
+
+
 def test_guard_flags_a_helper_only_the_tests_call(tmp_path):
     # a copy of the package with one test-only helper added back
-    (tmp_path / "src").mkdir()
-    copy = tmp_path / "src" / "horokit"
-    copy.mkdir()
-    for p in PACKAGE.glob("*.py"):
-        (copy / p.name).write_text(p.read_text())
-    (tmp_path / "scripts").mkdir()
-    for p in (ROOT / "scripts").glob("*.py"):
-        (tmp_path / "scripts" / p.name).write_text(p.read_text())
+    copy = _copy_tree(tmp_path)
     with open(copy / "graphs.py", "a") as fh:
         fh.write("\n\ndef distances_from(graph, v):\n"
                  "    return graph.multi_source_distances([v])\n")
     assert unreached_names(tmp_path) == ["graphs.distances_from"]
+
+
+def test_guard_flags_a_parameter_only_the_tests_pass(tmp_path):
+    # a copy of the package with a per-call vertex budget put back on
+    # build_cover, where no program call passes it
+    copy = _copy_tree(tmp_path)
+    covers = copy / "covers.py"
+    head = "def build_cover(space: AugmentedSpace, scale: int"
+    text = covers.read_text()
+    assert text.count(head + ")") == 1
+    covers.write_text(text.replace(head + ")", head + ", budget: int | None = None)"))
+    assert unset_defaults(tmp_path) == sorted([*DEFAULTS_ALLOWED, "covers.build_cover(budget)"])

@@ -10,6 +10,7 @@ from horokit.opencone import (
     adversarial_net,
     band_cover_check,
     build_net,
+    ConedSpace,
     cone_cover_tower,
     cone_fixture,
     embed_and_cone,
@@ -41,10 +42,8 @@ def test_embedding_gate():
 
 
 def test_grid_step_gate():
-    dist = np.array([[0.0, 2.0], [2.0, 0.0]])
-    coords = np.array([[1.0], [-1.0]])
     with pytest.raises(ValueError):
-        embed_and_cone(dist, 1, 2, grid_step=Fraction(1, 2), coords=coords)
+        ConedSpace(np.array([[1.0], [-1.0]]), 2, Fraction(1, 2), 1.0)
 
 
 def test_unit_norm_base_points():
@@ -163,18 +162,28 @@ def test_cone_grid_is_counted_before_it_is_built(monkeypatch):
     assert len(cone_fixture("two_rays", levels=4).points) == 33
 
 
-def test_levels_are_refused_from_the_grid_before_any_net(monkeypatch):
-    # 2,000 levels hold at least 2,000 centers over 16,001 points: far over
-    # the budget at any imax, so no net and no band check is made
+def test_levels_are_refused_from_the_grid_before_any_net(monkeypatch, capsys):
+    # 20,000 levels hold at least 20,000 centers over 160,001 points: far
+    # over the budget at any imax, so no net and no band check is made, and
+    # the points are counted, not built
     from horokit import cli
 
     def refuse(*args):
         raise AssertionError("a net was built")
 
+    built = []
+    point = opencone.ConePoint
+    monkeypatch.setattr(opencone, "ConePoint", lambda *a: built.append(a) or point(*a))
     monkeypatch.setattr(cli, "build_net", refuse)
     monkeypatch.setattr(cli, "band_cover_check", refuse)
-    assert cli.run(["opencone", "--fixture", "two_rays", "--levels", "2000"]) == 3
+    assert cli.run(["opencone", "--fixture", "two_rays", "--levels", "20000"]) == 3
+    assert capsys.readouterr().err == (
+        "horokit: opencone: cover tower of at least 20000 centers, 160001 points"
+        " and 3 scales needs 9600060000 distance tests, over the budget of 1000000\n"
+    )
+    assert built == []
     assert cli.run(["opencone", "--fixture", "two_rays", "--imax", "0"]) == 2
+    assert len(cone_fixture("two_rays", levels=4).points) == len(built) == 33
 
 
 @pytest.mark.parametrize(

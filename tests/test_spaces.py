@@ -1,6 +1,6 @@
 import pytest
 
-from horokit.errors import BudgetExceededError, EmptyBaseError
+from horokit.errors import BUDGET_ENV_VAR, BudgetExceededError, EmptyBaseError
 from horokit.graphs import MetricGraph, Vertex
 from horokit.groups import Atom, GroupSpec
 from horokit.spaces import (
@@ -27,9 +27,13 @@ def test_horoball_empty_base():
         build_horoball([], ABS, (0, 1), lmax=1)
 
 
-def test_horoball_budget():
+def test_horoball_budget(monkeypatch):
+    # 17 base points at 4 levels
+    monkeypatch.setenv(BUDGET_ENV_VAR, "68")
+    assert len(build_horoball(interval_points(-8, 8), ABS, (0, 3), lmax=3)) == 68
+    monkeypatch.setenv(BUDGET_ENV_VAR, "67")
     with pytest.raises(BudgetExceededError):
-        build_horoball(interval_points(-8, 8), ABS, (0, 3), lmax=3, budget=10)
+        build_horoball(interval_points(-8, 8), ABS, (0, 3), lmax=3)
 
 
 def test_horoball_interval_vertex_count_and_shortcut():
