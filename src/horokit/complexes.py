@@ -8,6 +8,8 @@ Every nerve and Rips face is enumerated here, by the clique kernel
 pass; ``mask_nerve`` builds the nerves of covers on it, and ``rips`` the Rips
 complexes.  Below the cap, ``mv`` and ``opencone`` take homology on the
 nerve of a family's dominated-column core (``mask_core_nerve``) instead.
+Meeting and containment are read off point stars (the bitsets of the sets
+that hold a point): ``mask_adjacency`` ORs them, ``mask_core`` ANDs them.
 """
 
 from __future__ import annotations
@@ -248,8 +250,8 @@ FACES_PER_VERTEX = 10  # the face budget is this many times the vertex budget
 
 
 def clique_complex(labels: Sequence, adj: Sequence[int], cap: int,
-                   masks: Sequence[int] | None = None,
-                   what: str = "complex") -> SimplicialComplex:
+                   masks: Sequence[int] | None = None, *,
+                   what: str) -> SimplicialComplex:
     """Complex of the cliques of the bitset adjacency ``adj`` (``adj[i]``
     holds the neighbours of i) with at most cap+1 vertices.  With ``masks`` a
     clique of two or more vertices counts only when their masks have a
@@ -317,12 +319,16 @@ def mask_adjacency(masks: Sequence[int]) -> list[int]:
 
 
 def _set_bits(mask: int) -> list[int]:
-    """The positions of the set bits of a nonnegative int, increasing."""
-    bits = bin(mask)[:1:-1]  # bit k at index k
+    """The positions of the set bits of a nonnegative int, increasing; ``bin``
+    starts at the lowest set bit, as a horoball column's bits sit high."""
+    low = (mask & -mask).bit_length() - 1
+    if low < 0:
+        return []
+    bits = bin(mask >> low)[:1:-1]  # bit low + k at index k
     out = []
     k = bits.find("1")
     while k >= 0:
-        out.append(k)
+        out.append(low + k)
         k = bits.find("1", k + 1)
     return out
 
@@ -330,7 +336,7 @@ def _set_bits(mask: int) -> list[int]:
 def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int) -> SimplicialComplex:
     """Nerve of a family of bitmask sets up to the cap: a simplex per
     subfamily whose masks have a nonzero AND."""
-    return clique_complex(labels, mask_adjacency(masks), cap, masks, "nerve")
+    return clique_complex(labels, mask_adjacency(masks), cap, masks, what="nerve")
 
 
 def mask_core(masks: Sequence[int]) -> tuple[list[int], list[int]]:
@@ -343,37 +349,52 @@ def mask_core(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     Pareek, "Strong collapse for persistence", ESA 2018).  The columns are
     scanned by decreasing popcount, ties by index, and a column is kept unless
     an already-kept mask contains it, so among equal masks the least index
-    stays, and the scan costs one AND per column and kept column.  ``kept``
-    lists the kept columns in increasing order; ``retract[i]`` is the first
-    kept column of the scan that contains column i (i itself when kept).  An
-    empty mask is an isolated vertex and is always kept.
+    stays.  ``kept`` lists the kept columns in increasing order; ``retract[i]``
+    is the first kept column of the scan that contains column i (i itself
+    when kept).  An empty mask is an isolated vertex and is always kept.
+
+    Containment is read off point stars (Dowker, Annals 1952, as in
+    ``mask_adjacency``): bit k of a point's kept star is set when the k-th
+    kept column holds the point, so the AND of the kept stars of i's points
+    holds i's kept containers, and its lowest bit, as bit order is scan
+    order, is the first of the scan.  Keeping only kept columns in the stars
+    misses no container: a dominated one's kept container, scanned before
+    it, contains i too.
 
     The retraction is simplicial at every cap, since a dominator's mask only
     grows; with j the inclusion, r∘j = id and j∘r is contiguous to the
     identity through faces of one more dimension.  So a cap-c nerve of the
     core has the full cap-c nerve's H_p, through r and j, for every p < c."""
     order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
-    scanned: list[int] = []
+    scanned: list[int] = []  # the kept columns, in scan order
+    stars: dict[int, int] = {}
     retract = list(range(len(masks)))
     for i in order:
-        m = masks[i]
-        for k in scanned if m else ():
-            if m & masks[k] == m:
-                retract[i] = k
+        points = _set_bits(masks[i])
+        common = -1 if points else 0
+        for p in points:
+            common &= stars.get(p, 0)
+            if not common:
                 break
-        else:
-            scanned.append(i)
+        if common:
+            retract[i] = scanned[(common & -common).bit_length() - 1]
+            continue
+        bit = 1 << len(scanned)
+        scanned.append(i)
+        for p in points:
+            stars[p] = stars.get(p, 0) | bit
     return sorted(scanned), retract
 
 
 def mask_core_nerve(labels: Sequence, masks: Sequence[int],
                     cap: int) -> tuple[SimplicialComplex, dict]:
     """The nerve of the ``mask_core`` of a mask family, labelled as the family
-    is, and the retraction as {label: core label}.  Its H_p is the full
-    nerve's for p < cap, not at the cap."""
+    is, and the retraction as {label: index of its core vertex}.  Its H_p is
+    the full nerve's for p < cap, not at the cap."""
     kept, retract = mask_core(masks)
     cx = mask_nerve([labels[i] for i in kept], [masks[i] for i in kept], cap)
-    return cx, {label: labels[r] for label, r in zip(labels, retract)}
+    index = {k: v for v, k in enumerate(kept)}
+    return cx, {label: index[r] for label, r in zip(labels, retract)}
 
 
 def full_simplex(n: int) -> SimplicialComplex:

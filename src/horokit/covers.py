@@ -11,9 +11,10 @@ vertex sets coincide.
 
 Cover nerve faces are enumerated only by ``nerve``, which runs the clique
 kernel (``complexes.mask_nerve``) on the column masks, and by ``core_nerve``,
-which runs it on the dominated-column core only.  Contiguity needs no nerve
-from its caller: it intersects the target masks over each point's star and
-scans only the nerve of the points where that intersection is empty.
+which runs it on the dominated-column core only, with the retraction as
+core vertex indices.  Contiguity needs no nerve from its caller: it
+intersects the target masks over each point's star and scans only the nerve
+of the points where that intersection is empty.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .complexes import SimplicialComplex, SimplicialMap, _set_bits, mask_core_nerve, mask_nerve
+from .complexes import SimplicialComplex, _set_bits, mask_core_nerve, mask_nerve
 from .errors import (
     BudgetExceededError,
     DecompositionError,
@@ -257,7 +258,7 @@ def decompose(space: AugmentedSpace, n: int, schedule: Schedule) -> Decompositio
 # -- nerves ------------------------------------------------------------------
 
 
-def nerve(family: Family, cap: int = 3) -> SimplicialComplex:
+def nerve(family: Family, cap: int) -> SimplicialComplex:
     """Nerve of the family: a simplex per subfamily with common intersection
     (``complexes.mask_nerve`` of the column masks)."""
     if cap < 1:
@@ -265,10 +266,11 @@ def nerve(family: Family, cap: int = 3) -> SimplicialComplex:
     return mask_nerve(tuple(family.centers), [c.mask for c in family.columns], cap)
 
 
-def core_nerve(family: Family, cap: int = 3) -> tuple[SimplicialComplex, dict[Vertex, Vertex]]:
+def core_nerve(family: Family, cap: int) -> tuple[SimplicialComplex, dict[Vertex, int]]:
     """Nerve of the family's dominated-column core, and the retraction of the
-    family's centers onto the core's (``complexes.mask_core_nerve``): the
-    full nerve's H_p for every p below the cap."""
+    family's centers onto it as {center: index of its core vertex}
+    (``complexes.mask_core_nerve``): the full nerve's H_p for every p below
+    the cap.  A map f onto the core is ``[retract[f(c)] for c in labels]``."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
     return mask_core_nerve(tuple(family.centers), [c.mask for c in family.columns], cap)
@@ -284,7 +286,6 @@ class CoverMap:
     source: Family
     target: Family
     center_map: Callable[[Vertex], Vertex]
-    name: str = ""
 
     def image_positions(self) -> list[int]:
         index = {center: i for i, center in enumerate(self.target.centers)}
@@ -295,23 +296,6 @@ class CoverMap:
                     raise KeyError(f"no column centered at {image}")
                 raise KeyError(f"column {image} not in family {self.target.name!r}")
         return [index[image] for image in images]
-
-    def to_simplicial_map(
-        self,
-        source_nerve: SimplicialComplex,
-        target_nerve: SimplicialComplex,
-        check: bool = True,
-        retract: dict[Vertex, Vertex] | None = None,
-    ) -> SimplicialMap:
-        """The vertex map of the nerves; with ``retract`` (a target core's
-        retraction, ``core_nerve``) each image goes on to its core column."""
-        tpos = {c: i for i, c in enumerate(target_nerve.labels)}
-        images = [self.center_map(c) for c in source_nerve.labels]
-        if retract is not None:
-            images = [retract[c] for c in images]
-        return SimplicialMap(
-            source_nerve, target_nerve, [tpos[c] for c in images], check=check, name=self.name
-        )
 
 
 def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
@@ -382,7 +366,7 @@ def connecting_map(
     space: AugmentedSpace,
     kind: str,
     n: int,
-    schedule: Schedule = PAPER_SCHEDULE,
+    schedule: Schedule,
     s: int | None = None,
 ) -> CoverMap:
     """The stage maps between cover families.
@@ -403,11 +387,11 @@ def connecting_map(
     if kind == "refine":
         src = build_cover(space, j_n).whole()
         tgt = build_cover(space, j_next).whole()
-        return CoverMap(src, tgt, lambda v: v, name=f"refine[{n}]")
+        return CoverMap(src, tgt, lambda v: v)
     if kind == "inclusion":
         src = _thick_meeting(space, 1, j_n, f"near-base[{n}]")
         tgt = _thick_meeting(space, level_n, j_n, f"thick[{n}]")
-        return CoverMap(src, tgt, lambda v: v, name=f"inclusion[{n}]")
+        return CoverMap(src, tgt, lambda v: v)
     if kind == "collar":
         src = _thick_meeting(space, level_n, j_n, f"thick[{n}]")
         tgt = _thick_meeting(space, 1, j_next, f"near-base[{n + 1}]")
@@ -415,11 +399,11 @@ def connecting_map(
         def drop(v: Vertex) -> Vertex:
             return v if v.level == 0 else Vertex(v.element, 1, v.coset)
 
-        return CoverMap(src, tgt, drop, name=f"collar[{n}]")
+        return CoverMap(src, tgt, drop)
     if kind == "stage-refine":
         src = _thick_meeting(space, level_n, j_n, f"thick[{n}]")
         tgt = _thick_meeting(space, level_next, j_next, f"thick[{n + 1}]")
-        return CoverMap(src, tgt, lambda v: v, name=f"stage-refine[{n}]")
+        return CoverMap(src, tgt, lambda v: v)
     if kind == "floor":
         if s is None or s < 0:
             raise ValueError("floor map needs s >= 0")
@@ -431,5 +415,5 @@ def connecting_map(
         def raise_floor(v: Vertex) -> Vertex:
             return v if v.level >= s else Vertex(v.element, s, v.coset)
 
-        return CoverMap(src, tgt, raise_floor, name=f"floor[{n},{s}]")
+        return CoverMap(src, tgt, raise_floor)
     raise ValueError(f"unknown connecting map kind {kind!r}")

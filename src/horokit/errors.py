@@ -46,7 +46,7 @@ class ScheduleMismatchError(ValueError):
 class NotSimplicialError(ValueError):
     """A vertex map fails to send some simplex to a simplex."""
 
-    def __init__(self, witness, message="map is not simplicial"):
+    def __init__(self, witness, message):
         self.witness = witness
         super().__init__(f"{message}; witness simplex {witness!r}")
 

@@ -346,7 +346,7 @@ class ExactnessResult:
     exact: bool
     image_in_kernel: bool
     kernel_in_image: bool
-    note: str = ""
+    note: str
 
     def as_dict(self):
         return {

@@ -34,7 +34,7 @@ distance matrix and is scanned by pairs:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,10 +50,10 @@ class DeltaEstimate:
     delta: float
     mode: str  # "exhaustive" | "sampled"
     quadruples_checked: int
-    method: str = "scan"  # | "block-graph-certificate" | "degenerate" | "uniform-quadruples"
+    method: str  # "scan" | "block-graph-certificate" | "degenerate" | "uniform-quadruples"
+    truncation: dict
     samples: int | None = None
     seed: int | None = None
-    truncation: dict = field(default_factory=dict)
 
     def as_dict(self):
         out = {

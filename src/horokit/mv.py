@@ -2,15 +2,16 @@
 
 A stage assembles the thick/cusp/interface families of one cover scale
 (restricted to the interior window), builds the nerves of their
-dominated-column cores and the maps between them, and checks exactness of
+dominated-column cores (``covers.core_nerve``) and the maps between them,
+each one vertex list through the target's retraction, and checks exactness of
 
     H_p(interface) -> H_p(thick) + H_p(cusp) -> H_p(whole)
 
 with the (incoming, -outgoing) sign convention, plus the connecting-map
 slots via an explicit chain-level snake.  Only degrees below the nerve cap
-are asked for, where a core nerve has the full nerve's homology.  The cusp-vanishing check, the
-cluster decomposition of the interface and the half-line tower
-demonstration live here too.
+are asked for, where a core nerve has the full nerve's homology.  The
+cusp-vanishing check, the cluster decomposition of the interface and the
+half-line tower demonstration live here too.
 """
 
 from __future__ import annotations
@@ -20,12 +21,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import SimplicialComplex, SimplicialMap, mask_nerve, push_face
+from .complexes import SimplicialMap, mask_nerve, push_face
 from .covers import (
     CoverMap,
     Family,
     Schedule,
-    PAPER_SCHEDULE,
     connecting_map,
     contiguous_cover_maps,
     core_nerve,
@@ -66,7 +66,7 @@ class MVStage:
     nerves: dict  # whole/thick/cusp/interface -> SimplicialComplex (of the core)
     coords: dict  # (key, degree) -> DegreeCoordinates
     inclusions: dict  # ("interface","thick") etc -> SimplicialMap
-    retractions: dict  # key -> {center of the family: its core center}
+    retractions: dict  # key -> {center of the family: index of its core vertex}
 
     def degrees(self):
         return range(0, self.cap)
@@ -80,20 +80,11 @@ _MAPS = {
 }
 
 
-def _inclusion(
-    src: SimplicialComplex, tgt: SimplicialComplex, name: str, retract: dict
-) -> SimplicialMap:
-    """The inclusion of a subfamily's nerve, each column then sent on by the
-    target's retraction onto its core."""
-    pos = {c: i for i, c in enumerate(tgt.labels)}
-    return SimplicialMap(src, tgt, [pos[retract[c]] for c in src.labels], check=False, name=name)
-
-
 def assemble_mv(
     space: AugmentedSpace,
     n: int,
-    schedule: Schedule = PAPER_SCHEDULE,
-    cap: int = 2,
+    schedule: Schedule,
+    cap: int,
 ) -> MVStage:
     """Build the stage-n excision triple, restricted to the interior window,
     with core nerves and homology coordinates; no full nerve is built.
@@ -124,7 +115,10 @@ def _core_stage(fams: dict, cap: int, n: int, window_size: int) -> MVStage:
         nerves[k], retractions[k] = core_nerve(f, cap=cap)
     coords = {(k, p): DegreeCoordinates(cx, p) for k, cx in nerves.items() for p in range(cap)}
     inclusions = {
-        (a, b): _inclusion(nerves[a], nerves[b], name, retractions[b])
+        (a, b): SimplicialMap(
+            nerves[a], nerves[b], [retractions[b][c] for c in nerves[a].labels],
+            check=False, name=name,
+        )
         for (a, b), name in _MAPS.items()
     }
     return MVStage(n, cap, window_size, nerves, coords, inclusions, retractions)
@@ -148,7 +142,6 @@ def _snake_matrix(stage: MVStage, p: int) -> GroupMap:
     thick, cusp = stage.retractions["thick"], stage.retractions["cusp"]
     r_iface = stage.retractions["interface"]
     iface_index = stage.nerves["interface"].face_index(p - 1)
-    iface_pos = {c: i for i, c in enumerate(stage.nerves["interface"].labels)}
     cols = []
     for cycle in u_coords.generator_cycles():
         thick_part = {}
@@ -165,7 +158,7 @@ def _snake_matrix(stage: MVStage, p: int) -> GroupMap:
         for r, coeff in whole.chain_boundary(p, thick_part).items():
             try:
                 image = push_face(
-                    [iface_pos[r_iface[whole.labels[v]]] for v in whole.faces[p - 1][r]]
+                    [r_iface[whole.labels[v]] for v in whole.faces[p - 1][r]]
                 )
             except KeyError:
                 raise DecompositionError(
@@ -297,7 +290,7 @@ VANISHING_DEGREE = 2  # the top degree of reduced homology checked to vanish
 
 
 def y_vanishing_check(
-    space: AugmentedSpace, n: int, schedule: Schedule = PAPER_SCHEDULE
+    space: AugmentedSpace, n: int, schedule: Schedule
 ) -> VanishingReport:
     """The tower map on cusp families induces zero on reduced homology.
 
@@ -344,7 +337,6 @@ def _cluster_vanishing(
     r_T ∘ f ∘ j_S."""
     cap = max_degree + 1
     src_nerve, _ = core_nerve(src_fam, cap=cap)
-    piece_map = CoverMap(src_fam, tgt_fam, tower_map.center_map, name=f"tower@{coset}")
     smap = None  # built with the target core on the first nontrivial source degree
     degrees = {}
     for p in range(max_degree + 1):
@@ -356,7 +348,10 @@ def _cluster_vanishing(
             continue
         if smap is None:
             tgt_cx, retract = core_nerve(tgt_fam, cap=cap)
-            smap = piece_map.to_simplicial_map(src_nerve, tgt_cx, check=False, retract=retract)
+            smap = SimplicialMap(
+                src_nerve, tgt_cx, [retract[tower_map.center_map(c)] for c in src_nerve.labels],
+                check=False, name=f"tower@{coset}",
+            )
         if p == 0:
             comps = tgt_cx.components()
             images = {comps[t] for t in smap.vertex_images}
@@ -401,7 +396,7 @@ class ClusterVerdict:
 
 
 def cluster_check(
-    space: AugmentedSpace, n: int, schedule: Schedule = PAPER_SCHEDULE, cap: int = 2
+    space: AugmentedSpace, n: int, schedule: Schedule, cap: int
 ) -> ClusterVerdict:
     """Interface homology decomposes as the direct sum over horoballs.
 

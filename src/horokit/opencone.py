@@ -243,16 +243,11 @@ def cone_cover_tower(cone: ConedSpace, nets: list[LevelNet], i_max: int) -> Cone
         cx, retract = mask_core_nerve(list(range(len(centers))), masks, 2)
         complexes.append(cx)
         retractions.append(retract)
-    refinements = []
-    for k in range(len(complexes) - 1):
-        pos = {c: i for i, c in enumerate(complexes[k + 1].labels)}
-        refinements.append(SimplicialMap(
-            complexes[k],
-            complexes[k + 1],
-            [pos[retractions[k + 1][c]] for c in complexes[k].labels],
-            check=True,
-            name=f"refine{k}",
-        ))
+    refinements = [
+        SimplicialMap(complexes[k], complexes[k + 1],
+                      [retractions[k + 1][c] for c in complexes[k].labels], name=f"refine{k}")
+        for k in range(len(complexes) - 1)
+    ]
     towers = {}
     for degree in (0, 1):
         coords = [DegreeCoordinates(cx, degree) for cx in complexes]

@@ -8,7 +8,7 @@ subcomplexes on deep vertices (level >= r), shallow-plus-group vertices
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .complexes import SimplicialComplex, clique_complex
 from .graphs import MetricGraph
@@ -24,7 +24,7 @@ class LevelWindow:
             raise ValueError("window needs 1 <= r <= R")
 
 
-def rips(graph: MetricGraph, diameter: int, cap: int = 3) -> SimplicialComplex:
+def rips(graph: MetricGraph, diameter: int, cap: int) -> SimplicialComplex:
     """Rips complex: faces are subsets of diameter <= the parameter."""
     if diameter < 1:
         raise ValueError("diameter parameter must be >= 1")
@@ -69,7 +69,7 @@ def full_subcomplex(
 class DecompositionCheck:
     union_ok: bool
     band_ok: bool
-    witnesses: list[tuple] = field(default_factory=list)
+    witnesses: list[tuple]
 
     @property
     def ok(self) -> bool:
@@ -84,7 +84,7 @@ class DecompositionCheck:
 
 
 def remark_decomposition_check(
-    graph: MetricGraph, diameter: int, low: int, high: int, cap: int = 3
+    graph: MetricGraph, diameter: int, low: int, high: int, cap: int
 ) -> DecompositionCheck:
     """Face-set identities of the window decomposition of a Rips complex.
 

@@ -30,8 +30,8 @@ KERNEL_DENSE_LIMIT = 4000
 class SNF:
     diag: list[int]  # positive invariant factors, divisibility chain
     rank: int
-    U: np.ndarray | None = None  # U @ A @ V == D for some unimodular V
-    Uinv: np.ndarray | None = None
+    U: np.ndarray | None  # U @ A @ V == D for some unimodular V
+    Uinv: np.ndarray | None
 
 
 def _as_int_matrix(a) -> np.ndarray:

@@ -41,8 +41,8 @@ def _levels_in(interval, lmax: int) -> list[int]:
 def build_horoball(
     points: Sequence,
     dist: Callable[[object, object], int],
-    interval: tuple[int, int | None] = (0, None),
-    lmax: int = 0,
+    interval: tuple[int, int | None],
+    lmax: int,
 ) -> MetricGraph:
     """Horoball truncation over a finite base metric space.
 
@@ -112,7 +112,7 @@ class AugmentedSpace:
         table: CosetTable,
         attached: tuple,
         bases: dict[int, list[int]],
-        name: str = "",
+        name: str,
     ):
         self.spec = spec
         self.peripherals = peripherals

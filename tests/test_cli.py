@@ -337,7 +337,7 @@ def _exception_classes():
     return [OSError, KeyError, *own]
 
 
-_ERROR_ARGS = {"NotSimplicialError": ((0, 1),), "EmbeddingError": (2.0, 1.5)}
+_ERROR_ARGS = {"NotSimplicialError": ((0, 1), "boom"), "EmbeddingError": (2.0, 1.5)}
 
 
 @pytest.mark.parametrize("cls", _exception_classes(), ids=lambda c: c.__name__)

@@ -1,4 +1,5 @@
-"""The dominated-column core of a mask family against its full nerve."""
+"""The dominated-column core of a mask family against its full nerve, and
+``mask_core`` (containment from point stars) against the pairwise scan."""
 
 from itertools import combinations
 
@@ -8,8 +9,14 @@ from hypothesis import given, settings, strategies as st
 from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
+from horokit import complexes, mv, opencone
 from horokit.complexes import SimplicialMap, mask_core, mask_core_nerve, mask_nerve
+from horokit.covers import PAPER_SCHEDULE, Column, Cover, CoverMap, decompose
+from horokit.graphs import Vertex
+from horokit.groups import GroupSpec
 from horokit.homology import AbelianGroup, DegreeCoordinates, homology_type, induced_map
+from horokit.instances import SHIPPED, get_instance
+from horokit.spaces import Truncation, build_augmented, interior_window
 
 RP2_TRIANGLES = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -36,11 +43,140 @@ def test_empty_masks_are_isolated_and_kept():
     kept, retract = mask_core([0, 0b1, 0, 0b11])
     assert kept == [0, 2, 3] and retract == [0, 3, 2, 3]
     cx, r = mask_core_nerve("abcd", [0, 0b1, 0, 0b11], cap=2)
-    assert cx.labels == ("a", "c", "d") and r == {"a": "a", "b": "d", "c": "c", "d": "d"}
+    # the retraction names each label's core vertex by its index
+    assert cx.labels == ("a", "c", "d") and r == {"a": 0, "b": 2, "c": 1, "d": 2}
     assert homology_type(cx, 0) == homology_type(mask_nerve("abcd", [0, 1, 0, 3], 2), 0)
 
 
 masks_families = st.lists(st.integers(0, (1 << 7) - 1), min_size=1, max_size=10)
+
+
+def scan_core(masks):
+    """Oracle for ``mask_core``: the pairwise scan.  Columns by decreasing
+    popcount, ties by index; each nonempty one is tested against every
+    column kept so far, in scan order, and retracts to the first that
+    contains it, or is kept."""
+    order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
+    scanned = []
+    retract = list(range(len(masks)))
+    for i in order:
+        m = masks[i]
+        for k in scanned if m else ():
+            if m & masks[k] == m:
+                retract[i] = k
+                break
+        else:
+            scanned.append(i)
+    return sorted(scanned), retract
+
+
+@st.composite
+def related_masks(draw):
+    """Mask families with empty, equal and nested masks, all shifted by one
+    offset, which may put every bit past 100,000."""
+    masks = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["fresh", "empty", "equal", "subset", "superset"]))
+        bits = draw(st.integers(0, (1 << 9) - 1))
+        if kind == "empty":
+            masks.append(0)
+        elif kind == "fresh" or not masks:
+            masks.append(bits)
+        else:
+            prev = draw(st.sampled_from(masks))
+            masks.append({"equal": prev, "subset": prev & bits, "superset": prev | bits}[kind])
+    shift = draw(st.sampled_from([0, 5, 100_003]))
+    return [m << shift for m in masks]
+
+
+@settings(max_examples=400, deadline=None)
+@given(related_masks())
+def test_core_from_point_stars_equals_the_scan(masks):
+    assert mask_core(masks) == scan_core(masks)
+
+
+def test_set_bits_past_a_high_lowest_bit():
+    mask = (1 << 100_000) | (1 << 100_002) | (1 << 100_064)
+    assert complexes._set_bits(mask) == [100_000, 100_002, 100_064]
+    assert complexes._set_bits(0) == [] and complexes._set_bits(1) == [0]
+
+
+def recorded_cores(monkeypatch):
+    """The mask families of every ``mask_core`` call, as they come."""
+    families = []
+    real = complexes.mask_core
+
+    def record(masks):
+        families.append(list(masks))
+        return real(masks)
+
+    monkeypatch.setattr(complexes, "mask_core", record)
+    return families
+
+
+def test_core_equals_the_scan_on_every_program_family(monkeypatch):
+    # every family a stage-0 verdict takes a core of, on the shipped instances
+    families = recorded_cores(monkeypatch)
+    for name in SHIPPED:
+        sp = get_instance(name)
+        mv.assemble_mv(sp, 0, PAPER_SCHEDULE, cap=2)
+        mv.cluster_check(sp, 0, PAPER_SCHEDULE, cap=2)
+        mv.y_vanishing_check(sp, 0, PAPER_SCHEDULE)
+    assert len(families) > 4 * len(SHIPPED)
+    # and the interior-window whole family of Z^2*Z, ball radius 4, every
+    # peripheral coset given a horoball
+    spec = GroupSpec.free_product(
+        GroupSpec.free_abelian(2, names=("x", "y")), GroupSpec.free(1, names=("t",))
+    )
+    sp = build_augmented(spec, (0,), Truncation(rg=4, lmax=4, mmax=None), name="rg4-all")
+    window = interior_window(sp, PAPER_SCHEDULE.scale(0))
+    whole = decompose(sp, 0, PAPER_SCHEDULE).whole.restrict_to_centers(window, "whole|win")
+    assert len(whole) == 785
+    families.append([c.mask for c in whole.columns])
+    for masks in families:
+        assert mask_core(masks) == scan_core(masks)
+
+
+def recorded_maps(monkeypatch, module):
+    """The ``SimplicialMap``s that one module builds, as built."""
+    built = []
+
+    class Recorded(SimplicialMap):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(module, "SimplicialMap", Recorded)
+    return built
+
+
+def test_every_map_onto_a_core_is_simplicial(monkeypatch):
+    # the program builds the MV inclusions and the tower piece maps unchecked
+    maps = recorded_maps(monkeypatch, mv)
+    for name in SHIPPED:
+        sp = get_instance(name)
+        stage = mv.assemble_mv(sp, 0, PAPER_SCHEDULE, cap=2)
+        assert all(m in maps for m in stage.inclusions.values())
+        mv.y_vanishing_check(sp, 0, PAPER_SCHEDULE)
+    assert len(maps) == 4 * len(SHIPPED)
+    # no source piece of a shipped instance has reduced homology, so no tower
+    # piece map is built there; a hollow square of columns, sent by center
+    # identity onto a square and onto a coned square, builds two
+    centers = [Vertex(w, 1, 1) for w in "abcd"]
+    square = [0b0011, 0b0110, 0b1100, 0b1001]
+    src = Cover(None, 1, tuple(Column(c, 1, m) for c, m in zip(centers, square))).whole()
+    for masks in (square, [m | 0b10000 for m in square]):
+        tgt = Cover(None, 1, tuple(Column(c, 1, m) for c, m in zip(centers, masks))).whole()
+        mv._cluster_vanishing(src, tgt, CoverMap(src, tgt, lambda v: v), 1, max_degree=1)
+    assert [m.name for m in maps[4 * len(SHIPPED):]] == ["tower@1", "tower@1"]
+    refinements = recorded_maps(monkeypatch, opencone)
+    for fixture in ("two_rays", "circle4", "graph6"):
+        cone = opencone.cone_fixture(fixture, levels=4)
+        nets = [opencone.build_net(cone, level) for level in range(1, cone.levels + 1)]
+        opencone.cone_cover_tower(cone, nets, 3)
+    assert len(refinements) == 3 * 2
+    for smap in maps + refinements:
+        smap.verify()
 
 
 @settings(max_examples=120, deadline=None)
@@ -90,9 +226,8 @@ def _check_core(labels, masks, cap):
     """The core's H_p against the full nerve's, p < cap, through r and j."""
     full = mask_nerve(labels, masks, cap)
     core, retract = mask_core_nerve(labels, masks, cap)
-    pos = {c: i for i, c in enumerate(core.labels)}
     fpos = {c: i for i, c in enumerate(full.labels)}
-    r = SimplicialMap(full, core, [pos[retract[c]] for c in full.labels])
+    r = SimplicialMap(full, core, [retract[c] for c in full.labels])
     j = SimplicialMap(core, full, [fpos[c] for c in core.labels])
     for p in range(cap):
         group = homology_type(full, p)

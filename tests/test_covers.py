@@ -15,6 +15,7 @@ from horokit.covers import (
     decompose,
     nerve,
 )
+from horokit.complexes import SimplicialMap
 from horokit.errors import ScheduleMismatchError
 from horokit.graphs import Vertex
 from horokit.groups import GroupSpec
@@ -212,7 +213,9 @@ def test_refine_map_is_columnwise_inclusion():
 def assert_simplicial(m, cap):
     """The cover map is simplicial on the nerves up to the cap (the map
     check raises ``NotSimplicialError`` otherwise)."""
-    m.to_simplicial_map(nerve(m.source, cap=cap), nerve(m.target, cap=cap), check=True)
+    src, tgt = nerve(m.source, cap=cap), nerve(m.target, cap=cap)
+    pos = {c: i for i, c in enumerate(tgt.labels)}
+    SimplicialMap(src, tgt, [pos[m.center_map(c)] for c in src.labels])
 
 
 def test_floor_zero_is_plain_refinement():
@@ -264,7 +267,7 @@ def test_refinement_composition_contiguity():
     r01 = connecting_map(sp, "refine", 0, PAPER_SCHEDULE)
     r12 = connecting_map(sp, "refine", 1, PAPER_SCHEDULE)
     comp = CoverMap(r01.source, r12.target, lambda v: r12.center_map(r01.center_map(v)))
-    direct = CoverMap(r01.source, r12.target, lambda v: v, name="direct")
+    direct = CoverMap(r01.source, r12.target, lambda v: v)
     assert_simplicial(direct, cap=2)
     assert [comp.center_map(c.center) for c in comp.source.columns] == [
         direct.center_map(c.center) for c in comp.source.columns
@@ -326,10 +329,10 @@ def synthetic_maps(source_masks, target_masks, f_images, g_images):
     tgt = Cover(None, 1, tuple(Column(Vertex(j, 1, 1), 1, m) for j, m in enumerate(target_masks)))
     source, target = src.whole(), tgt.whole()
 
-    def cover_map(images, name):
-        return CoverMap(source, target, lambda v: target.centers[images[v.element]], name)
+    def cover_map(images):
+        return CoverMap(source, target, lambda v: target.centers[images[v.element]])
 
-    return cover_map(f_images, "f"), cover_map(g_images, "g")
+    return cover_map(f_images), cover_map(g_images)
 
 
 def least_failing_face(source_masks, target_masks, f_images, g_images, cap):

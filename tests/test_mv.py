@@ -25,13 +25,13 @@ def test_assemble_window_error_on_tiny_instance():
     z = GroupSpec.free_abelian(1, names=("x",))
     sp = build_augmented(z, (0,), Truncation(rg=1, lmax=2, mmax=1))
     with pytest.raises(EmptyWindowError):
-        assemble_mv(sp, 0, PAPER_SCHEDULE)
+        assemble_mv(sp, 0, PAPER_SCHEDULE, cap=2)
 
 
 def test_assemble_window_error_at_stage_one():
     # the scale-3 margin empties the window on every shipped truncation
     with pytest.raises(EmptyWindowError):
-        assemble_mv(get_instance("z_horoball"), 1, PAPER_SCHEDULE)
+        assemble_mv(get_instance("z_horoball"), 1, PAPER_SCHEDULE, cap=2)
 
 
 def test_empty_window_is_refused_before_the_cover(monkeypatch):
@@ -41,14 +41,14 @@ def test_empty_window_is_refused_before_the_cover(monkeypatch):
     z = GroupSpec.free_abelian(1, names=("x",))
     sp = build_augmented(z, (0,), Truncation(rg=3, lmax=5, mmax=1))
     with pytest.raises(EmptyWindowError):
-        assemble_mv(sp, 1, PAPER_SCHEDULE)
+        assemble_mv(sp, 1, PAPER_SCHEDULE, cap=2)
     assert built == []
     # a schedule whose slice is not above its scale is refused first
     flat = Schedule("flat", lambda n: 3, lambda n: 3)
     with pytest.raises(ScheduleMismatchError):
-        assemble_mv(sp, 1, flat)
+        assemble_mv(sp, 1, flat, cap=2)
     assert built == []
-    assemble_mv(sp, 0, PAPER_SCHEDULE)
+    assemble_mv(sp, 0, PAPER_SCHEDULE, cap=2)
     assert len(built) == 1
 
 
@@ -149,7 +149,7 @@ def recorded_builds(monkeypatch) -> list:
 def test_y_vanishing_builds_each_nerve_once(monkeypatch):
     sp = get_instance("z2_free_z")
     builds = recorded_builds(monkeypatch)
-    y_vanishing_check(sp, 0)
+    y_vanishing_check(sp, 0, PAPER_SCHEDULE)
     # each floor pair's contiguity builds the cusp family's nerve cut to the
     # points whose star fails; every star passes, so it holds only vertices
     cusp = tuple(connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=0).source.centers)
@@ -271,7 +271,7 @@ def test_vanishing_pushes_degree_one_cycles():
 
     square = [0b0011, 0b0110, 0b1100, 0b1001]
     src = family(square, "square")
-    tower = CoverMap(src, src, lambda v: v, name="identity")
+    tower = CoverMap(src, src, lambda v: v)
     for masks, zero in ((square, False), ([m | 0b10000 for m in square], True)):
         entry = _cluster_vanishing(src, family(masks, "target"), tower, 1, max_degree=1)
         assert entry.degrees[1]["source"] == {"rank": 1, "torsion": []}
@@ -280,20 +280,27 @@ def test_vanishing_pushes_degree_one_cycles():
 
 
 def _identity(cx):
-    """The retraction of a nerve that is its own core."""
-    return {c: c for c in cx.labels}
+    """The retraction of a nerve that is its own core: {label: its index}."""
+    return {c: i for i, c in enumerate(cx.labels)}
+
+
+def _vertex_map(src, tgt, f=lambda c: c):
+    """The nerve map that sends each source center c to f(c), checked
+    simplicial; by default the inclusion of a subfamily's nerve."""
+    from horokit.complexes import SimplicialMap
+
+    pos = _identity(tgt)
+    return SimplicialMap(src, tgt, [pos[f(c)] for c in src.labels])
 
 
 def _stage_on(nerves, cap):
     """A stage on the given nerves, each its own core, inclusions plain."""
     from horokit.homology import DegreeCoordinates
-    from horokit.mv import _MAPS, MVStage, _inclusion
+    from horokit.mv import _MAPS, MVStage
 
     retractions = {k: _identity(cx) for k, cx in nerves.items()}
     coords = {(k, p): DegreeCoordinates(cx, p) for k, cx in nerves.items() for p in range(cap)}
-    inclusions = {
-        (a, b): _inclusion(nerves[a], nerves[b], n, retractions[b]) for (a, b), n in _MAPS.items()
-    }
+    inclusions = {(a, b): _vertex_map(nerves[a], nerves[b]) for a, b in _MAPS}
     return MVStage(0, cap, 0, nerves, coords, inclusions, retractions)
 
 
@@ -368,8 +375,6 @@ def test_mv_exactness_on_random_window_restrictions():
         induced_map,
         stack_maps,
     )
-    from horokit.mv import _inclusion
-
     sp = get_instance("z2_free_z_deep")
     dec = decompose(sp, 0, PAPER_SCHEDULE)
     all_centers = [c.center for c in dec.whole.columns]
@@ -388,8 +393,7 @@ def test_mv_exactness_on_random_window_restrictions():
         coords = {k: DegreeCoordinates(nerves[k], 0) for k in nerves}
 
         def induced(a, b):
-            smap = _inclusion(nerves[a], nerves[b], f"{a}->{b}", _identity(nerves[b]))
-            return induced_map(smap, 0, coords[a], coords[b])
+            return induced_map(_vertex_map(nerves[a], nerves[b]), 0, coords[a], coords[b])
 
         i_map, j_map = induced("interface", "thick"), induced("interface", "cusp")
         k_map, l_map = induced("thick", "whole"), induced("cusp", "whole")
@@ -408,7 +412,7 @@ def test_refinement_induced_h0_matches_component_tracking():
     m = connecting_map(sp, "refine", 0, PAPER_SCHEDULE)
     src_nerve = build_nerve(m.source, cap=2)
     tgt_nerve = build_nerve(m.target, cap=2)
-    smap = m.to_simplicial_map(src_nerve, tgt_nerve)
+    smap = _vertex_map(src_nerve, tgt_nerve, m.center_map)
     sc = DegreeCoordinates(src_nerve, 0)
     tc = DegreeCoordinates(tgt_nerve, 0)
     mat = induced_map(smap, 0, sc, tc).matrix
@@ -439,9 +443,7 @@ def test_cusp_tower_eventual_images_vanish():
     tgt = tower_map.target.by_coset()[1]
     src_nerve = build_nerve(src, cap=2)
     tgt_nerve = build_nerve(tgt, cap=2)
-    smap = tower_map.__class__(src, tgt, tower_map.center_map).to_simplicial_map(
-        src_nerve, tgt_nerve
-    )
+    smap = _vertex_map(src_nerve, tgt_nerve, tower_map.center_map)
     sc = DegreeCoordinates(src_nerve, 0)
     tc = DegreeCoordinates(tgt_nerve, 0)
     assert sc.group.rank == 2  # two components upstairs

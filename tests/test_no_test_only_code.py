@@ -18,7 +18,8 @@ parameter of a public function, method or class that no call in ``src/`` or
 ``scripts/`` passes, by keyword or by position, since such a parameter is a
 knob only the tests turn.  Calls are matched by the called name alone, as
 above; a call to a class counts for its ``__init__``, or for the fields of a
-dataclass.
+dataclass.  A third fails on the converse: a defaulted parameter that every
+such call passes, so that no program call relies on its default.
 """
 
 import ast
@@ -46,6 +47,17 @@ DEFAULTS_ALLOWED = {
     "complexes.SimplicialComplex.from_label_faces(cap)":
         "test constructor: a cap below the top face",
     "complexes.barycentric_subdivision(times)": "test constructor: iterated subdivision",
+}
+
+
+OVERRIDDEN_ALLOWED = {
+    "complexes.SimplicialMap.__init__(name)": "tests build unnamed maps",
+    "covers.connecting_map(s)": "only the floor kind takes a floor level",
+    "groups.GroupSpec.free_abelian(names)": "test constructor: default generator names",
+    "opencone.cone_fixture(levels)": "the benchmark's set-up builds the default fixtures",
+    "snf.sparse_diagonal(pivot_rows)": "tests ask for the factors alone",
+    "spaces.Truncation(mmax)": "test constructor: a horoball on every coset",
+    "spaces.build_augmented(name)": "test constructor: an unnamed space",
 }
 
 
@@ -144,11 +156,11 @@ def _parameters(path: pathlib.Path):
             yield node.name, node.name, _defaulted_fields(node)
 
 
-def _calls(root: pathlib.Path) -> dict[str, tuple[float, set]]:
-    """{called name: (most positional arguments, keywords)} over the calls
-    in ``src/`` and ``scripts/``; a starred argument stands for every
+def _calls(root: pathlib.Path) -> dict[str, list[tuple[float, set]]]:
+    """{called name: [(positional arguments, keywords) per call]} over the
+    calls in ``src/`` and ``scripts/``; a starred argument stands for every
     position and a ``**`` argument for every keyword (None)."""
-    out: dict[str, tuple[float, set]] = {}
+    out: dict[str, list[tuple[float, set]]] = {}
     for path in sorted((root / "src" / "horokit").glob("*.py")) + sorted(
         (root / "scripts").glob("*.py")
     ):
@@ -158,27 +170,41 @@ def _calls(root: pathlib.Path) -> dict[str, tuple[float, set]]:
             name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
             if name is None:
                 continue
-            most, keywords = out.get(name, (0, set()))
             n = math.inf if any(isinstance(a, ast.Starred) for a in call.args) else len(call.args)
-            out[name] = (max(most, n), keywords | {k.arg for k in call.keywords})
+            out.setdefault(name, []).append((n, {k.arg for k in call.keywords}))
     return out
 
 
-def unset_defaults(root: pathlib.Path = ROOT) -> list[str]:
-    """The defaulted parameters under ``root/src/horokit`` that no call in
-    ``src/`` or ``scripts/`` passes, as ``module.function(parameter)``."""
+def _defaults_by_use(root: pathlib.Path, used) -> list[str]:
+    """The defaulted parameters under ``root/src/horokit`` for which
+    ``used(calls passing it, calls)`` holds, as
+    ``module.function(parameter)``."""
     calls = _calls(root)
     out = []
     for path in sorted((root / "src" / "horokit").glob("*.py")):
         for qualified, called, params in _parameters(path):
-            most, keywords = calls.get(called, (0, set()))
-            out.extend(
-                f"{path.stem}.{qualified}({name})"
-                for name, position in params
-                if name not in keywords and None not in keywords
-                and (position is None or position >= most)
-            )
+            each = calls.get(called, [])
+            for name, position in params:
+                passing = sum(
+                    name in keywords or None in keywords
+                    or (position is not None and position < n)
+                    for n, keywords in each
+                )
+                if used(passing, len(each)):
+                    out.append(f"{path.stem}.{qualified}({name})")
     return sorted(out)
+
+
+def unset_defaults(root: pathlib.Path = ROOT) -> list[str]:
+    """The defaulted parameters that no call in ``src/`` or ``scripts/``
+    passes."""
+    return _defaults_by_use(root, lambda passing, calls: passing == 0)
+
+
+def overridden_defaults(root: pathlib.Path = ROOT) -> list[str]:
+    """The defaulted parameters that every call in ``src/`` or ``scripts/``
+    passes, of functions that some call there reaches."""
+    return _defaults_by_use(root, lambda passing, calls: 0 < passing == calls)
 
 
 def _copy_tree(tmp_path: pathlib.Path) -> pathlib.Path:
@@ -209,6 +235,11 @@ def test_every_defaulted_parameter_is_passed_outside_the_tests():
     assert unset_defaults() == sorted(DEFAULTS_ALLOWED)
 
 
+def test_every_defaulted_parameter_is_left_out_by_some_program_call():
+    # the allow-listed ones, and no others, are passed by every program call
+    assert overridden_defaults() == sorted(OVERRIDDEN_ALLOWED)
+
+
 def test_guard_flags_a_helper_only_the_tests_call(tmp_path):
     # a copy of the package with one test-only helper added back
     copy = _copy_tree(tmp_path)
@@ -228,3 +259,15 @@ def test_guard_flags_a_parameter_only_the_tests_pass(tmp_path):
     assert text.count(head + ")") == 1
     covers.write_text(text.replace(head + ")", head + ", budget: int | None = None)"))
     assert unset_defaults(tmp_path) == sorted([*DEFAULTS_ALLOWED, "covers.build_cover(budget)"])
+
+
+def test_guard_flags_a_default_every_program_call_overrides(tmp_path):
+    # a copy of the package with the nerve cap's default put back on
+    # covers.nerve, where its one program call passes the cap
+    copy = _copy_tree(tmp_path)
+    covers = copy / "covers.py"
+    head = "def nerve(family: Family, cap: int"
+    text = covers.read_text()
+    assert text.count(head + ")") == 1
+    covers.write_text(text.replace(head + ")", head + " = 3)"))
+    assert overridden_defaults(tmp_path) == sorted([*OVERRIDDEN_ALLOWED, "covers.nerve(cap)"])
