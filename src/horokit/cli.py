@@ -14,6 +14,8 @@ import json
 import sys
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from . import __version__
 from .covers import SCHEDULES, decompose, nerve
 from .errors import BudgetExceededError, vertex_budget
@@ -56,25 +58,26 @@ _FACES = "\0faces\0"
 _FACE_BLOCK = 1 << 16  # faces formatted per written piece
 
 
-def _face_lists(faces: list[list[tuple[int, ...]]]) -> Iterator[str]:
+def _face_lists(faces: list[np.ndarray]) -> Iterator[str]:
     """The face lists as ``json.dumps(..., indent=2)`` writes them one level
-    into a report, in pieces of at most ``_FACE_BLOCK`` faces, each face from
-    its dimension's format string.  (The stdlib encoder indents in pure
-    Python, one token at a time, and took most of the time and memory of
-    exporting a nerve of a million faces; one piece at a time, the text
-    never holds more than a block.)"""
+    into a report, in pieces of at most ``_FACE_BLOCK`` faces, each piece
+    from one format string.  (The stdlib encoder indents in pure Python, one
+    token at a time, and took most of the time and memory of exporting a
+    nerve of a million faces; one piece at a time, the text never holds more
+    than a block.)"""
     yield "[\n    "
     for p, fs in enumerate(faces):
         if p:
             yield ",\n    "
-        if not fs:
+        if not len(fs):
             yield "[]"
             continue
-        face = "[\n" + ",\n".join(["        %d"] * len(fs[0])) + "\n      ]"
+        face = "[\n" + ",\n".join(["        %d"] * fs.shape[1]) + "\n      ]"
         for k in range(0, len(fs), _FACE_BLOCK):
+            block = fs[k : k + _FACE_BLOCK]
             yield ("[\n      " if k == 0 else ",\n      ") + ",\n      ".join(
-                map(face.__mod__, fs[k : k + _FACE_BLOCK])
-            )
+                [face] * len(block)
+            ) % tuple(block.ravel().tolist())
         yield "\n    ]"
     yield "\n  ]"
 

@@ -1,11 +1,16 @@
 """Abstract finite simplicial complexes, vertex maps, and subdivision.
 
-Faces are stored per dimension as sorted tuples of local vertex indices, up
-to a recorded dimension cap, and a complex answers from these face lists.
+A complex holds its faces per dimension, up to a recorded dimension cap, as
+one int32 array per dimension: row j of array p is the j-th p-face, its p+1
+local vertex indices increasing, and the rows are lexicographic without
+repeats.  A complex answers from these arrays alone.  A face is found by its
+integer code (``SimplicialComplex._find``), and the facet table behind the
+boundary, coboundary and chain maps is built from the arrays in numpy.
 
 Every nerve and Rips face is enumerated here, by the clique kernel
-``clique_complex``, which fills the per-dimension face lists in one recursive
-pass; ``mask_nerve`` builds the nerves of covers on it, and ``rips`` the Rips
+``clique_complex``, which builds each dimension from the one below in numpy
+blocks and checks the face budget on each block before storing it;
+``mask_nerve`` builds the nerves of covers on it, and ``rips`` the Rips
 complexes.  Below the cap, ``mv`` and ``opencone`` take homology on the
 nerve of a family's dominated-column core (``mask_core_nerve``) instead.
 Meeting and containment are read off point stars (the bitsets of the sets
@@ -27,24 +32,35 @@ class SimplicialComplex:
     def __init__(
         self,
         labels: Sequence,
-        faces_by_dim: Sequence[list[tuple[int, ...]]],
+        faces_by_dim: Sequence[np.ndarray | list[tuple[int, ...]]],
         cap: int,
     ):
-        """A complex on the given face lists, kept as they come: list p holds
-        the p-faces as increasing vertex tuples, in lexicographic order,
-        without repeats.  ``clique_complex`` (increasing extensions) and
-        ``induced`` (an increasing remap) hand over lists in that form;
-        ``from_faces`` and ``_subdivide_once`` canonicalise theirs first."""
+        """A complex on the given face lists, kept as they come: entry p holds
+        the p-faces as the rows of an n_p x (p+1) integer array (a list of
+        vertex tuples is turned into one), each row increasing, the rows in
+        lexicographic order without repeats.  ``clique_complex`` (increasing
+        extensions) and ``induced`` (an increasing remap) hand over arrays in
+        that form; ``from_faces`` and ``_subdivide_once`` sort theirs first.
+        A list out of order, or a face whose facet is missing, is refused by
+        the first lookup in its dimension.
+
+        A face is looked up by its integer code, not by a table of tuples (as
+        Ripser indexes simplices by number: Bauer, "Ripser", JACT 2021).  The
+        code of a vertex is the vertex; the code of a q-face is the index of
+        the face without its last vertex, times the vertex count n, plus that
+        vertex.  The rows are lexicographic, so each dimension's codes
+        increase and a lookup is a ``searchsorted`` on them.  A code is below
+        (n_{q-1} + 1) * n, far from 2^63 for any vertex and face budget whose
+        faces fit in memory."""
         self.labels = tuple(labels)
         self.cap = cap
-        self.faces: list[list[tuple[int, ...]]] = list(faces_by_dim)
+        self.faces: list[np.ndarray] = [_rows(fs, p) for p, fs in enumerate(faces_by_dim)]
         while len(self.faces) <= cap:
-            self.faces.append([])
-        # per dimension, built on first use: {face: index}, the facet table,
-        # and the sorted integer codes of the faces (``facets``)
-        self._face_index: dict[int, dict[tuple[int, ...], int]] = {}
-        self._facets: dict[int, np.ndarray] = {}
+            self.faces.append(_rows((), len(self.faces)))
+        # per dimension, built on first use: the sorted integer codes of the
+        # faces (``_find``) and the facet table (``facets``)
         self._codes: dict[int, np.ndarray] = {}
+        self._facets: dict[int, np.ndarray] = {}
         # (torsion, rank, unit pivot rows) of each boundary map C_p -> C_{p-1},
         # by p; filled in by homology._boundary_type, which eliminates each
         # transpose once and drops the columns of d_{p+1}^T on the p-faces
@@ -57,17 +73,22 @@ class SimplicialComplex:
     @staticmethod
     def from_faces(labels: Sequence, faces: Iterable[Sequence[int]], cap: int | None = None):
         """Downward closure of the given faces (local vertex indices)."""
-        faces = [tuple(sorted(set(f))) for f in faces]
+        faces = [sorted(set(f)) for f in faces]
         if cap is None:
             cap = max((len(f) - 1 for f in faces), default=0)
-        by_dim: list[set] = [set() for _ in range(cap + 1)]
-        for i in range(len(labels)):
-            by_dim[0].add((i,))
+        by_size: dict[int, list[list[int]]] = {}
         for f in faces:
-            for k in range(1, min(len(f), cap + 1) + 1):
-                for sub in combinations(f, k):
-                    by_dim[k - 1].add(sub)
-        return SimplicialComplex(labels, [sorted(fs) for fs in by_dim], cap)
+            if f:
+                by_size.setdefault(len(f), []).append(f)
+        blocks: list[list[np.ndarray]] = [[] for _ in range(cap + 1)]
+        blocks[0].append(np.arange(len(labels)).reshape(-1, 1))
+        for size, fs in by_size.items():
+            rows = np.array(fs, dtype=np.int64)
+            for k in range(1, min(size, cap + 1) + 1):
+                for cols in combinations(range(size), k):
+                    blocks[k - 1].append(rows[:, list(cols)])
+        by_dim = [np.unique(np.concatenate(b), axis=0) if b else () for b in blocks]
+        return SimplicialComplex(labels, by_dim, cap)
 
     @staticmethod
     def from_label_faces(faces: Iterable[Sequence], cap: int | None = None):
@@ -83,73 +104,72 @@ class SimplicialComplex:
         return len(self.faces[p]) if 0 <= p < len(self.faces) else 0
 
     def has_face(self, vertices: Iterable[int]) -> bool:
-        f = tuple(sorted(set(vertices)))
-        return f in self.face_index(len(f) - 1)
+        """Whether the vertices form a face; a repeated vertex, one out of
+        range and a set past the cap do not."""
+        f = sorted(vertices)
+        return bool(f) and bool(self.face_indices(np.array([f]))[0] >= 0)
 
-    def face_index(self, p: int) -> dict[tuple[int, ...], int]:
-        """{p-face: its index}, built on the first lookup in dimension p.
-        Boundaries never need it (they read ``facets``), so group types on a
-        large nerve build none."""
-        index = self._face_index.get(p)
-        if index is None:
-            fs = self.faces[p] if 0 <= p < len(self.faces) else []
-            index = self._face_index[p] = dict(zip(fs, range(len(fs))))
+    def face_indices(self, rows: np.ndarray) -> np.ndarray:
+        """The index of each row of a k x (q+1) integer array among the
+        q-faces, or -1 where the row is not a q-face (a vertex out of range
+        or not above the one before it included), found by code."""
+        rows = np.asarray(rows, dtype=np.int64)
+        q = rows.shape[1] - 1
+        if not 0 <= q < len(self.faces):
+            return np.full(len(rows), -1, dtype=np.int64)
+        n = len(self.labels)
+        valid = (rows[:, 0] >= 0) & (rows[:, q] < n) & np.all(rows[:, 1:] > rows[:, :-1], axis=1)
+        index = self._find(0, np.where(valid, rows[:, 0], -1))
+        for k in range(1, q + 1):
+            code = index * n + rows[:, k]
+            code[index < 0] = -1
+            index = self._find(k, code)
         return index
+
+    def _find(self, q: int, codes: np.ndarray) -> np.ndarray:
+        """Indices of the q-faces with the given codes, -1 for a code that is
+        no q-face's."""
+        return _lookup(self._face_codes(q), codes)
+
+    def _face_codes(self, q: int) -> np.ndarray:
+        """The codes of the q-faces, increasing (checked)."""
+        codes = self._codes.get(q)
+        if codes is None:
+            fs = self.faces[q]
+            codes = fs[:, q].astype(np.int64)
+            if q:
+                head = self.face_indices(fs[:, :q])
+                if np.any(head < 0):
+                    raise ValueError(f"a face has a facet missing from the {q - 1}-faces")
+                codes += head * len(self.labels)
+            if np.any(codes[1:] <= codes[:-1]):
+                raise ValueError("face lists must be lexicographic and without repeats")
+            self._codes[q] = codes
+        return codes
 
     def facets(self, p: int) -> np.ndarray:
         """The facet table of dimension p >= 1: an n_p x (p+1) int64 array
         whose entry (j, i) is the index of the (p-1)-face left when p-face j
         drops its vertex i, which has boundary sign (-1)^i.
 
-        Faces are looked up by integer code, not by tuple (as Ripser indexes
-        simplices by number: Bauer, "Ripser", JACT 2021).  The code of a
-        q-face is the index of the face without its last vertex, times the
-        vertex count n, plus that vertex.  The face lists are lexicographic,
-        so each list's codes increase and a facet's index is a
-        ``searchsorted``.  A code is below (n_{q-1} + 1) * n for any cap, far
-        from 2^63 for the 200,000-vertex budget and any face count that fits
-        in memory."""
+        The code of a p-face splits into the index of its prefix f[:p] (the
+        last facet) and its last vertex v_p.  Dropping v_i, i < p, leaves
+        facet i of the prefix followed by v_p, whose code comes from the
+        prefix's own row of the table below."""
         table = self._facets.get(p)
         if table is None:
             n = len(self.labels)
-            table = self._vertex_array(p)  # overwritten in place, column by column
-            last = table[:, p].copy()
-            # the index of each prefix f[:1], f[:2], ..., f[:p]
-            head = self._find(0, table[:, 0])
-            for k in range(1, p):
-                head *= n
-                head += table[:, k]
-                head = self._find(k, head)
-            # dropping v_i, i < p, leaves facet i of f[:p] followed by v_p
+            head, last = np.divmod(self._face_codes(p), n)
+            table = np.empty((len(head), p + 1), dtype=np.int64)
+            table[:, p] = head
             for i in range(p):
                 code = self.facets(p - 1)[head, i] * n if p > 1 else np.zeros_like(last)
                 code += last
                 table[:, i] = self._find(p - 1, code)
-            table[:, p] = head
-            head *= n
-            head += last
-            self._codes[p] = _increasing(head)
+            if np.any(table < 0):
+                raise ValueError(f"a face has a facet missing from the {p - 1}-faces")
             self._facets[p] = table
         return table
-
-    def _vertex_array(self, p: int) -> np.ndarray:
-        fs = self.faces[p]
-        flat = np.fromiter(chain.from_iterable(fs), np.int64, count=len(fs) * (p + 1))
-        return flat.reshape(len(fs), p + 1)
-
-    def _find(self, q: int, codes: np.ndarray) -> np.ndarray:
-        """Indices of the q-faces with the given codes."""
-        if q not in self._codes:
-            if q == 0:
-                self._codes[0] = _increasing(self._vertex_array(0)[:, 0])
-            else:
-                self.facets(q)
-        known = self._codes[q]
-        pos = np.searchsorted(known, codes)
-        found = known[np.minimum(pos, len(known) - 1)] if len(known) else known
-        if not np.array_equal(found, codes):
-            raise ValueError(f"a face has a facet missing from the {q}-faces")
-        return pos
 
     def boundary_columns(self, p: int) -> list[dict[int, int]]:
         """Columns of the boundary map C_p -> C_{p-1} as {row: coefficient}."""
@@ -212,7 +232,7 @@ class SimplicialComplex:
                 a = parent[a]
             return a
 
-        for a, b in self.faces[1] if len(self.faces) > 1 else []:
+        for a, b in self.faces[1].tolist() if len(self.faces) > 1 else []:
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
@@ -226,13 +246,19 @@ class SimplicialComplex:
     def induced(self, keep: Iterable[int]) -> tuple["SimplicialComplex", dict[int, int]]:
         keep = sorted(set(keep))
         remap = {old: new for new, old in enumerate(keep)}
+        new = np.full(len(self.labels), -1, dtype=np.int64)
+        new[keep] = np.arange(len(keep))
         by_dim = []
         for fs in self.faces:
-            by_dim.append(
-                [tuple(remap[v] for v in f) for f in fs if all(v in remap for v in f)]
-            )
+            image = new[fs]
+            by_dim.append(image[np.all(image >= 0, axis=1)])
         labels = [self.labels[i] for i in keep]
         return SimplicialComplex(labels, by_dim, self.cap), remap
+
+
+def _rows(faces, p: int) -> np.ndarray:
+    """A dimension's faces as an n_p x (p+1) int32 array."""
+    return np.asarray(faces, dtype=np.int32).reshape(len(faces), p + 1)
 
 
 def _signs(p: int) -> list[int]:
@@ -240,13 +266,8 @@ def _signs(p: int) -> list[int]:
     return [1 - 2 * (i % 2) for i in range(p + 1)]
 
 
-def _increasing(codes: np.ndarray) -> np.ndarray:
-    if np.any(codes[1:] <= codes[:-1]):
-        raise ValueError("face lists must be lexicographic and without repeats")
-    return codes
-
-
 FACES_PER_VERTEX = 10  # the face budget is this many times the vertex budget
+_BLOCK = 1 << 16  # candidate faces per numpy block of the clique kernel
 
 
 def clique_complex(labels: Sequence, adj: Sequence[int], cap: int,
@@ -257,43 +278,142 @@ def clique_complex(labels: Sequence, adj: Sequence[int], cap: int,
     clique of two or more vertices counts only when their masks have a
     nonzero AND (a nerve).  No clique past the cap is looked for.
 
-    Each face is built from its prefix by increasing extensions (Zomorodian,
-    "Fast construction of the Vietoris-Rips complex", 2010), so every
-    per-dimension list comes out lexicographic.  The kept faces count against
-    the face budget, ``FACES_PER_VERTEX`` times the vertex budget, checked
-    after each root vertex."""
+    Each dimension is built from the one below by increasing extensions
+    (Zomorodian, "Fast construction of the Vietoris-Rips complex", 2010), as
+    one array, in numpy blocks of about ``_BLOCK`` candidates.  The
+    candidates of a p-face are the upper neighbours of its last vertex (of
+    the kept edges, once there are edges), in increasing order, so each
+    dimension comes out lexicographic.  A candidate is kept when it is
+    adjacent to every other vertex of the face, looked up by edge code, and,
+    in a nerve, when the face's common mask meets the candidate's mask; the
+    common masks are kept as their nonzero 64-bit words, so every face passes
+    the full mask test.  The kept faces count against the face budget,
+    ``FACES_PER_VERTEX`` times the vertex budget, block by block: a block
+    that takes the count past it is refused before it is stored."""
     limit = vertex_budget() * FACES_PER_VERTEX
-    if masks is None:
-        masks = [-1] * len(adj)
-    by_dim: list[list[tuple[int, ...]]] = [[] for _ in range(cap + 1)]
-    by_dim[0] = [(i,) for i in range(len(adj))]
-    for i in range(len(adj)):
-        if cap > 0:
-            _extend(by_dim, by_dim[0][i], masks[i], adj[i] & -(1 << (i + 1)), adj, masks, cap)
-        count = sum(map(len, by_dim))
-        if count > limit:
-            raise BudgetExceededError(
-                f"complexes: {what} has at least {count} faces, over the face budget of {limit}"
-            )
-    return SimplicialComplex(labels, by_dim, cap)
+    n = len(adj)
+    count = n
+    _check_budget(count, limit, what)
+    faces = [np.arange(n, dtype=np.int32).reshape(n, 1)]
+    # the candidates of each vertex, as compressed rows: its upper neighbours
+    ups = [_set_bits(a >> (i + 1)) for i, a in enumerate(adj)]
+    starts = _offsets([len(u) for u in ups])
+    nbrs = np.fromiter(chain.from_iterable(ups), np.int64, starts[-1])
+    nbrs += np.repeat(np.arange(1, n + 1), np.diff(starts))
+    del ups
+    commons = columns = edge_codes = None
+    if masks is not None and len(nbrs):
+        commons, columns = _mask_words(masks)
+    for p in range(cap):
+        cur = faces[p]
+        deg = np.diff(starts)[cur[:, p]]
+        if not deg.any():
+            break
+        grow = commons is not None and p + 1 < cap  # the next dimension needs them
+        ends = np.cumsum(deg)
+        blocks, grown = [], []
+        lo = 0
+        while lo < len(cur):
+            hi = max(int(np.searchsorted(ends, ends[lo] - deg[lo] + _BLOCK, "right")), lo + 1)
+            rep = np.repeat(np.arange(lo, hi), deg[lo:hi])  # the face of each candidate
+            cand = nbrs[_ragged(starts[cur[lo:hi, p]], deg[lo:hi])]
+            for t in range(p):  # adjacent to the face's other vertices too
+                keep = _lookup(edge_codes, cur[rep, t] * np.int64(n) + cand) >= 0
+                rep, cand = rep[keep], cand[keep]
+            if commons is not None:
+                keep, meet = _meet(commons, rep, cand, columns)
+                rep, cand = rep[keep], cand[keep]
+                if grow:
+                    grown.append(meet)
+            count += len(rep)
+            _check_budget(count, limit, what)
+            block = np.empty((len(rep), p + 2), dtype=np.int32)
+            block[:, : p + 1] = cur[rep]
+            block[:, p + 1] = cand
+            blocks.append(block)
+            lo = hi
+        faces.append(np.concatenate(blocks))
+        if p == 0:  # from here on, the candidates are the kept edges' ends
+            starts = np.searchsorted(faces[1][:, 0], np.arange(n + 1))
+            nbrs = faces[1][:, 1].astype(np.int64)
+            edge_codes = faces[1][:, 0] * np.int64(n) + nbrs
+        if grow:
+            counts, positions, words = map(np.concatenate, zip(*grown))
+            commons = (_offsets(counts), positions, words)
+    return SimplicialComplex(labels, faces, cap)
 
 
-def _extend(by_dim, face, common, cand, adj, masks, cap) -> None:
-    """Append the cliques that extend ``face`` by its candidate vertices
-    (bits of ``cand``, all above the face), in preorder, up to cap+1
-    vertices.  (Module level, not a closure: a closure that calls itself
-    holds a reference cycle, and the face lists with it, until a full
-    collection.)"""
-    k = len(face)
-    while cand:
-        j = (cand & -cand).bit_length() - 1
-        cand &= cand - 1
-        nc = common & masks[j]
-        if nc:
-            grown = face + by_dim[0][j]  # shares vertex j's int with every face
-            by_dim[k].append(grown)
-            if k < cap:
-                _extend(by_dim, grown, nc, cand & adj[j], adj, masks, cap)
+def _check_budget(count: int, limit: int, what: str) -> None:
+    if count > limit:
+        raise BudgetExceededError(
+            f"complexes: {what} has at least {count} faces, over the face budget of {limit}"
+        )
+
+
+def _offsets(counts) -> np.ndarray:
+    """The start of each run of the given lengths, and the total at the end."""
+    out = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=out[1:])
+    return out
+
+
+def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges [starts[i], starts[i] + lens[i]), concatenated."""
+    ends = np.cumsum(lens)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lens), lens)
+
+
+def _lookup(known: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The position of each code in the increasing array ``known``, or -1."""
+    if not len(known):
+        return np.full(len(codes), -1, dtype=np.int64)
+    pos = np.minimum(np.searchsorted(known, codes), len(known) - 1)
+    return np.where(known[pos] == codes, pos, -1)
+
+
+def _mask_words(masks: Sequence[int]):
+    """The nonzero 64-bit words of each mask as compressed rows (start per
+    mask, word positions, words), and the same words keyed for lookup by
+    ``mask * width + position``, increasing: (keys, words, width).  A mask is
+    cut to the span of its set bits before it is turned into bytes, as a
+    horoball column's bits sit high."""
+    counts, firsts, chunks = [], [], []
+    for mask in masks:
+        first = max((mask & -mask).bit_length() - 1, 0) >> 6
+        mask >>= first << 6
+        counts.append((mask.bit_length() + 63) >> 6)
+        firsts.append(first)
+        chunks.append(mask.to_bytes(counts[-1] * 8, "little"))
+    words = np.frombuffer(b"".join(chunks), dtype="<u8")
+    owner = np.repeat(np.arange(len(counts)), counts)
+    position = _ragged(np.array(firsts, dtype=np.int64), np.array(counts, dtype=np.int64))
+    nonzero = words != 0
+    owner, position, words = owner[nonzero], position[nonzero], words[nonzero]
+    width = int(position.max()) + 1 if len(position) else 1
+    rows = (_offsets(np.bincount(owner, minlength=len(counts))), position, words)
+    return rows, (owner * width + position, words, width)
+
+
+def _meet(commons, rows, cand, columns):
+    """Which faces of the current dimension, given by their rows in
+    ``commons`` and each grown by its candidate vertex, keep a common point:
+    the face's common mask ANDed word by word with the candidate's mask is
+    nonzero.  Also the common masks of the kept faces, as (word count per
+    face, word positions, words)."""
+    ptr, position, values = commons
+    keys, words, width = columns
+    first = ptr[rows]
+    lens = ptr[rows + 1] - first
+    at = _ragged(first, lens)
+    owner = np.repeat(np.arange(len(rows)), lens)
+    pos = _lookup(keys, cand[owner] * width + position[at])
+    both = np.zeros(len(at), dtype=np.uint64)
+    found = pos >= 0
+    both[found] = values[at[found]] & words[pos[found]]
+    hit = both != 0
+    per_face = np.bincount(owner[hit], minlength=len(rows))
+    keep = per_face > 0
+    return keep, (per_face[keep], position[at[hit]], both[hit])
 
 
 def mask_adjacency(masks: Sequence[int]) -> list[int]:
@@ -424,11 +544,12 @@ class SimplicialMap:
 
     def verify(self):
         """Every source face must land on a face of the target; an image past
-        the target's cap is not among its faces, so it is refused too."""
+        the target's cap is not among its faces, so it is refused too.  The
+        witness is the first failing face by dimension, then in
+        lexicographic order."""
         for fs in self.source.faces:
-            for f in fs:
-                image = {self.vertex_images[v] for v in f}
-                if not self.target.has_face(image):
+            for f in fs.tolist():
+                if not self.target.has_face({self.vertex_images[v] for v in f}):
                     raise NotSimplicialError(
                         tuple(self.source.labels[v] for v in f),
                         f"map {self.name or '<anon>'} is not simplicial",
@@ -436,47 +557,30 @@ class SimplicialMap:
 
     def chain_columns(self, p: int) -> list[dict[int, int]]:
         """Matrix of the induced chain map in degree p (degenerate -> 0)."""
-        cols = []
-        tgt_index = self.target.face_index(p)
-        for f in self.source.faces[p]:
-            image = push_face([self.vertex_images[v] for v in f])
-            if image is None:
-                cols.append({})
-                continue
-            key, sign = image
-            if key not in tgt_index:
-                raise NotSimplicialError(
-                    tuple(self.source.labels[v] for v in f),
-                    "image simplex missing from target (cap too low?)",
-                )
-            cols.append({tgt_index[key]: sign})
-        return cols
+        fs = self.source.faces[p]
+        index, sign = push_faces(self.target, np.asarray(self.vertex_images, dtype=np.int64)[fs])
+        missing = np.flatnonzero(sign.astype(bool) & (index < 0))
+        if len(missing):
+            raise NotSimplicialError(
+                tuple(self.source.labels[v] for v in fs[missing[0]].tolist()),
+                "image simplex missing from target (cap too low?)",
+            )
+        return [{i: s} if s else {} for i, s in zip(index.tolist(), sign.tolist())]
 
 
-def push_face(image: Sequence[int]) -> tuple[tuple[int, ...], int] | None:
-    """The image of an oriented face under a vertex map, given as the list of
-    its vertices' images: (the sorted face, the sign of the sorting
-    permutation), or None when two vertices meet (a degenerate face, 0)."""
-    if len(set(image)) < len(image):
-        return None
-    order = sorted(range(len(image)), key=lambda i: image[i])
-    return tuple(image[i] for i in order), _permutation_sign(order)
-
-
-def _permutation_sign(order: Sequence[int]) -> int:
-    sign = 1
-    seen = [False] * len(order)
-    for i in range(len(order)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = order[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
+def push_faces(target: SimplicialComplex, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The images of oriented faces under a vertex map, given as the rows of
+    their vertices' images: the index of each sorted image among the target's
+    faces of its dimension (-1 when it is none of them), and the sign of the
+    sorting permutation, (-1) to the number of inversions; a degenerate image,
+    where two vertices meet, is 0 and gets sign 0."""
+    inversions = np.zeros(len(images), dtype=np.int64)
+    degenerate = np.zeros(len(images), dtype=bool)
+    for i, j in combinations(range(images.shape[1]), 2):
+        inversions += images[:, i] > images[:, j]
+        degenerate |= images[:, i] == images[:, j]
+    sign = np.where(degenerate, 0, 1 - 2 * (inversions % 2))
+    return target.face_indices(np.sort(images, axis=1)), sign
 
 
 def barycentric_subdivision(c: SimplicialComplex, times: int = 1) -> SimplicialComplex:
@@ -491,7 +595,7 @@ def barycentric_subdivision(c: SimplicialComplex, times: int = 1) -> SimplicialC
 def _subdivide_once(c: SimplicialComplex) -> SimplicialComplex:
     # vertices of the subdivision are faces of c; its k-simplices are strict
     # chains f0 < f1 < ... < fk of faces under inclusion
-    all_faces = [f for fs in c.faces for f in fs]
+    all_faces = [tuple(f) for fs in c.faces for f in fs.tolist()]
     pos = {f: i for i, f in enumerate(all_faces)}
     labels = [tuple(c.labels[v] for v in f) for f in all_faces]
     chains: list[tuple[int, ...]] = []

@@ -337,16 +337,17 @@ def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
     cut = mask_nerve(centers, [m & failing for m in masks], cap)
     # each face list is lexicographic, so the least failing face is the least
     # of the first failures per dimension
+    both = np.array(both, dtype=object)  # python ints, ANDed per face
     least = None
     for fs in cut.faces:
-        for face in fs:
-            common = -1
-            for v in face:
-                common &= both[v]
-            if common == 0:
-                if least is None or face < least:
-                    least = face
-                break
+        common = both[fs[:, 0]]
+        for k in range(1, fs.shape[1]):
+            common = common & both[fs[:, k]]
+        fails = np.flatnonzero(common == 0)
+        if len(fails):
+            face = tuple(fs[fails[0]].tolist())
+            if least is None or face < least:
+                least = face
     if least is None:
         return True, None
     return False, tuple(centers[v] for v in least)

@@ -21,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import SimplicialMap, mask_nerve, push_face
+from .complexes import SimplicialMap, mask_nerve, push_faces
 from .covers import (
     CoverMap,
     Family,
@@ -139,35 +139,33 @@ def _snake_matrix(stage: MVStage, p: int) -> GroupMap:
     u_coords = stage.coords[("whole", p)]
     z_coords = stage.coords[("interface", p - 1)]
     whole = stage.nerves["whole"]
-    thick, cusp = stage.retractions["thick"], stage.retractions["cusp"]
+    thick = np.array([c in stage.retractions["thick"] for c in whole.labels], dtype=bool)
+    cusp = np.array([c in stage.retractions["cusp"] for c in whole.labels], dtype=bool)
     r_iface = stage.retractions["interface"]
-    iface_index = stage.nerves["interface"].face_index(p - 1)
+    to_iface = np.array([r_iface.get(c, -1) for c in whole.labels], dtype=np.int64)
     cols = []
     for cycle in u_coords.generator_cycles():
-        thick_part = {}
-        for fi, coeff in cycle.items():
-            labels = [whole.labels[v] for v in whole.faces[p][fi]]
-            in_thick = all(c in thick for c in labels)
-            if not in_thick and not all(c in cusp for c in labels):
-                raise DecompositionError(
-                    "a face is neither all-thick nor all-cusp; excision broken"
-                )
-            if in_thick:
-                thick_part[fi] = coeff
+        rows = whole.faces[p][list(cycle)]
+        in_thick = np.all(thick[rows], axis=1)
+        if not np.all(in_thick | np.all(cusp[rows], axis=1)):
+            raise DecompositionError(
+                "a face is neither all-thick nor all-cusp; excision broken"
+            )
+        thick_part = {fi: coeff for (fi, coeff), t in zip(cycle.items(), in_thick) if t}
+        boundary = whole.chain_boundary(p, thick_part)
+        images = to_iface[whole.faces[p - 1][list(boundary)]]
+        if np.any(images < 0):
+            raise DecompositionError(
+                "snake boundary leaves the interface; excision identities broken"
+            )
+        index, sign = push_faces(stage.nerves["interface"], images)
+        missing = np.flatnonzero(sign.astype(bool) & (index < 0))
+        if len(missing):
+            raise KeyError(tuple(np.sort(images[missing[0]]).tolist()))
         chain: dict[int, int] = {}
-        for r, coeff in whole.chain_boundary(p, thick_part).items():
-            try:
-                image = push_face(
-                    [r_iface[whole.labels[v]] for v in whole.faces[p - 1][r]]
-                )
-            except KeyError:
-                raise DecompositionError(
-                    "snake boundary leaves the interface; excision identities broken"
-                ) from None
-            if image is not None:
-                face, sign = image
-                z = iface_index[face]
-                chain[z] = chain.get(z, 0) + sign * coeff
+        for z, s, coeff in zip(index.tolist(), sign.tolist(), boundary.values()):
+            if s:
+                chain[z] = chain.get(z, 0) + s * coeff
         cols.append(z_coords.project({z: v for z, v in chain.items() if v}))
     mat = (
         np.array(cols, dtype=object).T

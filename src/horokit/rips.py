@@ -101,14 +101,14 @@ def remark_decomposition_check(
 
     def label_faces(sub):
         return {
-            frozenset(sub.labels[v] for v in f) for fs in sub.faces for f in fs
+            frozenset(sub.labels[v] for v in f) for fs in sub.faces for f in fs.tolist()
         }
 
     lower_faces = label_faces(full_subcomplex(c, window, "lower"))
     upper_faces = label_faces(full_subcomplex(c, window, "upper"))
     band_faces = label_faces(full_subcomplex(c, window, "band"))
     for fs in c.faces:
-        for f in fs:
+        for f in fs.tolist():
             lf = frozenset(c.labels[v] for v in f)
             if lf not in lower_faces and lf not in upper_faces:
                 union_ok = False

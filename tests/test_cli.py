@@ -9,6 +9,7 @@ import re
 import time
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -313,8 +314,9 @@ def test_face_lists_match_the_json_encoding(firsts, block):
     from horokit.cli import _FACES, _face_lists
 
     # dimension p holds faces of p+1 vertices, one per drawn first vertex
-    faces = [[tuple(range(v, v + p + 1)) for v in vs] for p, vs in enumerate(firsts)]
-    expected = json.dumps({"faces": [[list(f) for f in fs] for fs in faces]}, indent=2)
+    faces = [[list(range(v, v + p + 1)) for v in vs] for p, vs in enumerate(firsts)]
+    expected = json.dumps({"faces": faces}, indent=2)
+    faces = [np.array(fs, dtype=np.int32).reshape(len(fs), p + 1) for p, fs in enumerate(faces)]
     with mock.patch("horokit.cli._FACE_BLOCK", block):
         lists = "".join(_face_lists(faces))
     fast = json.dumps({"faces": _FACES}, indent=2).replace(json.dumps(_FACES), lists)
@@ -583,3 +585,28 @@ def test_cli_fuzz_exits_with_a_documented_code(tmp_path_factory, invocation):
     assert time.perf_counter() - start < 5.0, (config, argv)
     assert code in (0, 1, 2, 3), (config, argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_rg3_nerve_at_cap_3_is_refused_at_the_default_budget(tmp_path, monkeypatch, capsys):
+    # Z^2*Z rel Z^2 at rg 3, lmax 4, all cosets: the whole cap-3 nerve has
+    # over 3,000,000 faces; the face budget refuses it block by block, before
+    # the faces past the budget are stored or any report is written
+    group = {
+        "family": "free-product",
+        "atoms": [
+            {"kind": "free-abelian", "rank": 2, "names": ["x", "y"]},
+            {"kind": "free", "rank": 1, "names": ["t"]},
+        ],
+        "peripherals": [0],
+    }
+    cfg = tmp_path / "rg3.json"
+    cfg.write_text(json.dumps({"group": group, "rg": 3, "lmax": 4}))
+    out = tmp_path / "nerve.json"
+    monkeypatch.delenv("HOROKIT_VERTEX_BUDGET", raising=False)
+    argv = ["nerve", "--instance", str(cfg), "--family", "whole", "--dimcap", "3",
+            "--stage", "0", "--out", str(out)]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("horokit: complexes: nerve has at least ")
+    assert "over the face budget of 2000000" in err and "Traceback" not in err
+    assert not out.exists()

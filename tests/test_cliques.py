@@ -1,20 +1,64 @@
-"""The clique kernel against brute-force subset enumeration, and face budgets."""
+"""The clique kernel against brute-force subset enumeration and against the
+recursive kernel it replaced, lookups by face code, and face budgets."""
 
 import gc
+from array import array
 from contextlib import contextmanager
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from horokit import complexes
-from horokit.complexes import SimplicialMap, mask_adjacency, mask_nerve
-from horokit.covers import build_cover, nerve
+from horokit.complexes import (
+    SimplicialMap,
+    clique_complex,
+    mask_adjacency,
+    mask_nerve,
+)
+from horokit.covers import PAPER_SCHEDULE, build_cover, decompose, nerve
 from horokit.errors import BUDGET_ENV_VAR, BudgetExceededError, NotSimplicialError
 from horokit.graphs import MetricGraph, Vertex
 from horokit.groups import GroupSpec
 from horokit.rips import rips
 from horokit.spaces import Truncation, build_augmented
+
+
+def recursive_clique_faces(adj, cap, masks=None):
+    """The oracle: the recursive clique kernel that ``clique_complex``
+    replaced.  Each face grows from its prefix by the candidates above it,
+    in preorder, kept while the running AND of the masks is nonzero; the
+    faces of each dimension come out lexicographic.  Rows go to one flat
+    int array per dimension, so a two-million-face nerve fits in memory.
+    Returns the n_p x (p+1) arrays."""
+    if masks is None:
+        masks = [-1] * len(adj)
+    flat = [array("i") for _ in range(cap + 1)]
+    flat[0].extend(range(len(adj)))
+
+    def extend(face, common, cand):
+        while cand:
+            j = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            nc = common & masks[j]
+            if nc:
+                grown = face + (j,)
+                flat[len(face)].extend(grown)
+                if len(grown) <= cap:
+                    extend(grown, nc, cand & adj[j])
+
+    if cap > 0:
+        for i in range(len(adj)):
+            extend((i,), masks[i], adj[i] & -(1 << (i + 1)))
+    return [np.frombuffer(f, dtype=np.int32).reshape(-1, p + 1) for p, f in enumerate(flat)]
+
+
+def assert_same_rows(cx, oracle):
+    assert len(cx.faces) == len(oracle)
+    for fs, expected in zip(cx.faces, oracle):
+        assert fs.dtype == np.int32
+        assert np.array_equal(fs, expected)
 
 
 def meet(masks, subset):
@@ -47,14 +91,12 @@ def test_mask_nerve_matches_subset_oracle(masks, cap):
     kept = sum(map(len, by_size))
     with face_budget(kept):
         cx = mask_nerve(list(range(len(masks))), masks, cap)
-    assert cx.faces == by_size
+    assert [fs.tolist() for fs in cx.faces] == [[list(f) for f in fs] for fs in by_size]
     with face_budget(kept - 1), pytest.raises(
         BudgetExceededError, match=f"nerve has at least {kept} faces"
     ):
         mask_nerve(list(range(len(masks))), masks, cap)
-    for p, fs in enumerate(cx.faces):
-        for i, f in enumerate(fs):
-            assert cx.face_index(p)[f] == i
+    assert_indices_round_trip(cx)
     # the face lists decide every vertex set of up to cap+1 vertices
     for k in range(2, cap + 2):
         for s in combinations(range(len(masks)), k):
@@ -138,10 +180,8 @@ def test_rips_matches_diameter_oracle(graph, diameter, cap):
         return all(0 <= dist[a][b] <= diameter for a, b in combinations(s, 2))
 
     for k in range(1, cap + 2):
-        assert cx.faces[k - 1] == [s for s in combinations(range(n), k) if small(s)]
-    for p, fs in enumerate(cx.faces):
-        for i, f in enumerate(fs):
-            assert cx.face_index(p)[f] == i
+        assert cx.faces[k - 1].tolist() == [list(s) for s in combinations(range(n), k) if small(s)]
+    assert_indices_round_trip(cx)
 
 
 def test_nerve_face_budget_counts_kept_faces():
@@ -182,3 +222,118 @@ def test_nerve_build_leaves_no_garbage_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def assert_indices_round_trip(cx):
+    """Every face's row finds its own index by code, and has_face agrees."""
+    for p, fs in enumerate(cx.faces):
+        assert cx.face_indices(fs).tolist() == list(range(len(fs)))
+        for f in fs[:5].tolist():
+            assert cx.has_face(f) and cx.has_face(reversed(f))
+
+
+def test_lookups_refuse_what_the_tuple_dict_did_not_hold():
+    # the tuple dict held exactly the faces; a lookup by code must not find
+    # a repeated vertex, a vertex out of range, a set past the cap or an
+    # absent face, although each of these makes a code
+    cx = mask_nerve(list(range(5)), [0b011, 0b110, 0b100, 0b001, 0], 2)
+    assert [fs.tolist() for fs in cx.faces] == [
+        [[0], [1], [2], [3], [4]], [[0, 1], [0, 3], [1, 2]], []]
+    assert_indices_round_trip(cx)
+    for vertices in ([1, 1], [0, 0, 1], [0, 5], [-1, 0], [5], [-1], [3, 5], [0, 1, 2, 3],
+                     [0, 2], [1, 3], [0, 1, 2], [], [0, 1, 3]):
+        assert not cx.has_face(vertices)
+    rows = np.array([[0, 1], [1, 1], [0, 5], [-1, 3], [0, 3], [2, 1], [4, 4], [1, 2]])
+    assert cx.face_indices(rows).tolist() == [0, -1, -1, -1, 1, -1, -1, 2]
+    # a vertex past the count would alias another face's code: (0, 7) has
+    # index(0) * 5 + 7 = 7, the code index(1) * 5 + 2 of the face (1, 2)
+    assert cx.face_indices(np.array([[0, 7], [0, 6], [0, 8]])).tolist() == [-1, -1, -1]
+    assert cx.face_indices(np.zeros((0, 4), dtype=np.int64)).tolist() == []
+
+
+def shifted_masks(points, shift, spread):
+    """Masks over a few points, point k at bit shift + spread * k, so that
+    masks span several 64-bit words and sit past a high lowest bit."""
+    return [sum(1 << (shift + spread * k) for k in pts) for pts in points]
+
+
+point_sets = st.lists(st.frozensets(st.integers(0, 9), max_size=5), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(point_sets, st.sampled_from([0, 5, 100_003]), st.sampled_from([1, 64, 997]),
+       st.integers(1, 3), st.sampled_from([1, 2, 7, 1 << 16]))
+@example([frozenset({0})] * 4, 100_003, 1, 3, 1)  # repeated masks
+@example([frozenset(), frozenset({1}), frozenset(), frozenset({1, 2})], 0, 64, 2, 1)
+def test_array_kernel_matches_the_recursive_kernel_on_nerves(points, shift, spread, cap, block):
+    masks = shifted_masks(points, shift, spread)
+    masks += masks[:2]  # equal masks meet, unless empty
+    adj = mask_adjacency(masks)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_BLOCK", block)
+        cx = clique_complex(range(len(masks)), adj, cap, masks, what="nerve")
+    assert_same_rows(cx, recursive_clique_faces(adj, cap, masks))
+    assert_indices_round_trip(cx)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+           st.just(n), st.sets(st.tuples(st.integers(0, max(n - 1, 0)),
+                                         st.integers(0, max(n - 1, 0)))))),
+       st.integers(1, 3), st.sampled_from([1, 3, 1 << 16]))
+def test_array_kernel_matches_the_recursive_kernel_on_cliques(graph, cap, block):
+    # no masks: every clique of the graph is a face, as in a Rips complex
+    n, pairs = graph
+    adj = [0] * n
+    for a, b in pairs:
+        if a != b:
+            adj[a] |= 1 << b
+            adj[b] |= 1 << a
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_BLOCK", block)
+        cx = clique_complex(range(n), adj, cap, what="rips complex")
+    assert_same_rows(cx, recursive_clique_faces(adj, cap))
+
+
+LADDER_GROUP = GroupSpec.free_product(
+    GroupSpec.free_abelian(2, names=("x", "y")), GroupSpec.free(1, names=("t",))
+)
+
+
+def whole_cover_masks(rg, lmax):
+    """The column masks of the stage-0 whole family of Z^2*Z rel Z^2, every
+    peripheral coset given a horoball."""
+    space = build_augmented(LADDER_GROUP, (0,), Truncation(rg=rg, lmax=lmax))
+    return [c.mask for c in decompose(space, 0, PAPER_SCHEDULE).whole.columns]
+
+
+@pytest.mark.parametrize("rg, lmax", [(1, 4), (2, 4), (2, 5), (3, 4)])
+def test_array_kernel_matches_the_recursive_kernel_on_ladder_nerves(rg, lmax):
+    # the whole-cover nerves of the benchmark's nerve ladder; rg 3 has
+    # 218,686 triangles, several numpy blocks
+    masks = whole_cover_masks(rg, lmax)
+    cx = mask_nerve(range(len(masks)), masks, 2)
+    assert_same_rows(cx, recursive_clique_faces(mask_adjacency(masks), 2, masks))
+    if rg == 3:
+        assert [cx.n_faces(p) for p in range(3)] == [715, 13_414, 218_686]
+
+
+def test_array_kernel_matches_the_recursive_kernel_at_cap_3(monkeypatch):
+    # rg 3 at cap 3 is over the default face budget; raised, its tetrahedra
+    # fill dozens of blocks, the common masks carried from the triangles
+    masks = whole_cover_masks(3, 4)
+    monkeypatch.setenv(BUDGET_ENV_VAR, "400000")
+    cx = mask_nerve(range(len(masks)), masks, 3)
+    assert_same_rows(cx, recursive_clique_faces(mask_adjacency(masks), 3, masks))
+    assert sum(map(len, cx.faces)) > 10 * 200_000
+
+
+def test_face_budget_refuses_within_one_block_of_the_limit():
+    # the refusal comes on the block that passes the limit, before it is
+    # stored: the count it names is at most one block past the limit
+    masks = whole_cover_masks(3, 4)
+    limit = complexes.FACES_PER_VERTEX * 200_000
+    with pytest.raises(BudgetExceededError) as exc:
+        mask_nerve(range(len(masks)), masks, 3)
+    count = int(str(exc.value).split("at least ")[1].split()[0])
+    assert limit < count <= limit + complexes._BLOCK

@@ -8,6 +8,7 @@ from horokit.complexes import (
     barycentric_subdivision,
     full_simplex,
     mask_nerve,
+    push_faces,
 )
 from horokit.errors import NotSimplicialError
 from horokit.snf import CSC
@@ -80,18 +81,20 @@ def test_chain_map_signs_and_degeneracy():
 
 def _assert_canonical(c):
     for p, fs in enumerate(c.faces):
-        assert fs == sorted(set(fs))
-        assert all(len(f) == p + 1 and list(f) == sorted(set(f)) for f in fs)
-        assert c.face_index(p) == {f: i for i, f in enumerate(fs)}
+        rows = [tuple(f) for f in fs.tolist()]
+        assert fs.dtype == np.int32 and fs.shape == (len(rows), p + 1)
+        assert rows == sorted(set(rows))
+        assert all(list(f) == sorted(set(f)) for f in rows)
+        assert c.face_indices(fs).tolist() == list(range(len(rows)))
 
 
 def test_from_faces_and_subdivision_canonicalise_their_input():
     # unsorted vertices, repeated faces and a repeated vertex
     c = SimplicialComplex.from_faces(range(5), [(2, 1, 0), (0, 1, 2), (3, 1), (1, 3, 3), (4,)])
-    assert c.faces == [
-        [(0,), (1,), (2,), (3,), (4,)],
-        [(0, 1), (0, 2), (1, 2), (1, 3)],
-        [(0, 1, 2)],
+    assert [fs.tolist() for fs in c.faces] == [
+        [[0], [1], [2], [3], [4]],
+        [[0, 1], [0, 2], [1, 2], [1, 3]],
+        [[0, 1, 2]],
     ]
     _assert_canonical(c)
     assert [barycentric_subdivision(c, 1).n_faces(p) for p in range(3)] == [10, 14, 6]
@@ -99,8 +102,9 @@ def test_from_faces_and_subdivision_canonicalise_their_input():
         sd = barycentric_subdivision(c, times)
         _assert_canonical(sd)
         # the same faces, reversed, through from_faces
-        faces = [f for fs in sd.faces for f in fs][::-1]
-        assert SimplicialComplex.from_faces(sd.labels, faces).faces == sd.faces
+        faces = [f for fs in sd.faces for f in fs.tolist()][::-1]
+        again = SimplicialComplex.from_faces(sd.labels, faces)
+        assert [fs.tolist() for fs in again.faces] == [fs.tolist() for fs in sd.faces]
 
 
 def test_subdivision_counts_triangle():
@@ -132,9 +136,10 @@ def test_induced_subcomplex():
 
 
 def _sliced_facets(c, p):
-    """Each p-face's facets by tuple slicing and the {face: index} lookup."""
-    index = c.face_index(p - 1)
-    return [[index[f[:i] + f[i + 1 :]] for i in range(p + 1)] for f in c.faces[p]]
+    """Each p-face's facets by tuple slicing and a {face: index} table."""
+    index = {tuple(f): i for i, f in enumerate(c.faces[p - 1].tolist())}
+    return [[index[f[:i] + f[i + 1 :]] for i in range(p + 1)]
+            for f in map(tuple, c.faces[p].tolist())]
 
 
 @st.composite
@@ -191,3 +196,26 @@ def test_facet_lookup_refuses_an_open_or_unsorted_face_list():
     unsorted = SimplicialComplex(range(3), [[(0,), (1,), (2,)], [(1, 2), (0, 1)]], 1)
     with pytest.raises(ValueError):
         unsorted.facets(1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda w: st.tuples(
+    st.just(w), st.lists(st.lists(st.integers(0, 5), min_size=w, max_size=w), max_size=20))))
+def test_push_faces_signs_and_finds_each_image(case):
+    # the oracle: bubble sort each image, counting swaps, then a tuple lookup
+    target = full_simplex(6)
+    index = {tuple(f): i for p in range(6) for i, f in enumerate(target.faces[p].tolist())}
+    width, images = case
+    rows = np.array(images, dtype=np.int64).reshape(len(images), width)
+    found, sign = push_faces(target, rows)
+    for image, k, s in zip(images, found.tolist(), sign.tolist()):
+        row, swaps = list(image), 0
+        for end in range(len(row) - 1, 0, -1):
+            for i in range(end):
+                if row[i] > row[i + 1]:
+                    row[i], row[i + 1] = row[i + 1], row[i]
+                    swaps += 1
+        if len(set(row)) < len(row):
+            assert (k, s) == (-1, 0)
+        else:
+            assert (k, s) == (index[tuple(row)], (-1) ** swaps)

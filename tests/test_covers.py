@@ -181,7 +181,7 @@ def test_nerve_small_line_cover_matches_brute_force():
                 common &= cols[i].mask
             if common:
                 expected.add(tuple(sub))
-        assert set(cx.faces[k - 1]) == expected
+        assert set(map(tuple, cx.faces[k - 1].tolist())) == expected
 
 
 def test_nerve_disjoint_columns():

@@ -271,7 +271,7 @@ def test_induced_maps_compose(cx, data):
         extra = data.draw(
             st.lists(st.sets(st.integers(0, 7), min_size=1, max_size=4), max_size=4)
         )
-        faces = [tuple({images[v] for v in f}) for fs in src.faces for f in fs]
+        faces = [tuple({images[v] for v in f}) for fs in src.faces for f in fs.tolist()]
         return SimplicialComplex.from_faces(
             list(range(8)), faces + [tuple(f) for f in extra], cap=src.cap
         )

@@ -48,7 +48,7 @@ def test_rips_faces_match_brute_force():
             for sub in combinations(range(len(hb)), k)
             if max(d[a, b] for a in sub for b in sub) <= 3
         }
-        assert set(c.faces[k - 1]) == expected
+        assert set(map(tuple, c.faces[k - 1].tolist())) == expected
 
 
 def test_rips_monotone_in_d():
@@ -56,7 +56,7 @@ def test_rips_monotone_in_d():
     c1 = rips(g, 1, cap=3)
     c2 = rips(g, 2, cap=3)
     for p in range(4):
-        assert set(c1.faces[p]) <= set(c2.faces[p])
+        assert set(map(tuple, c1.faces[p].tolist())) <= set(map(tuple, c2.faces[p].tolist()))
 
 
 def test_window_validation():
@@ -92,10 +92,10 @@ def test_full_subcomplex_faces_match_brute_force():
     for p in range(3):
         expected = {
             tuple(sorted(sub.labels.index(c.labels[v]) for v in f))
-            for f in c.faces[p]
+            for f in c.faces[p].tolist()
             if all(c.labels[v] in keep for v in f)
         }
-        assert set(sub.faces[p]) == expected
+        assert set(map(tuple, sub.faces[p].tolist())) == expected
 
 
 def test_remark_decomposition_holds_under_hypothesis():
