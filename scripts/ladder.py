@@ -2,14 +2,15 @@
 """The scale ladder: CLI verdicts on growing truncations, one process each.
 
     python scripts/ladder.py [--rg R ...] [--cosets m5|all ...]
-                             [--verdict NAME ...] [--budget N]
+                             [--verdict NAME ...]
 
 "rgR" is Z^2*Z relative to Z^2 with ball radius R, horoball depth 4 and
 stage 0; "m5" attaches five horoballs (mmax 5), "all" one to every coset
 that meets the ball.  The configs are written to a temporary directory and
 every (verdict, rg, cosets) of the product runs as a fresh
 ``python -m horokit.cli`` process against this checkout's ``src/``, one at
-a time.  ``--budget`` sets ``HOROKIT_VERTEX_BUDGET`` for the runs.
+a time.  The runs inherit the environment, so
+``HOROKIT_VERTEX_BUDGET=N python scripts/ladder.py ...`` sets their budget.
 
 Standard output is one JSON object, whose ``runs`` give per run the argv,
 the exit code, the wall time, the peak RSS (``ru_maxrss`` from
@@ -97,13 +98,9 @@ def main(argv=None) -> int:
     ap.add_argument("--rg", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--cosets", nargs="+", choices=sorted(MMAX), default=["all"])
     ap.add_argument("--verdict", nargs="+", choices=sorted(VERDICTS), default=["homology"])
-    ap.add_argument("--budget", type=int, default=None,
-                    help="HOROKIT_VERTEX_BUDGET for the runs (default: inherited)")
     args = ap.parse_args(argv)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    if args.budget is not None:
-        env["HOROKIT_VERTEX_BUDGET"] = str(args.budget)
     runs = []
     with tempfile.TemporaryDirectory(prefix="horokit-ladder-") as tmp:
         work = pathlib.Path(tmp)

@@ -32,17 +32,17 @@ class SimplicialComplex:
     def __init__(
         self,
         labels: Sequence,
-        faces_by_dim: Sequence[np.ndarray | list[tuple[int, ...]]],
+        faces_by_dim: Sequence[np.ndarray],
         cap: int,
     ):
-        """A complex on the given face lists, kept as they come: entry p holds
-        the p-faces as the rows of an n_p x (p+1) integer array (a list of
-        vertex tuples is turned into one), each row increasing, the rows in
-        lexicographic order without repeats.  ``clique_complex`` (increasing
-        extensions) and ``induced`` (an increasing remap) hand over arrays in
-        that form; ``from_faces`` and ``_subdivide_once`` sort theirs first.
-        A list out of order, or a face whose facet is missing, is refused by
-        the first lookup in its dimension.
+        """A complex on the given face arrays, kept as they come: entry p holds
+        the p-faces as the rows of an n_p x (p+1) integer array, each row
+        increasing, the rows in lexicographic order without repeats.
+        ``clique_complex`` (increasing extensions) and ``induced`` (an
+        increasing remap) hand over arrays in that form; ``from_faces`` and
+        ``_subdivide_once`` sort theirs first.  An array out of order, or a
+        face whose facet is missing, is refused by the first lookup in its
+        dimension.
 
         A face is looked up by its integer code, not by a table of tuples (as
         Ripser indexes simplices by number: Bauer, "Ripser", JACT 2021).  The
@@ -54,9 +54,9 @@ class SimplicialComplex:
         faces fit in memory."""
         self.labels = tuple(labels)
         self.cap = cap
-        self.faces: list[np.ndarray] = [_rows(fs, p) for p, fs in enumerate(faces_by_dim)]
+        self.faces: list[np.ndarray] = [fs.astype(np.int32, copy=False) for fs in faces_by_dim]
         while len(self.faces) <= cap:
-            self.faces.append(_rows((), len(self.faces)))
+            self.faces.append(np.empty((0, len(self.faces) + 1), dtype=np.int32))
         # per dimension, built on first use: the sorted integer codes of the
         # faces (``_find``) and the facet table (``facets``)
         self._codes: dict[int, np.ndarray] = {}
@@ -87,7 +87,7 @@ class SimplicialComplex:
             for k in range(1, min(size, cap + 1) + 1):
                 for cols in combinations(range(size), k):
                     blocks[k - 1].append(rows[:, list(cols)])
-        by_dim = [np.unique(np.concatenate(b), axis=0) if b else () for b in blocks]
+        by_dim = [np.unique(np.concatenate(b), axis=0) for b in blocks if b]
         return SimplicialComplex(labels, by_dim, cap)
 
     @staticmethod
@@ -102,12 +102,6 @@ class SimplicialComplex:
 
     def n_faces(self, p: int) -> int:
         return len(self.faces[p]) if 0 <= p < len(self.faces) else 0
-
-    def has_face(self, vertices: Iterable[int]) -> bool:
-        """Whether the vertices form a face; a repeated vertex, one out of
-        range and a set past the cap do not."""
-        f = sorted(vertices)
-        return bool(f) and bool(self.face_indices(np.array([f]))[0] >= 0)
 
     def face_indices(self, rows: np.ndarray) -> np.ndarray:
         """The index of each row of a k x (q+1) integer array among the
@@ -254,11 +248,6 @@ class SimplicialComplex:
             by_dim.append(image[np.all(image >= 0, axis=1)])
         labels = [self.labels[i] for i in keep]
         return SimplicialComplex(labels, by_dim, self.cap), remap
-
-
-def _rows(faces, p: int) -> np.ndarray:
-    """A dimension's faces as an n_p x (p+1) int32 array."""
-    return np.asarray(faces, dtype=np.int32).reshape(len(faces), p + 1)
 
 
 def _signs(p: int) -> list[int]:
@@ -545,15 +534,26 @@ class SimplicialMap:
     def verify(self):
         """Every source face must land on a face of the target; an image past
         the target's cap is not among its faces, so it is refused too.  The
-        witness is the first failing face by dimension, then in
-        lexicographic order."""
+        image sets of each dimension are looked up by code, one batch per
+        set size.  The witness is the first failing face by dimension, then
+        in lexicographic order."""
+        images = np.asarray(self.vertex_images, dtype=np.int64)
         for fs in self.source.faces:
-            for f in fs.tolist():
-                if not self.target.has_face({self.vertex_images[v] for v in f}):
-                    raise NotSimplicialError(
-                        tuple(self.source.labels[v] for v in f),
-                        f"map {self.name or '<anon>'} is not simplicial",
-                    )
+            found = np.ones(len(fs), dtype=bool)
+            image = np.sort(images[fs], axis=1)
+            new = np.ones(image.shape, dtype=bool)  # a vertex's first copy in its row
+            new[:, 1:] = image[:, 1:] != image[:, :-1]
+            size = new.sum(axis=1)
+            for k in range(1, image.shape[1] + 1):  # each image set by its size
+                rows = size == k
+                if rows.any():
+                    sets = image[rows][new[rows]].reshape(-1, k)
+                    found[rows] = self.target.face_indices(sets) >= 0
+            if not found.all():
+                raise NotSimplicialError(
+                    tuple(self.source.labels[v] for v in fs[np.argmin(found)].tolist()),
+                    f"map {self.name or '<anon>'} is not simplicial",
+                )
 
     def chain_columns(self, p: int) -> list[dict[int, int]]:
         """Matrix of the induced chain map in degree p (degenerate -> 0)."""
@@ -613,4 +613,4 @@ def _subdivide_once(c: SimplicialComplex) -> SimplicialComplex:
     by_dim: list[set] = [set() for _ in range(top)]
     for ch in chains:
         by_dim[len(ch) - 1].add(ch)
-    return SimplicialComplex(labels, [sorted(fs) for fs in by_dim], cap=top - 1)
+    return SimplicialComplex(labels, [np.array(sorted(fs)) for fs in by_dim], cap=top - 1)

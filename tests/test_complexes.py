@@ -39,9 +39,9 @@ def test_boundary_squares_to_zero():
 
 def test_has_face_and_spans():
     c = SimplicialComplex.from_label_faces([(0, 1, 2)])
-    assert c.has_face((0, 1))
-    assert c.has_face((0, 1, 2))
-    assert not c.has_face((0, 3))
+    assert c.face_indices(np.array([[0, 1]])).tolist() == [0]
+    assert c.face_indices(np.array([[0, 1, 2]])).tolist() == [0]
+    assert c.face_indices(np.array([[0, 3]])).tolist() == [-1]
 
 
 def test_verify_refuses_an_image_past_the_target_cap():
@@ -190,10 +190,11 @@ def test_facet_codes_do_not_overflow_at_the_vertex_budget():
 
 
 def test_facet_lookup_refuses_an_open_or_unsorted_face_list():
-    missing = SimplicialComplex(range(3), [[(0,), (1,)], [(0, 2)]], 1)
+    missing = SimplicialComplex(range(3), [np.array([[0], [1]]), np.array([[0, 2]])], 1)
     with pytest.raises(ValueError):
         missing.facets(1)
-    unsorted = SimplicialComplex(range(3), [[(0,), (1,), (2,)], [(1, 2), (0, 1)]], 1)
+    unsorted = SimplicialComplex(range(3), [np.arange(3).reshape(3, 1),
+                                            np.array([[1, 2], [0, 1]])], 1)
     with pytest.raises(ValueError):
         unsorted.facets(1)
 
