@@ -12,12 +12,13 @@ every (verdict, rg, cosets) of the product runs as a fresh
 a time.  The runs inherit the environment, so
 ``HOROKIT_VERTEX_BUDGET=N python scripts/ladder.py ...`` sets their budget.
 
-Standard output is one JSON object, whose ``runs`` give per run the argv,
-the exit code, the wall time, the peak RSS (``ru_maxrss`` from
-``os.wait4``) and the sha256 of the report, which the CLI writes to
-standard output.  Reports embed the ``--instance`` argument, so each run
-gets a bare config file name and the digests do not depend on the
-directory.  A verdict's exit code is data here: the script exits 0 once
+Standard output is one JSON object.  Its ``src_lines`` is the line count
+of ``src/horokit/*.py`` (as ``wc -l`` counts them), and its ``runs`` give
+per run the argv, the exit code, the wall time, the peak RSS
+(``ru_maxrss`` from ``os.wait4``) and the sha256 of the report, which the
+CLI writes to standard output.  Reports embed the ``--instance``
+argument, so each run gets a bare config file name and the digests do not
+depend on the directory.  A verdict's exit code is data here: the script exits 0 once
 every run has finished, 2 on a usage error.
 """
 
@@ -69,6 +70,11 @@ def write_config(directory: pathlib.Path, rg: int, cosets: str) -> str:
     return name
 
 
+def src_lines() -> int:
+    """The lines of ``src/horokit/*.py``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (ROOT / "src" / "horokit").glob("*.py"))
+
+
 def run_verdict(argv: list[str], cwd: pathlib.Path, env: dict) -> dict:
     """One CLI process: its exit code, wall time, peak RSS and report digest."""
     digest = hashlib.sha256()
@@ -116,6 +122,7 @@ def main(argv=None) -> int:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "nproc": os.cpu_count(),
+        "src_lines": src_lines(),
         "runs": runs,
     }, indent=1))
     return 0

@@ -25,7 +25,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, NotSimplicialError, vertex_budget
-from .snf import CSC
+from .snf import CSC, _spans
 
 
 class SimplicialComplex:
@@ -126,39 +126,50 @@ class SimplicialComplex:
         return _lookup(self._face_codes(q), codes)
 
     def _face_codes(self, q: int) -> np.ndarray:
-        """The codes of the q-faces, increasing (checked)."""
+        """The codes of the q-faces, increasing (checked with the facet
+        table, which holds each face's prefix index)."""
         codes = self._codes.get(q)
         if codes is None:
-            fs = self.faces[q]
-            codes = fs[:, q].astype(np.int64)
+            codes = self.faces[q][:, q].astype(np.int64)
             if q:
-                head = self.face_indices(fs[:, :q])
-                if np.any(head < 0):
-                    raise ValueError(f"a face has a facet missing from the {q - 1}-faces")
-                codes += head * len(self.labels)
-            if np.any(codes[1:] <= codes[:-1]):
+                codes += np.multiply(self.facets(q)[:, q], len(self.labels), dtype=np.int64)
+            elif np.any(codes[1:] <= codes[:-1]):
                 raise ValueError("face lists must be lexicographic and without repeats")
             self._codes[q] = codes
         return codes
 
     def facets(self, p: int) -> np.ndarray:
-        """The facet table of dimension p >= 1: an n_p x (p+1) int64 array
+        """The facet table of dimension p >= 1: an n_p x (p+1) int32 array
         whose entry (j, i) is the index of the (p-1)-face left when p-face j
         drops its vertex i, which has boundary sign (-1)^i.
 
-        The code of a p-face splits into the index of its prefix f[:p] (the
-        last facet) and its last vertex v_p.  Dropping v_i, i < p, leaves
-        facet i of the prefix followed by v_p, whose code comes from the
-        prefix's own row of the table below."""
+        The rows are lexicographic, so the faces with one prefix f[:p] (the
+        last facet) form a run, and each run's prefix is looked up once; the
+        prefix indices must increase from run to run, and the last vertices
+        within a run, so that the codes increase.  Dropping v_i, i < p,
+        leaves facet i of the prefix followed by v_p, whose code (int64, as
+        an index times n overflows int32) comes from the prefix's own row of
+        the table below."""
         table = self._facets.get(p)
         if table is None:
-            n = len(self.labels)
-            head, last = np.divmod(self._face_codes(p), n)
-            table = np.empty((len(head), p + 1), dtype=np.int64)
-            table[:, p] = head
+            fs, n = self.faces[p], len(self.labels)
+            first = np.ones(len(fs), dtype=bool)  # the first face of each run
+            first[1:] = np.any(fs[1:, :p] != fs[:-1, :p], axis=1)
+            runs = np.flatnonzero(first)
+            prefix = self.face_indices(fs[runs, :p])
+            if np.any(prefix < 0):
+                raise ValueError(f"a face has a facet missing from the {p - 1}-faces")
+            if np.any(prefix[1:] <= prefix[:-1]) or np.any(~first[1:] & (fs[1:, p] <= fs[:-1, p])):
+                raise ValueError("face lists must be lexicographic and without repeats")
+            table = np.empty((len(fs), p + 1), dtype=np.int32)
+            head = table[:, p]
+            head[:] = np.repeat(prefix.astype(np.int32), np.diff(runs, append=len(fs)))
             for i in range(p):
-                code = self.facets(p - 1)[head, i] * n if p > 1 else np.zeros_like(last)
-                code += last
+                if p > 1:
+                    code = np.multiply(self.facets(p - 1)[head, i], n, dtype=np.int64)
+                    code += fs[:, p]
+                else:
+                    code = fs[:, p].astype(np.int64)
                 table[:, i] = self._find(p - 1, code)
             if np.any(table < 0):
                 raise ValueError(f"a face has a facet missing from the {p - 1}-faces")
@@ -175,8 +186,8 @@ class SimplicialComplex:
     def coboundary_columns(self, p: int, cleared: frozenset[int]) -> CSC:
         """The transpose of the boundary C_p -> C_{p-1}, in compressed sparse
         columns: one column per (p-1)-face not in ``cleared``, in index order,
-        holding its p-cofaces in increasing order with their boundary signs
-        (int8 values).
+        holding its p-cofaces in increasing order (int32 rows) with their
+        boundary signs (int8 values).
 
         A matrix and its transpose have the same invariant factors, and the
         transpose needs far fewer columns: ``homology._boundary_type`` clears
@@ -192,18 +203,29 @@ class SimplicialComplex:
         """
         if not 0 < p < len(self.faces):
             raise ValueError(f"no coboundary columns in degree {p}")
-        flat = self.facets(p).ravel()
-        n = self.n_faces(p - 1)
+        table = self.facets(p)
+        n, size = self.n_faces(p - 1), table.size
         keep = np.ones(n, dtype=bool)
         keep[np.fromiter(cleared, np.int64, len(cleared))] = False
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(flat, minlength=n)[keep])))
-        # a stable sort by column keeps each column's cofaces increasing; the
-        # cleared faces sort last, and are cut off
-        entries = np.argsort(np.where(keep[flat], flat, n), kind="stable")[: indptr[-1]]
-        signs = np.array(_signs(p), dtype=np.int8)
-        values = signs[entries % (p + 1)]
-        entries //= p + 1
-        return CSC(indptr, entries, values)
+        # one int64 key per entry: its (p-1)-face times the table size, plus
+        # its place in the table, the cleared faces moved past the last face
+        # (below (n_{p-1} + 1) * (p + 1) * n_p, far from 2^63).  The keys are
+        # distinct, so an in-place sort orders the entries as a stable sort
+        # by face would: each column's cofaces increasing, the cleared
+        # entries last, where they are cut off.
+        key = np.multiply(table, size, dtype=np.int64)
+        key[~keep[table]] = n * size
+        key += np.arange(0, size, p + 1)[:, None]
+        key += np.arange(p + 1)
+        key = key.ravel()
+        key.sort()
+        indptr = np.searchsorted(key, np.append(np.flatnonzero(keep), n) * size)
+        at = key[: indptr[-1]]
+        at %= size  # the entry's place in the table: coface * (p+1) + facet
+        rows = np.empty(len(at), dtype=np.int32)
+        np.floor_divide(at, p + 1, out=rows, casting="unsafe")
+        at %= p + 1
+        return CSC(indptr, rows, np.array(_signs(p), dtype=np.int8)[at])
 
     def chain_boundary(self, p: int, chain: dict[int, int]) -> dict[int, int]:
         """Boundary of a p-chain {face index: coefficient}, zeros dropped."""
@@ -300,35 +322,53 @@ def clique_complex(labels: Sequence, adj: Sequence[int], cap: int,
             break
         grow = commons is not None and p + 1 < cap  # the next dimension needs them
         ends = np.cumsum(deg)
-        blocks, grown = [], []
+        # the dimension is written once, into arrays with room for every
+        # candidate (or the rest of the budget), a kept face's common words
+        # being at most its face's; room never written takes no memory, and
+        # is cut off in place at the end (``resize`` reallocates, a slice
+        # would be copied)
+        room = min(int(ends[-1]), limit - count)
+        new = np.empty((room, p + 2), dtype=np.int32)
+        used = 0
+        if grow:
+            per_face = np.diff(commons[0])
+            wroom = min(int(deg @ per_face), room * int(per_face.max()))
+            sizes = np.empty(room, dtype=np.int64)
+            positions = np.empty(wroom, dtype=np.int64)
+            words = np.empty(wroom, dtype=np.uint64)
+            wused = 0
         lo = 0
         while lo < len(cur):
             hi = max(int(np.searchsorted(ends, ends[lo] - deg[lo] + _BLOCK, "right")), lo + 1)
             rep = np.repeat(np.arange(lo, hi), deg[lo:hi])  # the face of each candidate
-            cand = nbrs[_ragged(starts[cur[lo:hi, p]], deg[lo:hi])]
+            cand = nbrs[_spans(starts[cur[lo:hi, p]], deg[lo:hi])]
             for t in range(p):  # adjacent to the face's other vertices too
                 keep = _lookup(edge_codes, cur[rep, t] * np.int64(n) + cand) >= 0
                 rep, cand = rep[keep], cand[keep]
             if commons is not None:
                 keep, meet = _meet(commons, rep, cand, columns)
                 rep, cand = rep[keep], cand[keep]
-                if grow:
-                    grown.append(meet)
             count += len(rep)
             _check_budget(count, limit, what)
-            block = np.empty((len(rep), p + 2), dtype=np.int32)
-            block[:, : p + 1] = cur[rep]
-            block[:, p + 1] = cand
-            blocks.append(block)
+            end = used + len(rep)
+            new[used:end, : p + 1] = cur[rep]
+            new[used:end, p + 1] = cand
+            if grow:
+                wend = wused + len(meet[1])
+                sizes[used:end], positions[wused:wend], words[wused:wend] = meet
+                wused = wend
+            used = end
             lo = hi
-        faces.append(np.concatenate(blocks))
+        new.resize((used, p + 2), refcheck=False)
+        faces.append(new)
         if p == 0:  # from here on, the candidates are the kept edges' ends
             starts = np.searchsorted(faces[1][:, 0], np.arange(n + 1))
             nbrs = faces[1][:, 1].astype(np.int64)
             edge_codes = faces[1][:, 0] * np.int64(n) + nbrs
         if grow:
-            counts, positions, words = map(np.concatenate, zip(*grown))
-            commons = (_offsets(counts), positions, words)
+            positions.resize(wused, refcheck=False)
+            words.resize(wused, refcheck=False)
+            commons = (_offsets(sizes[:used]), positions, words)
     return SimplicialComplex(labels, faces, cap)
 
 
@@ -346,18 +386,14 @@ def _offsets(counts) -> np.ndarray:
     return out
 
 
-def _ragged(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The ranges [starts[i], starts[i] + lens[i]), concatenated."""
-    ends = np.cumsum(lens)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lens), lens)
-
-
 def _lookup(known: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """The position of each code in the increasing array ``known``, or -1."""
     if not len(known):
         return np.full(len(codes), -1, dtype=np.int64)
-    pos = np.minimum(np.searchsorted(known, codes), len(known) - 1)
-    return np.where(known[pos] == codes, pos, -1)
+    pos = np.searchsorted(known, codes)
+    np.minimum(pos, len(known) - 1, out=pos)
+    pos[known[pos] != codes] = -1
+    return pos
 
 
 def _mask_words(masks: Sequence[int]):
@@ -375,7 +411,7 @@ def _mask_words(masks: Sequence[int]):
         chunks.append(mask.to_bytes(counts[-1] * 8, "little"))
     words = np.frombuffer(b"".join(chunks), dtype="<u8")
     owner = np.repeat(np.arange(len(counts)), counts)
-    position = _ragged(np.array(firsts, dtype=np.int64), np.array(counts, dtype=np.int64))
+    position = _spans(np.array(firsts, dtype=np.int64), np.array(counts, dtype=np.int64))
     nonzero = words != 0
     owner, position, words = owner[nonzero], position[nonzero], words[nonzero]
     width = int(position.max()) + 1 if len(position) else 1
@@ -393,7 +429,7 @@ def _meet(commons, rows, cand, columns):
     keys, words, width = columns
     first = ptr[rows]
     lens = ptr[rows + 1] - first
-    at = _ragged(first, lens)
+    at = _spans(first, lens)
     owner = np.repeat(np.arange(len(rows)), lens)
     pos = _lookup(keys, cand[owner] * width + position[at])
     both = np.zeros(len(at), dtype=np.uint64)

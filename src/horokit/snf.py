@@ -163,9 +163,10 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 class CSC:
     """A sparse integer matrix in compressed sparse columns: column c holds
     the rows ``rows[indptr[c]:indptr[c + 1]]`` (nonnegative, distinct), with
-    the values in the same slice of ``values``.  ``indptr`` and ``rows`` are
-    int64, the dtype of the peel's per-row sums: ``ufunc.at`` leaves numpy's
-    fast path when its operands differ in dtype."""
+    the values in the same slice of ``values``.  ``rows`` are int32 or int64:
+    the peel's per-row sums pick their own dtype (``_int_dtype``), and
+    ``ufunc.at`` keeps numpy's fast path whatever the index dtype, as long as
+    its target, values and scalar share one dtype."""
 
     indptr: np.ndarray
     rows: np.ndarray
@@ -323,18 +324,25 @@ def _eliminate(matrix: CSC, track: bool = False, freeze: bool = False):
 
 
 def _peel(matrix: CSC) -> tuple[np.ndarray, np.ndarray]:
-    """The lone unit pivots of ``_eliminate``, in rounds: their rows and
-    their columns, in peel order."""
+    """The lone unit pivots of ``_eliminate``, in rounds: their rows, in the
+    dtype of the matrix's rows, and their columns, in that of the per-row
+    sums, in peel order."""
     indptr, rows, values = matrix.indptr, matrix.rows, matrix.values
     lengths = np.diff(indptr)
-    # per row: live entries, the sum of their columns, the sum of their unit signs
-    count = np.bincount(rows)
+    starts = indptr[:-1].astype(_int_dtype(len(rows)))  # a round's positions are as narrow
+    # per row: live entries (at most one per column), the sum of their
+    # columns (below count times columns), the sum of their unit signs
+    count = np.zeros(int(rows.max(initial=-1)) + 1, dtype=_int_dtype(len(lengths)))
+    np.add.at(count, rows, count.dtype.type(1))
+    dtype = _int_dtype(int(count.max(initial=0)) * len(lengths))
+    count = count.astype(dtype, copy=False)
+    one = dtype(1)  # every ufunc.at below has target, values and scalar of one dtype
     total = np.zeros_like(count)
-    np.add.at(total, rows, np.repeat(np.arange(len(lengths)), lengths))
+    np.add.at(total, rows, np.repeat(np.arange(len(lengths), dtype=dtype), lengths))
     signs = np.zeros_like(count)
-    _add_unit_signs(signs, rows, values, 1)
-    peeled_rows, peeled_cols = [count[:0]], [count[:0]]
-    queue = np.flatnonzero(count == 1)
+    _add_unit_signs(signs, rows, values, one)
+    peeled_rows, peeled_cols = [rows[:0]], [count[:0]]
+    queue = np.flatnonzero(count == 1).astype(rows.dtype)
     while len(queue):
         ready = queue[(count[queue] == 1) & (signs[queue] != 0)]
         # per column, the first such row in queue order
@@ -343,32 +351,48 @@ def _peel(matrix: CSC) -> tuple[np.ndarray, np.ndarray]:
         ready = ready[first]
         cols = total[ready]
         lens = lengths[cols]
-        at = _spans(indptr[cols], lens)
+        at = _spans(starts[cols], lens)
         hit, hit_values = rows[at], values[at]
         del at  # a round's entry arrays set the peel's peak memory
-        _add_unit_signs(signs, hit, hit_values, -1)
-        np.subtract.at(count, hit, 1)
+        _add_unit_signs(signs, hit, hit_values, -one)
+        np.subtract.at(count, hit, one)
         np.subtract.at(total, hit, np.repeat(cols, lens))
         # the rows left at count one, each at its last decrement, in order
         ones = np.flatnonzero(count[hit] == 1)[::-1]
         ones = ones[np.unique(hit[ones], return_index=True)[1]]
         ones.sort()
         queue = hit[ones]
+        del hit, hit_values
         peeled_rows.append(ready)
         peeled_cols.append(cols)
     return np.concatenate(peeled_rows), np.concatenate(peeled_cols)
 
 
-def _add_unit_signs(signs: np.ndarray, rows: np.ndarray, values: np.ndarray, scale: int):
-    """Add ``scale`` times the sign of each unit entry to its row's sum."""
+def _int_dtype(bound: int) -> type:
+    """int32 for integers of at most ``bound`` when it is below 2^31, else
+    int64: the peel's positions, counts and sums each take the narrowest."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
+def _add_unit_signs(signs: np.ndarray, rows: np.ndarray, values: np.ndarray, scale):
+    """Add ``scale`` (of the dtype of ``signs``) times the sign of each unit
+    entry to its row's sum."""
     np.add.at(signs, rows[values == 1], scale)
     np.add.at(signs, rows[values == -1], -scale)
 
 
 def _spans(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """The positions ``starts[k]:starts[k] + lens[k]`` for every k, in turn."""
-    ends = np.cumsum(lens)
-    return np.repeat(starts - ends + lens, lens) + np.arange(ends[-1] if len(ends) else 0)
+    """The positions ``starts[k]:starts[k] + lens[k]`` for every k, in turn,
+    in the dtype of ``starts``: steps of one, with the jump to each span's
+    start at its head, summed in place, so no other array of that length."""
+    nonempty = lens > 0
+    starts, lens = starts[nonempty], lens[nonempty]
+    at = np.ones(int(lens.sum()), dtype=starts.dtype)
+    if len(at):
+        at[0] = starts[0]
+        at[np.cumsum(lens[:-1])] = starts[1:] - starts[:-1] - lens[:-1] + 1
+        np.cumsum(at, out=at)
+    return at
 
 
 def _column_dicts(matrix: CSC, which: np.ndarray):

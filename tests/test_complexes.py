@@ -156,6 +156,7 @@ def _check_coboundary(c, p, cleared):
     kept = [r for r in range(c.n_faces(p - 1)) if r not in cleared]
     csc = c.coboundary_columns(p, cleared)
     assert isinstance(csc, CSC) and len(csc) == len(kept)
+    assert csc.rows.dtype == np.int32 and csc.values.dtype == np.int8
     for k, r in enumerate(kept):
         start, end = csc.indptr[k], csc.indptr[k + 1]
         column = list(zip(csc.rows[start:end].tolist(), csc.values[start:end].tolist()))
@@ -168,7 +169,7 @@ def _check_coboundary(c, p, cleared):
 def test_csc_coboundary_is_the_transpose_of_the_boundary(c, data):
     for p in range(1, c.cap + 1):
         table = c.facets(p)
-        assert table.dtype == np.int64 and table.shape == (c.n_faces(p), p + 1)
+        assert table.dtype == np.int32 and table.shape == (c.n_faces(p), p + 1)
         assert table.tolist() == _sliced_facets(c, p)
         marks = data.draw(st.lists(st.booleans(), min_size=c.n_faces(p - 1),
                                    max_size=c.n_faces(p - 1)))
@@ -197,6 +198,10 @@ def test_facet_lookup_refuses_an_open_or_unsorted_face_list():
                                             np.array([[1, 2], [0, 1]])], 1)
     with pytest.raises(ValueError):
         unsorted.facets(1)
+    for edges in ([[0, 2], [0, 1]], [[0, 1], [0, 1]]):  # within one prefix's run
+        within = SimplicialComplex(range(3), [np.arange(3).reshape(3, 1), np.array(edges)], 1)
+        with pytest.raises(ValueError):
+            within.facets(1)
 
 
 @settings(max_examples=150, deadline=None)

@@ -25,6 +25,8 @@ def test_ladder_runs_rg1_and_digests_each_report(tmp_path, monkeypatch):
                          text=True, check=True, timeout=600)
     result = json.loads(out.stdout)
     assert result["schema"] == "horokit-ladder/1"
+    sources = (SCRIPT.parent.parent / "src" / "horokit").glob("*.py")
+    assert result["src_lines"] == sum(len(p.read_text().splitlines()) for p in sources) > 0
     runs = result["runs"]
     assert [(r["verdict"], r["rg"], r["cosets"]) for r in runs] == [
         (v, 1, c) for v in ("homology", "nerve") for c in ("m5", "all")]

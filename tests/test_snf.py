@@ -203,10 +203,15 @@ def _csc(columns, dtype):
 
 def _check_peel_against_the_scalar_peel(matrix):
     want_rows, want_cols, want_frozen = _scalar_peel(matrix)
-    rows, cols = snf._peel(matrix)
-    assert rows.dtype == cols.dtype == np.int64
-    assert rows.tolist() == want_rows and cols.tolist() == want_cols
     got = _eliminate(matrix, track=True, freeze=True)
+    # the same pivots in the same order whatever the dtype of the rows; the
+    # peeled rows keep it, the columns take that of the (int32) row sums
+    for dtype in (np.int32, np.int64):
+        narrowed = snf.CSC(matrix.indptr, matrix.rows.astype(dtype), matrix.values)
+        rows, cols = snf._peel(narrowed)
+        assert rows.dtype == dtype and cols.dtype == np.int32
+        assert rows.tolist() == want_rows and cols.tolist() == want_cols
+        assert _eliminate(narrowed, track=True, freeze=True) == got
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(snf, "_peel", lambda m: tuple(np.array(x, dtype=np.int64)
                                                 for x in _scalar_peel(m)[:2]))
@@ -268,6 +273,22 @@ def test_peel_rounds_on_named_cases():
     empty = _csc([], np.int64)
     assert [x.tolist() for x in snf._peel(empty)] == [[], []]
     assert _eliminate(_csc([{}, {}], object), track=True) == ([], {}, {0: {0: 1}, 1: {1: 1}}, None)
+
+
+def test_peel_sums_fall_back_to_int64_past_the_int32_bound():
+    # a row sum is below the row's count times the column count, so the
+    # bound is read off the input, and no array near 2^31 is needed
+    assert snf._int_dtype(2**31 - 1) is np.int32
+    assert snf._int_dtype(2**31) is np.int64
+    # row 0 in each of c columns, beside a lone unit per column: c * c
+    # crosses 2^31 between c = 46,340 and c = 46,341
+    cols = [{0: 2, c + 1: -1} for c in range(46_341)]
+    for width, dtype in ((46_340, np.int32), (46_341, np.int64)):
+        matrix = _csc(cols[:width], np.int8)
+        rows, peeled = snf._peel(matrix)
+        assert peeled.dtype == dtype and rows.dtype == np.int64
+        assert (rows.tolist(), peeled.tolist()) == _scalar_peel(matrix)[:2]
+        assert peeled.tolist() == list(range(width))
 
 
 def test_peel_of_a_long_path_matches_the_scalar_peel():
