@@ -57,6 +57,7 @@ VERDICTS = {
     "mv-verify": ["mv-verify", "--stage", "0"],
     "y-vanish": ["y-vanish", "--stage", "0"],
     "delta": ["delta"],
+    "delta-sampled": ["delta", "--mode", "sampled", "--samples", "2000000", "--seed", "0"],
 }
 
 

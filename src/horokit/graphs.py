@@ -3,15 +3,23 @@
 Vertices are (element, level, coset) triples: level 0 with coset 0 for
 Cayley-graph vertices, level >= 1 with a positive coset index for horoball
 vertices.  Every distance comes from one breadth-first search,
-``multi_source_distances``: single rows, the all-pairs matrix, penumbra and
-the omega-excisive check.
+``MetricGraph._bfs``: single pairs, multi-source rows (penumbra, interior
+windows, the omega-excisive check) and the all-pairs matrix.
+
+The search is bit-parallel (multi-source BFS; Then et al., "The More the
+Merrier: Efficient Multi-Source Graph Traversal", PVLDB 2014).  Each vertex
+holds a packed bitset with one bit per search column, the columns that have
+reached it.  A round ORs every vertex's neighbours' bitsets with one
+``np.bitwise_or.reduceat`` over the CSR adjacency, so after round r a
+vertex's bitset holds the columns within distance r of it; the new bits
+get the round number, and the search stops at the first round with none.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from collections import deque
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -19,6 +27,7 @@ import numpy as np
 from .errors import BudgetExceededError, DecompositionError, UnknownVertexError
 
 ALL_PAIRS_LIMIT = 20_000  # beyond this, refuse to materialize a matrix
+SOURCE_BLOCK = 512  # search columns per bit-parallel BFS of the all-pairs matrix
 
 
 class Vertex(NamedTuple):
@@ -69,6 +78,7 @@ class MetricGraph:
         )
         self.edges: frozenset[tuple[int, int]] = frozenset(edge_set)
         self.meta = dict(meta) if meta else {}
+        self._csr_arrays = None
 
     def __len__(self):
         return len(self.vertices)
@@ -96,27 +106,74 @@ class MetricGraph:
                 f"the cap of {ALL_PAIRS_LIMIT} vertices"
             )
         out = np.empty((n, n), dtype=np.int32)
-        for i, v in enumerate(self.vertices):
-            out[i] = self.multi_source_distances([v])
+        for s in range(0, n, SOURCE_BLOCK):
+            e = min(s + SOURCE_BLOCK, n)
+            j = np.arange(e - s, dtype=np.uint64)
+            seen = np.zeros((n, (e - s + 63) // 64), dtype="<u8")
+            seen[s + j, j >> 6] = np.uint64(1) << (j & 63)
+            self._bfs(seen, out[s:e])
         return out
 
     def multi_source_distances(self, sources: Iterable[Vertex]) -> list[int]:
         """Distance of every vertex to the nearest source (-1 if unreachable)."""
-        row = [-1] * len(self.vertices)
-        q = deque()
+        seen = np.zeros((len(self.vertices), 1), dtype="<u8")
         for v in sources:
-            i = self._require(Vertex(*v))
-            if row[i] < 0:
-                row[i] = 0
-                q.append(i)
-        while q:
-            u = q.popleft()
-            du = row[u]
-            for w in self.adjacency[u]:
-                if row[w] < 0:
-                    row[w] = du + 1
-                    q.append(w)
-        return row
+            seen[self._require(Vertex(*v))] = 1
+        out = np.empty((1, len(self.vertices)), dtype=np.int32)
+        self._bfs(seen, out)
+        return out[0].tolist()
+
+    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The adjacency as CSR, built on the first distance query: the
+        neighbour list, the vertices of degree >= 1 and their segment
+        starts in it."""
+        if self._csr_arrays is None:
+            degree = np.fromiter(map(len, self.adjacency), dtype=np.intp, count=len(self))
+            starts = np.zeros(len(self), dtype=np.intp)
+            np.cumsum(degree[:-1], out=starts[1:])
+            nbrs = np.fromiter(itertools.chain.from_iterable(self.adjacency), dtype=np.intp,
+                               count=int(degree.sum()))
+            live = np.flatnonzero(degree)
+            self._csr_arrays = (nbrs, live, starts[live])
+        return self._csr_arrays
+
+    def _bfs(self, seen: np.ndarray, out: np.ndarray) -> None:
+        """Bit-parallel BFS of k search columns at once.  ``seen`` (vertices
+        x words, little-endian uint64) holds the seeds, bit j of a vertex's
+        row for column j; row j of ``out`` (k x vertices, int32) gets every
+        vertex's distance to column j's seeds, -1 where they are out of
+        reach.  A distance is kept in bit planes while the search runs
+        (plane b holds bit b of the rounds found so far) and is unpacked
+        once at the end."""
+        nbrs, live, starts = self._csr()
+        planes = []
+        r = 0
+        while len(live):
+            r += 1
+            # reduceat over live vertices only: on an empty segment (a vertex
+            # of degree 0) it would return the next neighbour's bits
+            new = np.bitwise_or.reduceat(seen[nbrs], starts, axis=0)
+            new &= ~seen[live]
+            hit = np.flatnonzero(new.any(axis=1))
+            if not len(hit):
+                break
+            new, at = new[hit], live[hit]
+            seen[at] |= new
+            if r >> len(planes):
+                planes.append(np.zeros_like(seen))
+            for b, plane in enumerate(planes):
+                if r >> b & 1:
+                    plane[at] |= new
+
+        def unpack(bits):  # vertices x k, one uint8 per bit
+            return np.unpackbits(bits.view(np.uint8), axis=1, count=len(out), bitorder="little")
+
+        dist = np.zeros((len(seen), len(out)), dtype=np.int32)
+        for plane in reversed(planes):
+            dist <<= 1
+            dist |= unpack(plane)
+        dist -= unpack(~seen)
+        out[...] = dist.T
 
     # -- interchange -------------------------------------------------------
 

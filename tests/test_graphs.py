@@ -1,9 +1,15 @@
 import math
+import random
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from horokit import graphs
 from horokit.errors import DecompositionError, UnknownVertexError
 from horokit.graphs import MetricGraph, Vertex, omega_excisive_check, pen
+from horokit.instances import BUILDERS, get_instance
 
 
 def path_graph(n):
@@ -139,3 +145,87 @@ def test_distance_matrix_symmetric():
     d = g.distance_matrix()
     assert (d == d.T).all()
     assert d.max() == 5
+
+
+# -- the bit-parallel BFS against networkx -------------------------------------
+
+
+def networkx_rows(g, sources_list):
+    """Distance rows from networkx's BFS (the least over the sources of
+    ``single_source_shortest_path_length``), -1 where no source reaches."""
+    import networkx as nx
+
+    ng = nx.Graph()
+    ng.add_nodes_from(range(len(g)))
+    ng.add_edges_from(g.edges)
+    rows = []
+    for sources in sources_list:
+        row = [-1] * len(g)
+        for s in sources:
+            for j, d in nx.single_source_shortest_path_length(ng, s).items():
+                if row[j] < 0 or d < row[j]:
+                    row[j] = d
+        rows.append(row)
+    return rows
+
+
+@st.composite
+def sparse_graphs(draw):
+    # up to 150 vertices, so a bitset row spans three words; components,
+    # isolated vertices and the empty edge set all occur
+    n = draw(st.integers(1, 150))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=2 * n))
+    vs = [Vertex(i, 0, 0) for i in range(n)]
+    return MetricGraph(vs, [(vs[a], vs[b]) for a, b in pairs if a != b])
+
+
+@pytest.mark.parametrize("block", [None, 5, 70])
+def test_distance_matrix_matches_networkx(block):
+    # None keeps the module's block; 5 and 70 cross blocks, 70 also words
+    from hypothesis import given, settings
+
+    @settings(max_examples=40, deadline=None)
+    @given(sparse_graphs())
+    def check(g):
+        with mock.patch.object(graphs, "SOURCE_BLOCK", block or graphs.SOURCE_BLOCK):
+            d = g.distance_matrix()
+        assert d.dtype == np.int32 and d.shape == (len(g), len(g))
+        assert d.tolist() == networkx_rows(g, [[i] for i in range(len(g))])
+
+    check()
+
+
+def test_multi_source_distances_match_networkx():
+    from hypothesis import given, settings
+
+    @settings(max_examples=100, deadline=None)
+    @given(sparse_graphs(), st.data())
+    def check(g, data):
+        idxs = data.draw(st.lists(st.integers(0, len(g) - 1), min_size=1, max_size=5))
+        row = g.multi_source_distances(g.vertices[i] for i in idxs)
+        assert all(type(d) is int for d in row)
+        assert row == networkx_rows(g, [idxs])[0]
+
+    check()
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_instance_distances_match_networkx(name, monkeypatch):
+    g = get_instance(name).graph
+    expected = networkx_rows(g, [[i] for i in range(len(g))])
+    assert g.distance_matrix().tolist() == expected
+    monkeypatch.setattr(graphs, "SOURCE_BLOCK", 7)
+    assert g.distance_matrix().tolist() == expected
+    rng = random.Random(name)
+    for size in range(1, 6):
+        idxs = rng.sample(range(len(g)), size)
+        assert g.multi_source_distances([g.vertices[i] for i in idxs]) == \
+            networkx_rows(g, [idxs])[0]
+
+
+def test_multi_source_distances_refuse_unknown_sources():
+    g = path_graph(3)
+    with pytest.raises(UnknownVertexError):
+        g.multi_source_distances([Vertex(0, 0, 0), Vertex(7, 0, 0)])
+    assert g.multi_source_distances([]) == [-1, -1, -1]

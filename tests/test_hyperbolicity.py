@@ -13,6 +13,7 @@ from horokit.errors import BudgetExceededError, DisconnectedGraphError
 from horokit.graphs import MetricGraph, Vertex
 from horokit.groups import GroupSpec
 from horokit.hyperbolicity import DeltaEstimate, four_point_delta
+from horokit.instances import get_instance
 from horokit.spaces import Truncation, build_augmented, build_horoball, interval_points
 
 
@@ -300,3 +301,54 @@ def test_wide_horoball_delta_matches_golden():
     est = four_point_delta(hb, truncation={"base": [-32, 32], "levels": [0, 5]})
     assert est.as_dict() == golden
     assert est.delta <= 2.0
+
+
+def batched_int64_sampled_delta(g, samples, seed):
+    """The sampled scan as it stood before the int32 blocks: an int64 copy of
+    the matrix, quadruples in batches of 65,536, three-way defects."""
+    dist = g.distance_matrix().astype(np.int64)
+    rng = np.random.default_rng(seed)
+    best, remaining = 0, samples
+    while remaining > 0:
+        m = min(65_536, remaining)
+        remaining -= m
+        x, y, z, w = rng.integers(0, len(g), size=(m, 4)).T
+        s1 = dist[x, y] + dist[z, w]
+        s2 = dist[x, z] + dist[y, w]
+        s3 = dist[x, w] + dist[y, z]
+        gap = s1 - np.maximum(s2, s3)
+        np.maximum(gap, s2 - np.maximum(s1, s3), out=gap)
+        np.maximum(gap, s3 - np.maximum(s1, s2), out=gap)
+        best = max(best, int(gap.max()))
+    return best / 2
+
+
+def test_sampled_blocks_stay_inside_int32():
+    # every intermediate of the int32 scan is at most 6*(n-1)
+    assert 6 * graphs.ALL_PAIRS_LIMIT < 2**31
+
+
+@pytest.mark.parametrize("samples", [1, 8191, 8192, 8193, 3 * 8192 + 5])
+def test_sampled_scan_matches_the_batched_int64_scan(samples, monkeypatch):
+    # the sample counts sit on and around the block size of 8,192
+    shapes = [cycle(4), cycle(5), cycle(9), grid(3, 4), get_instance("z_horoball").graph]
+    for g in shapes:
+        for seed in range(4):
+            est = four_point_delta(g, mode="sampled", samples=samples, seed=seed)
+            assert est.delta == batched_int64_sampled_delta(g, samples, seed)
+            assert (est.quadruples_checked, est.samples, est.seed) == (samples, samples, seed)
+    # every quadruple is drawn and scanned, the last partial block too
+    drawn, default_rng = [], np.random.default_rng
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def integers(self, low, high, size):
+            drawn.append(size)
+            return self.rng.integers(low, high, size=size)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    four_point_delta(cycle(5), mode="sampled", samples=samples, seed=0)
+    full, rest = divmod(samples, 8192)
+    assert drawn == [(8192, 4)] * full + [(rest, 4)] * (rest > 0)

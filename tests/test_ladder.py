@@ -19,8 +19,8 @@ def _ladder_module():
     return module
 
 
-def test_ladder_runs_rg1_and_digests_each_report(tmp_path, monkeypatch):
-    argv = ["--rg", "1", "--cosets", "m5", "all", "--verdict", "homology", "nerve"]
+def check_rg1_runs(verdicts, tmp_path, monkeypatch):
+    argv = ["--rg", "1", "--cosets", "m5", "all", "--verdict", *verdicts]
     out = subprocess.run([sys.executable, str(SCRIPT), *argv], capture_output=True,
                          text=True, check=True, timeout=600)
     result = json.loads(out.stdout)
@@ -29,7 +29,7 @@ def test_ladder_runs_rg1_and_digests_each_report(tmp_path, monkeypatch):
     assert result["src_lines"] == sum(len(p.read_text().splitlines()) for p in sources) > 0
     runs = result["runs"]
     assert [(r["verdict"], r["rg"], r["cosets"]) for r in runs] == [
-        (v, 1, c) for v in ("homology", "nerve") for c in ("m5", "all")]
+        (v, 1, c) for v in verdicts for c in ("m5", "all")]
     # each digest is that of the report the CLI writes in-process for the
     # same config, under the same bare file name
     ladder = _ladder_module()
@@ -41,3 +41,13 @@ def test_ladder_runs_rg1_and_digests_each_report(tmp_path, monkeypatch):
         assert run([*r["argv"].split(), "--out", "report.json"]) == 0
         assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == \
             r["report_sha256"]
+
+
+def test_ladder_runs_rg1_and_digests_each_report(tmp_path, monkeypatch):
+    check_rg1_runs(("homology", "nerve"), tmp_path, monkeypatch)
+
+
+def test_ladder_runs_both_delta_verdicts_on_rg1(tmp_path, monkeypatch):
+    check_rg1_runs(("delta", "delta-sampled"), tmp_path, monkeypatch)
+    assert _ladder_module().VERDICTS["delta-sampled"] == [
+        "delta", "--mode", "sampled", "--samples", "2000000", "--seed", "0"]
