@@ -31,7 +31,7 @@ from .errors import (
     ScheduleMismatchError,
     vertex_budget,
 )
-from .graphs import Vertex
+from .graphs import SOURCE_BLOCK, Vertex, bfs, unpack
 from .spaces import AugmentedSpace
 
 
@@ -122,10 +122,12 @@ class Family:
 def build_cover(space: AugmentedSpace, scale: int) -> Cover:
     """One column per vertex of the carrier; cached per space and scale.
 
-    Distances come in blocks from the space's ``WordBall``: a Cayley
-    column's from one row over the ball ids, a horoball column's from its
-    coset base's matrix.  Each block of columns becomes a boolean matrix
-    over the carrier's vertices, packed into one mask per row.
+    A Cayley column's ball ids come from ``graphs.bfs`` on the ball's Cayley
+    graph capped at 2^scale rounds, ``SOURCE_BLOCK`` centers per search: bit
+    j of an element's bitset is then set iff it lies within 2^scale of
+    center j (``groups.WordBall``).  A horoball column's come from its coset
+    base's matrix (``AugmentedSpace.base_distances``).  Each block of columns
+    becomes a boolean matrix over the carrier, packed into one mask per row.
     """
     if scale < 1:
         raise ValueError("cover scale must be >= 1")
@@ -144,13 +146,17 @@ def build_cover(space: AugmentedSpace, scale: int) -> Cover:
     masks = [0] * n
     # a Cayley column: every vertex at level <= scale within 2^scale
     low = np.flatnonzero(level <= scale)
-    every = np.arange(len(ball))
-    for rows in _blocks(np.flatnonzero(level == 0), max(n, len(ball))):
-        near = ball.distances(elem[rows], every)[:, elem[low]] <= 2 ** min(scale, 62)
-        bits = np.zeros((len(rows), n), bool)
-        bits[:, low] = near
-        for i, m in zip(rows.tolist(), _row_masks(bits)):
-            masks[i] = m
+    centers = np.flatnonzero(level == 0)
+    rank = np.full(len(ball), -1)
+    rank[elem[centers]] = np.arange(len(centers))
+    for s in range(0, len(centers), SOURCE_BLOCK):
+        e = min(s + SOURCE_BLOCK, len(centers))
+        near = unpack(bfs(ball.csr, rank, s, e, 2**scale, None), e - s).T
+        for rows in _blocks(np.arange(s, e), n):
+            bits = np.zeros((len(rows), n), bool)
+            bits[:, low] = near[rows - s][:, elem[low]]
+            for i, m in zip(centers[rows].tolist(), _row_masks(bits)):
+                masks[i] = m
     # a horoball column at (x, t): its coset's vertices at levels t..t+scale
     # within 2^(t+scale); a coset's vertices are contiguous in vertex order
     local = np.empty(len(ball), np.int64)
@@ -160,7 +166,7 @@ def build_cover(space: AugmentedSpace, scale: int) -> Cover:
             continue
         start, width = int(span[0]), int(span[-1]) + 1 - int(span[0])
         local[base] = np.arange(len(base))
-        dist = ball.distances(base, base)[:, local[elem[span]]]
+        dist = space.base_distances[c][:, local[elem[span]]]
         lv = level[span]
         for rows in _blocks(np.arange(len(span)), width):
             t = lv[rows, None]

@@ -2,9 +2,12 @@
 
 Vertices are (element, level, coset) triples: level 0 with coset 0 for
 Cayley-graph vertices, level >= 1 with a positive coset index for horoball
-vertices.  Every distance comes from one breadth-first search,
-``MetricGraph._bfs``: single pairs, multi-source rows (penumbra, interior
-windows, the omega-excisive check) and the all-pairs matrix.
+vertices.  Every word or graph distance in the package, the normal-form
+oracles aside, comes from one breadth-first search, ``bfs``, over the CSR
+arrays of ``csr``: single pairs, multi-source rows (penumbra, interior
+windows, the omega-excisive check), the all-pairs matrix, and, on a
+``groups.WordBall``'s Cayley graph, the coset bases' matrices and the
+covers' Cayley columns.
 
 The search is bit-parallel (multi-source BFS; Then et al., "The More the
 Merrier: Efficient Multi-Source Graph Traversal", PVLDB 2014).  Each vertex
@@ -12,12 +15,12 @@ holds a packed bitset with one bit per search column, the columns that have
 reached it.  A round ORs every vertex's neighbours' bitsets with one
 ``np.bitwise_or.reduceat`` over the CSR adjacency, so after round r a
 vertex's bitset holds the columns within distance r of it; the new bits
-get the round number, and the search stops at the first round with none.
+get the round number, and the search stops at the first round with none,
+or at a round cap.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from typing import Iterable, NamedTuple
@@ -27,7 +30,7 @@ import numpy as np
 from .errors import BudgetExceededError, DecompositionError, UnknownVertexError
 
 ALL_PAIRS_LIMIT = 20_000  # beyond this, refuse to materialize a matrix
-SOURCE_BLOCK = 512  # search columns per bit-parallel BFS of the all-pairs matrix
+SOURCE_BLOCK = 512  # search columns per bit-parallel BFS of a block of distance rows
 
 
 class Vertex(NamedTuple):
@@ -78,7 +81,7 @@ class MetricGraph:
         )
         self.edges: frozenset[tuple[int, int]] = frozenset(edge_set)
         self.meta = dict(meta) if meta else {}
-        self._csr_arrays = None
+        self.csr = csr(len(vs), *np.array(list(edge_set), np.intp).reshape(-1, 2).T)
 
     def __len__(self):
         return len(self.vertices)
@@ -106,74 +109,17 @@ class MetricGraph:
                 f"the cap of {ALL_PAIRS_LIMIT} vertices"
             )
         out = np.empty((n, n), dtype=np.int32)
-        for s in range(0, n, SOURCE_BLOCK):
-            e = min(s + SOURCE_BLOCK, n)
-            j = np.arange(e - s, dtype=np.uint64)
-            seen = np.zeros((n, (e - s + 63) // 64), dtype="<u8")
-            seen[s + j, j >> 6] = np.uint64(1) << (j & 63)
-            self._bfs(seen, out[s:e])
+        distance_rows(self.csr, np.arange(n), out)
         return out
 
     def multi_source_distances(self, sources: Iterable[Vertex]) -> list[int]:
         """Distance of every vertex to the nearest source (-1 if unreachable)."""
-        seen = np.zeros((len(self.vertices), 1), dtype="<u8")
+        rank = np.full(len(self.vertices), -1)
         for v in sources:
-            seen[self._require(Vertex(*v))] = 1
+            rank[self._require(Vertex(*v))] = 0
         out = np.empty((1, len(self.vertices)), dtype=np.int32)
-        self._bfs(seen, out)
+        distance_rows(self.csr, rank, out)
         return out[0].tolist()
-
-    def _csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The adjacency as CSR, built on the first distance query: the
-        neighbour list, the vertices of degree >= 1 and their segment
-        starts in it."""
-        if self._csr_arrays is None:
-            degree = np.fromiter(map(len, self.adjacency), dtype=np.intp, count=len(self))
-            starts = np.zeros(len(self), dtype=np.intp)
-            np.cumsum(degree[:-1], out=starts[1:])
-            nbrs = np.fromiter(itertools.chain.from_iterable(self.adjacency), dtype=np.intp,
-                               count=int(degree.sum()))
-            live = np.flatnonzero(degree)
-            self._csr_arrays = (nbrs, live, starts[live])
-        return self._csr_arrays
-
-    def _bfs(self, seen: np.ndarray, out: np.ndarray) -> None:
-        """Bit-parallel BFS of k search columns at once.  ``seen`` (vertices
-        x words, little-endian uint64) holds the seeds, bit j of a vertex's
-        row for column j; row j of ``out`` (k x vertices, int32) gets every
-        vertex's distance to column j's seeds, -1 where they are out of
-        reach.  A distance is kept in bit planes while the search runs
-        (plane b holds bit b of the rounds found so far) and is unpacked
-        once at the end."""
-        nbrs, live, starts = self._csr()
-        planes = []
-        r = 0
-        while len(live):
-            r += 1
-            # reduceat over live vertices only: on an empty segment (a vertex
-            # of degree 0) it would return the next neighbour's bits
-            new = np.bitwise_or.reduceat(seen[nbrs], starts, axis=0)
-            new &= ~seen[live]
-            hit = np.flatnonzero(new.any(axis=1))
-            if not len(hit):
-                break
-            new, at = new[hit], live[hit]
-            seen[at] |= new
-            if r >> len(planes):
-                planes.append(np.zeros_like(seen))
-            for b, plane in enumerate(planes):
-                if r >> b & 1:
-                    plane[at] |= new
-
-        def unpack(bits):  # vertices x k, one uint8 per bit
-            return np.unpackbits(bits.view(np.uint8), axis=1, count=len(out), bitorder="little")
-
-        dist = np.zeros((len(seen), len(out)), dtype=np.int32)
-        for plane in reversed(planes):
-            dist <<= 1
-            dist |= unpack(plane)
-        dist -= unpack(~seen)
-        out[...] = dist.T
 
     # -- interchange -------------------------------------------------------
 
@@ -188,7 +134,20 @@ class MetricGraph:
 
     @staticmethod
     def from_json(data: dict) -> "MetricGraph":
-        vs = [Vertex(e, lv, c) for e, lv, c in data["vertices"]]
+        """The graph of ``to_json``: distinct vertex rows [element, level,
+        coset], the element an int or a string, and edges as row index pairs."""
+        vs = []
+        for row in data["vertices"]:
+            if not (isinstance(row, list) and len(row) == 3 and type(row[0]) in (int, str)
+                    and type(row[1]) is type(row[2]) is int):
+                raise ValueError(f"graph vertex {row!r} is not [element, level, coset]")
+            vs.append(Vertex(*row))
+        if len(set(vs)) < len(vs):
+            raise ValueError("graph vertex rows repeat")
+        for pair in data["edges"]:
+            if not (isinstance(pair, list) and len(pair) == 2
+                    and all(type(i) is int and 0 <= i < len(vs) for i in pair)):
+                raise UnknownVertexError(f"graph edge {pair!r} names no vertex of {len(vs)}")
         edges = [(vs[a], vs[b]) for a, b in data["edges"]]
         return MetricGraph(vs, edges, meta=data.get("meta"))
 
@@ -211,6 +170,77 @@ def _jsonable(v):
         return True
     except TypeError:
         return False
+
+
+def csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The undirected graph on vertices 0..n-1 with edges u[k] -- v[k], each
+    given once, as CSR: the neighbour list, the vertices of degree >= 1 and
+    their segment starts in it."""
+    ends = np.concatenate([u, v])
+    order = np.argsort(ends, kind="stable")
+    nbrs = np.concatenate([v, u])[order]
+    degree = np.bincount(ends, minlength=n)
+    live = np.flatnonzero(degree)
+    return nbrs, live, (np.cumsum(degree) - degree)[live]
+
+
+def bfs(adjacency, rank: np.ndarray, s: int, e: int, rounds: int,
+        out: np.ndarray | None) -> np.ndarray:
+    """Bit-parallel BFS of the k = e - s search columns s..e-1 at once, for
+    at most ``rounds`` rounds, over the ``csr`` arrays ``adjacency``; the
+    vertices of ``rank`` j seed column j - s (rank -1: none).  Returns
+    ``seen`` (vertices x words, little-endian uint64), whose row has bit j
+    set iff the vertex lies within ``rounds`` of column j's seeds.  Row j of
+    ``out`` (k x vertices, int32), if given, gets every vertex's distance to
+    column j's seeds, -1 where they are out of reach.  A distance is kept in
+    bit planes while the search runs (plane b holds bit b of the rounds
+    found so far) and is unpacked once at the end; with no ``out`` there are
+    no planes."""
+    at = np.flatnonzero((rank >= s) & (rank < e))
+    j = (rank[at] - s).astype(np.uint64)
+    seen = np.zeros((len(rank), (e - s + 63) // 64), dtype="<u8")
+    seen[at, j >> 6] = np.uint64(1) << (j & 63)
+    nbrs, live, starts = adjacency
+    planes = []
+    r = 0
+    while r < rounds and len(live):
+        r += 1
+        # reduceat over live vertices only: on an empty segment (a vertex
+        # of degree 0) it would return the next neighbour's bits
+        new = np.bitwise_or.reduceat(seen[nbrs], starts, axis=0)
+        new &= ~seen[live]
+        hit = np.flatnonzero(new.any(axis=1))
+        if not len(hit):
+            break
+        new, at = new[hit], live[hit]
+        seen[at] |= new
+        if out is not None and r >> len(planes):
+            planes.append(np.zeros_like(seen))
+        for b, plane in enumerate(planes):
+            if r >> b & 1:
+                plane[at] |= new
+    if out is not None:
+        dist = np.zeros((len(seen), len(out)), dtype=np.int32)
+        for plane in reversed(planes):
+            dist <<= 1
+            dist |= unpack(plane, len(out))
+        dist -= unpack(~seen, len(out))
+        out[...] = dist.T
+    return seen
+
+
+def unpack(bits: np.ndarray, k: int) -> np.ndarray:
+    """Bitset rows (vertices x words, as in ``bfs``) as a vertices x k
+    matrix with one uint8 per bit, column j for bit j."""
+    return np.unpackbits(bits.view(np.uint8), axis=1, count=k, bitorder="little")
+
+
+def distance_rows(adjacency, rank: np.ndarray, out: np.ndarray) -> None:
+    """Row j of ``out`` gets every vertex's distance to the vertices of rank
+    j (-1 where they are out of reach), ``SOURCE_BLOCK`` rows per search."""
+    for s in range(0, len(out), SOURCE_BLOCK):
+        e = min(s + SOURCE_BLOCK, len(out))
+        bfs(adjacency, rank, s, e, len(rank), out[s:e])
 
 
 def pen(graph: MetricGraph, region: Iterable[Vertex], radius: int) -> set[Vertex]:

@@ -7,14 +7,10 @@ Left cosets of a designated peripheral atom are enumerated with shortlex-least
 representatives and round-robin interleaved indices.
 
 ``WordBall`` is a ball as integer element ids.  Its breadth-first search
-forms each product once, and those products give the Cayley edges too.  Each
-element is split into syllables once, and distances then come from those
-syllables, never from a normal form of x^-1 y.  In a free product, |x^-1 y|
-is the length of the two syllable suffixes left after the longest common
-syllable prefix.  When the first differing syllables lie in one atom, their
-atom distance replaces their two lengths: the L1 norm of the exponent
-difference in a free-abelian atom, the reduced length in a free atom.
-``GroupSpec.word_metric`` stays the normal-form oracle.
+forms each product once, and those products give the Cayley edges too.  The
+ball is geodesically convex, so the word metric |x^-1 y| on it is the
+distance in its Cayley graph, which ``graphs.bfs`` searches; no normal form
+of x^-1 y is formed.  ``GroupSpec.word_metric`` stays the normal-form oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, UnknownLetterError, vertex_budget
+from .graphs import csr
 
 _FREE_POOL = "abcdefgh"
 _ABELIAN_POOL = "xyzuvw"
@@ -288,24 +285,32 @@ class CosetTable:
 
 
 class WordBall:
-    """The elements of length <= radius as integer ids, with the syllable
-    tables behind their word metric.
+    """The elements of length <= radius as integer ids, with the ball's
+    Cayley graph as ``graphs.csr`` arrays (``csr``).
 
     Ids follow BFS discovery order (``words``, the order of
     ``GroupSpec.ball``); ``edges`` are the Cayley edges the BFS formed, each
-    once.  Each element is split once into tokens: a free-abelian syllable
-    is one token, a free syllable one token per letter.  A token prefix of a
-    normal form is again a normal form in the ball, so every element has an
-    ancestor id at each token depth up to its own.  Two elements share the
-    first j tokens iff their depth-j ancestors are equal, and then
+    once.  ``graphs.bfs`` on ``csr`` gives the word metric |x^-1 y| of the
+    ball's elements, in three steps.
 
-        |x^-1 y| = |x| + |y| - 2 |common prefix|,
-
-    unless the next tokens of both are syllables of one free-abelian atom.
-    Then those two syllables merge in x^-1 y, and the L1 norm of their
-    exponent difference replaces their two lengths.  Splitting free
-    syllables into letters makes the common prefix run on into a shared
-    free syllable, which is its reduced length |s| + |t| - 2 lcp(s, t).
+    1. The ball is geodesically convex.  Take x and y in it, with normal
+       forms c s ... and c t ..., where c is their longest common syllable
+       prefix.  A geodesic from x to y runs down x's normal form to c and
+       then up y's, through prefixes of x and y.  Where the next syllables s
+       and t share an atom, it goes from c s to c t inside c times that
+       atom: for a free-abelian atom along a monotone L1 path that first
+       shrinks each |coordinate|, and for a free atom along the tree path
+       through the common prefix of s and t.  No point c a on it is longer
+       than an endpoint, since |c a| = |c| + |a| and |a| <= max(|s|, |t|).
+       So a geodesic of every pair lies in the ball, and as no path is
+       shorter than a geodesic, the ball's Cayley graph distance is |x^-1 y|.
+    2. A coset base g P ∩ ball, with g the shortlex-least representative,
+       is g times a ball of P, since g's normal form ends in no syllable of
+       P and so |g p| = |g| + |p|.  By step 1 for the one-atom group P, that
+       ball is convex in P's Cayley graph.
+    3. A Cayley edge with both ends in g P is exactly an edge labelled by a
+       letter of P, and d(g p, g q) = |p^-1 q| is P's word metric.  So the
+       base's induced Cayley edges give d(g p, g q) (``spaces``).
     """
 
     def __init__(self, spec: GroupSpec, radius: int):
@@ -314,72 +319,10 @@ class WordBall:
         self.words, self.edges = spec._bfs(radius)
         self.index = {w: i for i, w in enumerate(self.words)}
         self._buckets: dict[int, dict[str, list[int]]] = {}
-        abelian_col, rank = {}, 0
-        for a, atom in enumerate(spec.atoms):
-            if atom.kind == "abelian":
-                abelian_col[a] = rank
-                rank += atom.rank
-        tokens: dict[tuple[int, str], int] = {}
-        split = []  # per element: its token ids and the word length after each
-        for w in self.words:
-            toks, ends = [], []
-            for a, syl in spec.syllables(w):
-                for part in (syl,) if a in abelian_col else syl:
-                    toks.append(tokens.setdefault((a, part), len(tokens)))
-                    ends.append((ends[-1] if ends else 0) + len(part))
-            split.append((toks, ends))
-        n, depth = len(self.words), max(len(t) for t, _ in split)
-        end = len(tokens)  # stands for the token after an element's last one
-        # _anc[y, j-1] is the id of y's first j tokens, and -(y+1), which is
-        # no other element's entry, past y's depth; _plen[y, j] is the length
-        # of that prefix and _next[y, j] the token after it
-        self._anc = np.empty((n, depth), np.int64)
-        self._plen = np.zeros((n, depth + 1), np.int64)
-        self._next = np.full((n, depth + 1), end, np.int64)
-        self._depth = np.empty(n, np.int64)
-        self._len = np.fromiter(map(len, self.words), np.int64, n)
-        for y, (w, (toks, ends)) in enumerate(zip(self.words, split)):
-            k = self._depth[y] = len(toks)
-            self._anc[y, :k] = [self.index[w[:e]] for e in ends]
-            self._anc[y, k:] = -(y + 1)
-            self._plen[y, 1 : k + 1] = ends
-            self._next[y, :k] = toks
-        self._tok_atom = np.full(end + 1, -1, np.int64)
-        self._tok_len = np.zeros(end + 1, np.int64)
-        self._tok_abelian = np.zeros(end + 1, bool)
-        self._tok_exps = np.zeros((end + 1, rank), np.int64)
-        for (a, part), t in tokens.items():
-            self._tok_atom[t] = a
-            self._tok_len[t] = len(part)
-            if a in abelian_col:
-                self._tok_abelian[t] = True
-                letters = spec.atoms[a].letters
-                for c in part:
-                    col = abelian_col[a] + letters.index(c.lower())
-                    self._tok_exps[t, col] += 1 if c.islower() else -1
+        self.csr = csr(len(self.words), *np.array(self.edges, np.intp).reshape(-1, 2).T)
 
     def __len__(self):
         return len(self.words)
-
-    def distances(self, xs, ys) -> np.ndarray:
-        """The matrix of |x^-1 y| for ids x in ``xs`` (rows) and y in ``ys``
-        (columns).  Temporary memory grows as len(xs) * len(ys) * radius,
-        so callers that need many rows ask for them in blocks."""
-        xs = np.asarray(xs, np.int64)[:, None]
-        ys = np.asarray(ys, np.int64)[None, :]
-        same = self._anc[xs] == self._anc[ys]  # monotone along the depth axis
-        common = np.minimum(same.sum(axis=2), self._depth[xs])
-        d = self._len[xs] + self._len[ys] - 2 * self._plen[xs, common]
-        tx, ty = self._next[xs, common], self._next[ys, common]
-        merge = self._tok_abelian[tx] & (self._tok_atom[tx] == self._tok_atom[ty])
-        if merge.any():
-            a, b = tx[merge], ty[merge]
-            d[merge] += (
-                np.abs(self._tok_exps[a] - self._tok_exps[b]).sum(axis=1)
-                - self._tok_len[a]
-                - self._tok_len[b]
-            )
-        return d
 
     def cosets(self, atom: int) -> dict[str, list[int]]:
         """The ball's ids bucketed by left coset of the atom, keyed by the

@@ -7,22 +7,24 @@ ball; level-0 horizontal edges are the Cayley edges themselves.
 
 ``build_augmented`` computes the ball once, as a ``groups.WordBall`` of
 integer element ids.  Its Cayley edges come from the BFS products, and its
-coset bases from one bucketing pass per peripheral atom.  Each base's
-distance matrix comes from the syllable metric, once for all levels.  The
-space keeps the ball and the bases for its covers and boundary.  A second,
-independently coded builder realizes the distance-one presentation of the
-same space from normal forms and doubles as a cross-check oracle.
+coset bases from one bucketing pass per peripheral atom.  The attached
+bases' distance matrices come from one ``graphs.bfs`` search per peripheral
+atom over the Cayley edges inside its cosets, once for all levels.  The
+space keeps the ball, the bases and their matrices for its covers and
+boundary.  A second, independently coded builder realizes the distance-one
+presentation of the same space from normal forms and doubles as a
+cross-check oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, EmptyBaseError, vertex_budget
-from .graphs import MetricGraph, Vertex
+from .graphs import MetricGraph, Vertex, csr, distance_rows
 from .groups import CosetTable, GroupSpec, WordBall, enumerate_cosets
 
 
@@ -98,32 +100,22 @@ class Truncation:
         return {"rg": self.rg, "lmax": self.lmax, "mmax": self.mmax}
 
 
+@dataclass(eq=False, repr=False)
 class AugmentedSpace:
     """A truncated augmented space together with its group-side context:
-    the ball as element ids, and the ids of each attached coset's base."""
+    the ball as element ids, and each attached coset's base and its metric."""
 
-    def __init__(
-        self,
-        spec: GroupSpec,
-        peripherals: tuple[int, ...],
-        trunc: Truncation,
-        graph: MetricGraph,
-        ball: WordBall,
-        table: CosetTable,
-        attached: tuple,
-        bases: dict[int, list[int]],
-        name: str,
-    ):
-        self.spec = spec
-        self.peripherals = peripherals
-        self.trunc = trunc
-        self.graph = graph
-        self.ball = ball
-        self.table = table
-        self.attached = attached  # CosetEntry list for horoballs actually built
-        self.bases = bases  # coset index -> ball ids of the coset's base
-        self.name = name
-        self._covers = {}
+    spec: GroupSpec
+    peripherals: tuple[int, ...]
+    trunc: Truncation
+    graph: MetricGraph
+    ball: WordBall
+    table: CosetTable
+    attached: tuple  # CosetEntry list for horoballs actually built
+    bases: dict[int, list[int]]  # coset index -> ball ids of the coset's base
+    base_distances: dict[int, np.ndarray]  # coset index -> its base's distance matrix
+    name: str
+    _covers: dict = field(default_factory=dict, init=False)
 
     def describe(self) -> dict:
         return {
@@ -148,24 +140,23 @@ def build_augmented(
     mmax = len(table.entries) if trunc.mmax is None else trunc.mmax
     attached = table.entries[:mmax]
 
+    bases = {e.index: ball.cosets(e.atom)[e.rep] for e in attached}
+    if len(ball) + trunc.lmax * sum(map(len, bases.values())) > cap:
+        raise BudgetExceededError(f"augmented space exceeds budget {cap}")
+    base_distances = _base_distances(ball, attached, bases)
+
     words = ball.words
     cayley = [Vertex(x, 0, 0) for x in words]
     vertices = list(cayley)
     edges = [(cayley[i], cayley[j]) for i, j in ball.edges]
-    bases = {}
     for entry in attached:
-        base = bases[entry.index] = ball.cosets(entry.atom)[entry.rep]
-        floors = [
-            [Vertex(words[i], l, entry.index) for i in base] for l in range(1, trunc.lmax + 1)
-        ]
-        for floor in floors:
-            vertices.extend(floor)
-        if len(vertices) > cap:
-            raise BudgetExceededError(f"augmented space exceeds budget {cap}")
+        base = bases[entry.index]
         iu, ju = np.triu_indices(len(base), 1)
-        dist = ball.distances(base, base)[iu, ju]
+        dist = base_distances[entry.index][iu, ju]
         below = [cayley[i] for i in base]
-        for l, floor in enumerate(floors, 1):
+        for l in range(1, trunc.lmax + 1):
+            floor = [Vertex(words[i], l, entry.index) for i in base]
+            vertices.extend(floor)
             near = dist <= 2**l
             pairs = zip(iu[near].tolist(), ju[near].tolist())
             edges.extend((floor[i], floor[j]) for i, j in pairs)
@@ -181,8 +172,33 @@ def build_augmented(
     }
     graph = MetricGraph(vertices, edges, meta=meta)
     return AugmentedSpace(
-        spec, tuple(peripherals), trunc, graph, ball, table, tuple(attached), bases, name
+        spec, tuple(peripherals), trunc, graph, ball, table, tuple(attached), bases,
+        base_distances, name,
     )
+
+
+def _base_distances(ball: WordBall, attached, bases) -> dict[int, np.ndarray]:
+    """Each attached base's distance matrix, from one ``graphs.bfs`` search
+    per peripheral atom.  The Cayley edges with both ends in one coset of the
+    atom split the ball into its cosets, and inside a base they give its
+    metric (``groups.WordBall``, steps 2 and 3).  So search column j is
+    seeded at the j-th element of every attached base of the atom at once."""
+    eu, ev = np.array(ball.edges, np.intp).reshape(-1, 2).T
+    out = {}
+    for atom in sorted({e.atom for e in attached}):
+        coset = np.empty(len(ball), np.intp)
+        for k, ids in enumerate(ball.cosets(atom).values()):
+            coset[ids] = k
+        mine = {e.index: bases[e.index] for e in attached if e.atom == atom}
+        rank = np.full(len(ball), -1)
+        for base in mine.values():
+            rank[base] = np.arange(len(base))
+        inside = coset[eu] == coset[ev]
+        rows = np.empty((max(map(len, mine.values())), len(ball)), np.int32)
+        distance_rows(csr(len(ball), eu[inside], ev[inside]), rank, rows)
+        for index, base in mine.items():
+            out[index] = rows[: len(base), base]
+    return out
 
 
 def build_vertex_space(

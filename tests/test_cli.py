@@ -84,6 +84,30 @@ def test_delta_on_graph_file(tmp_path):
     assert json.loads(out.read_text())["result"]["delta"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "vertices, edges, message",
+    [
+        ([[0, 0, 0], [1, 0, 0]], [[0, 5]], "graph edge [0, 5] names no vertex of 2"),
+        ([[0, 0, 0], [1, 0, 0]], [[0, "a"]], "graph edge [0, 'a'] names no vertex of 2"),
+        ([[["a"], 0, 0], [1, 0, 0]], [[0, 1]], "graph vertex [['a'], 0, 0] is not [element,"),
+        # a negative index would wrap to the last vertex
+        ([[0, 0, 0], [1, 0, 0], [2, 0, 0]], [[-1, 0]], "graph edge [-1, 0] names no vertex of 3"),
+        # a repeated row would shift every later edge index
+        ([[0, 0, 0], [0, 0, 0], [1, 0, 0]], [[0, 2]], "graph vertex rows repeat"),
+    ],
+    ids=["index-past-the-end", "index-not-an-int", "element-a-list", "negative-index",
+         "repeated-vertex"],
+)
+def test_bad_graph_file_exits_2(vertices, edges, message, tmp_path, capsys):
+    graph = {"format": "horokit-graph", "version": 1, "vertices": vertices, "edges": edges}
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(graph))
+    assert run(["delta", "--instance", str(gpath)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"horokit: {message}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_build_augmented_exports(tmp_path):
     out = tmp_path / "graph.json"
     cosets = tmp_path / "cosets.csv"

@@ -21,6 +21,7 @@ from horokit.graphs import Vertex
 from horokit.groups import GroupSpec
 from horokit.instances import SHIPPED, get_instance
 from horokit.spaces import Truncation, build_augmented
+from test_spaces import ACROSS_ATOMS
 
 
 def z_instance(rg=4, lmax=2):
@@ -78,10 +79,15 @@ Z2_FREE_Z = GroupSpec.free_product(
 )
 
 
-@pytest.mark.parametrize("name", SHIPPED + ("rg2",))
+@pytest.mark.parametrize("name", SHIPPED + ("rg2", *ACROSS_ATOMS))
 def test_cover_masks_match_word_metric_reference(name):
+    # the cross-atom groups, at lmax 3, meet the Cayley columns' convexity
+    # argument (groups.WordBall) on free rank-2, Z^3 and two-abelian-atom balls
     if name == "rg2":
         sp = build_augmented(Z2_FREE_Z, (0,), Truncation(rg=2, lmax=4))
+    elif name in ACROSS_ATOMS:
+        spec, peripherals, rg = ACROSS_ATOMS[name]
+        sp = build_augmented(spec, peripherals, Truncation(rg=rg, lmax=3))
     else:
         sp = get_instance(name)
     for scale in (1, 3):

@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 from horokit.errors import BUDGET_ENV_VAR, BudgetExceededError, UnknownLetterError
 import numpy as np
 
+from horokit.graphs import bfs, distance_rows, unpack
 from horokit.groups import Atom, GroupSpec, WordBall, enumerate_cosets
 
 F2 = GroupSpec.free(2)
@@ -272,14 +273,20 @@ def _small_ball(spec, most=90):
 @example(
     GroupSpec([Atom("abelian", ("x",)), Atom("free", ("a", "b")), Atom("abelian", ("y", "z"))])
 )
-def test_syllable_metric_matches_word_metric(spec):
+def test_ball_bfs_matches_word_metric(spec):
+    # the kernel on the ball's Cayley graph: all-pairs distances, and the
+    # capped-round bitsets as the word-metric balls of radius R
     ball = _small_ball(spec)
     assert ball.words == spec.ball(ball.radius)
-    ids = np.arange(len(ball))
-    dist = ball.distances(ids, ids)
-    for i, x in enumerate(ball.words):
-        for j, y in enumerate(ball.words):
-            assert dist[i, j] == spec.word_metric(x, y), (x, y)
+    n = len(ball)
+    ids = np.arange(n)
+    metric = np.array([[spec.word_metric(x, y) for y in ball.words] for x in ball.words])
+    dist = np.empty((n, n), np.int32)
+    distance_rows(ball.csr, ids, dist)
+    assert (dist == metric).all()
+    for rounds in (1, 2, 3, 5):
+        seen = bfs(ball.csr, ids, 0, n, rounds, None)
+        assert (unpack(seen, n).astype(bool) == (metric <= rounds)).all(), rounds
 
 
 def test_word_ball_edges_are_the_cayley_edges():

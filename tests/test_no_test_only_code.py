@@ -32,7 +32,7 @@ PACKAGE = ROOT / "src" / "horokit"
 
 ALLOWED = {
     "build_vertex_space": "oracle for spaces.build_augmented",
-    "word_metric": "oracle for groups.WordBall's syllable metric",
+    "word_metric": "oracle for the ball's BFS metric",
     "barycentric_subdivision": "test constructor: homology invariance",
     "from_label_faces": "test constructor for complexes",
     "full_simplex": "test constructor for complexes",

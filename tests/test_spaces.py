@@ -125,26 +125,35 @@ def test_augmented_matches_independent_builder():
     assert ea == eb
 
 
+# (spec, peripherals, ball radius) for free rank-2, free-abelian rank-3 and
+# two-abelian-atom groups; test_covers checks their cover masks too
+ACROSS_ATOMS = {
+    "F2-both": (GroupSpec.free(2), (0, 1), 3),
+    "F2*Z-rel-F2": (GroupSpec([Atom("free", ("a", "b")), Atom("abelian", ("x",))]), (0,), 3),
+    "F2*Z-rel-both": (GroupSpec([Atom("free", ("a", "b")), Atom("abelian", ("x",))]), (1, 0), 2),
+    "Z3": (GroupSpec.free_abelian(3), (0,), 2),
+    "Z2*Z*Z-rel-Z2-Z": (
+        GroupSpec([Atom("abelian", ("x", "y")), Atom("abelian", ("z",)), Atom("free", ("t",))]),
+        (0, 1),
+        2,
+    ),
+}
+
+
 @pytest.mark.parametrize(
-    "spec, peripherals, rg",
-    [
-        (GroupSpec.free(2), (0, 1), 3),
-        (GroupSpec([Atom("free", ("a", "b")), Atom("abelian", ("x",))]), (0,), 3),
-        (GroupSpec([Atom("free", ("a", "b")), Atom("abelian", ("x",))]), (1, 0), 2),
-        (GroupSpec.free_abelian(3), (0,), 2),
-        (
-            GroupSpec([Atom("abelian", ("x", "y")), Atom("abelian", ("z",)), Atom("free", ("t",))]),
-            (0, 1),
-            2,
-        ),
-    ],
-    ids=["F2-both", "F2*Z-rel-F2", "F2*Z-rel-both", "Z3", "Z2*Z*Z-rel-Z2-Z"],
+    "spec, peripherals, rg", list(ACROSS_ATOMS.values()), ids=list(ACROSS_ATOMS)
 )
 def test_augmented_matches_independent_builder_across_atoms(spec, peripherals, rg):
-    a = build_augmented(spec, peripherals, Truncation(rg=rg, lmax=3)).graph
+    sp = build_augmented(spec, peripherals, Truncation(rg=rg, lmax=3))
+    a = sp.graph
     b = build_vertex_space(spec, peripherals, rg=rg, lmax=3)
     assert a.vertices == b.vertices
     assert a.edges == b.edges
+    # every stored base matrix is the word metric on its base
+    for c, base in sp.bases.items():
+        words = [sp.ball.words[i] for i in base]
+        metric = [[spec.word_metric(x, y) for y in words] for x in words]
+        assert sp.base_distances[c].tolist() == metric, c
 
 
 def test_boundary_uses_attached_cosets_only():
