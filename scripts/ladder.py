@@ -2,24 +2,26 @@
 """The scale ladder: CLI verdicts on growing truncations, one process each.
 
     python scripts/ladder.py [--rg R ...] [--cosets m5|all ...]
-                             [--verdict NAME ...]
+                             [--verdict NAME ...] [--stage N] [--lmax L]
 
-"rgR" is Z^2*Z relative to Z^2 with ball radius R, horoball depth 4 and
-stage 0; "m5" attaches five horoballs (mmax 5), "all" one to every coset
-that meets the ball.  The configs are written to a temporary directory and
-every (verdict, rg, cosets) of the product runs as a fresh
+"rgR" is Z^2*Z relative to Z^2 with ball radius R and horoball depth L
+(``--lmax``, 4 by default); "m5" attaches five horoballs (mmax 5), "all" one
+to every coset that meets the ball.  The verdicts that take a stage run at
+``--stage`` (0 by default).  The configs are written to a temporary
+directory and every (verdict, rg, cosets) of the product runs as a fresh
 ``python -m horokit.cli`` process against this checkout's ``src/``, one at
 a time.  The runs inherit the environment, so
 ``HOROKIT_VERTEX_BUDGET=N python scripts/ladder.py ...`` sets their budget.
 
 Standard output is one JSON object.  Its ``src_lines`` is the line count
 of ``src/horokit/*.py`` (as ``wc -l`` counts them), and its ``runs`` give
-per run the argv, the exit code, the wall time, the peak RSS
-(``ru_maxrss`` from ``os.wait4``) and the sha256 of the report, which the
-CLI writes to standard output.  Reports embed the ``--instance``
-argument, so each run gets a bare config file name and the digests do not
-depend on the directory.  A verdict's exit code is data here: the script exits 0 once
-every run has finished, 2 on a usage error.
+per run the verdict, the rung, the stage and lmax, the argv, the exit code,
+the wall time, the peak RSS (``ru_maxrss`` from ``os.wait4``) and the
+sha256 of the report, which the CLI writes to standard output.  Reports
+embed the ``--instance`` argument, so each run gets a bare config file name
+and the digests do not depend on the directory.  A verdict's exit code is
+data here: the script exits 0 once every run has finished, 2 on a usage
+error.
 """
 
 from __future__ import annotations
@@ -47,23 +49,26 @@ GROUP = {
     ],
     "peripherals": [0],
 }
-LMAX = 4
 MMAX = {"m5": 5, "all": None}
 
+# the verdicts that take a stage get ``--stage`` next
 VERDICTS = {
-    "homology": ["homology", "--family", "whole", "--degree", "2", "--dimcap", "2",
-                 "--stage", "0"],
-    "nerve": ["nerve", "--family", "whole", "--dimcap", "3", "--stage", "0"],
-    "mv-verify": ["mv-verify", "--stage", "0"],
-    "y-vanish": ["y-vanish", "--stage", "0"],
+    "homology": ["homology", "--family", "whole", "--degree", "2", "--dimcap", "2"],
+    "nerve": ["nerve", "--family", "whole", "--dimcap", "3"],
+    "mv-verify": ["mv-verify"],
+    "y-vanish": ["y-vanish"],
     "delta": ["delta"],
     "delta-sampled": ["delta", "--mode", "sampled", "--samples", "2000000", "--seed", "0"],
 }
 
 
-def write_config(directory: pathlib.Path, rg: int, cosets: str) -> str:
-    """Write the rgR config with the given cosets; return its file name."""
-    cfg = {"name": f"rg{rg}-{cosets}", "group": GROUP, "rg": rg, "lmax": LMAX}
+STAGED = {"homology", "nerve", "mv-verify", "y-vanish"}
+
+
+def write_config(directory: pathlib.Path, rg: int, cosets: str, lmax: int) -> str:
+    """Write the rgR config with the given cosets and depth; return its file
+    name."""
+    cfg = {"name": f"rg{rg}-{cosets}", "group": GROUP, "rg": rg, "lmax": lmax}
     if MMAX[cosets] is not None:
         cfg["mmax"] = MMAX[cosets]
     name = f"rg{rg}_{cosets}.json"
@@ -105,6 +110,8 @@ def main(argv=None) -> int:
     ap.add_argument("--rg", type=int, nargs="+", default=[1, 2, 3])
     ap.add_argument("--cosets", nargs="+", choices=sorted(MMAX), default=["all"])
     ap.add_argument("--verdict", nargs="+", choices=sorted(VERDICTS), default=["homology"])
+    ap.add_argument("--stage", type=int, default=0)
+    ap.add_argument("--lmax", type=int, default=4)
     args = ap.parse_args(argv)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
@@ -114,9 +121,12 @@ def main(argv=None) -> int:
         for verdict in args.verdict:
             for rg in args.rg:
                 for cosets in args.cosets:
-                    name = write_config(work, rg, cosets)
-                    result = run_verdict([*VERDICTS[verdict], "--instance", name], work, env)
-                    runs.append({"verdict": verdict, "rg": rg, "cosets": cosets, **result})
+                    name = write_config(work, rg, cosets, args.lmax)
+                    stage = ["--stage", str(args.stage)] if verdict in STAGED else []
+                    result = run_verdict([*VERDICTS[verdict], *stage, "--instance", name],
+                                         work, env)
+                    runs.append({"verdict": verdict, "rg": rg, "cosets": cosets,
+                                 "stage": args.stage, "lmax": args.lmax, **result})
     print(json.dumps({
         "schema": "horokit-ladder/1",
         "budget": env.get("HOROKIT_VERTEX_BUDGET"),

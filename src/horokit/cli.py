@@ -174,6 +174,9 @@ def _cmd_nerve(args) -> int:
 
 
 def _cmd_homology(args) -> int:
+    if not 0 <= args.degree <= args.dimcap:  # refused before any build
+        raise ValueError(f"homology --degree {args.degree} is outside 0..{args.dimcap}, "
+                         f"the nerve's --dimcap")
     _, cx = _family_nerve(args)
     groups = {
         str(p): homology_type(cx, p).as_dict() for p in range(args.degree + 1)

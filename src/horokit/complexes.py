@@ -10,16 +10,22 @@ boundary, coboundary and chain maps is built from the arrays in numpy.
 Every nerve and Rips face is enumerated here, by the clique kernel
 ``clique_complex``, which builds each dimension from the one below in numpy
 blocks and checks the face budget on each block before storing it;
-``mask_nerve`` builds the nerves of covers on it, and ``rips`` the Rips
+``set_nerve`` builds the nerves of covers on it, and ``rips`` the Rips
 complexes.  Below the cap, ``mv`` and ``opencone`` take homology on the
-nerve of a family's dominated-column core (``mask_core_nerve``) instead.
-Meeting and containment are read off point stars (the bitsets of the sets
-that hold a point): ``mask_adjacency`` ORs them, ``mask_core`` ANDs them.
+nerve of a family's dominated-column core (``set_core_nerve``) instead.
+
+A family of sets (cover columns, balls) is one ``PointSets``: int32 point
+lists as compressed rows.  Meeting and containment are read off the point
+stars (the same rows transposed): ``set_adjacency`` pairs the sets within
+each star, ``set_core`` ANDs the stars as bitsets over the kept sets.  Where
+a bitset of points is the fast path (a face's common points, contiguity),
+each set's nonzero 64-bit words are built from its points (``_set_words``).
 """
 
 from __future__ import annotations
 
-from itertools import chain, combinations
+from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -279,15 +285,53 @@ def _signs(p: int) -> list[int]:
 
 FACES_PER_VERTEX = 10  # the face budget is this many times the vertex budget
 _BLOCK = 1 << 16  # candidate faces per numpy block of the clique kernel
+_POINT_BLOCK = 1 << 20  # gathered star entries per numpy block of ``set_adjacency``
 
 
-def clique_complex(labels: Sequence, adj: Sequence[int], cap: int,
-                   masks: Sequence[int] | None = None, *,
+@dataclass(frozen=True, eq=False)
+class PointSets:
+    """A family of sets of points as compressed rows: set i holds the int32
+    points ``points[indptr[i]:indptr[i + 1]]``, increasing."""
+
+    indptr: np.ndarray  # int64: the start of each set, and the end
+    points: np.ndarray
+
+    def __len__(self):
+        return len(self.indptr) - 1
+
+    def take(self, rows) -> "PointSets":
+        """The family of the given sets, in the given order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lens = self.indptr[rows + 1] - self.indptr[rows]
+        return PointSets(_offsets(lens), self.points[_spans(self.indptr[rows], lens)])
+
+
+def point_sets(rows: np.ndarray) -> PointSets:
+    """The family whose set i is the true columns of row i of a boolean matrix."""
+    at = np.flatnonzero(rows) % max(rows.shape[1], 1)
+    return PointSets(_offsets(np.count_nonzero(rows, axis=1)), at.astype(np.int32))
+
+
+def _stars(sets: PointSets):
+    """The family transposed: the star of each point up to the largest (the
+    sets that hold it, increasing) as compressed rows, and the place of each
+    entry of ``sets.points`` among the stars' entries."""
+    order = np.argsort(sets.points, kind="stable")
+    place = np.empty(len(order), dtype=np.int64)
+    place[order] = np.arange(len(order))
+    owner = np.repeat(np.arange(len(sets), dtype=np.int32), np.diff(sets.indptr))
+    return _offsets(np.bincount(sets.points)), owner[order], place
+
+
+def clique_complex(labels: Sequence, adjacency, cap: int,
+                   sets: PointSets | None = None, *,
                    what: str) -> SimplicialComplex:
-    """Complex of the cliques of the bitset adjacency ``adj`` (``adj[i]``
-    holds the neighbours of i) with at most cap+1 vertices.  With ``masks`` a
-    clique of two or more vertices counts only when their masks have a
-    nonzero AND (a nerve).  No clique past the cap is looked for.
+    """Complex of the cliques of the graph ``adjacency`` with at most cap+1
+    vertices.  The graph comes as upper-neighbour compressed rows (start per
+    vertex and the end, int64 neighbours): row i holds the neighbours j > i,
+    increasing, as ``set_adjacency`` gives them.  With ``sets`` a clique of
+    two or more vertices counts only when their sets have a common point (a
+    nerve).  No clique past the cap is looked for.
 
     Each dimension is built from the one below by increasing extensions
     (Zomorodian, "Fast construction of the Vietoris-Rips complex", 2010), as
@@ -296,25 +340,21 @@ def clique_complex(labels: Sequence, adj: Sequence[int], cap: int,
     the kept edges, once there are edges), in increasing order, so each
     dimension comes out lexicographic.  A candidate is kept when it is
     adjacent to every other vertex of the face, looked up by edge code, and,
-    in a nerve, when the face's common mask meets the candidate's mask; the
-    common masks are kept as their nonzero 64-bit words, so every face passes
-    the full mask test.  The kept faces count against the face budget,
-    ``FACES_PER_VERTEX`` times the vertex budget, block by block: a block
-    that takes the count past it is refused before it is stored."""
+    in a nerve, when the face's common points meet the candidate's set; the
+    common points are kept as their nonzero 64-bit words (``_set_words``),
+    so every face passes the full test.  The kept faces count against the
+    face budget, ``FACES_PER_VERTEX`` times the vertex budget, block by
+    block: a block that takes the count past it is refused before it is
+    stored."""
     limit = vertex_budget() * FACES_PER_VERTEX
-    n = len(adj)
+    starts, nbrs = adjacency
+    n = len(starts) - 1
     count = n
     _check_budget(count, limit, what)
     faces = [np.arange(n, dtype=np.int32).reshape(n, 1)]
-    # the candidates of each vertex, as compressed rows: its upper neighbours
-    ups = [_set_bits(a >> (i + 1)) for i, a in enumerate(adj)]
-    starts = _offsets([len(u) for u in ups])
-    nbrs = np.fromiter(chain.from_iterable(ups), np.int64, starts[-1])
-    nbrs += np.repeat(np.arange(1, n + 1), np.diff(starts))
-    del ups
     commons = columns = edge_codes = None
-    if masks is not None and len(nbrs):
-        commons, columns = _mask_words(masks)
+    if sets is not None and len(nbrs):
+        commons, columns = _set_words(sets)
     for p in range(cap):
         cur = faces[p]
         deg = np.diff(starts)[cur[:, p]]
@@ -396,42 +436,35 @@ def _lookup(known: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return pos
 
 
-def _mask_words(masks: Sequence[int]):
-    """The nonzero 64-bit words of each mask as compressed rows (start per
-    mask, word positions, words), and the same words keyed for lookup by
-    ``mask * width + position``, increasing: (keys, words, width).  A mask is
-    cut to the span of its set bits before it is turned into bytes, as a
-    horoball column's bits sit high."""
-    counts, firsts, chunks = [], [], []
-    for mask in masks:
-        first = max((mask & -mask).bit_length() - 1, 0) >> 6
-        mask >>= first << 6
-        counts.append((mask.bit_length() + 63) >> 6)
-        firsts.append(first)
-        chunks.append(mask.to_bytes(counts[-1] * 8, "little"))
-    words = np.frombuffer(b"".join(chunks), dtype="<u8")
-    owner = np.repeat(np.arange(len(counts)), counts)
-    position = _spans(np.array(firsts, dtype=np.int64), np.array(counts, dtype=np.int64))
-    nonzero = words != 0
-    owner, position, words = owner[nonzero], position[nonzero], words[nonzero]
-    width = int(position.max()) + 1 if len(position) else 1
-    rows = (_offsets(np.bincount(owner, minlength=len(counts))), position, words)
-    return rows, (owner * width + position, words, width)
+def _set_words(sets: PointSets):
+    """Each set's points as its nonzero 64-bit words, point p being bit
+    p & 63 of the word at position p >> 6: as compressed rows (start per set
+    and the end, word positions, words), and keyed for lookup by
+    ``set * width + position``, which increases: (keys, words, width)."""
+    width = (int(sets.points.max(initial=0)) >> 6) + 1
+    owner = np.repeat(np.arange(len(sets), dtype=np.int64), np.diff(sets.indptr))
+    key = owner * width + (sets.points >> 6)
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # each word's first point
+    bits = np.left_shift(np.uint64(1), (sets.points & 63).astype(np.uint64))
+    words = np.bitwise_or.reduceat(bits, first) if len(first) else bits
+    rows = (_offsets(np.bincount(owner[first], minlength=len(sets))), sets.points[first] >> 6,
+            words)
+    return rows, (key[first], words, width)
 
 
 def _meet(commons, rows, cand, columns):
-    """Which faces of the current dimension, given by their rows in
-    ``commons`` and each grown by its candidate vertex, keep a common point:
-    the face's common mask ANDed word by word with the candidate's mask is
-    nonzero.  Also the common masks of the kept faces, as (word count per
-    face, word positions, words)."""
+    """Which of the given rows of the word rows ``commons``, each with its
+    candidate set, keep a common point: the row's words ANDed with the
+    candidate's (looked up in the keyed words ``columns``) are not all zero.
+    Also the common words of the kept rows, as (word count per kept row,
+    word positions, words)."""
     ptr, position, values = commons
     keys, words, width = columns
     first = ptr[rows]
     lens = ptr[rows + 1] - first
     at = _spans(first, lens)
     owner = np.repeat(np.arange(len(rows)), lens)
-    pos = _lookup(keys, cand[owner] * width + position[at])
+    pos = _lookup(keys, np.multiply(cand[owner], width, dtype=np.int64) + position[at])
     both = np.zeros(len(at), dtype=np.uint64)
     found = pos >= 0
     both[found] = values[at[found]] & words[pos[found]]
@@ -441,81 +474,104 @@ def _meet(commons, rows, cand, columns):
     return keep, (per_face[keep], position[at[hit]], both[hit])
 
 
-def mask_adjacency(masks: Sequence[int]) -> list[int]:
-    """Bitset adjacency of the sets whose masks meet pairwise.
-
-    Two sets meet iff some point lies in both (Dowker, "Homology groups of
-    relations", Annals 1952), so ``adj[i]`` is the union of the stars of the
-    points of set i, less i itself; the star of a point is the bitset of the
-    sets that contain it, built in one pass over each mask's points."""
-    points = [_set_bits(mask) for mask in masks]
-    stars: dict[int, int] = {}
-    for i, pts in enumerate(points):
-        bit = 1 << i
-        for p in pts:
-            stars[p] = stars.get(p, 0) | bit
-    adj = []
-    for i, pts in enumerate(points):
-        row = 0
-        for p in pts:
-            row |= stars[p]
-        adj.append(row & ~(1 << i))
-    return adj
+def _intersections(words, pairs: np.ndarray):
+    """The word rows, as ``_set_words`` gives them, of the intersections of
+    the pairs of sets ``pairs[k]`` of the word rows ``words``."""
+    keep, (count, position, values) = _meet(words[0], pairs[:, 0], pairs[:, 1], words[1])
+    counts = np.zeros(len(pairs), dtype=np.int64)
+    counts[keep] = count
+    owner = np.repeat(np.arange(len(pairs), dtype=np.int64), counts)
+    width = words[1][2]
+    return (_offsets(counts), position, values), (owner * width + position, values, width)
 
 
-def _set_bits(mask: int) -> list[int]:
-    """The positions of the set bits of a nonnegative int, increasing; ``bin``
-    starts at the lowest set bit, as a horoball column's bits sit high."""
-    low = (mask & -mask).bit_length() - 1
-    if low < 0:
-        return []
-    bits = bin(mask >> low)[:1:-1]  # bit low + k at index k
-    out = []
-    k = bits.find("1")
-    while k >= 0:
-        out.append(low + k)
-        k = bits.find("1", k + 1)
+def _common_point(words, ptr: np.ndarray, members: np.ndarray) -> np.ndarray:
+    """Whether the sets of each group have a common point, an empty group
+    included: group g is the sets ``members[ptr[g]:ptr[g + 1]]`` of the
+    word rows ``words`` (``_set_words``).  Round k ANDs the k-th member into
+    the groups' common words (the first with itself), and a group leaves
+    once they are zero or it has no member left."""
+    sizes = np.diff(ptr)
+    out = np.ones(len(sizes), dtype=bool)
+    live = np.flatnonzero(sizes)
+    commons, rows, k = words[0], members[ptr[live]], 0
+    while len(live):
+        keep, (count, *meet) = _meet(commons, rows, members[ptr[live] + k], words[1])
+        out[live[~keep]] = False
+        live, commons, k = live[keep], (_offsets(count), *meet), k + 1
+        rows = np.flatnonzero(sizes[live] > k)
+        live = live[rows]
     return out
 
 
-def mask_nerve(labels: Sequence, masks: Sequence[int], cap: int) -> SimplicialComplex:
-    """Nerve of a family of bitmask sets up to the cap: a simplex per
-    subfamily whose masks have a nonzero AND."""
-    return clique_complex(labels, mask_adjacency(masks), cap, masks, what="nerve")
+def set_adjacency(sets: PointSets) -> tuple[np.ndarray, np.ndarray]:
+    """The graph of the sets that meet, as upper-neighbour compressed rows:
+    row i holds the sets j > i that share a point with set i, increasing.
+
+    Two sets meet iff some point lies in both (Dowker, "Homology groups of
+    relations", Annals 1952), so the upper neighbours of i are the sets past
+    i in the stars of its points, the tails of those stars past its own
+    entries.  Blocks of sets in turn gather their tails, coded i * n + j,
+    sorted and made unique.  Each pair that meets is a face
+    of a nerve, so the count is checked against the face budget block by
+    block."""
+    n, limit = len(sets), vertex_budget() * FACES_PER_VERTEX
+    starts, members, place = _stars(sets)
+    tail = starts[sets.points.astype(np.int64) + 1] - place - 1
+    ends = _offsets(tail)[sets.indptr]  # the tail entries before each set
+    codes, count, a = [], n, 0
+    while a < n:
+        b = min(max(int(np.searchsorted(ends, ends[a] + _POINT_BLOCK, "right")) - 1, a + 1), n)
+        lo, hi = sets.indptr[a], sets.indptr[b]
+        code = np.repeat(np.arange(a, b, dtype=np.int64) * n, np.diff(sets.indptr[a : b + 1]))
+        code = np.repeat(code, tail[lo:hi]) + members[_spans(place[lo:hi] + 1, tail[lo:hi])]
+        code.sort()  # and made unique (``np.unique`` would import ``numpy.ma``)
+        codes.append(code[np.diff(code, prepend=-1) != 0])
+        count += len(codes[-1])
+        _check_budget(count, limit, "nerve")
+        a = b
+    code = np.concatenate(codes) if codes else np.empty(0, np.int64)
+    return _offsets(np.bincount(code // max(n, 1), minlength=n)), code % max(n, 1)
 
 
-def mask_core(masks: Sequence[int]) -> tuple[list[int], list[int]]:
-    """The dominated-column core of a mask family: (kept, retract).
+def set_nerve(labels: Sequence, sets: PointSets, cap: int) -> SimplicialComplex:
+    """Nerve of a family of point sets up to the cap: a simplex per
+    subfamily with a common point."""
+    return clique_complex(labels, set_adjacency(sets), cap, sets, what="nerve")
 
-    If mask(a) is a nonempty subset of mask(b), a is a dominated vertex of the
+
+def set_core(sets: PointSets) -> tuple[list[int], list[int]]:
+    """The dominated-column core of a family of point sets: (kept, retract).
+
+    If set a is a nonempty subset of set b, a is a dominated vertex of the
     nerve (every face with a stays a face with b added), and deleting it is a
     strong collapse, which keeps the homotopy type (Barmak and Minian, "Strong
     homotopy types, nerves and collapses", DCG 2012; Boissonnat, Pritam and
-    Pareek, "Strong collapse for persistence", ESA 2018).  The columns are
-    scanned by decreasing popcount, ties by index, and a column is kept unless
-    an already-kept mask contains it, so among equal masks the least index
-    stays.  ``kept`` lists the kept columns in increasing order; ``retract[i]``
-    is the first kept column of the scan that contains column i (i itself
-    when kept).  An empty mask is an isolated vertex and is always kept.
+    Pareek, "Strong collapse for persistence", ESA 2018).  The sets are
+    scanned by decreasing size, ties by index, and a set is kept unless an
+    already-kept set contains it, so among equal sets the least index
+    stays.  ``kept`` lists the kept sets in increasing order; ``retract[i]``
+    is the first kept set of the scan that contains set i (i itself when
+    kept).  An empty set is an isolated vertex and is always kept.
 
     Containment is read off point stars (Dowker, Annals 1952, as in
-    ``mask_adjacency``): bit k of a point's kept star is set when the k-th
-    kept column holds the point, so the AND of the kept stars of i's points
-    holds i's kept containers, and its lowest bit, as bit order is scan
-    order, is the first of the scan.  Keeping only kept columns in the stars
-    misses no container: a dominated one's kept container, scanned before
-    it, contains i too.
+    ``set_adjacency``): bit k of a point's kept star, a Python int as wide as
+    the kept sets, is set when the k-th kept set holds the point, so the AND
+    of the kept stars of i's points holds i's kept containers, and its
+    lowest bit, as bit order is scan order, is the first of the scan.
+    Keeping only kept sets in the stars misses no container: a dominated
+    one's kept container, scanned before it, contains i too.
 
-    The retraction is simplicial at every cap, since a dominator's mask only
+    The retraction is simplicial at every cap, since a dominator's set only
     grows; with j the inclusion, r∘j = id and j∘r is contiguous to the
     identity through faces of one more dimension.  So a cap-c nerve of the
     core has the full cap-c nerve's H_p, through r and j, for every p < c."""
-    order = sorted(range(len(masks)), key=lambda i: (-masks[i].bit_count(), i))
-    scanned: list[int] = []  # the kept columns, in scan order
+    indptr = sets.indptr.tolist()
+    scanned: list[int] = []  # the kept sets, in scan order
     stars: dict[int, int] = {}
-    retract = list(range(len(masks)))
-    for i in order:
-        points = _set_bits(masks[i])
+    retract = list(range(len(sets)))
+    for i in np.argsort(-np.diff(sets.indptr), kind="stable").tolist():
+        points = sets.points[indptr[i] : indptr[i + 1]].tolist()
         common = -1 if points else 0
         for p in points:
             common &= stars.get(p, 0)
@@ -531,13 +587,13 @@ def mask_core(masks: Sequence[int]) -> tuple[list[int], list[int]]:
     return sorted(scanned), retract
 
 
-def mask_core_nerve(labels: Sequence, masks: Sequence[int],
-                    cap: int) -> tuple[SimplicialComplex, dict]:
-    """The nerve of the ``mask_core`` of a mask family, labelled as the family
-    is, and the retraction as {label: index of its core vertex}.  Its H_p is
-    the full nerve's for p < cap, not at the cap."""
-    kept, retract = mask_core(masks)
-    cx = mask_nerve([labels[i] for i in kept], [masks[i] for i in kept], cap)
+def set_core_nerve(labels: Sequence, sets: PointSets,
+                   cap: int) -> tuple[SimplicialComplex, dict]:
+    """The nerve of the ``set_core`` of a family of point sets, labelled as
+    the family is, and the retraction as {label: index of its core vertex}.
+    Its H_p is the full nerve's for p < cap, not at the cap."""
+    kept, retract = set_core(sets)
+    cx = set_nerve([labels[i] for i in kept], sets.take(kept), cap)
     index = {k: v for v, k in enumerate(kept)}
     return cx, {label: index[r] for label, r in zip(labels, retract)}
 
@@ -617,7 +673,6 @@ def push_faces(target: SimplicialComplex, images: np.ndarray) -> tuple[np.ndarra
         degenerate |= images[:, i] == images[:, j]
     sign = np.where(degenerate, 0, 1 - 2 * (inversions % 2))
     return target.face_indices(np.sort(images, axis=1)), sign
-
 
 def barycentric_subdivision(c: SimplicialComplex, times: int = 1) -> SimplicialComplex:
     """Iterated barycentric subdivision; vertices of the result are faces."""

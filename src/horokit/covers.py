@@ -3,18 +3,18 @@
 A column is the cover element centered at a vertex: around a horoball vertex
 (x,t) at scale j it collects the same-coset vertices (y,l) with the group
 distance d(x,y) <= 2^(t+j) and t <= l <= t+j; around a Cayley vertex the
-window is d(x,y) <= 2^j, 0 <= l <= j over the whole space.  Column vertex
-sets are bitmasks over the carrier's vertex order, so nerve faces and
-contiguity reduce to integer AND.  Covers are formal families indexed by
+window is d(x,y) <= 2^j, 0 <= l <= j over the whole space.  A cover holds
+its columns as one ``complexes.PointSets``: each column's carrier indices,
+increasing, as int32 compressed rows.  Covers are formal families indexed by
 centers: distinct centers stay distinct nerve vertices even when their
 vertex sets coincide.
 
 Cover nerve faces are enumerated only by ``nerve``, which runs the clique
-kernel (``complexes.mask_nerve``) on the column masks, and by ``core_nerve``,
-which runs it on the dominated-column core only, with the retraction as
-core vertex indices.  Contiguity needs no nerve from its caller: it
-intersects the target masks over each point's star and scans only the nerve
-of the points where that intersection is empty.
+kernel (``complexes.set_nerve``) on the columns' points, and by
+``core_nerve``, which runs it on the dominated-column core only, with the
+retraction as core vertex indices.  Contiguity needs no nerve from its
+caller: it intersects the target columns over each point's star and scans
+only the nerve of the points where that intersection is empty.
 """
 
 from __future__ import annotations
@@ -24,55 +24,56 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .complexes import SimplicialComplex, _set_bits, mask_core_nerve, mask_nerve
+from .complexes import (
+    PointSets,
+    SimplicialComplex,
+    _common_point,
+    _intersections,
+    _offsets,
+    _set_words,
+    _stars,
+    set_core_nerve,
+    set_nerve,
+)
 from .errors import (
     BudgetExceededError,
     DecompositionError,
     ScheduleMismatchError,
     vertex_budget,
 )
-from .graphs import SOURCE_BLOCK, Vertex, bfs, unpack
+from .graphs import SOURCE_BLOCK, Vertex, bfs
 from .spaces import AugmentedSpace
 
 
-@dataclass(frozen=True)
-class Column:
-    center: Vertex
-    scale: int
-    mask: int
-
-
 class Cover:
-    """All columns of one scale over an augmented space."""
+    """All columns of one scale over an augmented space: the column at
+    ``centers[i]`` holds the points of set i of ``sets``."""
 
-    def __init__(self, space: AugmentedSpace, scale: int, columns: tuple[Column, ...]):
+    def __init__(self, space: AugmentedSpace, scale: int, centers: Iterable[Vertex],
+                 sets: PointSets):
         self.space = space
         self.scale = scale
-        self.columns = columns
-        self.pos = {c.center: i for i, c in enumerate(columns)}
+        self.centers = tuple(centers)
+        self.sets = sets
+        self.pos = {c: i for i, c in enumerate(self.centers)}
+        self._meetings: dict = {}  # (compare, level) -> positions, for ``_meeting``
 
     def __len__(self):
-        return len(self.columns)
-
-    def level_mask(self, lo: int | None = None, hi: int | None = None) -> int:
-        mask = 0
-        for i, v in enumerate(self.space.graph.vertices):
-            if (lo is None or v.level >= lo) and (hi is None or v.level <= hi):
-                mask |= 1 << i
-        return mask
+        return len(self.centers)
 
     def family(self, name: str, positions: Iterable[int]) -> "Family":
         return Family(self, name, tuple(sorted(set(positions))))
 
     def whole(self) -> "Family":
-        return Family(self, "whole", tuple(range(len(self.columns))))
+        return Family(self, "whole", tuple(range(len(self.centers))))
 
-    def meeting(self, region_mask: int, name: str) -> "Family":
-        return Family(
-            self,
-            name,
-            tuple(i for i, c in enumerate(self.columns) if c.mask & region_mask),
-        )
+    def meeting(self, region: np.ndarray, name: str) -> "Family":
+        """The columns that hold a point of ``region``, a boolean array over
+        the points."""
+        indptr = self.sets.indptr
+        # a false cell past the last point, so that every start is a cell
+        hit = np.logical_or.reduceat(np.append(region[self.sets.points], False), indptr[:-1])
+        return Family(self, name, tuple(np.flatnonzero(hit & (indptr[1:] > indptr[:-1])).tolist()))
 
 
 @dataclass(frozen=True)
@@ -87,19 +88,19 @@ class Family:
         return len(self.positions)
 
     @property
-    def columns(self) -> list[Column]:
-        return [self.cover.columns[p] for p in self.positions]
-
-    @property
     def centers(self) -> list[Vertex]:
-        return [self.cover.columns[p].center for p in self.positions]
+        return [self.cover.centers[p] for p in self.positions]
+
+    def sets(self) -> PointSets:
+        """The family's columns, in order."""
+        return self.cover.sets.take(self.positions)
 
     def restrict_to_centers(self, centers: Iterable[Vertex], name: str) -> "Family":
         wanted = set(centers)
         return Family(
             self.cover,
             name,
-            tuple(p for p in self.positions if self.cover.columns[p].center in wanted),
+            tuple(p for p in self.positions if self.cover.centers[p] in wanted),
         )
 
     def by_coset(self) -> dict[int, "Family"]:
@@ -107,28 +108,29 @@ class Family:
         columns), in coset order; the piece of coset i is named name@i."""
         pieces: dict[int, list[int]] = {}
         for p in self.positions:
-            pieces.setdefault(self.cover.columns[p].center.coset, []).append(p)
+            pieces.setdefault(self.cover.centers[p].coset, []).append(p)
         return {
             i: self.cover.family(f"{self.name}@{i}", ps) for i, ps in sorted(pieces.items())
         }
 
-    def union_mask(self) -> int:
-        out = 0
-        for c in self.columns:
-            out |= c.mask
-        return out
-
 
 def build_cover(space: AugmentedSpace, scale: int) -> Cover:
-    """One column per vertex of the carrier; cached per space and scale.
+    """One column per vertex of the carrier, in vertex order; cached per
+    space and scale.
 
     A Cayley column's ball ids come from ``graphs.bfs`` on the ball's Cayley
-    graph capped at 2^scale rounds, ``SOURCE_BLOCK`` centers per search: bit
-    j of an element's bitset is then set iff it lies within 2^scale of
-    center j (``groups.WordBall``).  A horoball column's come from its coset
-    base's matrix (``AugmentedSpace.base_distances``).  Each block of columns
-    becomes a boolean matrix over the carrier, packed into one mask per row.
-    """
+    graph, ``SOURCE_BLOCK`` centers per search, capped at 2^scale rounds or
+    at the ball size, which no distance in the ball reaches: bit j of an
+    element's bitset is then set iff it lies within 2^scale of center j
+    (``groups.WordBall``).  The bitsets of the carrier's vertices at levels
+    <= scale are gathered and unpacked column-major (the bytes transposed,
+    then split into bits), so their true cells list each column's points.
+    The level-0 vertices, one per ball element, come first in vertex order.
+
+    A coset's vertices come next, coset by coset, a run in vertex order,
+    level by level, each level its base in one order.  So a horoball column
+    repeats one row of its base's matrix (``AugmentedSpace.base_distances``)
+    at each of its levels."""
     if scale < 1:
         raise ValueError("cover scale must be >= 1")
     cached = space._covers.get(scale)
@@ -138,61 +140,59 @@ def build_cover(space: AugmentedSpace, scale: int) -> Cover:
     cap = vertex_budget()
     if len(g) > cap:
         raise BudgetExceededError(f"carrier exceeds vertex budget {cap}")
-    ball = space.ball
+    ball, lmax = space.ball, space.trunc.lmax
     n = len(g)
     elem = np.fromiter((ball.index[v.element] for v in g.vertices), np.int64, n)
     level = np.fromiter((v.level for v in g.vertices), np.int64, n)
     coset = np.fromiter((v.coset for v in g.vertices), np.int64, n)
-    masks = [0] * n
+    counts = np.zeros(n, dtype=np.int64)
+    # the points are written in column order as they come, into an array
+    # grown in place (``resize`` zero-fills only what it adds)
+    points = np.empty(0, dtype=np.int32)
     # a Cayley column: every vertex at level <= scale within 2^scale
-    low = np.flatnonzero(level <= scale)
+    low = np.flatnonzero(level <= min(scale, lmax)).astype(np.int32)
     centers = np.flatnonzero(level == 0)
     rank = np.full(len(ball), -1)
     rank[elem[centers]] = np.arange(len(centers))
+    rounds = 1 << min(scale, len(ball).bit_length())
     for s in range(0, len(centers), SOURCE_BLOCK):
-        e = min(s + SOURCE_BLOCK, len(centers))
-        near = unpack(bfs(ball.csr, rank, s, e, 2**scale, None), e - s).T
-        for rows in _blocks(np.arange(s, e), n):
-            bits = np.zeros((len(rows), n), bool)
-            bits[:, low] = near[rows - s][:, elem[low]]
-            for i, m in zip(centers[rows].tolist(), _row_masks(bits)):
-                masks[i] = m
+        k = min(s + SOURCE_BLOCK, len(centers)) - s
+        seen = bfs(ball.csr, rank, s, s + k, rounds, None)
+        # byte b of a bitset holds columns 8b..8b+7, so the gathered bytes
+        # transposed and split into their bits are the block column-major
+        octets = np.ascontiguousarray(seen[elem[low]].view(np.uint8).T)
+        bits = np.empty((len(octets), 8, len(low)), dtype=np.uint8)
+        for i in range(8):
+            np.right_shift(octets, i, out=bits[:, i])
+        bits &= 1
+        at = np.flatnonzero(bits.view(bool).reshape(-1)[: k * len(low)])
+        count = np.diff(np.searchsorted(at, np.arange(k + 1) * len(low)))
+        at -= np.repeat(np.arange(k) * len(low), count)
+        points.resize(len(points) + len(at), refcheck=False)
+        points[len(points) - len(at) :] = low[at]
+        counts[centers[s : s + k]] = count
     # a horoball column at (x, t): its coset's vertices at levels t..t+scale
-    # within 2^(t+scale); a coset's vertices are contiguous in vertex order
+    # within 2^(t+scale)
     local = np.empty(len(ball), np.int64)
-    for c, base in space.bases.items():
-        span = np.flatnonzero(coset == c)
-        if not len(span):
-            continue
-        start, width = int(span[0]), int(span[-1]) + 1 - int(span[0])
-        local[base] = np.arange(len(base))
-        dist = space.base_distances[c][:, local[elem[span]]]
-        lv = level[span]
-        for rows in _blocks(np.arange(len(span)), width):
-            t = lv[rows, None]
-            reach = 2 ** np.minimum(t + scale, 62)
-            near = (dist[local[elem[span[rows]]]] <= reach) & (lv >= t) & (lv <= t + scale)
-            bits = np.zeros((len(rows), width), bool)
-            bits[:, span - start] = near
-            for i, m in zip(span[rows].tolist(), _row_masks(bits)):
-                masks[i] = m << start
-    columns = tuple(Column(v, scale, m) for v, m in zip(g.vertices, masks))
-    cover = Cover(space, scale, columns)
+    horoball = []
+    for c, base in sorted(space.bases.items()):
+        start, m = int(np.searchsorted(coset, c)), len(base)
+        local[base] = np.arange(m)
+        order = local[elem[start : start + m]]
+        dist = space.base_distances[c][np.ix_(order, order)]
+        for t in range(1, lmax + 1):
+            near = dist <= np.int64(1 << min(t + scale, 62))
+            depth = min(t + scale, lmax) - t + 1
+            counts[start + (t - 1) * m : start + t * m] = near.sum(axis=1) * depth
+            # row k repeated once per level t..t+scale: its cell i is the
+            # vertex start + (t - 1) * m + i
+            horoball.append(np.nonzero(np.tile(near, depth))[1] + (start + (t - 1) * m))
+    horoball = np.concatenate(horoball or [np.empty(0, np.int64)])
+    points.resize(len(points) + len(horoball), refcheck=False)
+    points[len(points) - len(horoball) :] = horoball
+    cover = Cover(space, scale, g.vertices, PointSets(_offsets(counts), points))
     space._covers[scale] = cover
     return cover
-
-
-def _blocks(rows: np.ndarray, width: int, cells: int = 1 << 18):
-    """``rows`` in consecutive blocks of about ``cells`` / ``width`` rows."""
-    step = max(1, cells // max(width, 1))
-    for k in range(0, len(rows), step):
-        yield rows[k : k + step]
-
-
-def _row_masks(bits: np.ndarray) -> list[int]:
-    """Each row of a boolean matrix as an int, column i as bit i."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 # -- schedules ---------------------------------------------------------------
@@ -244,13 +244,11 @@ def decompose(space: AugmentedSpace, n: int, schedule: Schedule) -> Decompositio
     excision identities as exact set equalities of column families."""
     scale, level = schedule.stage(n)
     cover = build_cover(space, scale)
-    thick_mask = cover.level_mask(hi=level)
-    cusp_mask = cover.level_mask(lo=level)
-    slice_mask = cover.level_mask(lo=level, hi=level)
+    levels = _levels(cover)
     whole = cover.whole()
-    thick = cover.meeting(thick_mask, f"thick[{n}]")
-    cusp = cover.meeting(cusp_mask, f"cusp[{n}]")
-    interface = cover.meeting(slice_mask, f"interface[{n}]")
+    thick = cover.meeting(levels <= level, f"thick[{n}]")
+    cusp = cover.meeting(levels >= level, f"cusp[{n}]")
+    interface = cover.meeting(levels == level, f"interface[{n}]")
     if set(thick.positions) | set(cusp.positions) != set(whole.positions):
         raise DecompositionError("thick and cusp families do not cover the whole")
     if set(thick.positions) & set(cusp.positions) != set(interface.positions):
@@ -266,20 +264,20 @@ def decompose(space: AugmentedSpace, n: int, schedule: Schedule) -> Decompositio
 
 def nerve(family: Family, cap: int) -> SimplicialComplex:
     """Nerve of the family: a simplex per subfamily with common intersection
-    (``complexes.mask_nerve`` of the column masks)."""
+    (``complexes.set_nerve`` of the columns' points)."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return mask_nerve(tuple(family.centers), [c.mask for c in family.columns], cap)
+    return set_nerve(tuple(family.centers), family.sets(), cap)
 
 
 def core_nerve(family: Family, cap: int) -> tuple[SimplicialComplex, dict[Vertex, int]]:
     """Nerve of the family's dominated-column core, and the retraction of the
     family's centers onto it as {center: index of its core vertex}
-    (``complexes.mask_core_nerve``): the full nerve's H_p for every p below
+    (``complexes.set_core_nerve``): the full nerve's H_p for every p below
     the cap.  A map f onto the core is ``[retract[f(c)] for c in labels]``."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return mask_core_nerve(tuple(family.centers), [c.mask for c in family.columns], cap)
+    return set_core_nerve(tuple(family.centers), family.sets(), cap)
 
 
 # -- connecting maps ---------------------------------------------------------
@@ -287,7 +285,7 @@ def core_nerve(family: Family, cap: int) -> tuple[SimplicialComplex, dict[Vertex
 
 @dataclass(frozen=True)
 class CoverMap:
-    """A map of cover families given on centers; simplicial by mask check."""
+    """A map of cover families given on centers; simplicial by point check."""
 
     source: Family
     target: Family
@@ -295,7 +293,7 @@ class CoverMap:
 
     def image_positions(self) -> list[int]:
         index = {center: i for i, center in enumerate(self.target.centers)}
-        images = [self.center_map(c.center) for c in self.source.columns]
+        images = [self.center_map(c) for c in self.source.centers]
         for image in images:
             if image not in index:
                 if image not in self.target.cover.pos:
@@ -313,43 +311,39 @@ def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
     point p, and the face lies in the star of p, the columns containing p
     (Dowker, "Homology groups of relations", Annals 1952).  So if the
     intersection of the images over the star of p is nonempty, every face
-    in that star passes.  The points whose star fails form the mask ``failing``;
-    a failing face has all its common points there, so the failing faces are
-    exactly those of the nerve of the source masks cut to ``failing``, whose
-    vertices are all the columns (singletons and empty masks included).  That
-    cut nerve, only its vertices when every star passes, is the one scanned.
+    in that star passes.  The points whose star fails are ``failing``; a
+    failing face has all its common points there, so the failing faces are
+    exactly those of the nerve of the source columns cut to ``failing``,
+    whose vertices are all the columns (singletons and empty ones included).
+    That cut nerve, only its vertices when every star passes, is the one
+    scanned.  The intersections f(v) & g(v) are taken as 64-bit words
+    (``complexes._intersections``) and ANDed over each star and each face
+    (``complexes._common_point``).
     """
     if f.source is not g.source and f.source.positions != g.source.positions:
         raise ValueError("contiguity needs a common source family")
-    fi = f.image_positions()
-    gi = g.image_positions()
+    fi, gi = f.image_positions(), g.image_positions()
     if f.target.cover is not g.target.cover:
         raise ValueError("contiguity needs a common target cover")
-    tmasks = [c.mask for c in f.target.columns]
-    gmasks = [c.mask for c in g.target.columns]
-    # the target columns of f(v) and g(v), intersected, per source vertex v
-    both = [tmasks[a] & gmasks[b] for a, b in zip(fi, gi)]
+    # f(v) and g(v) as columns of one family, the union of the targets
+    union = sorted(set(f.target.positions) | set(g.target.positions))
+    index = {p: i for i, p in enumerate(union)}
+    images = np.array([[index[f.target.positions[a]], index[g.target.positions[b]]]
+                       for a, b in zip(fi, gi)], dtype=np.int64).reshape(-1, 2)
+    both = _intersections(_set_words(f.target.cover.sets.take(union)), images)
     # the intersection of ``both`` over the star of each source point
-    masks = [c.mask for c in f.source.columns]
-    stars: dict[int, int] = {}
-    for v, mask in enumerate(masks):
-        for p in _set_bits(mask):
-            stars[p] = stars.get(p, -1) & both[v]
-    failing = 0
-    for p, common in stars.items():
-        if not common:
-            failing |= 1 << p
+    source = f.source.sets()
+    starts, members, _ = _stars(source)
+    failing = ~_common_point(both, starts, members)
+    cut = failing[source.points]
     centers = tuple(f.source.centers)
-    cut = mask_nerve(centers, [m & failing for m in masks], cap)
+    cx = set_nerve(centers, PointSets(_offsets(cut)[source.indptr], source.points[cut]), cap)
     # each face list is lexicographic, so the least failing face is the least
     # of the first failures per dimension
-    both = np.array(both, dtype=object)  # python ints, ANDed per face
     least = None
-    for fs in cut.faces:
-        common = both[fs[:, 0]]
-        for k in range(1, fs.shape[1]):
-            common = common & both[fs[:, k]]
-        fails = np.flatnonzero(common == 0)
+    for fs in cx.faces:
+        q = fs.shape[1]
+        fails = np.flatnonzero(~_common_point(both, np.arange(0, fs.size + 1, q), fs.ravel()))
         if len(fails):
             face = tuple(fs[fails[0]].tolist())
             if least is None or face < least:
@@ -359,14 +353,21 @@ def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
     return False, tuple(centers[v] for v in least)
 
 
-def _thick_meeting(space: AugmentedSpace, level: int, scale: int, name: str) -> Family:
-    cover = build_cover(space, scale)
-    return cover.meeting(cover.level_mask(hi=level), name)
+def _levels(cover: Cover) -> np.ndarray:
+    """The level of each point of a cover, its carrier's vertex order being
+    its columns' centers."""
+    return np.fromiter((v.level for v in cover.centers), np.int64, len(cover))
 
 
-def _cusp_meeting(space: AugmentedSpace, level: int, scale: int, name: str) -> Family:
+def _meeting(space: AugmentedSpace, scale: int, compare, level: int, name: str) -> Family:
+    """The columns at the scale that meet a vertex whose level l has
+    ``compare(l, level)``, found once per cover (every floor map of a stage
+    has the same two families)."""
     cover = build_cover(space, scale)
-    return cover.meeting(cover.level_mask(lo=level), name)
+    found = cover._meetings
+    if (compare, level) not in found:
+        found[compare, level] = cover.meeting(compare(_levels(cover), level), name).positions
+    return Family(cover, name, found[compare, level])
 
 
 def connecting_map(
@@ -396,28 +397,28 @@ def connecting_map(
         tgt = build_cover(space, j_next).whole()
         return CoverMap(src, tgt, lambda v: v)
     if kind == "inclusion":
-        src = _thick_meeting(space, 1, j_n, f"near-base[{n}]")
-        tgt = _thick_meeting(space, level_n, j_n, f"thick[{n}]")
+        src = _meeting(space, j_n, np.less_equal, 1, f"near-base[{n}]")
+        tgt = _meeting(space, j_n, np.less_equal, level_n, f"thick[{n}]")
         return CoverMap(src, tgt, lambda v: v)
     if kind == "collar":
-        src = _thick_meeting(space, level_n, j_n, f"thick[{n}]")
-        tgt = _thick_meeting(space, 1, j_next, f"near-base[{n + 1}]")
+        src = _meeting(space, j_n, np.less_equal, level_n, f"thick[{n}]")
+        tgt = _meeting(space, j_next, np.less_equal, 1, f"near-base[{n + 1}]")
 
         def drop(v: Vertex) -> Vertex:
             return v if v.level == 0 else Vertex(v.element, 1, v.coset)
 
         return CoverMap(src, tgt, drop)
     if kind == "stage-refine":
-        src = _thick_meeting(space, level_n, j_n, f"thick[{n}]")
-        tgt = _thick_meeting(space, level_next, j_next, f"thick[{n + 1}]")
+        src = _meeting(space, j_n, np.less_equal, level_n, f"thick[{n}]")
+        tgt = _meeting(space, j_next, np.less_equal, level_next, f"thick[{n + 1}]")
         return CoverMap(src, tgt, lambda v: v)
     if kind == "floor":
         if s is None or s < 0:
             raise ValueError("floor map needs s >= 0")
         if s > space.trunc.lmax:
             raise ValueError(f"floor level {s} beyond truncation depth {space.trunc.lmax}")
-        src = _cusp_meeting(space, level_n, j_n, f"cusp[{n}]")
-        tgt = _cusp_meeting(space, level_next, j_next, f"cusp[{n + 1}]")
+        src = _meeting(space, j_n, np.greater_equal, level_n, f"cusp[{n}]")
+        tgt = _meeting(space, j_next, np.greater_equal, level_next, f"cusp[{n + 1}]")
 
         def raise_floor(v: Vertex) -> Vertex:
             return v if v.level >= s else Vertex(v.element, s, v.coset)

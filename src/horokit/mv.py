@@ -11,17 +11,18 @@ with the (incoming, -outgoing) sign convention, plus the connecting-map
 slots via an explicit chain-level snake.  Only degrees below the nerve cap
 are asked for, where a core nerve has the full nerve's homology.  The
 cusp-vanishing check, the cluster decomposition of the interface and the
-half-line tower demonstration live here too.
+half-line tower demonstration live here too.  Every family of sets here is
+point lists (``complexes.PointSets``): the clusters are disjoint when their
+point sets are, and the demonstration's unit balls are lists of indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
-from .complexes import SimplicialMap, mask_nerve, push_faces
+from .complexes import SimplicialMap, point_sets, push_faces, set_nerve
 from .covers import (
     CoverMap,
     Family,
@@ -298,7 +299,7 @@ def y_vanishing_check(
     chain map, and each image must have zero coordinates in the target's
     homology (it bounds there).  The floor-map
     contiguity chain is verified for every floor up to the truncation depth,
-    on faces up to dimension VANISHING_DEGREE + 1, from the column masks
+    on faces up to dimension VANISHING_DEGREE + 1, from the columns' points
     (``covers.contiguous_cover_maps``): no cusp-family nerve is built.
     """
     level_next = schedule.slice_level(n + 1)
@@ -398,14 +399,16 @@ def cluster_check(
 ) -> ClusterVerdict:
     """Interface homology decomposes as the direct sum over horoballs.
 
-    Columns of two clusters share a nerve edge iff the clusters' union masks
+    Columns of two clusters share a nerve edge iff the clusters' point sets
     meet, so the interface nerve has no face across cosets (its block
     structure) exactly when the clusters are disjoint.  Group types come from
     the interface and cluster cores; every degree is below the cap."""
     dec = decompose(space, n, schedule)
     clusters = list(dec.clusters.values())
-    unions = [f.union_mask() for f in clusters]
-    disjoint = not any(a & b for a, b in combinations(unions, 2))
+    hits = np.zeros(len(dec.whole.cover), dtype=np.int64)
+    for f in clusters:
+        hits[f.sets().points] += 1  # once per point of the cluster, however often held
+    disjoint = bool(hits.max(initial=0) <= 1)
     whole, _ = core_nerve(dec.interface, cap=cap)
     cluster_nerves = [core_nerve(f, cap=cap)[0] for f in clusters]
     additive = {}
@@ -439,9 +442,9 @@ def milnor_counterexample_demo() -> dict:
     stage_records = []
     for n in range(1, stages + 1):
         pts = [x for x in window if abs(x) > n]
-        # nerve of the unit-ball cover
-        balls = [sum(1 << j for j, y in enumerate(pts) if abs(y - x) <= 1) for x in pts]
-        cx = mask_nerve(pts, balls, 1)
+        # nerve of the unit-ball cover, each ball as its points' indices
+        x = np.array(pts)
+        cx = set_nerve(pts, point_sets(np.abs(x[:, None] - x[None, :]) <= 1), 1)
         complexes.append((pts, cx))
         comps = cx.components()
         stage_records.append(

@@ -5,8 +5,10 @@ into the unit sphere of a small Euclidean space; the cone collects scalar
 multiples of the base points on a dyadic parameter grid.  Level nets are
 greedy 1-nets whose covering property is checked exhaustively, and the cone
 covers at scale 3^i feed a nerve tower whose homology stabilization is
-reported through the tower calculus.  Distance comparisons happen on squared
-values, which are exact for dyadic fixtures.
+reported through the tower calculus; each scale's balls are the rows of one
+boolean center-by-point matrix, passed on as point lists
+(``complexes.point_sets``).  Distance comparisons happen on squared values,
+which are exact for dyadic fixtures.
 """
 
 from __future__ import annotations
@@ -19,12 +21,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import SimplicialMap, mask_core_nerve
+from .complexes import SimplicialMap, point_sets, set_core_nerve
 from .errors import BudgetExceededError, EmbeddingError, vertex_budget
 from .homology import DegreeCoordinates, induced_map
 from .towers import Tower, direct_limit_report
 
-COVER_CELL_LIMIT = 1_000_000  # distance tests of the cover masks: centers x points x scales
+COVER_CELL_LIMIT = 1_000_000  # distance tests of the cover balls: centers x points x scales
 GRID_STEP = Fraction(1, 4)  # the radial grid step of an embedded cone
 
 
@@ -216,7 +218,7 @@ def cone_cover_tower(cone: ConedSpace, nets: list[LevelNet], i_max: int) -> Cone
     maps are vertex-wise and simplicial; degree-0 and degree-1 homology
     towers are handed to the stabilization report.  Both degrees lie below
     the nerve cap 2, so each scale's nerve is that of its dominated-column core
-    (``complexes.mask_core_nerve``), and the refinement from scale k to k+1
+    (``complexes.set_core_nerve``), and the refinement from scale k to k+1
     is r_{k+1} ∘ j_k: the balls only grow, so a face stays a face.
     """
     centers = [c for net in nets for c in net.centers]
@@ -224,7 +226,7 @@ def cone_cover_tower(cone: ConedSpace, nets: list[LevelNet], i_max: int) -> Cone
     # no two points lie farther apart than twice the largest norm, so every
     # larger radius takes every point (and 3**i may not fit a float)
     reach = 2 * float(np.sqrt((cone._xyz**2).sum(axis=1).max()))
-    # each distance once; a scale's masks compare the same values
+    # each distance once; every scale's balls compare the same values
     d2 = np.array(
         [[cone.dist2(c, j) for j in range(len(cone.points))] for c in centers], dtype=float
     ).reshape(len(centers), len(cone.points))
@@ -234,13 +236,9 @@ def cone_cover_tower(cone: ConedSpace, nets: list[LevelNet], i_max: int) -> Cone
     scales = list(range(1, i_max + 1))
     for i in scales:
         r2 = float(3**i) ** 2 if 3**i <= reach else math.inf
-        near = np.packbits(d2 <= r2, axis=1, bitorder="little")
-        masks = [int.from_bytes(row.tobytes(), "little") for row in near]
-        union = 0
-        for m in masks:
-            union |= m
-        covering.append(union == (1 << len(cone.points)) - 1)
-        cx, retract = mask_core_nerve(list(range(len(centers))), masks, 2)
+        near = d2 <= r2
+        covering.append(bool(near.any(axis=0).all()))
+        cx, retract = set_core_nerve(list(range(len(centers))), point_sets(near), 2)
         complexes.append(cx)
         retractions.append(retract)
     refinements = [
@@ -324,7 +322,6 @@ def cone_fixture(name: str, levels: int = 4) -> ConedSpace:
         )
         return embed_and_cone(dist, 3, levels, max_distortion=4.0)
     raise KeyError(f"unknown cone fixture {name!r}")
-
 
 def adversarial_net(cone: ConedSpace, level: int) -> LevelNet:
     """A deliberately broken net: one center only, first ray. Violates the

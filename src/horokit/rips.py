@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .complexes import SimplicialComplex, clique_complex
 from .graphs import MetricGraph
 
@@ -28,16 +30,11 @@ def rips(graph: MetricGraph, diameter: int, cap: int) -> SimplicialComplex:
     """Rips complex: faces are subsets of diameter <= the parameter."""
     if diameter < 1:
         raise ValueError("diameter parameter must be >= 1")
-    n = len(graph)
     dist = graph.distance_matrix()
-    adj = [0] * n
-    for i in range(n):
-        row = dist[i]
-        for j in range(i + 1, n):
-            if 0 <= row[j] <= diameter:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return clique_complex(graph.vertices, adj, cap, what="rips complex")
+    # the pairs i < j within the diameter, row by row: upper-neighbour rows
+    i, j = np.nonzero(np.triu((dist >= 0) & (dist <= diameter), 1))
+    starts = np.searchsorted(i, np.arange(len(graph) + 1))
+    return clique_complex(graph.vertices, (starts, j), cap, what="rips complex")
 
 
 def _window_vertices(complex_: SimplicialComplex, window: LevelWindow, which: str):

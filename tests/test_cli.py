@@ -634,3 +634,35 @@ def test_rg3_nerve_at_cap_3_is_refused_at_the_default_budget(tmp_path, monkeypat
     assert err.startswith("horokit: complexes: nerve has at least ")
     assert "over the face budget of 2000000" in err and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, degree, dimcap", [
+    (["--degree", "-1"], -1, 2),
+    (["--degree", "5", "--dimcap", "2"], 5, 2),
+])
+def test_homology_refuses_a_degree_past_the_cap_before_any_build(argv, degree, dimcap,
+                                                                 monkeypatch, capsys):
+    from horokit import cli
+
+    def refuse(*args):
+        raise AssertionError("a space was built")
+
+    monkeypatch.setattr(cli, "resolve_instance", refuse)
+    assert run(["homology", "--instance", "z_horoball", *argv]) == 2
+    assert capsys.readouterr().err == (
+        f"horokit: homology --degree {degree} is outside 0..{dimcap}, the nerve's --dimcap\n")
+
+
+def test_paper_stage_40_ends_with_the_faces_of_stage_4(tmp_path):
+    # scale 3^40 is past 2^63: the Cayley search stops at the ball size and
+    # the horoball levels and reach are clamped, so the columns, and the
+    # nerve, are those of any stage past the space's depth
+    faces = []
+    for stage in ("4", "40"):
+        out = tmp_path / f"nerve-{stage}.json"
+        started = time.perf_counter()
+        assert run(["nerve", "--instance", "z_horoball", "--stage", stage,
+                    "--out", str(out)]) == 0
+        assert time.perf_counter() - started < 10
+        faces.append(json.loads(out.read_text())["faces"])
+    assert faces[0] == faces[1] and len(faces[0][2]) > 0

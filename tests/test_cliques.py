@@ -14,8 +14,8 @@ from horokit import complexes
 from horokit.complexes import (
     SimplicialMap,
     clique_complex,
-    mask_adjacency,
-    mask_nerve,
+    set_adjacency,
+    set_nerve,
 )
 from horokit.covers import PAPER_SCHEDULE, build_cover, decompose, nerve
 from horokit.errors import BUDGET_ENV_VAR, BudgetExceededError, NotSimplicialError
@@ -23,6 +23,7 @@ from horokit.graphs import MetricGraph, Vertex
 from horokit.groups import GroupSpec
 from horokit.rips import rips
 from horokit.spaces import Truncation, build_augmented
+from oracles import as_masks, as_sets, upper_rows
 
 
 def recursive_clique_faces(adj, cap, masks=None):
@@ -90,12 +91,12 @@ def test_mask_nerve_matches_subset_oracle(masks, cap):
     by_size = [nerve_oracle(masks, k) for k in range(1, cap + 2)]
     kept = sum(map(len, by_size))
     with face_budget(kept):
-        cx = mask_nerve(list(range(len(masks))), masks, cap)
+        cx = set_nerve(list(range(len(masks))), as_sets(masks), cap)
     assert [fs.tolist() for fs in cx.faces] == [[list(f) for f in fs] for fs in by_size]
     with face_budget(kept - 1), pytest.raises(
         BudgetExceededError, match=f"nerve has at least {kept} faces"
     ):
-        mask_nerve(list(range(len(masks))), masks, cap)
+        set_nerve(list(range(len(masks))), as_sets(masks), cap)
     assert_indices_round_trip(cx)
     # the face lists decide every vertex set of up to cap+1 vertices
     for k in range(2, cap + 2):
@@ -122,8 +123,10 @@ def pairwise_adjacency(masks):
 @example([0b110, 0b110, 0b1])
 def test_point_star_adjacency_matches_the_pairwise_and(masks):
     # wide masks, empty masks and repeats (equal masks meet unless empty)
-    assert mask_adjacency(masks) == pairwise_adjacency(masks)
-    assert mask_adjacency(masks + masks) == pairwise_adjacency(masks + masks)
+    for family in (masks, masks + masks):
+        starts, nbrs = set_adjacency(as_sets(family))
+        expected = upper_rows(pairwise_adjacency(family))
+        assert starts.tolist() == expected[0].tolist() and nbrs.tolist() == expected[1].tolist()
 
 
 @st.composite
@@ -152,8 +155,8 @@ def test_nerve_map_check_matches_the_mask_oracle(case, cap):
 
     faces = [f for k in range(1, cap + 2) for f in nerve_oracle(source_masks, k)]
     failing = next((f for f in faces if fails(f)), None)
-    src = mask_nerve(list(range(len(source_masks))), source_masks, cap)
-    tgt = mask_nerve(list(range(len(target_masks))), target_masks, cap)
+    src = set_nerve(list(range(len(source_masks))), as_sets(source_masks), cap)
+    tgt = set_nerve(list(range(len(target_masks))), as_sets(target_masks), cap)
     if failing is None:
         SimplicialMap(src, tgt, images, check=True)
     else:
@@ -217,7 +220,7 @@ def test_nerve_build_leaves_no_garbage_cycle():
     try:
         for _ in range(3):
             assert nerve(fam, cap=3).n_faces(1) > 0
-            assert mask_nerve(list(range(5)), [7, 3, 6, 12, 9], 2).n_faces(2) > 0
+            assert set_nerve(list(range(5)), as_sets([7, 3, 6, 12, 9]), 2).n_faces(2) > 0
             assert rips(g, 2, cap=2).n_faces(2) > 0
         assert gc.collect() == 0
     finally:
@@ -243,7 +246,7 @@ def test_lookups_refuse_what_the_tuple_dict_did_not_hold():
     # the tuple dict held exactly the faces; a lookup by code must not find
     # a repeated vertex, a vertex out of range, a set past the cap or an
     # absent face, although each of these makes a code
-    cx = mask_nerve(list(range(5)), [0b011, 0b110, 0b100, 0b001, 0], 2)
+    cx = set_nerve(list(range(5)), as_sets([0b011, 0b110, 0b100, 0b001, 0]), 2)
     assert [fs.tolist() for fs in cx.faces] == [
         [[0], [1], [2], [3], [4]], [[0, 1], [0, 3], [1, 2]], []]
     assert_indices_round_trip(cx)
@@ -275,11 +278,11 @@ point_sets = st.lists(st.frozensets(st.integers(0, 9), max_size=5), max_size=12)
 def test_array_kernel_matches_the_recursive_kernel_on_nerves(points, shift, spread, cap, block):
     masks = shifted_masks(points, shift, spread)
     masks += masks[:2]  # equal masks meet, unless empty
-    adj = mask_adjacency(masks)
+    sets = as_sets(masks)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexes, "_BLOCK", block)
-        cx = clique_complex(range(len(masks)), adj, cap, masks, what="nerve")
-    assert_same_rows(cx, recursive_clique_faces(adj, cap, masks))
+        cx = clique_complex(range(len(masks)), set_adjacency(sets), cap, sets, what="nerve")
+    assert_same_rows(cx, recursive_clique_faces(pairwise_adjacency(masks), cap, masks))
     assert_indices_round_trip(cx)
 
 
@@ -298,7 +301,7 @@ def test_array_kernel_matches_the_recursive_kernel_on_cliques(graph, cap, block)
             adj[b] |= 1 << a
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexes, "_BLOCK", block)
-        cx = clique_complex(range(n), adj, cap, what="rips complex")
+        cx = clique_complex(range(n), upper_rows(adj), cap, what="rips complex")
     assert_same_rows(cx, recursive_clique_faces(adj, cap))
 
 
@@ -311,7 +314,7 @@ def whole_cover_masks(rg, lmax):
     """The column masks of the stage-0 whole family of Z^2*Z rel Z^2, every
     peripheral coset given a horoball."""
     space = build_augmented(LADDER_GROUP, (0,), Truncation(rg=rg, lmax=lmax))
-    return [c.mask for c in decompose(space, 0, PAPER_SCHEDULE).whole.columns]
+    return as_masks(decompose(space, 0, PAPER_SCHEDULE).whole.sets())
 
 
 @pytest.mark.parametrize("rg, lmax", [(1, 4), (2, 4), (2, 5), (3, 4)])
@@ -319,8 +322,8 @@ def test_array_kernel_matches_the_recursive_kernel_on_ladder_nerves(rg, lmax):
     # the whole-cover nerves of the benchmark's nerve ladder; rg 3 has
     # 218,686 triangles, several numpy blocks
     masks = whole_cover_masks(rg, lmax)
-    cx = mask_nerve(range(len(masks)), masks, 2)
-    assert_same_rows(cx, recursive_clique_faces(mask_adjacency(masks), 2, masks))
+    cx = set_nerve(range(len(masks)), as_sets(masks), 2)
+    assert_same_rows(cx, recursive_clique_faces(pairwise_adjacency(masks), 2, masks))
     if rg == 3:
         assert [cx.n_faces(p) for p in range(3)] == [715, 13_414, 218_686]
 
@@ -330,8 +333,8 @@ def test_array_kernel_matches_the_recursive_kernel_at_cap_3(monkeypatch):
     # fill dozens of blocks, the common masks carried from the triangles
     masks = whole_cover_masks(3, 4)
     monkeypatch.setenv(BUDGET_ENV_VAR, "400000")
-    cx = mask_nerve(range(len(masks)), masks, 3)
-    assert_same_rows(cx, recursive_clique_faces(mask_adjacency(masks), 3, masks))
+    cx = set_nerve(range(len(masks)), as_sets(masks), 3)
+    assert_same_rows(cx, recursive_clique_faces(pairwise_adjacency(masks), 3, masks))
     assert sum(map(len, cx.faces)) > 10 * 200_000
 
 
@@ -341,6 +344,6 @@ def test_face_budget_refuses_within_one_block_of_the_limit():
     masks = whole_cover_masks(3, 4)
     limit = complexes.FACES_PER_VERTEX * 200_000
     with pytest.raises(BudgetExceededError) as exc:
-        mask_nerve(range(len(masks)), masks, 3)
+        set_nerve(range(len(masks)), as_sets(masks), 3)
     count = int(str(exc.value).split("at least ")[1].split()[0])
     assert limit < count <= limit + complexes._BLOCK

@@ -7,11 +7,12 @@ from horokit.complexes import (
     SimplicialMap,
     barycentric_subdivision,
     full_simplex,
-    mask_nerve,
     push_faces,
+    set_nerve,
 )
 from horokit.errors import NotSimplicialError
 from horokit.snf import CSC
+from oracles import as_sets
 
 
 def test_downward_closure():
@@ -47,11 +48,11 @@ def test_has_face_and_spans():
 def test_verify_refuses_an_image_past_the_target_cap():
     # the target's face lists stop at its cap, so a face that lands past it
     # is refused (a ValueError, exit 2), although the target's vertices span
-    # a triangle and the nerve's five masks all meet
+    # a triangle and the nerve's five columns all meet
     src = SimplicialComplex.from_label_faces([(0, 1, 2)])
     for tgt in (
         SimplicialComplex.from_label_faces([(0, 1, 2)], cap=1),
-        mask_nerve(range(5), [1] * 5, 1),
+        set_nerve(range(5), as_sets([1] * 5), 1),
     ):
         with pytest.raises(NotSimplicialError) as exc:
             SimplicialMap(src, tgt, [0, 1, 2])

@@ -1,7 +1,10 @@
 """The dominated-column core of a mask family against its full nerve, and
-``mask_core`` (containment from point stars) against the pairwise scan."""
+``set_core`` (containment from point stars) against the pairwise scan.  The
+oracles take int masks, which become point lists at the call."""
 
+from functools import reduce
 from itertools import combinations
+from operator import and_
 
 import numpy as np
 import pytest
@@ -10,13 +13,29 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import smith_normal_form
 
 from horokit import complexes, mv, opencone
-from horokit.complexes import SimplicialMap, mask_core, mask_core_nerve, mask_nerve
-from horokit.covers import PAPER_SCHEDULE, Column, Cover, CoverMap, decompose
+from horokit.complexes import SimplicialMap, set_core, set_core_nerve, set_nerve
+from horokit.covers import PAPER_SCHEDULE, Cover, CoverMap, contiguous_cover_maps, decompose
 from horokit.graphs import Vertex
 from horokit.groups import GroupSpec
 from horokit.homology import AbelianGroup, DegreeCoordinates, homology_type, induced_map
 from horokit.instances import SHIPPED, get_instance
 from horokit.spaces import Truncation, build_augmented, interior_window
+from oracles import as_masks, as_sets
+from test_covers import least_failing_face
+
+
+# the functions under test on int-mask families, converted at the call
+def mask_core(masks):
+    return set_core(as_sets(masks))
+
+
+def mask_core_nerve(labels, masks, cap):
+    return set_core_nerve(labels, as_sets(masks), cap)
+
+
+def mask_nerve(labels, masks, cap):
+    return set_nerve(labels, as_sets(masks), cap)
+
 
 RP2_TRIANGLES = [
     (0, 1, 4), (0, 1, 5), (0, 2, 3), (0, 2, 4), (0, 3, 5),
@@ -52,7 +71,7 @@ masks_families = st.lists(st.integers(0, (1 << 7) - 1), min_size=1, max_size=10)
 
 
 def scan_core(masks):
-    """Oracle for ``mask_core``: the pairwise scan.  Columns by decreasing
+    """Oracle for ``set_core``: the pairwise scan.  Columns by decreasing
     popcount, ties by index; each nonempty one is tested against every
     column kept so far, in scan order, and retracts to the first that
     contains it, or is kept."""
@@ -95,22 +114,43 @@ def test_core_from_point_stars_equals_the_scan(masks):
     assert mask_core(masks) == scan_core(masks)
 
 
-def test_set_bits_past_a_high_lowest_bit():
-    mask = (1 << 100_000) | (1 << 100_002) | (1 << 100_064)
-    assert complexes._set_bits(mask) == [100_000, 100_002, 100_064]
-    assert complexes._set_bits(0) == [] and complexes._set_bits(1) == [0]
+def test_points_past_100000_go_through_the_nerve_core_and_contiguity():
+    # a hollow square of columns and a coned copy, on points past 100,000,
+    # two in one 64-bit word, the rest words apart; then one column away
+    # from the square's points
+    at = [100_000, 100_002, 100_064, 100_130, 101_000]
+    pts = ([0, 1], [1, 2], [2, 3], [3, 0], [0, 1, 2, 3], [4])
+    masks = [sum(1 << at[k] for k in ks) for ks in pts]
+    assert as_sets(masks).points.tolist() == [at[k] for ks in pts for k in sorted(ks)]
+    labels = list(range(len(masks)))
+    cx = mask_nerve(labels, masks, 3)
+    for k in range(1, 5):
+        assert cx.faces[k - 1].tolist() == [
+            list(s) for s in combinations(labels, k)
+            if k == 1 or reduce(and_, [masks[v] for v in s])]
+    assert mask_core(masks) == scan_core(masks) == ([4, 5], [4, 4, 4, 4, 4, 5])
+    _check_core(labels, masks, 2)
+    src = Cover(None, 1, [Vertex(i, 0, 0) for i in labels[:4]], as_sets(masks[:4])).whole()
+    tgt = Cover(None, 1, [Vertex(i, 1, 1) for i in labels], as_sets(masks)).whole()
+    for cone, ok in ((4, True), (5, False)):
+        f = CoverMap(src, tgt, lambda v: Vertex(v.element, 1, 1))
+        g = CoverMap(src, tgt, lambda v, c=cone: Vertex(c, 1, 1))
+        least = least_failing_face(masks[:4], masks, [0, 1, 2, 3], [cone] * 4, 2)
+        assert (least is None) == ok
+        assert contiguous_cover_maps(f, g, 2) == (
+            (True, None) if ok else (False, tuple(Vertex(v, 0, 0) for v in least)))
 
 
 def recorded_cores(monkeypatch):
-    """The mask families of every ``mask_core`` call, as they come."""
+    """The families of every ``set_core`` call, as int masks."""
     families = []
-    real = complexes.mask_core
+    real = complexes.set_core
 
-    def record(masks):
-        families.append(list(masks))
-        return real(masks)
+    def record(sets):
+        families.append(as_masks(sets))
+        return real(sets)
 
-    monkeypatch.setattr(complexes, "mask_core", record)
+    monkeypatch.setattr(complexes, "set_core", record)
     return families
 
 
@@ -132,7 +172,7 @@ def test_core_equals_the_scan_on_every_program_family(monkeypatch):
     window = interior_window(sp, PAPER_SCHEDULE.scale(0))
     whole = decompose(sp, 0, PAPER_SCHEDULE).whole.restrict_to_centers(window, "whole|win")
     assert len(whole) == 785
-    families.append([c.mask for c in whole.columns])
+    families.append(as_masks(whole.sets()))
     for masks in families:
         assert mask_core(masks) == scan_core(masks)
 
@@ -164,9 +204,9 @@ def test_every_map_onto_a_core_is_simplicial(monkeypatch):
     # identity onto a square and onto a coned square, builds two
     centers = [Vertex(w, 1, 1) for w in "abcd"]
     square = [0b0011, 0b0110, 0b1100, 0b1001]
-    src = Cover(None, 1, tuple(Column(c, 1, m) for c, m in zip(centers, square))).whole()
+    src = Cover(None, 1, centers, as_sets(square)).whole()
     for masks in (square, [m | 0b10000 for m in square]):
-        tgt = Cover(None, 1, tuple(Column(c, 1, m) for c, m in zip(centers, masks))).whole()
+        tgt = Cover(None, 1, centers, as_sets(masks)).whole()
         mv._cluster_vanishing(src, tgt, CoverMap(src, tgt, lambda v: v), 1, max_degree=1)
     assert [m.name for m in maps[4 * len(SHIPPED):]] == ["tower@1", "tower@1"]
     refinements = recorded_maps(monkeypatch, opencone)

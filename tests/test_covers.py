@@ -6,8 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 from horokit.covers import (
     LINEAR_SCHEDULE,
     PAPER_SCHEDULE,
-    Column,
-    Cover,
     CoverMap,
     build_cover,
     connecting_map,
@@ -21,6 +19,7 @@ from horokit.graphs import Vertex
 from horokit.groups import GroupSpec
 from horokit.instances import SHIPPED, get_instance
 from horokit.spaces import Truncation, build_augmented
+from oracles import as_masks, mask_cover
 from test_spaces import ACROSS_ATOMS
 
 
@@ -39,11 +38,11 @@ def test_schedule_values():
 def test_column_vertex_sets():
     sp = z_instance(rg=4, lmax=2)
     cover = build_cover(sp, 1)
-    col = cover.columns[cover.pos[Vertex("", 1, 1)]]
+    mask = as_masks(cover.sets)[cover.pos[Vertex("", 1, 1)]]
     # same coset, distance <= 2^(1+1) = 4, levels 1..2: 9 elements x 2 levels
-    assert col.mask.bit_count() == 18
+    assert mask.bit_count() == 18
     g = sp.graph
-    members = {g.vertices[i] for i in range(len(g)) if (col.mask >> i) & 1}
+    members = {g.vertices[i] for i in range(len(g)) if (mask >> i) & 1}
     for v in members:
         assert v.coset == 1 and 1 <= v.level <= 2
         assert sp.spec.word_metric("", v.element) <= 4
@@ -92,8 +91,8 @@ def test_cover_masks_match_word_metric_reference(name):
         sp = get_instance(name)
     for scale in (1, 3):
         cover = build_cover(sp, scale)
-        assert [c.center for c in cover.columns] == list(sp.graph.vertices)
-        assert [c.mask for c in cover.columns] == reference_masks(sp, scale)
+        assert list(cover.centers) == list(sp.graph.vertices)
+        assert as_masks(cover.sets) == reference_masks(sp, scale)
 
 
 def test_build_and_cover_form_no_word_per_pair(monkeypatch):
@@ -116,21 +115,21 @@ def test_cayley_column_dips_into_horoballs():
     f2 = GroupSpec.free(2)
     sp = build_augmented(f2, (0,), Truncation(rg=3, lmax=0, mmax=0))
     cover = build_cover(sp, 1)
-    col = cover.columns[cover.pos[Vertex("", 0, 0)]]
-    assert col.mask.bit_count() == 17  # ball of radius 2, level 0 only
+    mask = as_masks(cover.sets)[cover.pos[Vertex("", 0, 0)]]
+    assert mask.bit_count() == 17  # ball of radius 2, level 0 only
     sp2 = z_instance(rg=4, lmax=2)
     cover2 = build_cover(sp2, 1)
-    col2 = cover2.columns[cover2.pos[Vertex("", 0, 0)]]
+    mask2 = as_masks(cover2.sets)[cover2.pos[Vertex("", 0, 0)]]
     # |y| <= 2 at levels 0 and 1
-    assert col2.mask.bit_count() == 10
+    assert mask2.bit_count() == 10
 
 
 def test_cover_is_covering():
     sp = get_instance("z_horoball")
     cover = build_cover(sp, 1)
     union = 0
-    for c in cover.columns:
-        union |= c.mask
+    for mask in as_masks(cover.sets):
+        union |= mask
     assert union == (1 << len(sp.graph)) - 1
 
 
@@ -165,12 +164,12 @@ def test_refinement_preserves_sides():
     d1 = decompose(sp, 1, PAPER_SCHEDULE)
     c0 = build_cover(sp, PAPER_SCHEDULE.scale(0))
     c1 = build_cover(sp, PAPER_SCHEDULE.scale(1))
-    thick_next = {c1.columns[p].center for p in d1.thick.positions}
-    cusp_next = {c1.columns[p].center for p in d1.cusp.positions}
+    thick_next = {c1.centers[p] for p in d1.thick.positions}
+    cusp_next = {c1.centers[p] for p in d1.cusp.positions}
     for p in d0.thick.positions:
-        assert c0.columns[p].center in thick_next
+        assert c0.centers[p] in thick_next
     for p in d0.cusp.positions:
-        assert c0.columns[p].center in cusp_next
+        assert c0.centers[p] in cusp_next
 
 
 def test_nerve_small_line_cover_matches_brute_force():
@@ -178,13 +177,13 @@ def test_nerve_small_line_cover_matches_brute_force():
     cover = build_cover(sp, 1)
     fam = cover.whole()
     cx = nerve(fam, cap=3)
-    cols = fam.columns
+    masks = as_masks(fam.sets())
     for k in range(1, 5):
         expected = set()
-        for sub in combinations(range(len(cols)), k):
+        for sub in combinations(range(len(masks)), k):
             common = -1
             for i in sub:
-                common &= cols[i].mask
+                common &= masks[i]
             if common:
                 expected.add(tuple(sub))
         assert set(map(tuple, cx.faces[k - 1].tolist())) == expected
@@ -211,8 +210,9 @@ def test_refine_map_is_columnwise_inclusion():
     m = connecting_map(sp, "refine", 0, PAPER_SCHEDULE)
     small = build_cover(sp, 1)
     big = build_cover(sp, 3)
-    for c in small.columns:
-        assert c.mask & ~big.columns[big.pos[c.center]].mask == 0
+    big_masks = as_masks(big.sets)
+    for c, mask in zip(small.centers, as_masks(small.sets)):
+        assert mask & ~big_masks[big.pos[c]] == 0
     assert_simplicial(m, cap=2)
 
 
@@ -227,8 +227,8 @@ def assert_simplicial(m, cap):
 def test_floor_zero_is_plain_refinement():
     sp = get_instance("z_horoball")
     q0 = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=0)
-    for c in q0.source.columns:
-        assert q0.center_map(c.center) == c.center
+    for c in q0.source.centers:
+        assert q0.center_map(c) == c
 
 
 def test_floor_beyond_depth_rejected():
@@ -260,7 +260,7 @@ def test_image_positions_name_a_missing_center():
     nowhere = Vertex("nowhere", 0, 0)
     with pytest.raises(KeyError, match="no column centered at"):
         CoverMap(f.source, f.target, lambda v: nowhere).image_positions()
-    outside = next(c.center for p, c in enumerate(f.target.cover.columns)
+    outside = next(c for p, c in enumerate(f.target.cover.centers)
                    if p not in f.target.positions)
     with pytest.raises(KeyError, match=r"not in family 'cusp\[1\]'"):
         CoverMap(f.source, f.target, lambda v: outside).image_positions()
@@ -275,8 +275,8 @@ def test_refinement_composition_contiguity():
     comp = CoverMap(r01.source, r12.target, lambda v: r12.center_map(r01.center_map(v)))
     direct = CoverMap(r01.source, r12.target, lambda v: v)
     assert_simplicial(direct, cap=2)
-    assert [comp.center_map(c.center) for c in comp.source.columns] == [
-        direct.center_map(c.center) for c in comp.source.columns
+    assert [comp.center_map(c) for c in comp.source.centers] == [
+        direct.center_map(c) for c in comp.source.centers
     ]
     ok, _ = contiguous_cover_maps(comp, direct, 2)
     assert ok
@@ -302,8 +302,8 @@ def test_interface_columns_meet_slice_exactly():
     slice_ids = {i for i, v in enumerate(g.vertices) if v.level == dec.slice_level}
     expected = {
         p
-        for p, c in enumerate(cover.columns)
-        if any((c.mask >> i) & 1 for i in slice_ids)
+        for p, mask in enumerate(as_masks(cover.sets))
+        if any((mask >> i) & 1 for i in slice_ids)
     }
     assert set(dec.interface.positions) == expected
 
@@ -315,8 +315,8 @@ def test_floor_maps_contiguous_as_simplicial_maps():
     for s in range(sp.trunc.lmax):
         f = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=s)
         g = connecting_map(sp, "floor", 0, PAPER_SCHEDULE, s=s + 1)
-        source_masks = [c.mask for c in f.source.columns]
-        target_masks = [c.mask for c in f.target.columns]
+        source_masks = as_masks(f.source.sets())
+        target_masks = as_masks(f.target.sets())
         least = least_failing_face(
             source_masks, target_masks, f.image_positions(), g.image_positions(), 3
         )
@@ -331,9 +331,7 @@ def test_floor_maps_contiguous_as_simplicial_maps():
 def synthetic_maps(source_masks, target_masks, f_images, g_images):
     """Two cover maps from one family of source columns to one family of
     target columns, given by the target position of each source column."""
-    src = Cover(None, 1, tuple(Column(Vertex(i, 0, 0), 1, m) for i, m in enumerate(source_masks)))
-    tgt = Cover(None, 1, tuple(Column(Vertex(j, 1, 1), 1, m) for j, m in enumerate(target_masks)))
-    source, target = src.whole(), tgt.whole()
+    source, target = mask_cover(source_masks).whole(), mask_cover(target_masks, 1, 1).whole()
 
     def cover_map(images):
         return CoverMap(source, target, lambda v: target.centers[images[v.element]])

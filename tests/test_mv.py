@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from horokit import covers
@@ -164,9 +165,9 @@ def test_y_vanishing_builds_each_nerve_once(monkeypatch):
 
 def core_centers(family) -> tuple:
     """The centers of the family's dominated-column core, in family order."""
-    from horokit.complexes import mask_core
+    from horokit.complexes import set_core
 
-    kept, _ = mask_core([c.mask for c in family.columns])
+    kept, _ = set_core(family.sets())
     return tuple(family.centers[i] for i in kept)
 
 
@@ -188,13 +189,13 @@ def test_cluster_check_builds_each_cluster_nerve_once(monkeypatch):
 def test_cluster_vanishing_builds_the_target_nerve_once(monkeypatch):
     # a hollow square of columns and a lone column, all sent to one target
     # column: the source has reduced homology in degrees 0 and 1
-    from horokit.covers import Column, Cover, CoverMap
+    from horokit.covers import CoverMap
     from horokit.mv import _cluster_vanishing
+    from oracles import mask_cover
 
-    masks = [0b0011, 0b0110, 0b1100, 0b1001, 0b10000]
-    src = Cover(None, 1, tuple(Column(Vertex(i, 0, 0), 1, m) for i, m in enumerate(masks)))
-    tgt = Cover(None, 1, (Column(Vertex(0, 1, 1), 1, 1),))
-    collapse = CoverMap(src.whole(), tgt.whole(), lambda v: tgt.columns[0].center)
+    src = mask_cover([0b0011, 0b0110, 0b1100, 0b1001, 0b10000])
+    tgt = mask_cover([1], 1, 1)
+    collapse = CoverMap(src.whole(), tgt.whole(), lambda v: tgt.centers[0])
     builds = recorded_builds(monkeypatch)
     entry = _cluster_vanishing(src.whole(), tgt.whole(), collapse, 1, max_degree=2)
     assert [d["source"]["rank"] for d in entry.degrees.values()] == [1, 1, 0]
@@ -260,14 +261,14 @@ def test_vanishing_pushes_degree_one_cycles():
     # a square of four columns (nerve: a hollow square, H_1 = Z) pushed by
     # the identity on centers into a square again (the cycle survives) and
     # into four columns with a common vertex (a full simplex: it bounds)
-    from horokit.covers import Column, Cover, CoverMap
+    from horokit.covers import Cover, CoverMap
     from horokit.mv import _cluster_vanishing
+    from oracles import as_sets
 
     centers = [Vertex(w, 1, 1) for w in ("a", "b", "c", "d")]
 
     def family(masks, name):
-        cover = Cover(None, 1, tuple(Column(c, 1, m) for c, m in zip(centers, masks)))
-        return cover.whole()
+        return Cover(None, 1, centers, as_sets(masks)).whole()
 
     square = [0b0011, 0b0110, 0b1100, 0b1001]
     src = family(square, "square")
@@ -377,7 +378,7 @@ def test_mv_exactness_on_random_window_restrictions():
     )
     sp = get_instance("z2_free_z_deep")
     dec = decompose(sp, 0, PAPER_SCHEDULE)
-    all_centers = [c.center for c in dec.whole.columns]
+    all_centers = list(dec.whole.centers)
 
     @settings(max_examples=12, deadline=None)
     @given(st.sets(st.integers(0, len(all_centers) - 1), min_size=2, max_size=12))
@@ -535,18 +536,19 @@ def _level_split_families(n_points, levels, masks):
     """A cover of points at levels 0 (thick only), 1 (the slice) and 2 (cusp
     only), split as ``decompose`` splits a stage; a column that meets levels
     0 and 2 is given the first slice point, so it lies in the interface."""
-    from horokit.covers import Column, Cover
+    from oracles import mask_cover
 
     low, mid, high = (
         sum(1 << k for k in range(n_points) if levels[k] == lv) for lv in (0, 1, 2)
     )
     masks = [m | (mid & -mid) if m & low and m & high else m for m in masks]
-    cover = Cover(None, 1, tuple(Column(Vertex(i, 0, 0), 1, m) for i, m in enumerate(masks)))
+    cover = mask_cover(masks)
+    level = np.array(levels)
     return {
         "whole": cover.whole(),
-        "thick": cover.meeting(low | mid, "thick"),
-        "cusp": cover.meeting(mid | high, "cusp"),
-        "interface": cover.meeting(mid, "interface"),
+        "thick": cover.meeting(level <= 1, "thick"),
+        "cusp": cover.meeting(level >= 1, "cusp"),
+        "interface": cover.meeting(level == 1, "interface"),
     }
 
 

@@ -190,14 +190,14 @@ def test_levels_are_refused_from_the_grid_before_any_net(monkeypatch, capsys):
     "fixture, levels, imax", [("two_rays", 4, 3), ("circle4", 3, 4), ("graph6", 4, 5)]
 )
 def test_tower_on_cores_matches_the_full_nerve_tower(monkeypatch, fixture, levels, imax):
-    from horokit.complexes import mask_nerve
+    from horokit.complexes import set_nerve
 
     cone = cone_fixture(fixture, levels=levels)
     nets = [build_net(cone, n) for n in range(1, levels + 1)]
     on_cores = cone_cover_tower(cone, nets, imax).as_dict()
 
-    def full_nerve(labels, masks, cap):
-        return mask_nerve(labels, masks, cap), {c: c for c in labels}
+    def full_nerve(labels, sets, cap):
+        return set_nerve(labels, sets, cap), {c: c for c in labels}
 
-    monkeypatch.setattr(opencone, "mask_core_nerve", full_nerve)
+    monkeypatch.setattr(opencone, "set_core_nerve", full_nerve)
     assert on_cores == cone_cover_tower(cone, nets, imax).as_dict()
