@@ -442,14 +442,17 @@ def _set_words(sets: PointSets):
     and the end, word positions, words), and keyed for lookup by
     ``set * width + position``, which increases: (keys, words, width)."""
     width = (int(sets.points.max(initial=0)) >> 6) + 1
-    owner = np.repeat(np.arange(len(sets), dtype=np.int64), np.diff(sets.indptr))
-    key = owner * width + (sets.points >> 6)
-    first = np.flatnonzero(np.diff(key, prepend=-1))  # each word's first point
-    bits = np.left_shift(np.uint64(1), (sets.points & 63).astype(np.uint64))
+    position = sets.points >> 6
+    new = np.diff(position, prepend=-1) != 0
+    new[sets.indptr[:-1][np.diff(sets.indptr) > 0]] = True
+    first = np.flatnonzero(new)  # each word's first point
+    bits = (sets.points & 63).astype(np.uint64)
+    np.left_shift(np.uint64(1), bits, out=bits)
     words = np.bitwise_or.reduceat(bits, first) if len(first) else bits
-    rows = (_offsets(np.bincount(owner[first], minlength=len(sets))), sets.points[first] >> 6,
-            words)
-    return rows, (key[first], words, width)
+    owner = np.searchsorted(sets.indptr, first, "right") - 1
+    position = position[first]
+    rows = (_offsets(np.bincount(owner, minlength=len(sets))), position, words)
+    return rows, (owner * width + position, words, width)
 
 
 def _meet(commons, rows, cand, columns):
@@ -472,17 +475,6 @@ def _meet(commons, rows, cand, columns):
     per_face = np.bincount(owner[hit], minlength=len(rows))
     keep = per_face > 0
     return keep, (per_face[keep], position[at[hit]], both[hit])
-
-
-def _intersections(words, pairs: np.ndarray):
-    """The word rows, as ``_set_words`` gives them, of the intersections of
-    the pairs of sets ``pairs[k]`` of the word rows ``words``."""
-    keep, (count, position, values) = _meet(words[0], pairs[:, 0], pairs[:, 1], words[1])
-    counts = np.zeros(len(pairs), dtype=np.int64)
-    counts[keep] = count
-    owner = np.repeat(np.arange(len(pairs), dtype=np.int64), counts)
-    width = words[1][2]
-    return (_offsets(counts), position, values), (owner * width + position, values, width)
 
 
 def _common_point(words, ptr: np.ndarray, members: np.ndarray) -> np.ndarray:
@@ -673,6 +665,7 @@ def push_faces(target: SimplicialComplex, images: np.ndarray) -> tuple[np.ndarra
         degenerate |= images[:, i] == images[:, j]
     sign = np.where(degenerate, 0, 1 - 2 * (inversions % 2))
     return target.face_indices(np.sort(images, axis=1)), sign
+
 
 def barycentric_subdivision(c: SimplicialComplex, times: int = 1) -> SimplicialComplex:
     """Iterated barycentric subdivision; vertices of the result are faces."""

@@ -3,11 +3,13 @@
 A column is the cover element centered at a vertex: around a horoball vertex
 (x,t) at scale j it collects the same-coset vertices (y,l) with the group
 distance d(x,y) <= 2^(t+j) and t <= l <= t+j; around a Cayley vertex the
-window is d(x,y) <= 2^j, 0 <= l <= j over the whole space.  A cover holds
-its columns as one ``complexes.PointSets``: each column's carrier indices,
-increasing, as int32 compressed rows.  Covers are formal families indexed by
-centers: distinct centers stay distinct nerve vertices even when their
-vertex sets coincide.
+window is d(x,y) <= 2^j, 0 <= l <= j over the whole space.  A family of
+columns comes as one ``complexes.PointSets``: each column's carrier
+indices, increasing, as int32 compressed rows.  A cover stores its horoball
+columns so; its Cayley columns, the dense ones, are searched on the ball
+whenever a family asks for them and are never stored.  Covers are formal
+families indexed by centers: distinct centers stay distinct nerve vertices
+even when their vertex sets coincide.
 
 Cover nerve faces are enumerated only by ``nerve``, which runs the clique
 kernel (``complexes.set_nerve``) on the columns' points, and by
@@ -28,7 +30,7 @@ from .complexes import (
     PointSets,
     SimplicialComplex,
     _common_point,
-    _intersections,
+    _meet,
     _offsets,
     _set_words,
     _stars,
@@ -46,17 +48,22 @@ from .spaces import AugmentedSpace
 
 
 class Cover:
-    """All columns of one scale over an augmented space: the column at
-    ``centers[i]`` holds the points of set i of ``sets``."""
+    """All columns of one scale over an augmented space, one per center, the
+    centers in the carrier's vertex order (``levels`` holds each center's
+    level, so each point's too).  The first ``cayley`` columns, the Cayley
+    columns of ``build_cover``, are never stored: ``columns`` searches them
+    on the ball when a family asks for them.  The rest are ``stored``: the
+    column at ``centers[i]``, i >= cayley, holds set i - cayley."""
 
     def __init__(self, space: AugmentedSpace, scale: int, centers: Iterable[Vertex],
-                 sets: PointSets):
+                 stored: PointSets):
         self.space = space
         self.scale = scale
         self.centers = tuple(centers)
-        self.sets = sets
+        self.stored = stored
+        self.cayley = len(self.centers) - len(stored)
         self.pos = {c: i for i, c in enumerate(self.centers)}
-        self._meetings: dict = {}  # (compare, level) -> positions, for ``_meeting``
+        self.levels = np.fromiter((v.level for v in self.centers), np.int64, len(self.centers))
 
     def __len__(self):
         return len(self.centers)
@@ -67,13 +74,29 @@ class Cover:
     def whole(self) -> "Family":
         return Family(self, "whole", tuple(range(len(self.centers))))
 
+    def columns(self, positions) -> PointSets:
+        """The columns at the given increasing positions."""
+        positions = np.asarray(positions, dtype=np.int64)
+        k = int(np.searchsorted(positions, self.cayley))
+        return _cayley_columns(self, positions[:k], self.stored.take(positions[k:] - self.cayley))
+
     def meeting(self, region: np.ndarray, name: str) -> "Family":
         """The columns that hold a point of ``region``, a boolean array over
-        the points."""
-        indptr = self.sets.indptr
+        the points.  A Cayley column at x does when a point of the region at
+        level <= scale lies within 2^scale of x: one search from all those
+        points at once finds them."""
+        indptr = self.stored.indptr
         # a false cell past the last point, so that every start is a cell
-        hit = np.logical_or.reduceat(np.append(region[self.sets.points], False), indptr[:-1])
-        return Family(self, name, tuple(np.flatnonzero(hit & (indptr[1:] > indptr[:-1])).tolist()))
+        hit = np.logical_or.reduceat(np.append(region[self.stored.points], False), indptr[:-1])
+        hit &= indptr[1:] > indptr[:-1]
+        near = np.zeros(self.cayley, dtype=bool)
+        seeds = np.flatnonzero(region & (self.levels <= self.scale)) if self.cayley else ()
+        if len(seeds):
+            elem, ball = _elements(self.space), self.space.ball
+            rank = np.full(len(ball), -1)
+            rank[elem[seeds]] = 0
+            near = bfs(ball.csr, rank, 0, 1, _rounds(self), None)[elem[: self.cayley], 0] != 0
+        return Family(self, name, tuple(np.flatnonzero(np.append(near, hit)).tolist()))
 
 
 @dataclass(frozen=True)
@@ -93,7 +116,7 @@ class Family:
 
     def sets(self) -> PointSets:
         """The family's columns, in order."""
-        return self.cover.sets.take(self.positions)
+        return self.cover.columns(self.positions)
 
     def restrict_to_centers(self, centers: Iterable[Vertex], name: str) -> "Family":
         wanted = set(centers)
@@ -116,16 +139,8 @@ class Family:
 
 def build_cover(space: AugmentedSpace, scale: int) -> Cover:
     """One column per vertex of the carrier, in vertex order; cached per
-    space and scale.
-
-    A Cayley column's ball ids come from ``graphs.bfs`` on the ball's Cayley
-    graph, ``SOURCE_BLOCK`` centers per search, capped at 2^scale rounds or
-    at the ball size, which no distance in the ball reaches: bit j of an
-    element's bitset is then set iff it lies within 2^scale of center j
-    (``groups.WordBall``).  The bitsets of the carrier's vertices at levels
-    <= scale are gathered and unpacked column-major (the bytes transposed,
-    then split into bits), so their true cells list each column's points.
-    The level-0 vertices, one per ball element, come first in vertex order.
+    space and scale.  The level-0 vertices, one per ball element, come first
+    and center the Cayley columns, which are not stored.
 
     A coset's vertices come next, coset by coset, a run in vertex order,
     level by level, each level its base in one order.  So a horoball column
@@ -140,41 +155,13 @@ def build_cover(space: AugmentedSpace, scale: int) -> Cover:
     cap = vertex_budget()
     if len(g) > cap:
         raise BudgetExceededError(f"carrier exceeds vertex budget {cap}")
-    ball, lmax = space.ball, space.trunc.lmax
-    n = len(g)
-    elem = np.fromiter((ball.index[v.element] for v in g.vertices), np.int64, n)
-    level = np.fromiter((v.level for v in g.vertices), np.int64, n)
-    coset = np.fromiter((v.coset for v in g.vertices), np.int64, n)
-    counts = np.zeros(n, dtype=np.int64)
-    # the points are written in column order as they come, into an array
-    # grown in place (``resize`` zero-fills only what it adds)
-    points = np.empty(0, dtype=np.int32)
-    # a Cayley column: every vertex at level <= scale within 2^scale
-    low = np.flatnonzero(level <= min(scale, lmax)).astype(np.int32)
-    centers = np.flatnonzero(level == 0)
-    rank = np.full(len(ball), -1)
-    rank[elem[centers]] = np.arange(len(centers))
-    rounds = 1 << min(scale, len(ball).bit_length())
-    for s in range(0, len(centers), SOURCE_BLOCK):
-        k = min(s + SOURCE_BLOCK, len(centers)) - s
-        seen = bfs(ball.csr, rank, s, s + k, rounds, None)
-        # byte b of a bitset holds columns 8b..8b+7, so the gathered bytes
-        # transposed and split into their bits are the block column-major
-        octets = np.ascontiguousarray(seen[elem[low]].view(np.uint8).T)
-        bits = np.empty((len(octets), 8, len(low)), dtype=np.uint8)
-        for i in range(8):
-            np.right_shift(octets, i, out=bits[:, i])
-        bits &= 1
-        at = np.flatnonzero(bits.view(bool).reshape(-1)[: k * len(low)])
-        count = np.diff(np.searchsorted(at, np.arange(k + 1) * len(low)))
-        at -= np.repeat(np.arange(k) * len(low), count)
-        points.resize(len(points) + len(at), refcheck=False)
-        points[len(points) - len(at) :] = low[at]
-        counts[centers[s : s + k]] = count
+    lmax = space.trunc.lmax
+    elem = _elements(space)
+    coset = np.fromiter((v.coset for v in g.vertices), np.int64, len(g))
     # a horoball column at (x, t): its coset's vertices at levels t..t+scale
     # within 2^(t+scale)
-    local = np.empty(len(ball), np.int64)
-    horoball = []
+    local = np.empty(len(space.ball), np.int64)
+    counts, points = [np.empty(0, np.int64)], [np.empty(0, np.int32)]
     for c, base in sorted(space.bases.items()):
         start, m = int(np.searchsorted(coset, c)), len(base)
         local[base] = np.arange(m)
@@ -183,16 +170,69 @@ def build_cover(space: AugmentedSpace, scale: int) -> Cover:
         for t in range(1, lmax + 1):
             near = dist <= np.int64(1 << min(t + scale, 62))
             depth = min(t + scale, lmax) - t + 1
-            counts[start + (t - 1) * m : start + t * m] = near.sum(axis=1) * depth
+            counts.append(near.sum(axis=1) * depth)
             # row k repeated once per level t..t+scale: its cell i is the
             # vertex start + (t - 1) * m + i
-            horoball.append(np.nonzero(np.tile(near, depth))[1] + (start + (t - 1) * m))
-    horoball = np.concatenate(horoball or [np.empty(0, np.int64)])
-    points.resize(len(points) + len(horoball), refcheck=False)
-    points[len(points) - len(horoball) :] = horoball
-    cover = Cover(space, scale, g.vertices, PointSets(_offsets(counts), points))
+            at = np.nonzero(np.tile(near, depth))[1] + (start + (t - 1) * m)
+            points.append(at.astype(np.int32))
+    stored = PointSets(_offsets(np.concatenate(counts)), np.concatenate(points))
+    cover = Cover(space, scale, g.vertices, stored)
     space._covers[scale] = cover
     return cover
+
+
+def _elements(space: AugmentedSpace) -> np.ndarray:
+    """The ball id of each vertex's element, in vertex order."""
+    index = space.ball.index
+    return np.fromiter((index[v.element] for v in space.graph.vertices), np.int64,
+                       len(space.graph))
+
+
+def _rounds(cover: Cover) -> int:
+    """The search rounds of a Cayley column: 2^scale, or past every
+    distance in the ball."""
+    return 1 << min(cover.scale, len(cover.space.ball).bit_length())
+
+
+def _cayley_columns(cover: Cover, positions: np.ndarray, rest: PointSets) -> PointSets:
+    """The Cayley columns at the given positions, followed by the sets of
+    ``rest``: every vertex at level <= scale within 2^scale of the center.
+
+    The ball ids come from ``graphs.bfs`` on the ball's Cayley graph,
+    ``SOURCE_BLOCK`` centers per search, capped at ``_rounds``: bit j of an
+    element's bitset is then set iff it lies within 2^scale of center j
+    (``groups.WordBall``).  The bitsets of the vertices at levels <= scale
+    are gathered and unpacked column-major (the bytes transposed, then split
+    into bits), so their true cells list each column's points."""
+    if not len(positions):
+        return rest
+    elem, ball = _elements(cover.space), cover.space.ball
+    low = np.flatnonzero(cover.levels <= cover.scale).astype(np.int32)
+    rank = np.full(len(ball), -1)
+    rank[elem[positions]] = np.arange(len(positions))
+    counts = np.empty(len(positions) + len(rest), dtype=np.int64)
+    counts[len(positions) :] = np.diff(rest.indptr)
+    # the points are written in column order as they come, into an array
+    # grown in place (``resize`` zero-fills only what it adds)
+    points = np.empty(0, dtype=np.int32)
+    for s in range(0, len(positions), SOURCE_BLOCK):
+        k = min(s + SOURCE_BLOCK, len(positions)) - s
+        seen = bfs(ball.csr, rank, s, s + k, _rounds(cover), None)
+        # byte b of a bitset holds columns 8b..8b+7, so the gathered bytes
+        # transposed and split into their bits are the block column-major
+        octets = np.ascontiguousarray(seen[elem[low]].view(np.uint8).T)
+        bits = np.empty((len(octets), 8, len(low)), dtype=np.uint8)
+        for i in range(8):
+            np.right_shift(octets, i, out=bits[:, i])
+        bits &= 1
+        at = np.flatnonzero(bits.view(bool).reshape(-1)[: k * len(low)])
+        counts[s : s + k] = np.diff(np.searchsorted(at, np.arange(k + 1) * len(low)))
+        at -= np.repeat(np.arange(k) * len(low), counts[s : s + k])
+        points.resize(len(points) + len(at), refcheck=False)
+        points[len(points) - len(at) :] = low[at]
+    points.resize(len(points) + len(rest.points), refcheck=False)
+    points[len(points) - len(rest.points) :] = rest.points
+    return PointSets(_offsets(counts), points)
 
 
 # -- schedules ---------------------------------------------------------------
@@ -244,11 +284,10 @@ def decompose(space: AugmentedSpace, n: int, schedule: Schedule) -> Decompositio
     excision identities as exact set equalities of column families."""
     scale, level = schedule.stage(n)
     cover = build_cover(space, scale)
-    levels = _levels(cover)
     whole = cover.whole()
-    thick = cover.meeting(levels <= level, f"thick[{n}]")
-    cusp = cover.meeting(levels >= level, f"cusp[{n}]")
-    interface = cover.meeting(levels == level, f"interface[{n}]")
+    thick = cover.meeting(cover.levels <= level, f"thick[{n}]")
+    cusp = cover.meeting(cover.levels >= level, f"cusp[{n}]")
+    interface = cover.meeting(cover.levels == level, f"interface[{n}]")
     if set(thick.positions) | set(cusp.positions) != set(whole.positions):
         raise DecompositionError("thick and cusp families do not cover the whole")
     if set(thick.positions) & set(cusp.positions) != set(interface.positions):
@@ -317,7 +356,7 @@ def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
     whose vertices are all the columns (singletons and empty ones included).
     That cut nerve, only its vertices when every star passes, is the one
     scanned.  The intersections f(v) & g(v) are taken as 64-bit words
-    (``complexes._intersections``) and ANDed over each star and each face
+    (``complexes._meet``) and ANDed over each star and each face
     (``complexes._common_point``).
     """
     if f.source is not g.source and f.source.positions != g.source.positions:
@@ -330,7 +369,12 @@ def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
     index = {p: i for i, p in enumerate(union)}
     images = np.array([[index[f.target.positions[a]], index[g.target.positions[b]]]
                        for a, b in zip(fi, gi)], dtype=np.int64).reshape(-1, 2)
-    both = _intersections(_set_words(f.target.cover.sets.take(union)), images)
+    rows, keyed = _set_words(f.target.cover.columns(union))
+    keep, (count, position, values) = _meet(rows, images[:, 0], images[:, 1], keyed)
+    counts = np.zeros(len(images), dtype=np.int64)
+    counts[keep] = count
+    key = np.repeat(np.arange(len(images)) * keyed[2], counts) + position
+    both = (_offsets(counts), position, values), (key, values, keyed[2])
     # the intersection of ``both`` over the star of each source point
     source = f.source.sets()
     starts, members, _ = _stars(source)
@@ -351,23 +395,6 @@ def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
     if least is None:
         return True, None
     return False, tuple(centers[v] for v in least)
-
-
-def _levels(cover: Cover) -> np.ndarray:
-    """The level of each point of a cover, its carrier's vertex order being
-    its columns' centers."""
-    return np.fromiter((v.level for v in cover.centers), np.int64, len(cover))
-
-
-def _meeting(space: AugmentedSpace, scale: int, compare, level: int, name: str) -> Family:
-    """The columns at the scale that meet a vertex whose level l has
-    ``compare(l, level)``, found once per cover (every floor map of a stage
-    has the same two families)."""
-    cover = build_cover(space, scale)
-    found = cover._meetings
-    if (compare, level) not in found:
-        found[compare, level] = cover.meeting(compare(_levels(cover), level), name).positions
-    return Family(cover, name, found[compare, level])
 
 
 def connecting_map(
@@ -392,33 +419,32 @@ def connecting_map(
     """
     j_n, j_next = schedule.scale(n), schedule.scale(n + 1)
     level_n, level_next = schedule.slice_level(n), schedule.slice_level(n + 1)
+    here, there = build_cover(space, j_n), build_cover(space, j_next)
     if kind == "refine":
-        src = build_cover(space, j_n).whole()
-        tgt = build_cover(space, j_next).whole()
-        return CoverMap(src, tgt, lambda v: v)
+        return CoverMap(here.whole(), there.whole(), lambda v: v)
     if kind == "inclusion":
-        src = _meeting(space, j_n, np.less_equal, 1, f"near-base[{n}]")
-        tgt = _meeting(space, j_n, np.less_equal, level_n, f"thick[{n}]")
+        src = here.meeting(here.levels <= 1, f"near-base[{n}]")
+        tgt = here.meeting(here.levels <= level_n, f"thick[{n}]")
         return CoverMap(src, tgt, lambda v: v)
     if kind == "collar":
-        src = _meeting(space, j_n, np.less_equal, level_n, f"thick[{n}]")
-        tgt = _meeting(space, j_next, np.less_equal, 1, f"near-base[{n + 1}]")
+        src = here.meeting(here.levels <= level_n, f"thick[{n}]")
+        tgt = there.meeting(there.levels <= 1, f"near-base[{n + 1}]")
 
         def drop(v: Vertex) -> Vertex:
             return v if v.level == 0 else Vertex(v.element, 1, v.coset)
 
         return CoverMap(src, tgt, drop)
     if kind == "stage-refine":
-        src = _meeting(space, j_n, np.less_equal, level_n, f"thick[{n}]")
-        tgt = _meeting(space, j_next, np.less_equal, level_next, f"thick[{n + 1}]")
+        src = here.meeting(here.levels <= level_n, f"thick[{n}]")
+        tgt = there.meeting(there.levels <= level_next, f"thick[{n + 1}]")
         return CoverMap(src, tgt, lambda v: v)
     if kind == "floor":
         if s is None or s < 0:
             raise ValueError("floor map needs s >= 0")
         if s > space.trunc.lmax:
             raise ValueError(f"floor level {s} beyond truncation depth {space.trunc.lmax}")
-        src = _meeting(space, j_n, np.greater_equal, level_n, f"cusp[{n}]")
-        tgt = _meeting(space, j_next, np.greater_equal, level_next, f"cusp[{n + 1}]")
+        src = here.meeting(here.levels >= level_n, f"cusp[{n}]")
+        tgt = there.meeting(there.levels >= level_next, f"cusp[{n + 1}]")
 
         def raise_floor(v: Vertex) -> Vertex:
             return v if v.level >= s else Vertex(v.element, s, v.coset)

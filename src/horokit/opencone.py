@@ -323,6 +323,7 @@ def cone_fixture(name: str, levels: int = 4) -> ConedSpace:
         return embed_and_cone(dist, 3, levels, max_distortion=4.0)
     raise KeyError(f"unknown cone fixture {name!r}")
 
+
 def adversarial_net(cone: ConedSpace, level: int) -> LevelNet:
     """A deliberately broken net: one center only, first ray. Violates the
     level covering whenever another ray sits farther than distance one."""

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -38,7 +39,7 @@ def test_schedule_values():
 def test_column_vertex_sets():
     sp = z_instance(rg=4, lmax=2)
     cover = build_cover(sp, 1)
-    mask = as_masks(cover.sets)[cover.pos[Vertex("", 1, 1)]]
+    mask = as_masks(cover.whole().sets())[cover.pos[Vertex("", 1, 1)]]
     # same coset, distance <= 2^(1+1) = 4, levels 1..2: 9 elements x 2 levels
     assert mask.bit_count() == 18
     g = sp.graph
@@ -92,7 +93,26 @@ def test_cover_masks_match_word_metric_reference(name):
     for scale in (1, 3):
         cover = build_cover(sp, scale)
         assert list(cover.centers) == list(sp.graph.vertices)
-        assert as_masks(cover.sets) == reference_masks(sp, scale)
+        assert as_masks(cover.whole().sets()) == reference_masks(sp, scale)
+
+
+@pytest.mark.parametrize("name", SHIPPED + ("rg2",))
+def test_meeting_is_every_column_that_holds_a_point_of_the_region(name):
+    # a Cayley column's meeting comes from a search seeded at the region, not
+    # from its points: compare with the points on sparse to dense regions
+    if name == "rg2":
+        sp = build_augmented(Z2_FREE_Z, (0,), Truncation(rg=2, lmax=4))
+    else:
+        sp = get_instance(name)
+    rng = np.random.default_rng(0)
+    for scale in (1, 3):
+        cover = build_cover(sp, scale)
+        masks = as_masks(cover.whole().sets())
+        for density in (0.005, 0.05, 0.3):
+            region = rng.random(len(cover)) < density
+            bits = sum(1 << int(i) for i in np.flatnonzero(region))
+            held = tuple(i for i, mask in enumerate(masks) if mask & bits)
+            assert cover.meeting(region, "region").positions == held
 
 
 def test_build_and_cover_form_no_word_per_pair(monkeypatch):
@@ -106,7 +126,7 @@ def test_build_and_cover_form_no_word_per_pair(monkeypatch):
 
         monkeypatch.setattr(GroupSpec, method, counted)
     sp = build_augmented(Z2_FREE_Z, (0,), Truncation(rg=2, lmax=4))
-    build_cover(sp, 1)
+    build_cover(sp, 1).whole().sets()
     assert calls["word_metric"] == 0
     assert 0 < calls["normal_form"] <= len(sp.ball) * len(Z2_FREE_Z.alphabet)
 
@@ -115,11 +135,11 @@ def test_cayley_column_dips_into_horoballs():
     f2 = GroupSpec.free(2)
     sp = build_augmented(f2, (0,), Truncation(rg=3, lmax=0, mmax=0))
     cover = build_cover(sp, 1)
-    mask = as_masks(cover.sets)[cover.pos[Vertex("", 0, 0)]]
+    mask = as_masks(cover.whole().sets())[cover.pos[Vertex("", 0, 0)]]
     assert mask.bit_count() == 17  # ball of radius 2, level 0 only
     sp2 = z_instance(rg=4, lmax=2)
     cover2 = build_cover(sp2, 1)
-    mask2 = as_masks(cover2.sets)[cover2.pos[Vertex("", 0, 0)]]
+    mask2 = as_masks(cover2.whole().sets())[cover2.pos[Vertex("", 0, 0)]]
     # |y| <= 2 at levels 0 and 1
     assert mask2.bit_count() == 10
 
@@ -128,7 +148,7 @@ def test_cover_is_covering():
     sp = get_instance("z_horoball")
     cover = build_cover(sp, 1)
     union = 0
-    for mask in as_masks(cover.sets):
+    for mask in as_masks(cover.whole().sets()):
         union |= mask
     assert union == (1 << len(sp.graph)) - 1
 
@@ -210,8 +230,8 @@ def test_refine_map_is_columnwise_inclusion():
     m = connecting_map(sp, "refine", 0, PAPER_SCHEDULE)
     small = build_cover(sp, 1)
     big = build_cover(sp, 3)
-    big_masks = as_masks(big.sets)
-    for c, mask in zip(small.centers, as_masks(small.sets)):
+    big_masks = as_masks(big.whole().sets())
+    for c, mask in zip(small.centers, as_masks(small.whole().sets())):
         assert mask & ~big_masks[big.pos[c]] == 0
     assert_simplicial(m, cap=2)
 
@@ -302,7 +322,7 @@ def test_interface_columns_meet_slice_exactly():
     slice_ids = {i for i, v in enumerate(g.vertices) if v.level == dec.slice_level}
     expected = {
         p
-        for p, mask in enumerate(as_masks(cover.sets))
+        for p, mask in enumerate(as_masks(cover.whole().sets()))
         if any((mask >> i) & 1 for i in slice_ids)
     }
     assert set(dec.interface.positions) == expected
