@@ -3,6 +3,7 @@
 
     python scripts/ladder.py [--rg R ...] [--cosets m5|all ...]
                              [--verdict NAME ...] [--stage N] [--lmax L]
+                             [--repeat N]
 
 "rgR" is Z^2*Z relative to Z^2 with ball radius R and horoball depth L
 (``--lmax``, 4 by default); "m5" attaches five horoballs (mmax 5), "all" one
@@ -13,15 +14,21 @@ directory and every (verdict, rg, cosets) of the product runs as a fresh
 a time.  The runs inherit the environment, so
 ``HOROKIT_VERTEX_BUDGET=N python scripts/ladder.py ...`` sets their budget.
 
+With ``--repeat N`` every (verdict, rg, cosets) runs N times, interleaved:
+the whole product once, then again, so that a drift of the machine falls on
+every rung alike.
+
 Standard output is one JSON object.  Its ``src_lines`` is the line count
 of ``src/horokit/*.py`` (as ``wc -l`` counts them), and its ``runs`` give
-per run the verdict, the rung, the stage and lmax, the argv, the exit code,
-the wall time, the peak RSS (``ru_maxrss`` from ``os.wait4``) and the
-sha256 of the report, which the CLI writes to standard output.  Reports
+per (verdict, rg, cosets) the rung, the stage and lmax, the argv, the exit
+code, the median wall time and the median peak RSS (``ru_maxrss`` from
+``os.wait4``) over the repeats, each repeat's wall time and peak RSS, and
+the sha256 of the report, which the CLI writes to standard output.  Reports
 embed the ``--instance`` argument, so each run gets a bare config file name
 and the digests do not depend on the directory.  A verdict's exit code is
-data here: the script exits 0 once every run has finished, 2 on a usage
-error.
+data here: the script exits 0 once every run has finished, 1 when the
+repeats of one rung disagree on the exit code or the report digest (each
+such rung is named on standard error), 2 on a usage error.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -112,21 +120,38 @@ def main(argv=None) -> int:
     ap.add_argument("--verdict", nargs="+", choices=sorted(VERDICTS), default=["homology"])
     ap.add_argument("--stage", type=int, default=0)
     ap.add_argument("--lmax", type=int, default=4)
+    ap.add_argument("--repeat", type=int, default=1,
+                    help="runs per rung, interleaved; medians are reported")
     args = ap.parse_args(argv)
+    if args.repeat < 1:
+        ap.error("--repeat must be at least 1")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    runs = []
+    rungs = [(verdict, rg, cosets) for verdict in args.verdict
+             for rg in args.rg for cosets in args.cosets]
+    results: dict[tuple, list[dict]] = {rung: [] for rung in rungs}
     with tempfile.TemporaryDirectory(prefix="horokit-ladder-") as tmp:
         work = pathlib.Path(tmp)
-        for verdict in args.verdict:
-            for rg in args.rg:
-                for cosets in args.cosets:
-                    name = write_config(work, rg, cosets, args.lmax)
-                    stage = ["--stage", str(args.stage)] if verdict in STAGED else []
-                    result = run_verdict([*VERDICTS[verdict], *stage, "--instance", name],
-                                         work, env)
-                    runs.append({"verdict": verdict, "rg": rg, "cosets": cosets,
-                                 "stage": args.stage, "lmax": args.lmax, **result})
+        for _ in range(args.repeat):
+            for verdict, rg, cosets in rungs:
+                name = write_config(work, rg, cosets, args.lmax)
+                stage = ["--stage", str(args.stage)] if verdict in STAGED else []
+                results[verdict, rg, cosets].append(
+                    run_verdict([*VERDICTS[verdict], *stage, "--instance", name], work, env))
+    runs, status = [], 0
+    for (verdict, rg, cosets), repeats in results.items():
+        first = repeats[0]
+        if any((r["exit"], r["report_sha256"]) != (first["exit"], first["report_sha256"])
+               for r in repeats):
+            print(f"ladder: the repeats of {verdict} rg{rg} {cosets} disagree", file=sys.stderr)
+            status = 1
+        walls = [r["wall_s"] for r in repeats]
+        peaks = [r["peak_rss_mb"] for r in repeats]
+        runs.append({"verdict": verdict, "rg": rg, "cosets": cosets,
+                     "stage": args.stage, "lmax": args.lmax, **first,
+                     "wall_s": round(statistics.median(walls), 3),
+                     "peak_rss_mb": round(statistics.median(peaks), 1),
+                     "wall_s_runs": walls, "peak_rss_mb_runs": peaks})
     print(json.dumps({
         "schema": "horokit-ladder/1",
         "budget": env.get("HOROKIT_VERTEX_BUDGET"),
@@ -134,9 +159,10 @@ def main(argv=None) -> int:
         "numpy": numpy.__version__,
         "nproc": os.cpu_count(),
         "src_lines": src_lines(),
+        "repeat": args.repeat,
         "runs": runs,
     }, indent=1))
-    return 0
+    return status
 
 
 if __name__ == "__main__":

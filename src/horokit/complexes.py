@@ -9,7 +9,8 @@ boundary, coboundary and chain maps is built from the arrays in numpy.
 
 Every nerve and Rips face is enumerated here, by the clique kernel
 ``clique_complex``, which builds each dimension from the one below in numpy
-blocks and checks the face budget on each block before storing it;
+blocks, with its facet table, and checks the face budget on each block
+before storing it;
 ``set_nerve`` builds the nerves of covers on it, and ``rips`` the Rips
 complexes.  Below the cap, ``mv`` and ``opencone`` take homology on the
 nerve of a family's dominated-column core (``set_core_nerve``) instead.
@@ -40,6 +41,7 @@ class SimplicialComplex:
         labels: Sequence,
         faces_by_dim: Sequence[np.ndarray],
         cap: int,
+        facets: dict[int, np.ndarray] | None = None,
     ):
         """A complex on the given face arrays, kept as they come: entry p holds
         the p-faces as the rows of an n_p x (p+1) integer array, each row
@@ -48,7 +50,9 @@ class SimplicialComplex:
         increasing remap) hand over arrays in that form; ``from_faces`` and
         ``_subdivide_once`` sort theirs first.  An array out of order, or a
         face whose facet is missing, is refused by the first lookup in its
-        dimension.
+        dimension.  ``clique_complex`` also hands over the facet tables it
+        built (``facets``, by dimension); the others are looked up on first
+        use.
 
         A face is looked up by its integer code, not by a table of tuples (as
         Ripser indexes simplices by number: Bauer, "Ripser", JACT 2021).  The
@@ -66,12 +70,13 @@ class SimplicialComplex:
         # per dimension, built on first use: the sorted integer codes of the
         # faces (``_find``) and the facet table (``facets``)
         self._codes: dict[int, np.ndarray] = {}
-        self._facets: dict[int, np.ndarray] = {}
+        self._facets: dict[int, np.ndarray] = dict(facets or {})
         # (torsion, rank, unit pivot rows) of each boundary map C_p -> C_{p-1},
         # by p; filled in by homology._boundary_type, which eliminates each
-        # transpose once and drops the columns of d_{p+1}^T on the p-faces
-        # that were unit pivot rows of d_p^T (clearing, de Silva, Morozov and
-        # Vejdemo-Johansson 2011; Chen and Kerber 2011)
+        # transpose once (d_1 is read off a spanning forest) and drops the
+        # columns of d_{p+1}^T on the p-faces that were unit pivot rows of
+        # d_p^T (clearing, de Silva, Morozov and Vejdemo-Johansson 2011; Chen
+        # and Kerber 2011)
         self.boundary_types: dict[int, tuple[tuple[int, ...], int, frozenset[int]]] = {}
 
     # -- constructors -------------------------------------------------------
@@ -149,13 +154,15 @@ class SimplicialComplex:
         whose entry (j, i) is the index of the (p-1)-face left when p-face j
         drops its vertex i, which has boundary sign (-1)^i.
 
-        The rows are lexicographic, so the faces with one prefix f[:p] (the
-        last facet) form a run, and each run's prefix is looked up once; the
-        prefix indices must increase from run to run, and the last vertices
-        within a run, so that the codes increase.  Dropping v_i, i < p,
-        leaves facet i of the prefix followed by v_p, whose code (int64, as
-        an index times n overflows int32) comes from the prefix's own row of
-        the table below."""
+        The clique kernel stores the table of each dimension it builds, so
+        only complexes given as face lists (``from_faces``, ``induced``) look
+        theirs up.  The rows are lexicographic, so the faces with one prefix
+        f[:p] (the last facet) form a run, and each run's prefix is looked up
+        once; the prefix indices must increase from run to run, and the last
+        vertices within a run, so that the codes increase.  Dropping v_i,
+        i < p, leaves facet i of the prefix followed by v_p, whose code
+        (int64, as an index times n overflows int32) comes from the prefix's
+        own row of the table below."""
         table = self._facets.get(p)
         if table is None:
             fs, n = self.faces[p], len(self.labels)
@@ -206,32 +213,55 @@ class SimplicialComplex:
         columns leave dim Z_p zero columns.  ``boundary_columns`` stays for
         homology coordinates and chain splitting; the benchmark traces it
         under that name, not this one.
+
+        The entries are sorted by a counting sort over blocks of the facet
+        table, so besides its output it holds one block's work at a time.
         """
         if not 0 < p < len(self.faces):
             raise ValueError(f"no coboundary columns in degree {p}")
         table = self.facets(p)
-        n, size = self.n_faces(p - 1), table.size
+        n, step = self.n_faces(p - 1), max(_BLOCK // (p + 1), 1)  # faces per block
         keep = np.ones(n, dtype=bool)
         keep[np.fromiter(cleared, np.int64, len(cleared))] = False
-        # one int64 key per entry: its (p-1)-face times the table size, plus
-        # its place in the table, the cleared faces moved past the last face
-        # (below (n_{p-1} + 1) * (p + 1) * n_p, far from 2^63).  The keys are
-        # distinct, so an in-place sort orders the entries as a stable sort
-        # by face would: each column's cofaces increasing, the cleared
-        # entries last, where they are cut off.
-        key = np.multiply(table, size, dtype=np.int64)
-        key[~keep[table]] = n * size
-        key += np.arange(0, size, p + 1)[:, None]
-        key += np.arange(p + 1)
-        key = key.ravel()
-        key.sort()
-        indptr = np.searchsorted(key, np.append(np.flatnonzero(keep), n) * size)
-        at = key[: indptr[-1]]
-        at %= size  # the entry's place in the table: coface * (p+1) + facet
-        rows = np.empty(len(at), dtype=np.int32)
-        np.floor_divide(at, p + 1, out=rows, casting="unsafe")
-        at %= p + 1
-        return CSC(indptr, rows, np.array(_signs(p), dtype=np.int8)[at])
+        # a stable counting sort of the table's entries by face, in blocks of
+        # about ``_BLOCK`` entries: count each kept column's entries, then
+        # place each block's entries, sorted by face and coface, at the next
+        # free slots of their columns
+        count = np.zeros(n, dtype=np.int64)
+        for lo in range(0, len(table), step):
+            count += np.bincount(table[lo : lo + step].ravel(), minlength=n)
+        count[~keep] = 0
+        free = _offsets(count)
+        indptr = free[np.append(np.flatnonzero(keep), n)]
+        del count
+        rows = np.empty(free[-1], dtype=np.int32)
+        values = np.empty(free[-1], dtype=np.int8)
+        signs = np.array(_signs(p), dtype=np.int8)
+        # an entry's int64 sort key holds, from the top, its face (n for a
+        # cleared one, past the last), its coface's place in the block and
+        # its facet, in fields of s - b and b bits
+        b = p.bit_length()
+        s = b + step.bit_length()
+        head_key = np.arange(n, dtype=np.int64)
+        head_key[~keep] = n
+        head_key <<= s
+        tail_key = (np.arange(step, dtype=np.int64)[:, None] << b) | np.arange(p + 1)
+        for lo in range(0, len(table), step):
+            block = table[lo : lo + step]
+            key = head_key[block]
+            key |= tail_key[: len(block)]
+            key = key.ravel()
+            key.sort()
+            key = key[: np.searchsorted(key, n << s)]  # the kept entries
+            face = key >> s
+            head = np.flatnonzero(np.diff(face, prepend=-1))  # each column's first entry
+            size = np.diff(head, append=len(face))
+            at = np.repeat(free[face[head]] - head, size)
+            at += np.arange(len(face))
+            free[face[head]] += size
+            rows[at] = ((key >> b) & ((1 << (s - b)) - 1)) + lo
+            values[at] = signs[key & ((1 << b) - 1)]
+        return CSC(indptr, rows, values)
 
     def chain_boundary(self, p: int, chain: dict[int, int]) -> dict[int, int]:
         """Boundary of a p-chain {face index: coefficient}, zeros dropped."""
@@ -246,6 +276,12 @@ class SimplicialComplex:
 
     def components(self) -> list[int]:
         """Component id per vertex, from the 1-skeleton."""
+        return self.spanning_forest()[0]
+
+    def spanning_forest(self) -> tuple[list[int], list[int]]:
+        """Component id per vertex (numbered by first vertex) and the edges of
+        a spanning forest of the 1-skeleton, increasing: one union-find pass
+        over the edges, keeping each edge that joins two trees."""
         parent = list(range(len(self.labels)))
 
         def find(a):
@@ -254,16 +290,19 @@ class SimplicialComplex:
                 a = parent[a]
             return a
 
-        for a, b in self.faces[1].tolist() if len(self.faces) > 1 else []:
+        forest = []
+        ends = self.faces[1].T.tolist() if len(self.faces) > 1 else [[], []]
+        for e, (a, b) in enumerate(zip(*ends)):
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
+                forest.append(e)
         roots = {}
         out = []
         for i in range(len(self.labels)):
             r = find(i)
             out.append(roots.setdefault(r, len(roots)))
-        return out
+        return out, forest
 
     def induced(self, keep: Iterable[int]) -> tuple["SimplicialComplex", dict[int, int]]:
         keep = sorted(set(keep))
@@ -284,7 +323,10 @@ def _signs(p: int) -> list[int]:
 
 
 FACES_PER_VERTEX = 10  # the face budget is this many times the vertex budget
-_BLOCK = 1 << 16  # candidate faces per numpy block of the clique kernel
+# candidate faces per numpy block of the clique kernel (a block's common
+# words take several int64 arrays), and table entries per block of
+# ``coboundary_columns``
+_BLOCK = 1 << 15
 _POINT_BLOCK = 1 << 20  # gathered star entries per numpy block of ``set_adjacency``
 
 
@@ -327,48 +369,58 @@ def clique_complex(labels: Sequence, adjacency, cap: int,
                    sets: PointSets | None = None, *,
                    what: str) -> SimplicialComplex:
     """Complex of the cliques of the graph ``adjacency`` with at most cap+1
-    vertices.  The graph comes as upper-neighbour compressed rows (start per
-    vertex and the end, int64 neighbours): row i holds the neighbours j > i,
-    increasing, as ``set_adjacency`` gives them.  With ``sets`` a clique of
-    two or more vertices counts only when their sets have a common point (a
-    nerve).  No clique past the cap is looked for.
+    vertices, with the facet table of each dimension it builds.  The graph
+    comes as upper-neighbour compressed rows (start per vertex and the end,
+    int64 neighbours): row i holds the neighbours j > i, increasing, as
+    ``set_adjacency`` gives them.  With ``sets`` a clique of two or more
+    vertices counts only when their sets have a common point (a nerve).  No
+    clique past the cap is looked for.
 
     Each dimension is built from the one below by increasing extensions
     (Zomorodian, "Fast construction of the Vietoris-Rips complex", 2010), as
     one array, in numpy blocks of about ``_BLOCK`` candidates.  The
-    candidates of a p-face are the upper neighbours of its last vertex (of
-    the kept edges, once there are edges), in increasing order, so each
-    dimension comes out lexicographic.  A candidate is kept when it is
-    adjacent to every other vertex of the face, looked up by edge code, and,
-    in a nerve, when the face's common points meet the candidate's set; the
+    candidates of a p-face f are the upper neighbours c of its last vertex
+    (of the kept edges, once there are edges), in increasing order, so each
+    dimension comes out lexicographic.  A candidate is kept when every facet
+    (f - v_i) + c, i <= p, is a p-face, looked up by its code (the index of
+    f - v_i, from f's row of the facet table, times n, plus c), and, in a
+    nerve, when the face's common points meet the candidate's set; the
     common points are kept as their nonzero 64-bit words (``_set_words``),
-    so every face passes the full test.  The kept faces count against the
-    face budget, ``FACES_PER_VERTEX`` times the vertex budget, block by
-    block: a block that takes the count past it is refused before it is
-    stored."""
+    so every face passes the full test.  In a flag complex the facets are
+    faces iff c is adjacent to every vertex of f, and in a nerve every facet
+    of a face with a common point has one, so the facet test keeps what an
+    edge test would.  The positions it finds, and f itself for the facet
+    without c, are the new face's row of the facet table (``facets``).  Two
+    facets come without a lookup: at p = 0, (f - v_0) + c is the vertex c,
+    and at p = 1 it is the candidate's own edge (v_1, c), at the candidate's
+    position among the kept edges.  The kept faces count against the face
+    budget, ``FACES_PER_VERTEX`` times the vertex budget, block by block: a
+    block that takes the count past it is refused before it is stored."""
     limit = vertex_budget() * FACES_PER_VERTEX
     starts, nbrs = adjacency
     n = len(starts) - 1
     count = n
     _check_budget(count, limit, what)
     faces = [np.arange(n, dtype=np.int32).reshape(n, 1)]
-    commons = columns = edge_codes = None
+    tables: dict[int, np.ndarray] = {}
+    commons = columns = codes = None
     if sets is not None and len(nbrs):
         commons, columns = _set_words(sets)
     for p in range(cap):
-        cur = faces[p]
+        cur, below = faces[p], tables.get(p)
         deg = np.diff(starts)[cur[:, p]]
         if not deg.any():
             break
         grow = commons is not None and p + 1 < cap  # the next dimension needs them
         ends = np.cumsum(deg)
-        # the dimension is written once, into arrays with room for every
-        # candidate (or the rest of the budget), a kept face's common words
-        # being at most its face's; room never written takes no memory, and
-        # is cut off in place at the end (``resize`` reallocates, a slice
-        # would be copied)
+        # the dimension and its facet table are written once, into arrays
+        # with room for every candidate (or the rest of the budget), a kept
+        # face's common words being at most its face's; room never written
+        # takes no memory, and is cut off in place at the end (``resize``
+        # reallocates, a slice would be copied)
         room = min(int(ends[-1]), limit - count)
         new = np.empty((room, p + 2), dtype=np.int32)
+        table = np.empty((room, p + 2), dtype=np.int32)
         used = 0
         if grow:
             per_face = np.diff(commons[0])
@@ -381,18 +433,28 @@ def clique_complex(labels: Sequence, adjacency, cap: int,
         while lo < len(cur):
             hi = max(int(np.searchsorted(ends, ends[lo] - deg[lo] + _BLOCK, "right")), lo + 1)
             rep = np.repeat(np.arange(lo, hi), deg[lo:hi])  # the face of each candidate
-            cand = nbrs[_spans(starts[cur[lo:hi, p]], deg[lo:hi])]
-            for t in range(p):  # adjacent to the face's other vertices too
-                keep = _lookup(edge_codes, cur[rep, t] * np.int64(n) + cand) >= 0
+            at = _spans(starts[cur[lo:hi, p]], deg[lo:hi])
+            cand = nbrs[at]
+            # the new faces' facets i <= p, filled by lookup past the first
+            # at p <= 1: the vertex c, then the candidate's own edge
+            found = [cand] if p == 0 else [at] if p == 1 else []
+            for i in range(len(found), p + 1):
+                index = _lookup(codes, np.multiply(below[rep, i], n, dtype=np.int64) + cand)
+                keep = index >= 0
                 rep, cand = rep[keep], cand[keep]
+                found = [f[keep] for f in found] + [index[keep]]
             if commons is not None:
                 keep, meet = _meet(commons, rep, cand, columns)
                 rep, cand = rep[keep], cand[keep]
+                found = [f[keep] for f in found]
             count += len(rep)
             _check_budget(count, limit, what)
             end = used + len(rep)
             new[used:end, : p + 1] = cur[rep]
             new[used:end, p + 1] = cand
+            for i, index in enumerate(found):
+                table[used:end, i] = index
+            table[used:end, p + 1] = rep
             if grow:
                 wend = wused + len(meet[1])
                 sizes[used:end], positions[wused:wend], words[wused:wend] = meet
@@ -400,16 +462,19 @@ def clique_complex(labels: Sequence, adjacency, cap: int,
             used = end
             lo = hi
         new.resize((used, p + 2), refcheck=False)
+        table.resize((used, p + 2), refcheck=False)
         faces.append(new)
+        tables[p + 1] = table
         if p == 0:  # from here on, the candidates are the kept edges' ends
-            starts = np.searchsorted(faces[1][:, 0], np.arange(n + 1))
-            nbrs = faces[1][:, 1].astype(np.int64)
-            edge_codes = faces[1][:, 0] * np.int64(n) + nbrs
+            starts = np.searchsorted(new[:, 0], np.arange(n + 1))
+            nbrs = new[:, 1].astype(np.int64)
+        if p + 1 < cap:  # the new faces' codes, for the next dimension's lookups
+            codes = np.multiply(table[:, p + 1], n, dtype=np.int64) + new[:, p + 1]
         if grow:
             positions.resize(wused, refcheck=False)
             words.resize(wused, refcheck=False)
             commons = (_offsets(sizes[:used]), positions, words)
-    return SimplicialComplex(labels, faces, cap)
+    return SimplicialComplex(labels, faces, cap, tables)
 
 
 def _check_budget(count: int, limit: int, what: str) -> None:

@@ -3,11 +3,11 @@
 Degree 0 is the component count.  Every homology group of degree >= 1 goes
 through one sparse chain reduction, ``snf._eliminate``: group types from the
 unit pivots and invariant factors of the boundary maps, eliminated as
-coboundaries without the columns the degree below already paired
-(``homology_type``), coordinates from the same elimination of d_p itself
-with its column combinations tracked (``DegreeCoordinates``: the unmatched
-faces of d_p give a cycle basis, d_{p+1} is eliminated in it, and only the
-residue gets a Smith normal form).
+coboundaries without the columns the degree below already paired, d_1
+read off a spanning forest (``homology_type``), coordinates from the same
+elimination of d_p itself with its column combinations tracked
+(``DegreeCoordinates``: the unmatched faces of d_p give a cycle basis,
+d_{p+1} is eliminated in it, and only the residue gets a Smith normal form).
 Classes of cycles are then plain integer vectors reduced modulo the
 invariant factors.
 """
@@ -137,7 +137,8 @@ def _boundary_type(
     complex_: SimplicialComplex, p: int
 ) -> tuple[tuple[int, ...], int, frozenset[int]]:
     """(torsion, rank, unit pivot rows) of the boundary C_p -> C_{p-1},
-    eliminated once per complex and degree.
+    eliminated once per complex and degree p >= 2 (d_1 is read off a
+    spanning forest, below).
 
     The elimination runs on the transpose, one column per (p-1)-face holding
     its p-cofaces (``coboundary_columns``): a matrix and its transpose have
@@ -148,17 +149,31 @@ def _boundary_type(
     2011): each unit pivot column lies in im d_{p-1}^T, inside ker d_p^T, and
     the pivot columns are unit-triangular on their pivot rows, so every
     cleared column is an integer combination of the kept ones and the column
-    lattice, hence the Smith form, is unchanged.  Nothing is cleared at p = 1.
-    The kept columns number n_{p-1} minus the unit pivots of d_{p-1}; only
-    about beta_{p-1} of them reduce to zero.  Pivot rows of the dense residue
-    are not cleared: a non-unit pivot block is not unimodular.
-    ``snf.sparse_diagonal`` is a benchmark-traced name, so the elimination
-    goes through it with its ``(diag, rank)`` result.
+    lattice, hence the Smith form, is unchanged.  The kept columns number
+    n_{p-1} minus the unit pivots of d_{p-1}; only about beta_{p-1} of them
+    reduce to zero.  Pivot rows of the dense residue are not cleared: a
+    non-unit pivot block is not unimodular.  ``snf.sparse_diagonal`` is a
+    benchmark-traced name, so the elimination goes through it with its
+    ``(diag, rank)`` result.
+
+    d_1 is not eliminated: it is the incidence matrix of the 1-skeleton, of
+    rank V - c for c components and without torsion, and the edges of a
+    spanning forest (``spanning_forest``) stand for its pivot rows.  They
+    may be cleared from d_2^T: for each vertex v, d_2^T d_1^T = 0 reads
+    sum_e delta(v)_e * delta(e) = 0 over the edges e at v, where delta(e) is
+    the column of edge e.  On the forest edges, the rows delta(v) of the
+    vertices other than each tree's root form the reduced incidence matrix
+    of the forest, which is square and unimodular (a leaf's row has one
+    entry; remove it and recurse).  Solving these relations for the forest
+    columns writes each as an integer combination of the other columns.
     """
     if p <= 0 or p > complex_.cap or complex_.n_faces(p) == 0:
         return (), 0, frozenset()
     cache = complex_.boundary_types
-    if p not in cache:
+    if p == 1 and p not in cache:
+        forest = complex_.spanning_forest()[1]
+        cache[p] = ((), len(forest), frozenset(forest))
+    elif p not in cache:
         _, _, cleared = _boundary_type(complex_, p - 1)
         pivot_rows: list[int] = []
         diag, rank = sparse_diagonal(complex_.coboundary_columns(p, cleared), pivot_rows)

@@ -24,6 +24,7 @@ import numpy as np
 from .errors import BudgetExceededError
 
 KERNEL_DENSE_LIMIT = 4000
+_PEEL_ENTRIES = 1 << 16  # matrix entries gathered at once by a round of ``_peel``
 
 
 @dataclass
@@ -164,7 +165,7 @@ class CSC:
     """A sparse integer matrix in compressed sparse columns: column c holds
     the rows ``rows[indptr[c]:indptr[c + 1]]`` (nonnegative, distinct), with
     the values in the same slice of ``values``.  ``rows`` are int32 or int64:
-    the peel's per-row sums pick their own dtype (``_int_dtype``), and
+    the peel's per-row counts and sums pick their own dtypes, and
     ``ufunc.at`` keeps numpy's fast path whatever the index dtype, as long as
     its target, values and scalar share one dtype."""
 
@@ -205,9 +206,10 @@ def _eliminate(matrix: CSC, track: bool = False, freeze: bool = False):
     column's entry is a unit iff the sign sum is nonzero.  A round takes the
     queued rows at count one with a unit entry, keeps for each column the
     first such row in queue order, and removes every entry of those columns
-    at once; the next queue is the rows the round left at count one, ordered
-    by their last decrement.  That is the order of a queue read one row at a
-    time: within a round each queued row has one live column, so only
+    at once (in chunks of bounded size, with the same result); the next
+    queue is the rows the round left at count one, ordered by their last
+    decrement.  That is the order of a queue read one row at a time:
+    within a round each queued row has one live column, so only
     peeling that column changes it, and such a loop peels, per column, the
     first unit row in queue order; a row joins the queue at the decrement
     that leaves it at one, its last of the round, and a row that falls to
@@ -326,22 +328,58 @@ def _eliminate(matrix: CSC, track: bool = False, freeze: bool = False):
 def _peel(matrix: CSC) -> tuple[np.ndarray, np.ndarray]:
     """The lone unit pivots of ``_eliminate``, in rounds: their rows, in the
     dtype of the matrix's rows, and their columns, in that of the per-row
-    sums, in peel order."""
+    sums, in peel order.
+
+    A round's entry arrays are bounded: the entries of its columns are
+    gathered in chunks of at most ``_PEEL_ENTRIES`` (a column at least), in
+    column order, and so are all entries when the per-row sums are first
+    taken.  The removals add up to the round's whichever the chunks, and
+    the order of last decrements is carried across them: each chunk lists,
+    in order, its decrements of the rows it leaves at count one.  A row
+    that ends the round at one was left at one by the last chunk that hit
+    it, and at more than one by the chunks before, so all its decrements in
+    that chunk are listed, its last decrement among them, and the lists, in
+    turn, keep the round's order of decrements.  So the next queue, the
+    listed rows still at one at the round's end ordered by their last
+    listed decrement, is the one an unchunked round would give."""
     indptr, rows, values = matrix.indptr, matrix.rows, matrix.values
     lengths = np.diff(indptr)
     starts = indptr[:-1].astype(_int_dtype(len(rows)))  # a round's positions are as narrow
+
     # per row: live entries (at most one per column), the sum of their
-    # columns (below count times columns), the sum of their unit signs
+    # columns (below count times columns), the sum of their unit signs; the
+    # count and the signs are below the largest count, in as few bytes
     count = np.zeros(int(rows.max(initial=-1)) + 1, dtype=_int_dtype(len(lengths)))
     np.add.at(count, rows, count.dtype.type(1))
-    dtype = _int_dtype(int(count.max(initial=0)) * len(lengths))
-    count = count.astype(dtype, copy=False)
-    one = dtype(1)  # every ufunc.at below has target, values and scalar of one dtype
-    total = np.zeros_like(count)
-    np.add.at(total, rows, np.repeat(np.arange(len(lengths), dtype=dtype), lengths))
+    most = int(count.max(initial=0))
+    dtype = _int_dtype(most * len(lengths))
+    count = count.astype(np.min_scalar_type(-most - 1))  # signed
+    one = count.dtype.type(1)  # each ufunc.at below has target, values and scalar of one dtype
+    total = np.zeros(len(count), dtype=dtype)
     signs = np.zeros_like(count)
-    _add_unit_signs(signs, rows, values, one)
-    peeled_rows, peeled_cols = [rows[:0]], [count[:0]]
+
+    def chunks(cols=None):
+        """The entries of the given columns (all of them by default, read in
+        place), in turn, in chunks: (columns, their lengths, the entries'
+        rows, the entries' values)."""
+        lens = lengths if cols is None else lengths[cols]
+        ends = np.cumsum(lens)
+        lo = 0
+        while lo < len(lens):
+            hi = max(int(np.searchsorted(ends, ends[lo] - lens[lo] + _PEEL_ENTRIES, "right")),
+                     lo + 1)
+            if cols is None:
+                at = slice(indptr[lo], indptr[hi])
+                yield np.arange(lo, hi, dtype=dtype), lens[lo:hi], rows[at], values[at]
+            else:
+                at = _spans(starts[cols[lo:hi]], lens[lo:hi])
+                yield cols[lo:hi], lens[lo:hi], rows[at], values[at]
+            lo = hi
+
+    for cols, lens, hit, hit_values in chunks():
+        np.add.at(total, hit, np.repeat(cols, lens))
+        _add_unit_signs(signs, hit, hit_values, one)
+    peeled_rows, peeled_cols = [rows[:0]], [total[:0]]
     queue = np.flatnonzero(count == 1).astype(rows.dtype)
     while len(queue):
         ready = queue[(count[queue] == 1) & (signs[queue] != 0)]
@@ -350,19 +388,18 @@ def _peel(matrix: CSC) -> tuple[np.ndarray, np.ndarray]:
         first.sort()
         ready = ready[first]
         cols = total[ready]
-        lens = lengths[cols]
-        at = _spans(starts[cols], lens)
-        hit, hit_values = rows[at], values[at]
-        del at  # a round's entry arrays set the peel's peak memory
-        _add_unit_signs(signs, hit, hit_values, -one)
-        np.subtract.at(count, hit, one)
-        np.subtract.at(total, hit, np.repeat(cols, lens))
+        ones = [rows[:0]]
+        for chunk, lens, hit, hit_values in chunks(cols):
+            _add_unit_signs(signs, hit, hit_values, -one)
+            np.subtract.at(count, hit, one)
+            np.subtract.at(total, hit, np.repeat(chunk, lens))
+            ones.append(hit[count[hit] == 1])  # each decrement leaving a row at one
         # the rows left at count one, each at its last decrement, in order
-        ones = np.flatnonzero(count[hit] == 1)[::-1]
-        ones = ones[np.unique(hit[ones], return_index=True)[1]]
-        ones.sort()
-        queue = hit[ones]
-        del hit, hit_values
+        ones = np.concatenate(ones)
+        last = np.flatnonzero(count[ones] == 1)[::-1]
+        last = last[np.unique(ones[last], return_index=True)[1]]
+        last.sort()
+        queue = ones[last]
         peeled_rows.append(ready)
         peeled_cols.append(cols)
     return np.concatenate(peeled_rows), np.concatenate(peeled_cols)

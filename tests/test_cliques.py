@@ -62,6 +62,22 @@ def assert_same_rows(cx, oracle):
         assert np.array_equal(fs, expected)
 
 
+def assert_kernel_facets(cx, copy=None):
+    """The facet table the kernel stored for each dimension it built
+    against the lookup of a copy of the complex that has none stored, by
+    default a ``from_faces`` copy."""
+    if copy is None:
+        copy = complexes.SimplicialComplex.from_faces(
+            cx.labels, [f for fs in cx.faces for f in fs.tolist()], cap=cx.cap)
+    assert not copy._facets
+    for p in range(1, cx.cap + 1):
+        assert np.array_equal(copy.faces[p], cx.faces[p])
+        if cx.n_faces(p):
+            table = cx._facets[p]
+            assert table.dtype == np.int32
+            assert np.array_equal(table, copy.facets(p))
+
+
 def meet(masks, subset):
     common = -1
     for v in subset:
@@ -284,6 +300,7 @@ def test_array_kernel_matches_the_recursive_kernel_on_nerves(points, shift, spre
         cx = clique_complex(range(len(masks)), set_adjacency(sets), cap, sets, what="nerve")
     assert_same_rows(cx, recursive_clique_faces(pairwise_adjacency(masks), cap, masks))
     assert_indices_round_trip(cx)
+    assert_kernel_facets(cx)
 
 
 @settings(max_examples=150, deadline=None)
@@ -303,6 +320,7 @@ def test_array_kernel_matches_the_recursive_kernel_on_cliques(graph, cap, block)
         mp.setattr(complexes, "_BLOCK", block)
         cx = clique_complex(range(n), upper_rows(adj), cap, what="rips complex")
     assert_same_rows(cx, recursive_clique_faces(adj, cap))
+    assert_kernel_facets(cx)
 
 
 LADDER_GROUP = GroupSpec.free_product(
@@ -326,6 +344,7 @@ def test_array_kernel_matches_the_recursive_kernel_on_ladder_nerves(rg, lmax):
     assert_same_rows(cx, recursive_clique_faces(pairwise_adjacency(masks), 2, masks))
     if rg == 3:
         assert [cx.n_faces(p) for p in range(3)] == [715, 13_414, 218_686]
+        assert_kernel_facets(cx, complexes.SimplicialComplex(cx.labels, cx.faces, cx.cap))
 
 
 def test_array_kernel_matches_the_recursive_kernel_at_cap_3(monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from horokit import complexes
 from horokit.complexes import (
     SimplicialComplex,
     SimplicialMap,
@@ -166,15 +167,19 @@ def _check_coboundary(c, p, cleared):
 
 
 @settings(max_examples=150, deadline=None)
-@given(complexes_up_to_cap_4(), st.data())
-def test_csc_coboundary_is_the_transpose_of_the_boundary(c, data):
+@given(complexes_up_to_cap_4(), st.data(), st.sampled_from([1, 2, 7, complexes._BLOCK]))
+def test_csc_coboundary_is_the_transpose_of_the_boundary(c, data, block):
+    # a small block splits the coboundary's counting sort between the
+    # entries of one face and of one column
     for p in range(1, c.cap + 1):
         table = c.facets(p)
         assert table.dtype == np.int32 and table.shape == (c.n_faces(p), p + 1)
         assert table.tolist() == _sliced_facets(c, p)
         marks = data.draw(st.lists(st.booleans(), min_size=c.n_faces(p - 1),
                                    max_size=c.n_faces(p - 1)))
-        _check_coboundary(c, p, frozenset(r for r, mark in enumerate(marks) if mark))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complexes, "_BLOCK", block)
+            _check_coboundary(c, p, frozenset(r for r, mark in enumerate(marks) if mark))
 
 
 def test_facet_codes_do_not_overflow_at_the_vertex_budget():

@@ -1,3 +1,4 @@
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -295,7 +296,8 @@ def test_induced_maps_compose(cx, data):
 
 def _check_cleared_types(cx, order):
     """``_boundary_type`` asked in ``order`` against sympy's Smith form of the
-    untransposed d_p, and the number of coboundary columns it eliminated."""
+    untransposed d_p, and the number of coboundary columns it eliminated.
+    d_1 is read off a spanning forest, so nothing is eliminated at p = 1."""
     built = {}
     build = SimplicialComplex.coboundary_columns
 
@@ -312,20 +314,32 @@ def _check_cleared_types(cx, order):
         invariants = _sympy_invariants(cx, p)
         assert (torsion, rank) == (tuple(d for d in invariants if d > 1), len(invariants))
         assert len(pivots) <= rank
-    for p in range(1, cx.cap + 1):
+    assert 1 not in built
+    for p in range(2, cx.cap + 1):
         if cx.n_faces(p):
             # every (p-1)-face but the unit pivot rows of d_{p-1}^T is a column
             assert built[p] == cx.n_faces(p - 1) - len(_boundary_type(cx, p - 1)[2])
+    if cx.cap >= 1:
+        _check_forest(cx, _boundary_type(cx, 1)[2])
     return built
+
+
+def _check_forest(cx, forest):
+    """The rows d_1 clears are the edges of a spanning forest: n_0 - c of
+    them, acyclic, with the complex's c components (networkx)."""
+    components = len(set(cx.components()))
+    assert len(forest) == cx.n_faces(0) - components
+    graph = nx.Graph()
+    graph.add_nodes_from(range(cx.n_faces(0)))
+    graph.add_edges_from(cx.faces[1][sorted(forest)].tolist())
+    assert nx.is_forest(graph) and nx.number_connected_components(graph) == components
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_complexes(), st.data())
 def test_cleared_coboundary_types_match_sympy(cx, data):
     order = data.draw(st.permutations(range(1, cx.cap + 2)))
-    built = _check_cleared_types(cx, order)
-    if cx.n_faces(1):
-        assert built[1] == cx.n_faces(0)  # nothing is cleared at p = 1
+    _check_cleared_types(cx, order)
 
 
 def test_cleared_coboundary_types_match_sympy_on_torsion_fixtures():

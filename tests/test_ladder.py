@@ -64,3 +64,39 @@ def test_ladder_runs_rg1_at_stage_1(tmp_path, monkeypatch):
                           "--stage", "1", "--lmax", "10")
     assert all((r["stage"], r["lmax"]) == (1, 10) for r in runs)
     assert all("--stage 1 --instance" in r["argv"] for r in runs)
+
+
+def test_ladder_repeat_reports_the_median_of_each_rung(tmp_path, monkeypatch):
+    runs = check_rg1_runs(("homology",), tmp_path, monkeypatch, "--repeat", "3")
+    for r in runs:
+        assert len(r["wall_s_runs"]) == len(r["peak_rss_mb_runs"]) == 3
+        assert r["wall_s"] == sorted(r["wall_s_runs"])[1]
+        assert r["peak_rss_mb"] == sorted(r["peak_rss_mb_runs"])[1]
+
+
+def test_ladder_exits_1_when_the_repeats_of_a_rung_disagree(monkeypatch, capsys):
+    ladder = _ladder_module()
+    calls = []
+
+    def fake(argv, cwd, env):
+        calls.append(argv[-1])
+        # the m5 rung's report changes on its second run
+        digest = "b" if calls.count(argv[-1]) == 2 and "m5" in argv[-1] else "a"
+        return {"argv": " ".join(argv), "exit": 0, "wall_s": len(calls) / 10,
+                "peak_rss_mb": 40.0 + len(calls), "report_sha256": digest, "stderr": ""}
+
+    monkeypatch.setattr(ladder, "run_verdict", fake)
+    argv = ["--rg", "1", "--cosets", "m5", "all", "--repeat", "3"]
+    assert ladder.main(argv) == 1
+    assert calls == ["rg1_m5.json", "rg1_all.json"] * 3  # interleaved
+    captured = capsys.readouterr()
+    assert captured.err == "ladder: the repeats of homology rg1 m5 disagree\n"
+    out = json.loads(captured.out)
+    assert out["repeat"] == 3
+    m5, every = out["runs"]
+    assert (m5["wall_s_runs"], m5["wall_s"], m5["peak_rss_mb"]) == ([0.1, 0.3, 0.5], 0.3, 43.0)
+    assert every["peak_rss_mb_runs"] == [42.0, 44.0, 46.0]
+    monkeypatch.setattr(ladder, "run_verdict", lambda argv, cwd, env: {
+        **fake(argv, cwd, env), "report_sha256": "a"})
+    calls.clear()
+    assert ladder.main(argv) == 0

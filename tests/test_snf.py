@@ -305,6 +305,42 @@ def test_peel_of_a_long_path_matches_the_scalar_peel():
     assert len(rows) == n
 
 
+def _check_chunked_peel(matrix):
+    """The peel with its rounds gathered in chunks of 1, 7 and the default
+    number of entries against one chunk per round: the same pivot rows and
+    columns, in the same order, and the same frozen elimination."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snf, "_PEEL_ENTRIES", len(matrix.rows) + 1)
+        want_rows, want_cols = (x.tolist() for x in snf._peel(matrix))
+        want = _eliminate(matrix, track=True, freeze=True)
+    for bound in (1, 7, snf._PEEL_ENTRIES):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(snf, "_PEEL_ENTRIES", bound)
+            rows, cols = snf._peel(matrix)
+            assert rows.tolist() == want_rows and cols.tolist() == want_cols
+            assert _eliminate(matrix, track=True, freeze=True) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(peel_matrices())
+def test_chunked_peel_rounds_match_one_chunk_per_round(matrix):
+    _check_chunked_peel(matrix)
+
+
+def test_chunked_peel_on_random_sparse_matrices_and_a_path():
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        cols = []
+        for _ in range(300):
+            rows = rng.choice(200, size=rng.integers(1, 7), replace=False).tolist()
+            cols.append(dict(zip(rows, rng.choice([1, -1, 1, -1, 2, 0], size=len(rows)).tolist())))
+        _check_chunked_peel(_csc(cols, np.int8))
+    # the long cascade: one pivot from each end of the path per round
+    n = 2_000
+    path = SimplicialComplex.from_faces(list(range(n + 1)), [(i, i + 1) for i in range(n)])
+    _check_chunked_peel(csc_columns(path.boundary_columns(1)))
+
+
 def test_snf_known_example():
     a = np.array([[2, 4, 4], [-6, 6, 12], [10, 4, 16]])
     assert smith_normal_form(a).diag == [2, 2, 156]
