@@ -226,10 +226,10 @@ class SimplicialComplex:
         # a stable counting sort of the table's entries by face, in blocks of
         # about ``_BLOCK`` entries: count each kept column's entries, then
         # place each block's entries, sorted by face and coface, at the next
-        # free slots of their columns
+        # free slots of their columns (``add.at`` counts with no copy of the
+        # int32 table, where ``bincount`` would widen it to int64)
         count = np.zeros(n, dtype=np.int64)
-        for lo in range(0, len(table), step):
-            count += np.bincount(table[lo : lo + step].ravel(), minlength=n)
+        np.add.at(count, table.ravel(), np.int64(1))
         count[~keep] = 0
         free = _offsets(count)
         indptr = free[np.append(np.flatnonzero(keep), n)]
