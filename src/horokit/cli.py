@@ -141,16 +141,16 @@ def _cmd_delta(args) -> int:
     return 0
 
 
-def _family_nerve(args):
-    """The --family of the stage decomposition, and its nerve to --dimcap."""
+def _family(args):
+    """The --family of the stage decomposition."""
     space = resolve_instance(args.instance)
     dec = decompose(space, args.stage, SCHEDULES[args.schedule])
-    fam = getattr(dec, args.family)
-    return fam, nerve(fam, cap=args.dimcap)
+    return getattr(dec, args.family)
 
 
 def _cmd_nerve(args) -> int:
-    fam, cx = _family_nerve(args)
+    fam = _family(args)
+    cx = nerve(fam, cap=args.dimcap, facet_tables=False)  # faces only
     report = _report(
         "nerve",
         {
@@ -177,7 +177,7 @@ def _cmd_homology(args) -> int:
     if not 0 <= args.degree <= args.dimcap:  # refused before any build
         raise ValueError(f"homology --degree {args.degree} is outside 0..{args.dimcap}, "
                          f"the nerve's --dimcap")
-    _, cx = _family_nerve(args)
+    cx = nerve(_family(args), cap=args.dimcap)
     groups = {
         str(p): homology_type(cx, p).as_dict() for p in range(args.degree + 1)
     }

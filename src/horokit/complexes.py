@@ -9,8 +9,8 @@ boundary, coboundary and chain maps is built from the arrays in numpy.
 
 Every nerve and Rips face is enumerated here, by the clique kernel
 ``clique_complex``, which builds each dimension from the one below in numpy
-blocks, with its facet table, and checks the face budget on each block
-before storing it;
+blocks, with its facet tables when the caller reads facets, and checks the
+face budget on each block before storing it;
 ``set_nerve`` builds the nerves of covers on it, and ``rips`` the Rips
 complexes.  Below the cap, ``mv`` and ``opencone`` take homology on the
 nerve of a family's dominated-column core (``set_core_nerve``) instead.
@@ -239,7 +239,10 @@ class SimplicialComplex:
         signs = np.array(_signs(p), dtype=np.int8)
         # an entry's int64 sort key holds, from the top, its face (n for a
         # cleared one, past the last), its coface's place in the block and
-        # its facet, in fields of s - b and b bits
+        # its facet, in fields of s - b and b bits (a stable argsort of the
+        # block's faces gives the same order, but took 0.028 s against the
+        # key's 0.017 s on the rg=3 nerve's d_2^T, and 0.76 against 0.48 s
+        # on rg=5)
         b = p.bit_length()
         s = b + step.bit_length()
         head_key = np.arange(n, dtype=np.int64)
@@ -325,7 +328,10 @@ def _signs(p: int) -> list[int]:
 FACES_PER_VERTEX = 10  # the face budget is this many times the vertex budget
 # candidate faces per numpy block of the clique kernel (a block's common
 # words take several int64 arrays), and table entries per block of
-# ``coboundary_columns``
+# ``coboundary_columns``: the largest power of two that leaves the peak of
+# the rg=3 whole nerve's degree-2 homology unraised (46.0 MB at 1 << 13 to
+# 1 << 15, 50.4 at 1 << 16); times from 1 << 13 to 1 << 17 were within the
+# noise there and on rg=5
 _BLOCK = 1 << 15
 _POINT_BLOCK = 1 << 20  # gathered star entries per numpy block of ``set_adjacency``
 
@@ -367,35 +373,40 @@ def _stars(sets: PointSets):
 
 def clique_complex(labels: Sequence, adjacency, cap: int,
                    sets: PointSets | None = None, *,
-                   what: str) -> SimplicialComplex:
+                   what: str, facet_tables: bool = True) -> SimplicialComplex:
     """Complex of the cliques of the graph ``adjacency`` with at most cap+1
-    vertices, with the facet table of each dimension it builds.  The graph
-    comes as upper-neighbour compressed rows (start per vertex and the end,
-    int64 neighbours): row i holds the neighbours j > i, increasing, as
-    ``set_adjacency`` gives them.  With ``sets`` a clique of two or more
-    vertices counts only when their sets have a common point (a nerve).  No
-    clique past the cap is looked for.
+    vertices.  The graph comes as upper-neighbour compressed rows (start per
+    vertex and the end, int64 neighbours): row i holds the neighbours j > i,
+    increasing, as ``set_adjacency`` gives them.  With ``sets`` a clique of
+    two or more vertices counts only when their sets have a common point (a
+    nerve).  No clique past the cap is looked for.
 
     Each dimension is built from the one below by increasing extensions
     (Zomorodian, "Fast construction of the Vietoris-Rips complex", 2010), as
     one array, in numpy blocks of about ``_BLOCK`` candidates.  The
     candidates of a p-face f are the upper neighbours c of its last vertex
     (of the kept edges, once there are edges), in increasing order, so each
-    dimension comes out lexicographic.  A candidate is kept when every facet
-    (f - v_i) + c, i <= p, is a p-face, looked up by its code (the index of
-    f - v_i, from f's row of the facet table, times n, plus c), and, in a
-    nerve, when the face's common points meet the candidate's set; the
-    common points are kept as their nonzero 64-bit words (``_set_words``),
-    so every face passes the full test.  In a flag complex the facets are
-    faces iff c is adjacent to every vertex of f, and in a nerve every facet
-    of a face with a common point has one, so the facet test keeps what an
-    edge test would.  The positions it finds, and f itself for the facet
-    without c, are the new face's row of the facet table (``facets``).  Two
-    facets come without a lookup: at p = 0, (f - v_0) + c is the vertex c,
-    and at p = 1 it is the candidate's own edge (v_1, c), at the candidate's
-    position among the kept edges.  The kept faces count against the face
-    budget, ``FACES_PER_VERTEX`` times the vertex budget, block by block: a
-    block that takes the count past it is refused before it is stored."""
+    dimension comes out lexicographic.  Past p = 0 a candidate is kept when
+    the facet (f - v_p) + c is a p-face, looked up by its code (the index of
+    f's prefix f - v_p times n, plus c), and, in a nerve, when the face's
+    common points meet the candidate's set; the common points are kept as
+    their nonzero 64-bit words (``_set_words``), so every face passes the
+    full test.  In a flag complex that facet is a face iff c is adjacent to
+    v_0, ..., v_{p-1}, as it is to v_p, so f + c is a clique; in a nerve it
+    is a face iff those sets have a common point.  Either way, once f + c is
+    kept, every facet (f - v_i) + c is a face.
+
+    With ``facet_tables`` (for callers that read facets, as the homology
+    path does) each dimension's facet table is built here and handed to the
+    complex, so ``facets`` does no work: facet 0 is the vertex c at p = 0
+    and the candidate's own edge (v_1, c) at p = 1, at its position among
+    the kept edges; facet p is the one the test found; the others, i < p at
+    p >= 2, are looked up on the kept faces only; facet p + 1 is f.  Without
+    them the kernel keeps only each face's prefix below the top dimension,
+    for the codes the next dimension's test looks up, and ``facets`` looks
+    a table up on first use.  The kept faces count against the face budget,
+    ``FACES_PER_VERTEX`` times the vertex budget, block by block: a block
+    that takes the count past it is refused before it is stored."""
     limit = vertex_budget() * FACES_PER_VERTEX
     starts, nbrs = adjacency
     n = len(starts) - 1
@@ -403,7 +414,7 @@ def clique_complex(labels: Sequence, adjacency, cap: int,
     _check_budget(count, limit, what)
     faces = [np.arange(n, dtype=np.int32).reshape(n, 1)]
     tables: dict[int, np.ndarray] = {}
-    commons = columns = codes = None
+    commons = columns = codes = heads = None
     if sets is not None and len(nbrs):
         commons, columns = _set_words(sets)
     for p in range(cap):
@@ -413,14 +424,15 @@ def clique_complex(labels: Sequence, adjacency, cap: int,
             break
         grow = commons is not None and p + 1 < cap  # the next dimension needs them
         ends = np.cumsum(deg)
-        # the dimension and its facet table are written once, into arrays
-        # with room for every candidate (or the rest of the budget), a kept
-        # face's common words being at most its face's; room never written
-        # takes no memory, and is cut off in place at the end (``resize``
-        # reallocates, a slice would be copied)
+        # the dimension and its facet table (or its prefix column, the last,
+        # or nothing) are written once, into arrays with room for every
+        # candidate (or the rest of the budget), a kept face's common words
+        # being at most its face's; room never written takes no memory, and
+        # is cut off in place at the end (``resize`` reallocates, a slice
+        # would be copied)
         room = min(int(ends[-1]), limit - count)
         new = np.empty((room, p + 2), dtype=np.int32)
-        table = np.empty((room, p + 2), dtype=np.int32)
+        table = np.empty((room, p + 2 if facet_tables else int(p + 1 < cap)), dtype=np.int32)
         used = 0
         if grow:
             per_face = np.diff(commons[0])
@@ -432,29 +444,33 @@ def clique_complex(labels: Sequence, adjacency, cap: int,
         lo = 0
         while lo < len(cur):
             hi = max(int(np.searchsorted(ends, ends[lo] - deg[lo] + _BLOCK, "right")), lo + 1)
-            rep = np.repeat(np.arange(lo, hi), deg[lo:hi])  # the face of each candidate
+            rep = np.repeat(np.arange(lo, hi), deg[lo:hi])  # the face f of each candidate c
             at = _spans(starts[cur[lo:hi, p]], deg[lo:hi])
             cand = nbrs[at]
-            # the new faces' facets i <= p, filled by lookup past the first
-            # at p <= 1: the vertex c, then the candidate's own edge
-            found = [cand] if p == 0 else [at] if p == 1 else []
-            for i in range(len(found), p + 1):
-                index = _lookup(codes, np.multiply(below[rep, i], n, dtype=np.int64) + cand)
+            # the new faces' facets found so far, by i
+            found = {0: cand if p == 0 else at} if p < 2 and facet_tables else {}
+            if p:  # the test: facet p, f's prefix followed by c, is a p-face
+                index = _lookup(codes, np.multiply(heads[rep], n, dtype=np.int64) + cand)
                 keep = index >= 0
                 rep, cand = rep[keep], cand[keep]
-                found = [f[keep] for f in found] + [index[keep]]
+                found = {i: f[keep] for i, f in found.items()}
+                if facet_tables:
+                    found[p] = index[keep]
             if commons is not None:
                 keep, meet = _meet(commons, rep, cand, columns)
                 rep, cand = rep[keep], cand[keep]
-                found = [f[keep] for f in found]
+                found = {i: f[keep] for i, f in found.items()}
             count += len(rep)
             _check_budget(count, limit, what)
             end = used + len(rep)
             new[used:end, : p + 1] = cur[rep]
             new[used:end, p + 1] = cand
-            for i, index in enumerate(found):
-                table[used:end, i] = index
-            table[used:end, p + 1] = rep
+            if facet_tables:
+                for i in range(p + 1):
+                    table[used:end, i] = found[i] if i in found else _lookup(
+                        codes, np.multiply(below[rep, i], n, dtype=np.int64) + cand)
+            if table.shape[1]:
+                table[used:end, -1] = rep
             if grow:
                 wend = wused + len(meet[1])
                 sizes[used:end], positions[wused:wend], words[wused:wend] = meet
@@ -462,14 +478,16 @@ def clique_complex(labels: Sequence, adjacency, cap: int,
             used = end
             lo = hi
         new.resize((used, p + 2), refcheck=False)
-        table.resize((used, p + 2), refcheck=False)
+        table.resize((used, table.shape[1]), refcheck=False)
         faces.append(new)
-        tables[p + 1] = table
+        if facet_tables:
+            tables[p + 1] = table
         if p == 0:  # from here on, the candidates are the kept edges' ends
             starts = np.searchsorted(new[:, 0], np.arange(n + 1))
             nbrs = new[:, 1].astype(np.int64)
-        if p + 1 < cap:  # the new faces' codes, for the next dimension's lookups
-            codes = np.multiply(table[:, p + 1], n, dtype=np.int64) + new[:, p + 1]
+        if p + 1 < cap:  # the new faces' prefixes and codes, for the next test
+            heads = table[:, -1]
+            codes = np.multiply(heads, n, dtype=np.int64) + new[:, p + 1]
         if grow:
             positions.resize(wused, refcheck=False)
             words.resize(wused, refcheck=False)
@@ -591,10 +609,13 @@ def set_adjacency(sets: PointSets) -> tuple[np.ndarray, np.ndarray]:
     return _offsets(np.bincount(code // max(n, 1), minlength=n)), code % max(n, 1)
 
 
-def set_nerve(labels: Sequence, sets: PointSets, cap: int) -> SimplicialComplex:
+def set_nerve(labels: Sequence, sets: PointSets, cap: int,
+              facet_tables: bool = True) -> SimplicialComplex:
     """Nerve of a family of point sets up to the cap: a simplex per
-    subfamily with a common point."""
-    return clique_complex(labels, set_adjacency(sets), cap, sets, what="nerve")
+    subfamily with a common point (with its facet tables, or without them
+    for a caller that reads faces only: ``clique_complex``)."""
+    return clique_complex(labels, set_adjacency(sets), cap, sets, what="nerve",
+                          facet_tables=facet_tables)
 
 
 def set_core(sets: PointSets) -> tuple[list[int], list[int]]:

@@ -301,12 +301,13 @@ def decompose(space: AugmentedSpace, n: int, schedule: Schedule) -> Decompositio
 # -- nerves ------------------------------------------------------------------
 
 
-def nerve(family: Family, cap: int) -> SimplicialComplex:
+def nerve(family: Family, cap: int, facet_tables: bool = True) -> SimplicialComplex:
     """Nerve of the family: a simplex per subfamily with common intersection
-    (``complexes.set_nerve`` of the columns' points)."""
+    (``complexes.set_nerve`` of the columns' points), with its facet tables
+    unless the caller reads faces only."""
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    return set_nerve(tuple(family.centers), family.sets(), cap)
+    return set_nerve(tuple(family.centers), family.sets(), cap, facet_tables)
 
 
 def core_nerve(family: Family, cap: int) -> tuple[SimplicialComplex, dict[Vertex, int]]:
@@ -381,7 +382,8 @@ def contiguous_cover_maps(f: CoverMap, g: CoverMap, cap: int):
     failing = ~_common_point(both, starts, members)
     cut = failing[source.points]
     centers = tuple(f.source.centers)
-    cx = set_nerve(centers, PointSets(_offsets(cut)[source.indptr], source.points[cut]), cap)
+    cx = set_nerve(centers, PointSets(_offsets(cut)[source.indptr], source.points[cut]), cap,
+                   facet_tables=False)
     # each face list is lexicographic, so the least failing face is the least
     # of the first failures per dimension
     least = None

@@ -298,9 +298,12 @@ def test_array_kernel_matches_the_recursive_kernel_on_nerves(points, shift, spre
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexes, "_BLOCK", block)
         cx = clique_complex(range(len(masks)), set_adjacency(sets), cap, sets, what="nerve")
+        bare = clique_complex(range(len(masks)), set_adjacency(sets), cap, sets, what="nerve",
+                              facet_tables=False)
     assert_same_rows(cx, recursive_clique_faces(pairwise_adjacency(masks), cap, masks))
     assert_indices_round_trip(cx)
     assert_kernel_facets(cx)
+    assert_kernel_facets(cx, bare)  # the same faces, and the lookup path's tables
 
 
 @settings(max_examples=150, deadline=None)
@@ -319,8 +322,11 @@ def test_array_kernel_matches_the_recursive_kernel_on_cliques(graph, cap, block)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(complexes, "_BLOCK", block)
         cx = clique_complex(range(n), upper_rows(adj), cap, what="rips complex")
+        bare = clique_complex(range(n), upper_rows(adj), cap, what="rips complex",
+                              facet_tables=False)
     assert_same_rows(cx, recursive_clique_faces(adj, cap))
     assert_kernel_facets(cx)
+    assert_kernel_facets(cx, bare)
 
 
 LADDER_GROUP = GroupSpec.free_product(

@@ -268,6 +268,6 @@ def test_guard_flags_a_default_every_program_call_overrides(tmp_path):
     covers = copy / "covers.py"
     head = "def nerve(family: Family, cap: int"
     text = covers.read_text()
-    assert text.count(head + ")") == 1
-    covers.write_text(text.replace(head + ")", head + " = 3)"))
+    assert text.count(head + ",") == 1
+    covers.write_text(text.replace(head + ",", head + " = 3,"))
     assert overridden_defaults(tmp_path) == sorted([*OVERRIDDEN_ALLOWED, "covers.nerve(cap)"])
