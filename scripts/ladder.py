@@ -18,6 +18,11 @@ With ``--repeat N`` every (verdict, rg, cosets) runs N times, interleaved:
 the whole product once, then again, so that a drift of the machine falls on
 every rung alike.
 
+Before the first rung the package is byte-compiled once, untimed
+(``compileall`` writes the ``.pyc`` files even under
+``PYTHONDONTWRITEBYTECODE=1``), so that no rung times the compilation of
+every ``horokit`` module.
+
 Standard output is one JSON object.  Its ``src_lines`` is the line count
 of ``src/horokit/*.py`` (as ``wc -l`` counts them), and its ``runs`` give
 per (verdict, rg, cosets) the rung, the stage and lmax, the argv, the exit
@@ -34,6 +39,7 @@ such rung is named on standard error), 2 on a usage error.
 from __future__ import annotations
 
 import argparse
+import compileall
 import hashlib
 import json
 import os
@@ -130,6 +136,7 @@ def main(argv=None) -> int:
     rungs = [(verdict, rg, cosets) for verdict in args.verdict
              for rg in args.rg for cosets in args.cosets]
     results: dict[tuple, list[dict]] = {rung: [] for rung in rungs}
+    compileall.compile_dir(ROOT / "src" / "horokit", quiet=2)
     with tempfile.TemporaryDirectory(prefix="horokit-ladder-") as tmp:
         work = pathlib.Path(tmp)
         for _ in range(args.repeat):

@@ -15,6 +15,7 @@ invariant factors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,10 +24,10 @@ from .snf import (
     _clear_pivot_rows,
     _dense,
     _eliminate,
+    column_hnf,
     csc_columns,
     kernel_lattice,
     lattice_coords,
-    lattice_sum,
     smith_normal_form,
     sparse_diagonal,
 )
@@ -220,9 +221,10 @@ class DegreeCoordinates:
         self._slot = {c: i for i, c in enumerate(unmatched)}
         self._basis = [chains[c] for c in unmatched]
         self._residue_faces = sorted(residue)
-        self._kernel = kernel_lattice(_dense(residue))
-        for column in self._kernel.T:
-            kernel = {c: int(x) for c, x in zip(self._residue_faces, column) if x}
+        self._kernel = kernel_lattice([residue[c] for c in self._residue_faces],
+                                      complex_.n_faces(degree - 1), [])
+        for column in self._kernel.values():
+            kernel = {self._residue_faces[j]: x for j, x in column.items()}
             self._basis.append(chain_image(chains, kernel))
         # the boundaries in cycle coordinates
         expr = [self._cycle_coords(col) for col in complex_.boundary_columns(degree + 1)]
@@ -241,7 +243,7 @@ class DegreeCoordinates:
         residue's kernel basis."""
         out = {self._slot[r]: v for r, v in cycle.items() if v and r in self._slot}
         if self._residue_faces:
-            part = [cycle.get(c, 0) for c in self._residue_faces]
+            part = {j: cycle[c] for j, c in enumerate(self._residue_faces) if c in cycle}
             coords = lattice_coords(self._kernel, part)
             out.update((len(self._slot) + j, y) for j, y in enumerate(coords) if y)
         return out
@@ -283,17 +285,9 @@ class DegreeCoordinates:
 # -- maps between groups ------------------------------------------------------
 
 
-def _relation_lattice(group) -> np.ndarray:
-    cols = []
-    dim = group.dim
-    for i, d in enumerate(group.orders):
-        if d:
-            col = [0] * dim
-            col[i] = d
-            cols.append(col)
-    if not cols:
-        return np.zeros((dim, 0), dtype=object)
-    return np.array(cols, dtype=object).T
+def relation_columns(group) -> list[dict[int, int]]:
+    """The torsion relations of a group: one column {i: d} per order d > 0."""
+    return [{i: d} for i, d in enumerate(group.orders) if d]
 
 
 @dataclass
@@ -323,15 +317,17 @@ class GroupMap:
             raise ValueError("composition type mismatch")
         return GroupMap(other.source, self.target, self.matrix @ other.matrix)
 
-    def image_lattice(self) -> np.ndarray:
-        return lattice_sum(
-            np.array(self.matrix, dtype=object), _relation_lattice(self.target)
-        )
+    def columns(self) -> list[dict[int, int]]:
+        """The matrix's columns as sparse {row: value} vectors."""
+        return [{i: int(x) for i, x in enumerate(col) if x} for col in self.matrix.T]
 
-    def kernel_lattice(self) -> np.ndarray:
+    def image_lattice(self) -> dict[int, dict[int, int]]:
+        return column_hnf(chain(self.columns(), relation_columns(self.target)))
+
+    def kernel_lattice(self) -> dict[int, dict[int, int]]:
         """Preimage in Z^source_dim of the target's torsion relations."""
-        ker = kernel_lattice(self.matrix, _relation_lattice(self.target))
-        return lattice_sum(ker, _relation_lattice(self.source))
+        ker = kernel_lattice(self.columns(), self.target.dim, relation_columns(self.target))
+        return column_hnf(chain(ker.values(), relation_columns(self.source)))
 
 
 def identity_map(group) -> GroupMap:
@@ -378,8 +374,8 @@ def exactness_check(f: GroupMap, g: GroupMap) -> ExactnessResult:
         raise ValueError("shape mismatch between incoming and outgoing maps")
     im = f.image_lattice()
     ker = g.kernel_lattice()
-    im_in_ker = all(lattice_coords(ker, col) is not None for col in im.T)
-    ker_in_im = all(lattice_coords(im, col) is not None for col in ker.T)
+    im_in_ker = all(lattice_coords(ker, col) is not None for col in im.values())
+    ker_in_im = all(lattice_coords(im, col) is not None for col in ker.values())
     note = ""
     if not im_in_ker:
         note = "image not contained in kernel (composite nonzero)"

@@ -46,6 +46,7 @@ from .homology import (
     induced_map,
     stack_maps,
 )
+from .snf import kernel_budget
 from .spaces import AugmentedSpace, interior_window
 from .towers import Tower, inverse_limit, ml_lim1
 
@@ -204,8 +205,11 @@ def check_mv_exactness(stage: MVStage) -> MVVerdict:
 
     (i, -j) followed by [k | l] is k∘i - l∘j, so the two composites through
     thick and cusp agree exactly when every degree's incoming image lies in
-    the outgoing kernel."""
+    the outgoing kernel.  Each slot's kernel lattice is budgeted before the
+    first induced map, in the order the slots are checked."""
     sk = stage.coords
+    for width in _kernel_widths(stage):
+        kernel_budget(width)
     degrees = {}
     snakes, intos = {}, {}
     for p in stage.degrees():
@@ -252,6 +256,20 @@ def check_mv_exactness(stage: MVStage) -> MVVerdict:
         f"interface slot at degree {stage.cap - 1} needs the degree-{stage.cap} snake",
     ]
     return MVVerdict(stage.stage, degrees, composites_agree, cap_limited)
+
+
+def _kernel_widths(stage: MVStage):
+    """The column counts of the kernel lattices ``check_mv_exactness`` takes,
+    in turn: the outgoing map's source dimension plus its target's torsion,
+    for the middle and whole slots of each degree, then the interface slots."""
+    group = {key: coords.group for key, coords in stage.coords.items()}
+    for p in stage.degrees():
+        yield group["thick", p].dim + group["cusp", p].dim + len(group["whole", p].torsion)
+        if p >= 1:
+            yield group["whole", p].dim + len(group["interface", p - 1].torsion)
+    for p in range(stage.cap - 1):
+        yield (group["interface", p].dim + len(group["thick", p].torsion)
+               + len(group["cusp", p].torsion))
 
 
 # -- cusp vanishing -----------------------------------------------------------

@@ -8,8 +8,11 @@ such matrices) and hands any small residue to the dense Smith form;
 columns the previous degree paired cleared away) and, tracking column
 combinations and keeping the pivot columns, for homology coordinates.  The
 dense Smith form gives invariant factors and, on request, its row transform.
-Every lattice question (kernels and preimages, membership, coordinates in a
-basis) goes through one Hermite echelon, ``column_hnf``.
+A lattice is its canonical column Hermite form, ``{pivot row: {row: value}}``
+with pivots increasing, built only by ``column_hnf`` from sparse columns:
+equal lattices have equal forms, a sum is the form of the chained columns,
+``kernel_lattice`` gives kernels and preimages and ``lattice_coords``
+membership and coordinates, walking each pivot once.
 """
 
 from __future__ import annotations
@@ -502,18 +505,18 @@ def sparse_diagonal(matrix: CSC, pivot_rows: list[int] | None = None) -> tuple[l
 # -- lattices ----------------------------------------------------------------
 
 
-def column_hnf(mat) -> np.ndarray:
-    """Canonical column-style Hermite form: pivot rows increasing, positive
-    pivots, entries left of a pivot reduced modulo it.  Zero columns dropped.
+def column_hnf(columns) -> dict[int, dict[int, int]]:
+    """Canonical column Hermite form of the lattice of sparse {row: value}
+    columns, ``{pivot row: column}`` with pivots increasing and positive, each
+    column zero above its pivot row and reduced modulo every later pivot.
 
-    Each column is absorbed into an echelon basis of sparse {row: value}
-    columns keyed by their pivot rows: a Bezout step against the basis column
-    of its pivot row keeps their gcd there and leaves a rest with a later
-    pivot.  The form is unique per lattice, so only its normalisation follows."""
-    A = _as_int_matrix(mat)
+    Each column is absorbed into an echelon basis keyed by pivot rows: a
+    Bezout step against the basis column of its pivot row keeps their gcd
+    there and leaves a rest with a later pivot.  Then the pivots are made
+    positive, and the earlier columns reduced on each pivot row in turn."""
     basis: dict[int, dict[int, int]] = {}
-    for j in range(A.shape[1]):
-        v = {i: int(x) for i, x in enumerate(A[:, j]) if x}
+    for col in columns:
+        v = {i: int(x) for i, x in col.items() if x}
         while v:
             p = min(v)
             b = basis.get(p)
@@ -532,71 +535,57 @@ def column_hnf(mat) -> np.ndarray:
                 if y:
                     nv[i] = y
             basis[p], v = nb, nv
-    H = _dense(basis, range(A.shape[0]))
     pivots = sorted(basis)
-    for j, p in enumerate(pivots):
-        if H[p, j] < 0:
-            H[:, j] = -H[:, j]
-    for j, p in enumerate(pivots):
-        for j2 in range(j):
-            q = H[p, j2] // H[p, j]
+    hnf = {p: basis[p] if basis[p][p] > 0 else {i: -x for i, x in basis[p].items()}
+           for p in pivots}
+    for k, p in enumerate(pivots):
+        col = hnf[p]
+        for p2 in pivots[:k]:
+            q = hnf[p2].get(p, 0) // col[p]
             if q:
-                H[:, j2] -= q * H[:, j]
-    return H
+                earlier = hnf[p2]
+                hnf[p2] = {i: y for i in earlier.keys() | col.keys()
+                           if (y := earlier.get(i, 0) - q * col.get(i, 0))}
+    return hnf
 
 
-def kernel_lattice(mat, relations=None) -> np.ndarray:
-    """Canonical HNF of the preimage {x : mat @ x in the span of the
-    ``relations`` columns}: the integer kernel when there are none.
-
-    The columns of [[mat, -relations], [I, 0]] span the pairs
-    (mat x - relations y, x); in column echelon form, those with no pivot in
-    the top rows span the pairs with top part zero, and their bottom parts
-    are the preimage's HNF (H. Cohen, A Course in Computational Algebraic
-    Number Theory, 2.4).  Budgeted on the columns of that matrix."""
-    M = _as_int_matrix(mat)
-    t, s = M.shape
-    rel = np.zeros((t, 0), dtype=object) if relations is None else relations
-    width = s + rel.shape[1]
+def kernel_budget(width: int) -> None:
+    """Refuse a kernel lattice of more than ``KERNEL_DENSE_LIMIT`` columns."""
     if width > KERNEL_DENSE_LIMIT:
         raise BudgetExceededError(
             f"snf: kernel lattice of {width} columns is over the cap of "
             f"{KERNEL_DENSE_LIMIT} columns"
         )
-    graph = np.zeros((t + s, width), dtype=object)
-    graph[:t, :s] = M
-    graph[:t, s:] = -rel
-    graph[t:, :s] = np.eye(s, dtype=object)
-    h = column_hnf(graph)
-    return h[t:, [j for j in range(h.shape[1]) if not h[:t, j].any()]]
 
 
-def lattice_coords(hnf: np.ndarray, vec) -> list[int] | None:
-    """Integer coordinates of ``vec`` in the basis of canonical HNF columns,
-    or None when it is not in their lattice.  Each column is zero above its
-    pivot row, so the coordinates come one pivot row at a time."""
-    v = [int(x) for x in vec]
+def kernel_lattice(columns: list, rows: int, relations: list) -> dict[int, dict[int, int]]:
+    """Canonical HNF of the preimage {x : M x in the span of the
+    ``relations``}, where M has the given sparse columns over ``rows`` rows:
+    the integer kernel of M when there are no relations.
+
+    The columns of [[M, -relations], [I, 0]] span the pairs
+    (M x - relations y, x); in column echelon form, those with no pivot in
+    the top rows span the pairs with top part zero, and their bottom parts
+    are the preimage's HNF (H. Cohen, A Course in Computational Algebraic
+    Number Theory, 2.4).  Budgeted on the columns of that matrix."""
+    kernel_budget(len(columns) + len(relations))
+    graph = chain(({**col, rows + j: 1} for j, col in enumerate(columns)),
+                  ({i: -x for i, x in rel.items()} for rel in relations))
+    return {p - rows: {i - rows: x for i, x in col.items()}
+            for p, col in column_hnf(graph).items() if p >= rows}
+
+
+def lattice_coords(hnf: dict[int, dict[int, int]], vec) -> list[int] | None:
+    """Integer coordinates of the sparse vector ``vec`` ({row: value}) in the
+    columns of a canonical HNF, or None when it is not in their lattice.
+    Each column is zero above its pivot row, so the coordinates come one
+    pivot row at a time, each subtracting over that column's nonzeros."""
+    v = dict(vec)
     coords = []
-    for j in range(hnf.shape[1]):
-        col = hnf[:, j]
-        p = next(i for i, x in enumerate(col) if x)
-        q = v[p] // col[p]  # a remainder stays on row p and fails the end test
+    for p, col in hnf.items():
+        q = v.get(p, 0) // col[p]  # a remainder stays on row p and fails the end test
         coords.append(q)
         if q:
-            for i in range(p, len(v)):
-                v[i] -= q * col[i]
-    return None if any(v) else coords
-
-
-def lattice_equal(h1: np.ndarray, h2: np.ndarray) -> bool:
-    if h1.shape != h2.shape:
-        return False
-    return bool(np.equal(h1, h2).all())
-
-
-def lattice_sum(*mats) -> np.ndarray:
-    cols = [m for m in mats if m.size]
-    if not cols:
-        return column_hnf(mats[0])
-    stacked = np.concatenate([np.array(m, dtype=object) for m in cols], axis=1)
-    return column_hnf(stacked)
+            for r, x in col.items():
+                v[r] = v.get(r, 0) - q * x
+    return None if any(v.values()) else coords

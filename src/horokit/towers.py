@@ -9,6 +9,7 @@ compute the limit of an infinite system.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -16,18 +17,11 @@ from .homology import (
     AbelianGroup,
     GroupMap,
     OrdersGroup,
-    _relation_lattice,
     canonical_type,
     identity_map,
+    relation_columns,
 )
-from .snf import (
-    column_hnf,
-    kernel_lattice,
-    lattice_coords,
-    lattice_equal,
-    lattice_sum,
-    smith_normal_form,
-)
+from .snf import column_hnf, kernel_lattice, lattice_coords, smith_normal_form
 
 
 @dataclass
@@ -69,22 +63,19 @@ class Tower:
         return out
 
 
-def subgroup_type(lattice: np.ndarray, ambient) -> AbelianGroup:
-    """Isomorphism type of (lattice / relations) inside the ambient group."""
-    rel = _relation_lattice(ambient)
-    # columns of `lattice` generate the subgroup's preimage; quotient by rel
-    basis = column_hnf(lattice)  # basis of the preimage lattice
-    if basis.shape[1] == 0:
+def subgroup_type(lattice: dict, ambient) -> AbelianGroup:
+    """Isomorphism type of (lattice / relations) inside the ambient group,
+    for the HNF of the subgroup's preimage."""
+    if not lattice:
         return AbelianGroup(0)
-    # write rel in terms of basis: basis @ T = rel
-    coords = [lattice_coords(basis, col) for col in rel.T]
+    # write the relations in the lattice's basis: basis @ T = rel
+    coords = [lattice_coords(lattice, col) for col in relation_columns(ambient)]
     if None in coords:
         raise ValueError("relations do not lie inside the subgroup lattice")
-    t = np.array(coords, dtype=object).reshape(-1, basis.shape[1]).T
+    t = np.array(coords, dtype=object).reshape(-1, len(lattice)).T
     res = smith_normal_form(t)
     torsion = tuple(int(d) for d in res.diag if d > 1)
-    rank = basis.shape[1] - res.rank
-    return AbelianGroup(rank, torsion)
+    return AbelianGroup(len(lattice) - res.rank, torsion)
 
 
 @dataclass
@@ -118,7 +109,7 @@ def direct_limit_report(t: Tower) -> DirectLimitReport:
     types = [subgroup_type(lat, t.groups[last]) for lat in lattices]
     stabilized = None
     for s in range(last):
-        if all(lattice_equal(lattices[s], lattices[j]) for j in range(s + 1, last)):
+        if all(lattices[s] == lattices[j] for j in range(s + 1, last)):
             stabilized = s + 1
             break
     limit = types[stabilized - 1] if stabilized else None
@@ -155,19 +146,17 @@ def ml_lim1(t: Tower) -> Lim1Verdict:
     all_stable = True
     for i in range(n - 1):
         ambient = t.groups[i]
-        full = lattice_sum(
-            column_hnf(np.eye(ambient.dim, dtype=object)),
-            _relation_lattice(ambient),
-        )
-        chain = [full]
+        images = [column_hnf({k: 1} for k in range(ambient.dim))]
         for j in range(i + 1, n):
-            chain.append(t.composite(j, i).image_lattice())
-        strict = [not lattice_equal(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
+            images.append(t.composite(j, i).image_lattice())
+        strict = [images[k] != images[k + 1] for k in range(len(images) - 1)]
         if strict and strict[-1]:
             all_stable = False
         if len(strict) >= 2 and all(strict):
-            types = [subgroup_type(lat, ambient) for lat in chain]
-            mats = [[[int(x) for x in row] for row in lat] for lat in chain]
+            types = [subgroup_type(lat, ambient) for lat in images]
+            # each lattice as the rows of its basis matrix
+            mats = [[[col.get(r, 0) for col in lat.values()] for r in range(ambient.dim)]
+                    for lat in images]
             return Lim1Verdict(
                 "not-ML", witness_stage=i + 1, witness_chain=types, witness_lattices=mats
             )
@@ -181,14 +170,16 @@ def inverse_limit(t: Tower) -> AbelianGroup:
     n = len(t.groups)
     if n == 1:
         return canonical_type(t.groups[0])
-    # compatibility: x_i - f_i(x_{i+1}) lies in the relations of group i
-    dims = [g.dim for g in t.groups]
-    offs = np.cumsum([0] + dims)
-    system = np.zeros((offs[-2], offs[-1]), dtype=object)
-    for i in range(n - 1):
-        system[offs[i] : offs[i + 1], offs[i] : offs[i + 1]] = np.eye(dims[i], dtype=object)
-        system[offs[i] : offs[i + 1], offs[i + 1] : offs[i + 2]] = -t.maps[i].matrix
+    # compatibility: x_i - f_i(x_{i+1}) lies in the relations of group i, so
+    # coordinate a of x_i has e_a in equation i and -f_{i-1} e_a in i - 1
+    offs = list(accumulate((g.dim for g in t.groups), initial=0))
+    system = []
+    for i, g in enumerate(t.groups):
+        prev = t.maps[i - 1].columns() if i else [{}] * g.dim
+        for a in range(g.dim):
+            col = {offs[i] + a: 1} if i < n - 1 else {}
+            system.append(col | {offs[i - 1] + r: -x for r, x in prev[a].items()})
     head = OrdersGroup(tuple(o for g in t.groups[:-1] for o in g.orders))
-    sol = kernel_lattice(system, _relation_lattice(head))
+    sol = kernel_lattice(system, offs[-2], relation_columns(head))
     ambient = OrdersGroup(tuple(o for g in t.groups for o in g.orders))
-    return subgroup_type(lattice_sum(sol, _relation_lattice(ambient)), ambient)
+    return subgroup_type(column_hnf(chain(sol.values(), relation_columns(ambient))), ambient)

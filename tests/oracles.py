@@ -1,13 +1,19 @@
 """Conversions at the test boundary between the oracles' Python-int bitsets
 (a set of points as an int, bit p for point p; a graph as one int of
 neighbours per vertex) and the arrays the package takes: ``PointSets`` for a
-family of sets, upper-neighbour compressed rows for a graph."""
+family of sets, upper-neighbour compressed rows for a graph.  Also the dense
+oracle for the lattices of ``horokit.snf``: the Hermite form normalised on an
+object matrix and the membership walk that scans each column for its pivot,
+with the conversions between dense matrices and sparse columns."""
+
+from math import gcd
 
 import numpy as np
 
 from horokit.complexes import PointSets
 from horokit.covers import Cover
 from horokit.graphs import Vertex
+from horokit.snf import _bezout
 
 
 def bits(mask: int) -> list[int]:
@@ -54,3 +60,90 @@ def mask_cover(masks, level: int = 0, coset: int = 0) -> Cover:
     holds the points of mask i."""
     return Cover(None, 1, [Vertex(i, level, coset) for i in range(len(masks))], as_sets(masks))
 
+
+# -- dense lattices ----------------------------------------------------------
+
+
+def columns(mat) -> list[dict[int, int]]:
+    """The columns of a dense integer matrix as sparse {row: value} dicts."""
+    return [{i: int(x) for i, x in enumerate(col) if x} for col in np.asarray(mat).T]
+
+
+def dense(lattice: dict, rows: int) -> np.ndarray:
+    """A lattice's sparse Hermite form as the rows x columns object matrix
+    of its basis, columns in pivot order."""
+    out = np.zeros((rows, len(lattice)), dtype=object)
+    for j, col in enumerate(lattice.values()):
+        for r, v in col.items():
+            out[r, j] = v
+    return out
+
+
+def dense_column_hnf(mat) -> np.ndarray:
+    """Canonical column Hermite form of a dense matrix, as a dense matrix:
+    the columns absorbed into a sparse echelon by Bezout steps, then written
+    out and normalised on the matrix, pivots made positive and the entries
+    left of each pivot reduced modulo it."""
+    A = np.array(mat, dtype=object)
+    basis: dict[int, dict[int, int]] = {}
+    for v in columns(A):
+        while v:
+            p = min(v)
+            b = basis.get(p)
+            if b is None:
+                basis[p] = v
+                break
+            g = gcd(b[p], v[p])
+            s, t = _bezout(b[p], v[p])
+            bp_g, vp_g = b[p] // g, v[p] // g
+            nb, nv = {}, {}
+            for i in set(b) | set(v):
+                bi, vi = b.get(i, 0), v.get(i, 0)
+                x, y = s * bi + t * vi, bp_g * vi - vp_g * bi
+                if x:
+                    nb[i] = x
+                if y:
+                    nv[i] = y
+            basis[p], v = nb, nv
+    pivots = sorted(basis)
+    H = dense({p: basis[p] for p in pivots}, A.shape[0])
+    for j, p in enumerate(pivots):
+        if H[p, j] < 0:
+            H[:, j] = -H[:, j]
+    for j, p in enumerate(pivots):
+        for j2 in range(j):
+            q = H[p, j2] // H[p, j]
+            if q:
+                H[:, j2] -= q * H[:, j]
+    return H
+
+
+def dense_kernel_lattice(mat, rel) -> np.ndarray:
+    """The preimage of the span of the columns of ``rel`` under a dense
+    matrix, as the bottom parts of the HNF columns of [[mat, -rel], [I, 0]]
+    with no pivot in the top rows."""
+    M = np.array(mat, dtype=object)
+    t, s = M.shape
+    graph = np.zeros((t + s, s + rel.shape[1]), dtype=object)
+    graph[:t, :s] = M
+    graph[:t, s:] = -rel
+    graph[t:, :s] = np.eye(s, dtype=object)
+    h = dense_column_hnf(graph)
+    return h[t:, [j for j in range(h.shape[1]) if not h[:t, j].any()]]
+
+
+def dense_lattice_coords(hnf: np.ndarray, vec) -> list[int] | None:
+    """Coordinates of ``vec`` in the columns of a dense canonical HNF, or
+    None: each column's pivot is found by a scan, and the walk subtracts over
+    every row from the pivot down."""
+    v = [int(x) for x in vec]
+    coords = []
+    for j in range(hnf.shape[1]):
+        col = hnf[:, j]
+        p = next(i for i, x in enumerate(col) if x)
+        q = v[p] // col[p]
+        coords.append(q)
+        if q:
+            for i in range(p, len(v)):
+                v[i] -= q * col[i]
+    return None if any(v) else coords

@@ -100,3 +100,29 @@ def test_ladder_exits_1_when_the_repeats_of_a_rung_disagree(monkeypatch, capsys)
         **fake(argv, cwd, env), "report_sha256": "a"})
     calls.clear()
     assert ladder.main(argv) == 0
+
+
+def test_ladder_compiles_the_package_once_before_the_first_rung(monkeypatch, capsys):
+    ladder = _ladder_module()
+    events = []
+    compile_dir = ladder.compileall.compile_dir
+
+    def compiled(directory, **kwargs):
+        events.append(("compile", pathlib.Path(directory)))
+        return compile_dir(directory, **kwargs)
+
+    def fake(argv, cwd, env):
+        events.append(("run", argv[-1]))
+        return {"argv": " ".join(argv), "exit": 0, "wall_s": 0.1, "peak_rss_mb": 40.0,
+                "report_sha256": "a", "stderr": ""}
+
+    monkeypatch.setattr(ladder.compileall, "compile_dir", compiled)
+    monkeypatch.setattr(ladder, "run_verdict", fake)
+    assert ladder.main(["--rg", "1", "--cosets", "m5", "all", "--repeat", "2"]) == 0
+    package = ladder.ROOT / "src" / "horokit"
+    assert events == [("compile", package)] + [("run", "rg1_m5.json"),
+                                                ("run", "rg1_all.json")] * 2
+    # every module's byte code is there for the runs to load
+    for source in package.glob("*.py"):
+        assert pathlib.Path(importlib.util.cache_from_source(str(source))).exists()
+    json.loads(capsys.readouterr().out)  # standard output stays one JSON object

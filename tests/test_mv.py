@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from horokit import covers
+from horokit import covers, homology, mv, snf
+from horokit.cli import run
 from horokit.covers import PAPER_SCHEDULE, Schedule, build_cover, connecting_map
-from horokit.errors import EmptyWindowError, ScheduleMismatchError
+from horokit.errors import BudgetExceededError, EmptyWindowError, ScheduleMismatchError
 from horokit.graphs import Vertex
 from horokit.groups import GroupSpec
 from horokit.homology import AbelianGroup
@@ -96,6 +97,58 @@ def test_mv_stage0_exact_on_shipped_instances(name):
             assert entry["whole_slot"], (name, p)
         if "interface_slot" in entry:
             assert entry["interface_slot"], (name, p)
+
+
+def test_mv_refuses_a_wide_kernel_before_any_induced_map(monkeypatch, tmp_path):
+    # the widths are those of the kernel lattices the verdict takes, in turn,
+    # here, on a square cut into two arcs, whose whole slot takes one, and on
+    # four copies of the six-vertex projective plane, whose H_1 = Z/2 adds a
+    # relation column to the slots with H_1 as target
+    circle = _synthetic_stage(
+        whole_faces=[(0, 1), (1, 2), (2, 3), (0, 3)],
+        thick_faces=[(0, 1), (1, 2)],
+        cusp_faces=[(2, 3), (0, 3)],
+        iface_faces=[(0,), (2,)],
+    )
+    rp2 = [(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5), (1, 2, 4), (2, 3, 5),
+           (1, 3, 4), (2, 4, 5), (1, 3, 5)]
+    plane = _synthetic_stage(rp2, rp2, rp2, rp2, cap=3)
+    assert plane.coords[("whole", 1)].group == AbelianGroup(0, (2,))
+    stage = assemble_mv(get_instance("z2_free_z"), 0, PAPER_SCHEDULE, cap=2)
+    kernel_lattice = homology.kernel_lattice
+    taken, induced = [], []
+
+    def spy(columns, rows, relations):
+        taken.append(len(columns) + len(relations))
+        return kernel_lattice(columns, rows, relations)
+
+    for each, widths in ((circle, [2, 0, 1, 2]), (plane, [2, 3, 1, 0, 1, 1, 3]),
+                         (stage, [8, 0, 0, 5])):
+        taken.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(homology, "kernel_lattice", spy)
+            check_mv_exactness(each)
+        assert taken == list(mv._kernel_widths(each)) == widths
+        # below each width: the late refusal's message, before any map
+        for cap in sorted({w - 1 for w in widths if w}):
+            with monkeypatch.context() as mp:
+                mp.setattr(snf, "KERNEL_DENSE_LIMIT", cap)
+                mp.setattr(mv, "kernel_budget", lambda width: None)
+                with pytest.raises(BudgetExceededError) as late:
+                    check_mv_exactness(each)
+            with monkeypatch.context() as mp:
+                mp.setattr(snf, "KERNEL_DENSE_LIMIT", cap)
+                mp.setattr(mv, "induced_map", lambda *args: induced.append(args))
+                with pytest.raises(BudgetExceededError) as early:
+                    check_mv_exactness(each)
+            assert str(early.value) == str(late.value) and not induced
+    # and the CLI exits 3 on it
+    argv = ["mv-verify", "--instance", "z2_free_z", "--stage", "0", "--out",
+            str(tmp_path / "report.json")]
+    with monkeypatch.context() as mp:
+        mp.setattr(snf, "KERNEL_DENSE_LIMIT", 7)
+        mp.setattr(mv, "induced_map", lambda *args: induced.append(args))
+        assert run(argv) == 3 and not induced
 
 
 def test_mv_unwindowed_also_exact_on_small_instance():

@@ -1,4 +1,5 @@
 import time
+from itertools import chain
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -17,11 +18,10 @@ from horokit.snf import (
     csc_columns,
     kernel_lattice,
     lattice_coords,
-    lattice_equal,
-    lattice_sum,
     smith_normal_form,
     sparse_diagonal,
 )
+from oracles import columns, dense, dense_column_hnf, dense_kernel_lattice, dense_lattice_coords
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda m: st.integers(1, 4).flatmap(
@@ -41,6 +41,12 @@ def _sympy_diag(a):
         return []
     d = sympy_snf(Matrix(a.tolist()), domain=ZZ)
     return sorted(abs(int(d[i, i])) for i in range(min(m, n)) if d[i, i] != 0)
+
+
+def _vec(v) -> dict[int, int]:
+    """A dense vector as the sparse {row: value} vector that
+    ``lattice_coords`` reads."""
+    return {i: int(x) for i, x in enumerate(v) if x}
 
 
 def _in_span(a, v) -> bool:
@@ -149,7 +155,7 @@ def test_eliminate_all_modes_match_oracles(cols, data):
     cleared = _clear_pivot_rows(dict(vec), frozen)
     assert not set(cleared) & set(pivots)
     shift = [vec.get(r, 0) - cleared.get(r, 0) for r in range(a.shape[0])]
-    assert lattice_coords(column_hnf(a), shift) is not None
+    assert lattice_coords(column_hnf(cols), _vec(shift)) is not None
 
 
 def test_tracked_elimination_of_a_long_path_is_linear():
@@ -355,25 +361,26 @@ def test_snf_zero_and_empty():
 @given(small_matrices)
 def test_kernel_is_kernel(rows):
     a = np.array(rows, dtype=object)
-    k = kernel_lattice(a)
-    assert not (a @ k).any()
-    assert k.shape == (a.shape[1], a.shape[1] - smith_normal_form(a).rank)
-    assert np.array_equal(column_hnf(k), k)
+    k = kernel_lattice(columns(a), a.shape[0], [])
+    basis = dense(k, a.shape[1])
+    assert not (a @ basis).any()
+    assert basis.shape == (a.shape[1], a.shape[1] - smith_normal_form(a).rank)
+    assert column_hnf(k.values()) == k
 
 
 @settings(max_examples=80, deadline=None)
 @given(small_matrices)
 def test_kernel_lattice_is_saturated(rows):
     a = np.array(rows, dtype=object)
-    k = kernel_lattice(a)
+    k = kernel_lattice(columns(a), a.shape[0], [])
     for vec in Matrix(a.tolist()).nullspace():
         scale = lcm(*(int(x.q) for x in vec))
         ints = [int(x * scale) for x in vec]
         g = gcd(*ints)
         primitive = [x // g for x in ints]
-        coords = lattice_coords(k, primitive)
+        coords = lattice_coords(k, _vec(primitive))
         assert coords is not None
-        assert list(k @ np.array(coords, dtype=object)) == primitive
+        assert list(dense(k, a.shape[1]) @ np.array(coords, dtype=object)) == primitive
 
 
 @settings(max_examples=80, deadline=None)
@@ -386,31 +393,31 @@ def test_kernel_lattice_is_preimage_of_relations(rows, data):
                            max_size=3)),
         dtype=object,
     ).reshape(-1, m).T
-    pre = kernel_lattice(a, rel)
-    span = column_hnf(rel)
-    for col in pre.T:
-        assert lattice_coords(span, a @ col) is not None
+    pre = kernel_lattice(columns(a), m, columns(rel))
+    span = column_hnf(columns(rel))
+    for col in dense(pre, n).T:
+        assert lattice_coords(span, _vec(a @ col)) is not None
     x = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
-    member = lattice_coords(pre, x) is not None
-    assert member == (lattice_coords(span, a @ np.array(x, dtype=object)) is not None)
+    member = lattice_coords(pre, _vec(x)) is not None
+    assert member == (lattice_coords(span, _vec(a @ np.array(x, dtype=object))) is not None)
 
 
 def test_kernel_budget_names_layer_amount_and_cap(monkeypatch):
     monkeypatch.setattr(snf, "KERNEL_DENSE_LIMIT", 3)
-    a = np.ones((2, 2), dtype=object)
-    assert kernel_lattice(np.ones((2, 3), dtype=object)).shape == (3, 2)
+    ones = columns(np.ones((2, 4), dtype=object))
+    assert dense(kernel_lattice(ones[:3], 2, []), 3).shape == (3, 2)
     with pytest.raises(BudgetExceededError, match=r"^snf: .* 4 columns .* cap of 3 columns"):
-        kernel_lattice(np.ones((2, 4), dtype=object))
+        kernel_lattice(ones, 2, [])
     with pytest.raises(BudgetExceededError, match=r"^snf: .* 4 columns .* cap of 3 columns"):
-        kernel_lattice(a, np.eye(2, dtype=object))
+        kernel_lattice(ones[:2], 2, columns(np.eye(2, dtype=object)))
 
 
 def test_solve_columns():
-    b = column_hnf(np.array([[2, 0], [0, 3]]))
-    assert lattice_coords(b, [4, 9]) == [2, 3]
-    assert lattice_coords(b, [1, 0]) is None
-    assert lattice_coords(b, [0, 1]) is None
-    assert lattice_coords(column_hnf(np.array([[1], [1]])), [1, 0]) is None
+    b = column_hnf(columns([[2, 0], [0, 3]]))
+    assert lattice_coords(b, {0: 4, 1: 9}) == [2, 3]
+    assert lattice_coords(b, {0: 1}) is None
+    assert lattice_coords(b, {1: 1}) is None
+    assert lattice_coords(column_hnf(columns([[1], [1]])), {0: 1}) is None
 
 
 @settings(max_examples=150, deadline=None)
@@ -418,37 +425,36 @@ def test_solve_columns():
 def test_lattice_coords(rows, data):
     a = np.array(rows, dtype=object)
     m, n = a.shape
-    h = column_hnf(a)
+    h = column_hnf(columns(a))
+    basis = dense(h, m)
     combo = data.draw(st.lists(st.integers(-5, 5), min_size=n, max_size=n))
     member = a @ np.array(combo, dtype=object)
-    coords = lattice_coords(h, member)
+    coords = lattice_coords(h, _vec(member))
     assert coords is not None
-    assert list(h @ np.array(coords, dtype=object).reshape(-1)) == list(member)
+    assert list(basis @ np.array(coords, dtype=object).reshape(-1)) == list(member)
     v = data.draw(st.lists(st.integers(-6, 6), min_size=m, max_size=m))
-    coords = lattice_coords(h, v)
+    coords = lattice_coords(h, _vec(v))
     assert (coords is not None) == _in_span(a, v)
     if coords is not None:
-        assert list(h @ np.array(coords, dtype=object).reshape(-1)) == v
+        assert list(basis @ np.array(coords, dtype=object).reshape(-1)) == v
 
 
 def test_hnf_canonical_and_membership():
-    h1 = column_hnf(np.array([[2, 0], [0, 3]], dtype=object))
-    h2 = column_hnf(np.array([[2, 2], [3, 0]], dtype=object))
+    h1 = column_hnf(columns([[2, 0], [0, 3]]))
+    h2 = column_hnf(columns([[2, 2], [3, 0]]))
     # (2,3) and (4,3) span the same lattice as (2,0),(0,3)
-    assert lattice_equal(h1, column_hnf(np.array([[2, 4], [3, 3]], dtype=object)))
+    assert h1 == column_hnf(columns([[2, 4], [3, 3]]))
     # a genuinely different lattice
-    assert not lattice_equal(h1, column_hnf(np.array([[2, 0], [0, 5]], dtype=object)))
-    assert lattice_coords(h1, [4, 3]) is not None
-    assert lattice_coords(h1, [1, 0]) is None
-    assert lattice_coords(h2, [2, 3]) is not None
+    assert h1 != column_hnf(columns([[2, 0], [0, 5]]))
+    assert lattice_coords(h1, {0: 4, 1: 3}) is not None
+    assert lattice_coords(h1, {0: 1}) is None
+    assert lattice_coords(h2, {0: 2, 1: 3}) is not None
 
 
 def test_hnf_is_canonical_for_equal_lattices():
-    a = np.array([[2, 0], [0, 4]], dtype=object)
-    b = np.array([[2, 2], [4, 8]], dtype=object)  # col ops of the same lattice
-    # second lattice: cols (2,4),(2,8): span? (2,4),(0,4): hmm use explicit ops
-    c = np.array([[2, 2], [0, 4]], dtype=object)
-    assert lattice_equal(column_hnf(a), column_hnf(c))
+    a = [[2, 0], [0, 4]]
+    c = [[2, 2], [0, 4]]  # a column operation on a
+    assert column_hnf(columns(a)) == column_hnf(columns(c))
 
 
 @settings(max_examples=150, deadline=None)
@@ -465,17 +471,19 @@ def test_hnf_invariant_under_unimodular_column_ops(rows, data):
         if negate:
             u[:, dst] = -u[:, dst]
     perm = data.draw(st.permutations(range(n)))
-    h = column_hnf(a)
-    assert np.array_equal(column_hnf(a.dot(u)[:, perm]), h)
-    assert all([x for x in h[:, j] if x][0] > 0 for j in range(h.shape[1]))  # positive pivots
+    h = column_hnf(columns(a))
+    assert column_hnf(columns(a.dot(u)[:, perm])) == h
+    # pivots increasing, each column zero above its pivot, pivots positive,
+    # and entries on later pivot rows reduced modulo those pivots
+    assert list(h) == sorted(h)
+    assert all(min(col) == p and col[p] > 0 for p, col in h.items())
+    assert all(0 <= col.get(p2, 0) < h[p2][p2] for p, col in h.items() for p2 in h if p2 > p)
 
 
 def test_lattice_sum():
-    a = np.array([[2], [0]], dtype=object)
-    b = np.array([[0], [3]], dtype=object)
-    s = lattice_sum(a, b)
-    assert lattice_coords(s, [2, 3]) == [1, 1]
-    assert lattice_coords(s, [1, 0]) is None
+    s = column_hnf(chain(columns([[2], [0]]), columns([[0], [3]])))
+    assert lattice_coords(s, {0: 2, 1: 3}) == [1, 1]
+    assert lattice_coords(s, {0: 1}) is None
 
 
 def test_snf_object_fallback_large_entries():
@@ -484,5 +492,47 @@ def test_snf_object_fallback_large_entries():
     assert res.diag == [1, 2**80 - 1]
     assert np.array_equal(res.U @ res.Uinv, np.eye(2, dtype=object))
     assert (res.U @ a)[1, 0] % res.diag[1] == 0
-    k = kernel_lattice(np.array([[2**70, 3 * 2**70 + 1]], dtype=object))
-    assert k.T.tolist() == [[3 * 2**70 + 1, -(2**70)]]
+    k = kernel_lattice(columns(np.array([[2**70, 3 * 2**70 + 1]], dtype=object)), 1, [])
+    assert dense(k, 2).T.tolist() == [[3 * 2**70 + 1, -(2**70)]]
+
+
+@st.composite
+def lattice_matrices(draw):
+    """Integer matrices with small, negative and 2^70-sized entries, some of
+    their columns zero."""
+    m, n = draw(st.integers(1, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(-9, 9), st.sampled_from([0, 1, -1]),
+                      st.integers(-(2**71), 2**71))
+    a = np.zeros((m, n), dtype=object)
+    for i in range(m):
+        a[i] = draw(st.lists(entry, min_size=n, max_size=n))
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)) if n else ():
+        a[:, j] = 0
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_matrices(), st.data())
+def test_sparse_lattices_agree_with_the_dense_oracle(a, data):
+    m, n = a.shape
+    h = column_hnf(columns(a))
+    oracle = dense_column_hnf(a)
+    assert np.array_equal(dense(h, m), oracle)
+    # coordinates of a vector inside the lattice and of one most likely not
+    combo = data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    inside = [sum(x * c for x, c in zip(row, combo)) for row in a]
+    outside = data.draw(st.lists(st.integers(-5, 5), min_size=m, max_size=m))
+    assert lattice_coords(h, _vec(inside)) == dense_lattice_coords(oracle, inside) is not None
+    assert lattice_coords(h, _vec(outside)) == dense_lattice_coords(oracle, outside)
+    # the preimage of torsion relations: one column d e_i per order d > 0
+    orders = data.draw(st.lists(st.sampled_from([0, 0, 2, 3, 4, 6, 2**70]),
+                                min_size=m, max_size=m))
+    rel = np.zeros((m, 0), dtype=object)
+    for i, d in enumerate(orders):
+        if d:
+            col = np.zeros((m, 1), dtype=object)
+            col[i] = d
+            rel = np.concatenate([rel, col], axis=1)
+    ker = kernel_lattice(columns(a), m, columns(rel))
+    want = dense_kernel_lattice(a, rel)
+    assert np.array_equal(dense(ker, n), want)
