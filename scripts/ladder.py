@@ -65,8 +65,10 @@ GROUP = {
 }
 MMAX = {"m5": 5, "all": None}
 
-# the verdicts that take a stage get ``--stage`` next
+# the verdicts that take a stage get ``--stage`` next; ``build`` writes the
+# space itself, its graph as JSON, so the space's own time and peak get a row
 VERDICTS = {
+    "build": ["build-augmented"],
     "homology": ["homology", "--family", "whole", "--degree", "2", "--dimcap", "2"],
     "nerve": ["nerve", "--family", "whole", "--dimcap", "3"],
     "mv-verify": ["mv-verify"],

@@ -93,7 +93,7 @@ def _load_graph_or_instance(args):
         return resolve_instance(name)
     with open(name) as fh:
         data = json.load(fh)
-    if data.get("format") == "horokit-graph":
+    if isinstance(data, dict) and data.get("format") == "horokit-graph":
         return MetricGraph.from_json(data)
     return resolve_instance(name)
 

@@ -2,7 +2,8 @@
 
 Vertices are (element, level, coset) triples: level 0 with coset 0 for
 Cayley-graph vertices, level >= 1 with a positive coset index for horoball
-vertices.  Every word or graph distance in the package, the normal-form
+vertices.  Edges are one array of vertex index pairs, and every reader takes
+it or its CSR.  Every word or graph distance in the package, the normal-form
 oracles aside, comes from one breadth-first search, ``bfs``, over the CSR
 arrays of ``csr``: single pairs, multi-source rows (penumbra, interior
 windows, the omega-excisive check), the all-pairs matrix, and, on a
@@ -52,42 +53,35 @@ def vertex_key(v: Vertex):
 
 
 class MetricGraph:
-    """Immutable undirected graph with its shortest-path metric."""
+    """Immutable undirected graph with its shortest-path metric.  The
+    constructor takes ``edges`` as index pairs into ``vertices`` as given,
+    counting repeated and reversed pairs once.  The graph holds the vertices
+    sorted by ``vertex_key``, each edge once as a row (a, b), a < b, of the
+    (m, 2) intp array ``edges`` in lexicographic order, and ``csr`` of it."""
 
-    def __init__(self, vertices: Iterable[Vertex], edges: Iterable[tuple], meta=None):
-        # endpoints already given as Vertex (every caller in the package) are
-        # not wrapped again
-        vs = sorted({v if type(v) is Vertex else Vertex(*v) for v in vertices}, key=vertex_key)
-        self.vertices: tuple[Vertex, ...] = tuple(vs)
-        self.index: dict[Vertex, int] = {v: i for i, v in enumerate(vs)}
-        index = self.index
-        adj: list[set[int]] = [set() for _ in vs]
-        edge_set = set()
-        for u, v in edges:
-            if type(u) is not Vertex:
-                u = Vertex(*u)
-            if type(v) is not Vertex:
-                v = Vertex(*v)
-            iu, iv = index.get(u), index.get(v)
-            if iu is None or iv is None:
-                raise UnknownVertexError(f"edge endpoint not a vertex: {u} -- {v}")
-            if iu == iv:
-                raise ValueError(f"self-loop at {u}")
-            adj[iu].add(iv)
-            adj[iv].add(iu)
-            edge_set.add((min(iu, iv), max(iu, iv)))
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in adj
-        )
-        self.edges: frozenset[tuple[int, int]] = frozenset(edge_set)
+    def __init__(self, vertices: Iterable[Vertex], edges, meta=None):
+        vs = [v if type(v) is Vertex else Vertex(*v) for v in vertices]
+        n = len(vs)
+        order = sorted(range(n), key=lambda i: vertex_key(vs[i]))
+        self.vertices: tuple[Vertex, ...] = tuple(vs[i] for i in order)
+        self.index: dict[Vertex, int] = {v: i for i, v in enumerate(self.vertices)}
+        if len(self.index) < n:
+            raise ValueError("graph vertex rows repeat")
+        pairs = np.asarray(edges, np.intp).reshape(-1, 2)
+        bad = ((pairs < 0) | (pairs >= n)).any(axis=1)
+        if bad.any():
+            raise UnknownVertexError(f"edge {pairs[bad][0].tolist()} names no vertex of {n}")
+        a, b = np.argsort(order)[pairs.T]  # the pairs' ranks in sorted order
+        if (a == b).any():
+            raise ValueError(f"self-loop at {self.vertices[a[a == b][0]]}")
+        codes = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+        codes = codes[np.diff(codes, prepend=-1) != 0]  # ``np.unique`` imports ``numpy.ma``
+        self.edges: np.ndarray = np.stack([codes // n, codes % n], axis=1)
         self.meta = dict(meta) if meta else {}
-        self.csr = csr(len(vs), *np.array(list(edge_set), np.intp).reshape(-1, 2).T)
+        self.csr = csr(n, *self.edges.T)
 
     def __len__(self):
         return len(self.vertices)
-
-    def __contains__(self, v):
-        return v in self.index
 
     def _require(self, v: Vertex) -> int:
         try:
@@ -128,28 +122,29 @@ class MetricGraph:
             "format": "horokit-graph",
             "version": 1,
             "vertices": [[v.element, v.level, v.coset] for v in self.vertices],
-            "edges": sorted([a, b] for a, b in self.edges),
+            "edges": self.edges.tolist(),
             "meta": {k: v for k, v in self.meta.items() if _jsonable(v)},
         }
 
     @staticmethod
     def from_json(data: dict) -> "MetricGraph":
         """The graph of ``to_json``: distinct vertex rows [element, level,
-        coset], the element an int or a string, and edges as row index pairs."""
-        vs = []
-        for row in data["vertices"]:
+        coset], the element an int or a string, edges as row index pairs, and
+        an optional ``meta`` object."""
+        for field, kind, name in (("vertices", list, "list"), ("edges", list, "list"),
+                                  ("meta", dict, "object")):
+            if not isinstance(data.get(field, {}), kind):
+                raise ValueError(f"graph field {field!r} is not a JSON {name}")
+        rows, edges = data["vertices"], data["edges"]
+        for row in rows:
             if not (isinstance(row, list) and len(row) == 3 and type(row[0]) in (int, str)
                     and type(row[1]) is type(row[2]) is int):
                 raise ValueError(f"graph vertex {row!r} is not [element, level, coset]")
-            vs.append(Vertex(*row))
-        if len(set(vs)) < len(vs):
-            raise ValueError("graph vertex rows repeat")
-        for pair in data["edges"]:
+        for pair in edges:
             if not (isinstance(pair, list) and len(pair) == 2
-                    and all(type(i) is int and 0 <= i < len(vs) for i in pair)):
-                raise UnknownVertexError(f"graph edge {pair!r} names no vertex of {len(vs)}")
-        edges = [(vs[a], vs[b]) for a, b in data["edges"]]
-        return MetricGraph(vs, edges, meta=data.get("meta"))
+                    and all(type(i) is int and 0 <= i < len(rows) for i in pair)):
+                raise UnknownVertexError(f"graph edge {pair!r} names no vertex of {len(rows)}")
+        return MetricGraph(rows, edges, meta=data.get("meta"))
 
     def to_dot(self) -> str:
         def name(v):
@@ -158,7 +153,7 @@ class MetricGraph:
         lines = ["graph horokit {"]
         for v in self.vertices:
             lines.append(f"  {name(v)};")
-        for a, b in sorted(self.edges):
+        for a, b in self.edges.tolist():
             lines.append(f"  {name(self.vertices[a])} -- {name(self.vertices[b])};")
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -175,10 +170,11 @@ def _jsonable(v):
 def csr(n: int, u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The undirected graph on vertices 0..n-1 with edges u[k] -- v[k], each
     given once, as CSR: the neighbour list, the vertices of degree >= 1 and
-    their segment starts in it."""
-    ends = np.concatenate([u, v])
+    their segment starts in it.  Given rows u < v in lexicographic order (a
+    ``MetricGraph``'s edges), each segment is increasing."""
+    ends = np.concatenate([v, u])
     order = np.argsort(ends, kind="stable")
-    nbrs = np.concatenate([v, u])[order]
+    nbrs = np.concatenate([u, v])[order]
     degree = np.bincount(ends, minlength=n)
     live = np.flatnonzero(degree)
     return nbrs, live, (np.cumsum(degree) - degree)[live]
@@ -247,7 +243,6 @@ def pen(graph: MetricGraph, region: Iterable[Vertex], radius: int) -> set[Vertex
     """Closed radius-neighborhood of a vertex set; pen(A, 0) == A."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    region = [Vertex(*v) for v in region]
     row = graph.multi_source_distances(region)
     return {graph.vertices[i] for i, d in enumerate(row) if 0 <= d <= radius}
 

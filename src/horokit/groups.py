@@ -206,10 +206,6 @@ class GroupSpec:
 
     # -- balls and cosets --------------------------------------------------
 
-    def ball(self, radius: int) -> list[str]:
-        """All elements with word length <= radius, in BFS discovery order."""
-        return self._bfs(radius)[0]
-
     def _bfs(self, radius: int) -> tuple[list[str], list[tuple[int, int]]]:
         """The ball in BFS discovery order, and its Cayley edges as (inner,
         outer) positions in that order.  Every generator changes the total
@@ -238,19 +234,6 @@ class GroupSpec:
                 if len(nxt) > len(w):
                     edges.append((i, j))
         return order, edges
-
-    def coset_rep(self, word: str, atom_idx: int) -> str:
-        """Shortlex-least representative of word * <atom>.
-
-        Stripping a trailing syllable of the atom leaves the unique shortest
-        element of the coset, since appending any nontrivial atom element
-        extends the normal form syllable-wise.
-        """
-        w = self.normal_form(word)
-        syl = self.syllables(w)
-        if syl and syl[-1][0] == atom_idx:
-            syl = syl[:-1]
-        return "".join(s for _, s in syl)
 
 
 @dataclass(frozen=True)
@@ -288,10 +271,10 @@ class WordBall:
     """The elements of length <= radius as integer ids, with the ball's
     Cayley graph as ``graphs.csr`` arrays (``csr``).
 
-    Ids follow BFS discovery order (``words``, the order of
-    ``GroupSpec.ball``); ``edges`` are the Cayley edges the BFS formed, each
-    once.  ``graphs.bfs`` on ``csr`` gives the word metric |x^-1 y| of the
-    ball's elements, in three steps.
+    Ids follow BFS discovery order (``words``); ``edges`` are the Cayley
+    edges the BFS formed, each once, as an (m, 2) intp array of (inner,
+    outer) id pairs.  ``graphs.bfs`` on ``csr`` gives the word metric
+    |x^-1 y| of the ball's elements, in three steps.
 
     1. The ball is geodesically convex.  Take x and y in it, with normal
        forms c s ... and c t ..., where c is their longest common syllable
@@ -316,18 +299,19 @@ class WordBall:
     def __init__(self, spec: GroupSpec, radius: int):
         self.spec = spec
         self.radius = radius
-        self.words, self.edges = spec._bfs(radius)
+        self.words, edges = spec._bfs(radius)
+        self.edges = np.array(edges, np.intp).reshape(-1, 2)
         self.index = {w: i for i, w in enumerate(self.words)}
         self._buckets: dict[int, dict[str, list[int]]] = {}
-        self.csr = csr(len(self.words), *np.array(self.edges, np.intp).reshape(-1, 2).T)
+        self.csr = csr(len(self.words), *self.edges.T)
 
     def __len__(self):
         return len(self.words)
 
     def cosets(self, atom: int) -> dict[str, list[int]]:
         """The ball's ids bucketed by left coset of the atom, keyed by the
-        coset's shortlex-least representative (``GroupSpec.coset_rep``: the
-        word without a trailing syllable of the atom); one pass, cached."""
+        coset's shortlex-least representative (the word without a trailing
+        syllable of the atom); one pass, cached."""
         buckets = self._buckets.get(atom)
         if buckets is None:
             atom_of = self.spec._atom_of
@@ -370,8 +354,3 @@ class WordBall:
                         )
                     )
         return CosetTable(entries=tuple(entries), peripherals=peripherals, radius=self.radius)
-
-
-def enumerate_cosets(spec: GroupSpec, peripherals: Sequence[int], radius: int) -> CosetTable:
-    """Enumerate cosets g*P_r meeting the radius ball (``WordBall.coset_table``)."""
-    return WordBall(spec, radius).coset_table(peripherals)

@@ -7,13 +7,14 @@ over all vertex quadruples.
 Every block (biconnected component) is an isometric subgraph, and the
 constant of a connected graph is the largest constant of its blocks (Cohen,
 Coudert and Lancin, "On computing the Gromov hyperbolicity", ACM JEA 2015).
-So one depth-first search finds the blocks (Hopcroft and Tarjan, CACM 1973)
-and refuses disconnected graphs.  Cliques are 0-hyperbolic and are skipped,
-so a block graph, trees included, has nothing to scan and is certified
-delta = 0 with no distance matrix; these are exactly the 0-hyperbolic graphs
-(Howorka, JCTB 1979; Bandelt and Mulder, "Distance-hereditary graphs", JCTB
-1986).  Every other block gets its own
-distance matrix and is scanned by pairs:
+So one depth-first search over the neighbour lists of the graph's CSR finds
+the blocks (Hopcroft and Tarjan, CACM 1973) and refuses disconnected graphs.
+Cliques are 0-hyperbolic and are skipped, so a block graph, trees included,
+has nothing to scan and is certified delta = 0 with no distance matrix;
+these are exactly the 0-hyperbolic graphs (Howorka, JCTB 1979; Bandelt and
+Mulder, "Distance-hereditary graphs", JCTB 1986).  Every other block gets
+its own subgraph, the edge rows inside it, and its own distance matrix, and
+is scanned by pairs:
 
 - Only far-apart pairs take part.  (x, y) is far-apart when no neighbour of
   x is farther from y than x is, and no neighbour of y farther from x.  If
@@ -77,12 +78,15 @@ class DeltaEstimate:
         return out
 
 
-def _blocks(adjacency) -> list[list[int]]:
+def _blocks(graph: MetricGraph) -> list[list[int]]:
     """The vertex lists of the blocks that are not cliques, by one iterative
     DFS from vertex 0; DisconnectedGraphError when it misses a vertex.  An
     edge is counted at its later-found end, in the block of that end's tree
     edge."""
-    n = len(adjacency)
+    n = len(graph)
+    ends = np.cumsum(np.bincount(graph.edges.ravel(), minlength=n)).tolist()
+    flat = graph.csr[0].tolist()
+    adjacency = [flat[a:b] for a, b in zip([0] + ends, ends)]  # CSR segments as lists
     disc, low, at = [-1] * n, [0] * n, [0] * n
     disc[0], found, blocks = 0, 1, []
     members, counts = [], []  # vertices of open blocks, edges to earlier-found neighbours
@@ -116,10 +120,11 @@ def _blocks(adjacency) -> list[list[int]]:
 
 def _far_apart_pairs(graph: MetricGraph, dist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Far-apart pairs x < y, by decreasing distance (stable in row order)."""
-    # farthest[x, y]: the largest d(x', y) over the neighbours x' of x
+    # farthest[x, y]: the largest d(x', y) over the neighbours x' of x, whose
+    # CSR segment is the x-th, as the graph is connected
     farthest = np.empty_like(dist)
-    for x, nbrs in enumerate(graph.adjacency):
-        farthest[x] = dist[list(nbrs)].max(axis=0)
+    for x, nbrs in enumerate(np.split(graph.csr[0], graph.csr[2][1:])):
+        farthest[x] = dist[nbrs].max(axis=0)
     keep = (farthest <= dist) & (farthest.T <= dist)
     xs, ys = np.nonzero(np.triu(keep, 1))
     order = np.argsort(-dist[xs, ys], kind="stable")
@@ -165,16 +170,15 @@ def four_point_delta(
     total = math.comb(n, 4)
     if n < 4:
         return DeltaEstimate(0.0, mode, 0, method="degenerate", truncation=trunc)
-    blocks = _blocks(graph.adjacency)
+    blocks = _blocks(graph)
     if mode == "exhaustive":
         best = 0
         for block in blocks:
-            inside = set(block)
-            sub = graph if len(block) == n else MetricGraph(
-                [graph.vertices[i] for i in block],
-                [(graph.vertices[i], graph.vertices[j])
-                 for i in block for j in graph.adjacency[i] if j > i and j in inside],
-            )
+            sub, block = graph, np.sort(block)
+            if len(block) < n:  # the edge rows inside the block, relabelled
+                rows = graph.edges[np.isin(graph.edges, block).all(axis=1)]
+                sub = MetricGraph([graph.vertices[i] for i in block.tolist()],
+                                  np.searchsorted(block, rows))
             dist = sub.distance_matrix()
             xs, ys = _far_apart_pairs(sub, dist)
             f = len(xs)

@@ -81,6 +81,8 @@ def load_instance(path: str) -> AugmentedSpace:
     """Instance from a config file: group family, peripherals, truncation."""
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"instance file {path}: its JSON is not an object")
     spec, peripherals = GroupSpec.from_config(cfg["group"])
     if "peripherals" in cfg:
         peripherals = tuple(cfg["peripherals"])

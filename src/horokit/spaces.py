@@ -9,11 +9,10 @@ ball; level-0 horizontal edges are the Cayley edges themselves.
 integer element ids.  Its Cayley edges come from the BFS products, and its
 coset bases from one bucketing pass per peripheral atom.  The attached
 bases' distance matrices come from one ``graphs.bfs`` search per peripheral
-atom over the Cayley edges inside its cosets, once for all levels.  The
-space keeps the ball, the bases and their matrices for its covers and
-boundary.  A second, independently coded builder realizes the distance-one
-presentation of the same space from normal forms and doubles as a
-cross-check oracle.
+atom over the Cayley edges inside its cosets, once for all levels.  Both
+builders give ``graphs.MetricGraph`` their edges as arrays of index pairs,
+one per level.  The space keeps the ball, the bases and their matrices for
+its covers and boundary.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ import numpy as np
 
 from .errors import BudgetExceededError, EmptyBaseError, vertex_budget
 from .graphs import MetricGraph, Vertex, csr, distance_rows
-from .groups import CosetTable, GroupSpec, WordBall, enumerate_cosets
+from .groups import CosetTable, GroupSpec, WordBall
 
 
 def interval_points(lo: int, hi: int) -> list[int]:
@@ -65,26 +64,23 @@ def build_horoball(
         raise BudgetExceededError(
             f"{len(points)} x {len(levels)} vertices exceed budget {cap}"
         )
-    vof = lambda p, l: Vertex(p, l, 0 if l == 0 else 1)
-    vertices = [vof(p, l) for p in points for l in levels]
+    # vertex i * len(levels) + k is point i at the k-th level
+    vertices = [Vertex(p, l, 0 if l == 0 else 1) for p in points for l in levels]
+    iu, ju = np.triu_indices(len(points), 1)
+    d = np.array([dist(points[i], points[j]) for i, j in zip(iu, ju)], float)
+    at = np.arange(len(points)) * len(levels)
     edges = []
-    for l in levels:
-        reach = 2**l
-        for i, p in enumerate(points):
-            for q in points[i + 1 :]:
-                d = dist(p, q)
-                if 0 < d <= reach:
-                    edges.append((vof(p, l), vof(q, l)))
-    for a, b in zip(levels, levels[1:]):
-        if b == a + 1:
-            for p in points:
-                edges.append((vof(p, a), vof(p, b)))
+    for k, l in enumerate(levels):
+        near = (0 < d) & (d <= 2**l)
+        edges.append(np.stack([at[iu[near]] + k, at[ju[near]] + k], axis=1))
+        if k:  # the levels are consecutive
+            edges.append(np.stack([at + k - 1, at + k], axis=1))
     meta = {
         "kind": "horoball",
         "base_size": len(points),
         "levels": [levels[0], levels[-1]],
     }
-    return MetricGraph(vertices, edges, meta=meta)
+    return MetricGraph(vertices, np.concatenate(edges), meta=meta)
 
 
 @dataclass(frozen=True)
@@ -145,22 +141,21 @@ def build_augmented(
         raise BudgetExceededError(f"augmented space exceeds budget {cap}")
     base_distances = _base_distances(ball, attached, bases)
 
+    # vertex i < len(ball) is the ball's element i; each floor follows
     words = ball.words
-    cayley = [Vertex(x, 0, 0) for x in words]
-    vertices = list(cayley)
-    edges = [(cayley[i], cayley[j]) for i, j in ball.edges]
+    vertices = [Vertex(x, 0, 0) for x in words]
+    edges = [ball.edges]
     for entry in attached:
-        base = bases[entry.index]
+        base = np.array(bases[entry.index], np.intp)
         iu, ju = np.triu_indices(len(base), 1)
         dist = base_distances[entry.index][iu, ju]
-        below = [cayley[i] for i in base]
+        below = base
         for l in range(1, trunc.lmax + 1):
-            floor = [Vertex(words[i], l, entry.index) for i in base]
-            vertices.extend(floor)
+            floor = np.arange(len(vertices), len(vertices) + len(base))
+            vertices.extend(Vertex(words[i], l, entry.index) for i in bases[entry.index])
             near = dist <= 2**l
-            pairs = zip(iu[near].tolist(), ju[near].tolist())
-            edges.extend((floor[i], floor[j]) for i, j in pairs)
-            edges.extend(zip(below, floor))
+            edges.append(np.stack([floor[iu[near]], floor[ju[near]]], axis=1))
+            edges.append(np.stack([below, floor], axis=1))
             below = floor
 
     meta = {
@@ -170,7 +165,7 @@ def build_augmented(
         "attached": [e.index for e in attached],
         "name": name,
     }
-    graph = MetricGraph(vertices, edges, meta=meta)
+    graph = MetricGraph(vertices, np.concatenate(edges), meta=meta)
     return AugmentedSpace(
         spec, tuple(peripherals), trunc, graph, ball, table, tuple(attached), bases,
         base_distances, name,
@@ -183,7 +178,7 @@ def _base_distances(ball: WordBall, attached, bases) -> dict[int, np.ndarray]:
     atom split the ball into its cosets, and inside a base they give its
     metric (``groups.WordBall``, steps 2 and 3).  So search column j is
     seeded at the j-th element of every attached base of the atom at once."""
-    eu, ev = np.array(ball.edges, np.intp).reshape(-1, 2).T
+    eu, ev = ball.edges.T
     out = {}
     for atom in sorted({e.atom for e in attached}):
         coset = np.empty(len(ball), np.intp)
@@ -199,52 +194,6 @@ def _base_distances(ball: WordBall, attached, bases) -> dict[int, np.ndarray]:
         for index, base in mine.items():
             out[index] = rows[: len(base), base]
     return out
-
-
-def build_vertex_space(
-    spec: GroupSpec,
-    peripherals: Sequence[int],
-    rg: int,
-    lmax: int,
-) -> MetricGraph:
-    """Distance-one presentation of the augmented space (second construction).
-
-    Group-level horizontal edges are the distance-1 pairs of the word metric,
-    horoball levels start at 1 over every enumerated coset.  Kept independent
-    of build_augmented on purpose: for word metrics the two presentations
-    produce the same graph, which the tests exploit as an oracle.
-    """
-    cap = vertex_budget()
-    ball = spec.ball(rg)
-    table = enumerate_cosets(spec, tuple(peripherals), rg)
-    vertices = [Vertex(x, 0, 0) for x in ball]
-    edges = []
-    for i, x in enumerate(ball):
-        for y in ball[i + 1 :]:
-            if spec.word_metric(x, y) == 1:
-                edges.append((Vertex(x, 0, 0), Vertex(y, 0, 0)))
-    for entry in table.entries:
-        base = [x for x in ball if spec.coset_rep(x, entry.atom) == entry.rep]
-        vertices.extend(
-            Vertex(x, l, entry.index) for x in base for l in range(1, lmax + 1)
-        )
-        if len(vertices) > cap:
-            raise BudgetExceededError(f"vertex space exceeds budget {cap}")
-        for t in range(1, lmax + 1):
-            reach = 2**t
-            for i, x in enumerate(base):
-                for y in base[i + 1 :]:
-                    d = spec.word_metric(x, y)
-                    if 0 < d <= reach:
-                        edges.append((Vertex(x, t, entry.index), Vertex(y, t, entry.index)))
-        if lmax < 1:
-            continue
-        for x in base:
-            edges.append((Vertex(x, 0, 0), Vertex(x, 1, entry.index)))
-            for t in range(1, lmax):
-                edges.append((Vertex(x, t, entry.index), Vertex(x, t + 1, entry.index)))
-    meta = {"kind": "vertex-space", "rg": rg, "lmax": lmax}
-    return MetricGraph(vertices, edges, meta=meta)
 
 
 def boundary_vertices(space: AugmentedSpace) -> set[Vertex]:

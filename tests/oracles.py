@@ -4,15 +4,25 @@ neighbours per vertex) and the arrays the package takes: ``PointSets`` for a
 family of sets, upper-neighbour compressed rows for a graph.  Also the dense
 oracle for the lattices of ``horokit.snf``: the Hermite form normalised on an
 object matrix and the membership walk that scans each column for its pivot,
-with the conversions between dense matrices and sparse columns."""
+with the conversions between dense matrices and sparse columns.
 
+The graph oracles: ``reference_graph``, the per-edge loop over ``Vertex``
+pairs that ``graphs.MetricGraph`` replaces with index arrays, with a
+breadth-first search of its own; and ``build_vertex_space``, the augmented
+space built a second way, from normal forms and the word metric alone, with
+the ball, coset and representative helpers that only it reads."""
+
+from collections import deque
 from math import gcd
+from typing import Sequence
 
 import numpy as np
 
 from horokit.complexes import PointSets
 from horokit.covers import Cover
-from horokit.graphs import Vertex
+from horokit.errors import BudgetExceededError, UnknownVertexError, vertex_budget
+from horokit.graphs import MetricGraph, Vertex, vertex_key
+from horokit.groups import CosetTable, GroupSpec, WordBall
 from horokit.snf import _bezout
 
 
@@ -147,3 +157,126 @@ def dense_lattice_coords(hnf: np.ndarray, vec) -> list[int] | None:
             for i in range(p, len(v)):
                 v[i] -= q * col[i]
     return None if any(v) else coords
+
+
+# -- graphs ---------------------------------------------------------------
+
+
+class ReferenceGraph:
+    """A graph built edge by edge from ``Vertex`` pairs: vertices sorted by
+    ``vertex_key`` with repeats dropped, edges as a set of index pairs
+    (a, b) with a < b, and sorted neighbour tuples."""
+
+    def __init__(self, vertices, edges):
+        vs = sorted({Vertex(*v) for v in vertices}, key=vertex_key)
+        self.vertices = tuple(vs)
+        index = {v: i for i, v in enumerate(vs)}
+        adj: list[set[int]] = [set() for _ in vs]
+        edge_set = set()
+        for u, v in edges:
+            u, v = Vertex(*u), Vertex(*v)
+            iu, iv = index.get(u), index.get(v)
+            if iu is None or iv is None:
+                raise UnknownVertexError(f"edge endpoint not a vertex: {u} -- {v}")
+            if iu == iv:
+                raise ValueError(f"self-loop at {u}")
+            adj[iu].add(iv)
+            adj[iv].add(iu)
+            edge_set.add((min(iu, iv), max(iu, iv)))
+        self.edges = edge_set
+        self.adjacency = tuple(tuple(sorted(s)) for s in adj)
+
+    def distances(self, sources) -> list[int]:
+        """Distance of every vertex to the nearest source index, -1 where
+        none reaches, by a queue."""
+        row = [-1] * len(self.vertices)
+        queue = deque(sources)
+        for s in sources:
+            row[s] = 0
+        while queue:
+            x = queue.popleft()
+            for y in self.adjacency[x]:
+                if row[y] < 0:
+                    row[y] = row[x] + 1
+                    queue.append(y)
+        return row
+
+
+def ball_words(spec: GroupSpec, radius: int) -> list[str]:
+    """All elements with word length <= radius, in BFS discovery order, by a
+    breadth-first search over normal forms."""
+    order, seen = [""], {""}
+    for w in order:  # the loop sees the appended elements
+        if len(w) < radius:
+            for c in spec.alphabet:
+                x = spec.normal_form(w + c)
+                if x not in seen:
+                    seen.add(x)
+                    order.append(x)
+    return order
+
+
+def coset_rep(spec: GroupSpec, word: str, atom_idx: int) -> str:
+    """Shortlex-least representative of word * <atom>.
+
+    Stripping a trailing syllable of the atom leaves the unique shortest
+    element of the coset, since appending any nontrivial atom element
+    extends the normal form syllable-wise.
+    """
+    syl = spec.syllables(spec.normal_form(word))
+    if syl and syl[-1][0] == atom_idx:
+        syl = syl[:-1]
+    return "".join(s for _, s in syl)
+
+
+def enumerate_cosets(spec: GroupSpec, peripherals: Sequence[int], radius: int) -> CosetTable:
+    """Enumerate cosets g*P_r meeting the radius ball (``WordBall.coset_table``)."""
+    return WordBall(spec, radius).coset_table(peripherals)
+
+
+def build_vertex_space(
+    spec: GroupSpec,
+    peripherals: Sequence[int],
+    rg: int,
+    lmax: int,
+) -> MetricGraph:
+    """Distance-one presentation of the augmented space (second construction).
+
+    Group-level horizontal edges are the distance-1 pairs of the word metric,
+    horoball levels start at 1 over every enumerated coset.  Kept independent
+    of build_augmented on purpose: for word metrics the two presentations
+    produce the same graph, which the tests exploit as an oracle.
+    """
+    cap = vertex_budget()
+    words = ball_words(spec, rg)
+    table = enumerate_cosets(spec, tuple(peripherals), rg)
+    vertices = [Vertex(x, 0, 0) for x in words]
+    edges = []
+    for i, x in enumerate(words):
+        for y in words[i + 1 :]:
+            if spec.word_metric(x, y) == 1:
+                edges.append((Vertex(x, 0, 0), Vertex(y, 0, 0)))
+    for entry in table.entries:
+        base = [x for x in words if coset_rep(spec, x, entry.atom) == entry.rep]
+        vertices.extend(
+            Vertex(x, l, entry.index) for x in base for l in range(1, lmax + 1)
+        )
+        if len(vertices) > cap:
+            raise BudgetExceededError(f"vertex space exceeds budget {cap}")
+        for t in range(1, lmax + 1):
+            reach = 2**t
+            for i, x in enumerate(base):
+                for y in base[i + 1 :]:
+                    d = spec.word_metric(x, y)
+                    if 0 < d <= reach:
+                        edges.append((Vertex(x, t, entry.index), Vertex(y, t, entry.index)))
+        if lmax < 1:
+            continue
+        for x in base:
+            edges.append((Vertex(x, 0, 0), Vertex(x, 1, entry.index)))
+            for t in range(1, lmax):
+                edges.append((Vertex(x, t, entry.index), Vertex(x, t + 1, entry.index)))
+    index = {v: i for i, v in enumerate(vertices)}
+    pairs = [(index[u], index[v]) for u, v in edges]
+    meta = {"kind": "vertex-space", "rg": rg, "lmax": lmax}
+    return MetricGraph(vertices, pairs, meta=meta)

@@ -108,6 +108,38 @@ def test_bad_graph_file_exits_2(vertices, edges, message, tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+GRAPH_HEAD = {"format": "horokit-graph", "version": 1}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({**GRAPH_HEAD, "vertices": [[0, 0, 0]], "edges": 5}, "graph field 'edges' is not"),
+        ({**GRAPH_HEAD, "vertices": 7, "edges": []}, "graph field 'vertices' is not"),
+        ({**GRAPH_HEAD, "vertices": [], "edges": [], "meta": [1, 2]},
+         "graph field 'meta' is not"),
+        ({**GRAPH_HEAD, "vertices": [], "edges": [], "meta": "ab"}, "graph field 'meta' is not"),
+        ([1, 2], "instance file "),
+        ("x", "instance file "),
+    ],
+    ids=["edges-an-int", "vertices-an-int", "meta-a-list", "meta-a-string",
+         "instance-a-list", "instance-a-string"],
+)
+def test_malformed_file_exits_2_without_traceback(data, message, tmp_path):
+    # a fresh CLI process, so that an uncaught error would show as exit 1
+    # and a traceback
+    import subprocess
+    import sys
+
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    proc = subprocess.run([sys.executable, "-m", "horokit.cli", "delta", "--instance", str(path)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"horokit: {message}")
+    assert "Traceback" not in proc.stderr
+
+
 def test_build_augmented_exports(tmp_path):
     out = tmp_path / "graph.json"
     cosets = tmp_path / "cosets.csv"

@@ -10,16 +10,86 @@ from horokit import graphs
 from horokit.errors import DecompositionError, UnknownVertexError
 from horokit.graphs import MetricGraph, Vertex, omega_excisive_check, pen
 from horokit.instances import BUILDERS, get_instance
+from oracles import ReferenceGraph
 
 
 def path_graph(n):
-    vs = [Vertex(i, 0, 0) for i in range(n)]
-    return MetricGraph(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
+    return line(0, n - 1)
 
 
 def line(lo, hi):
     vs = [Vertex(i, 0, 0) for i in range(lo, hi + 1)]
-    return MetricGraph(vs, [(Vertex(i, 0, 0), Vertex(i + 1, 0, 0)) for i in range(lo, hi)])
+    return MetricGraph(vs, [(i, i + 1) for i in range(hi - lo)])
+
+
+# -- the constructor against the per-edge reference ---------------------------
+
+
+@st.composite
+def vertex_lists(draw):
+    # distinct vertices in drawn (unsorted) order, int and str elements mixed
+    element = st.one_of(st.integers(-5, 30), st.text("ab", max_size=3))
+    return draw(st.lists(st.builds(Vertex, element, st.integers(0, 3), st.integers(0, 2)),
+                         max_size=40, unique=True))
+
+
+def csr_neighbours(g):
+    """Each vertex's CSR segment as a list, [] for a vertex of degree 0."""
+    nbrs, live, starts = g.csr
+    bounds = [*starts.tolist(), len(nbrs)]
+    out = [[] for _ in g.vertices]
+    for k, x in enumerate(live.tolist()):
+        out[x] = nbrs[bounds[k]:bounds[k + 1]].tolist()
+    return out
+
+
+def test_constructor_matches_the_per_edge_reference():
+    from hypothesis import given, settings
+
+    @settings(max_examples=300, deadline=None)
+    @given(vertex_lists(), st.data())
+    def check(vs, data):
+        n = len(vs)
+        pairs = []
+        if n >= 2:
+            # repeats and both orientations of a pair; none at all, and
+            # isolated vertices, occur too
+            drawn = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                                       .filter(lambda p: p[0] != p[1]), max_size=3 * n))
+            flips = data.draw(st.lists(st.sampled_from(drawn))) if drawn else []
+            pairs = drawn + [(b, a) for a, b in flips]
+        g = MetricGraph(vs, pairs)
+        ref = ReferenceGraph(vs, [(vs[a], vs[b]) for a, b in pairs])
+        assert g.vertices == ref.vertices
+        assert g.index == {v: i for i, v in enumerate(ref.vertices)}
+        assert g.edges.dtype == np.intp and g.edges.shape == (len(ref.edges), 2)
+        assert g.edges.tolist() == sorted(map(list, ref.edges))
+        assert csr_neighbours(g) == [list(a) for a in ref.adjacency]
+        if n:
+            sources = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
+            assert g.multi_source_distances(g.vertices[i] for i in sources) == \
+                ref.distances(sources)
+
+    check()
+
+
+def test_constructor_refusals():
+    from hypothesis import given, settings
+
+    @settings(max_examples=100, deadline=None)
+    @given(vertex_lists().filter(lambda vs: len(vs) >= 2), st.data())
+    def check(vs, data):
+        n = len(vs)
+        a = data.draw(st.integers(0, n - 1))
+        with pytest.raises(ValueError, match="self-loop"):
+            MetricGraph(vs, [((a + 1) % n, a), (a, a)])
+        far = data.draw(st.one_of(st.integers(n, n + 5), st.integers(-5, -1)))
+        with pytest.raises(UnknownVertexError, match="names no vertex"):
+            MetricGraph(vs, [(0, 1), (a, far)])
+        with pytest.raises(ValueError, match="repeat"):
+            MetricGraph(vs + [vs[a]], [(0, 1)])
+
+    check()
 
 
 def test_bfs_distance_path():
@@ -42,14 +112,14 @@ def test_unknown_vertex():
 def test_no_self_loops_or_multi_edges():
     vs = [Vertex(0, 0, 0), Vertex(1, 0, 0)]
     with pytest.raises(ValueError):
-        MetricGraph(vs, [(vs[0], vs[0])])
-    g = MetricGraph(vs, [(vs[0], vs[1]), (vs[1], vs[0])])
-    assert len(g.edges) == 1
+        MetricGraph(vs, [(0, 0)])
+    g = MetricGraph(vs, [(0, 1), (1, 0)])
+    assert g.edges.tolist() == [[0, 1]]
 
 
 def test_distance_one_iff_edge():
     g = path_graph(4)
-    for a, b in g.edges:
+    for a, b in g.edges.tolist():
         assert g.distance(g.vertices[a], g.vertices[b]) == 1
     assert g.distance(Vertex(0, 0, 0), Vertex(2, 0, 0)) != 1
 
@@ -135,7 +205,7 @@ def test_json_roundtrip_and_dot():
     g = path_graph(3)
     back = MetricGraph.from_json(g.to_json())
     assert back.vertices == g.vertices
-    assert back.edges == g.edges
+    assert back.edges.tolist() == g.edges.tolist()
     dot = g.to_dot()
     assert dot.startswith("graph") and dot.count("--") == 2
 
@@ -157,7 +227,7 @@ def networkx_rows(g, sources_list):
 
     ng = nx.Graph()
     ng.add_nodes_from(range(len(g)))
-    ng.add_edges_from(g.edges)
+    ng.add_edges_from(g.edges.tolist())
     rows = []
     for sources in sources_list:
         row = [-1] * len(g)
@@ -177,7 +247,7 @@ def sparse_graphs(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
                           max_size=2 * n))
     vs = [Vertex(i, 0, 0) for i in range(n)]
-    return MetricGraph(vs, [(vs[a], vs[b]) for a, b in pairs if a != b])
+    return MetricGraph(vs, [(a, b) for a, b in pairs if a != b])
 
 
 @pytest.mark.parametrize("block", [None, 5, 70])

@@ -66,10 +66,10 @@ def test_linear_schedule_decomposition():
 def test_budget_env_override(monkeypatch):
     monkeypatch.setenv(errors.BUDGET_ENV_VAR, "7")
     assert errors.vertex_budget() == 7
-    from horokit.groups import GroupSpec
+    from horokit.groups import GroupSpec, WordBall
 
     with pytest.raises(errors.BudgetExceededError):
-        GroupSpec.free(2).ball(3)
+        WordBall(GroupSpec.free(2), 3)
     monkeypatch.delenv(errors.BUDGET_ENV_VAR)
     assert errors.vertex_budget() == errors.DEFAULT_VERTEX_BUDGET
 
@@ -80,7 +80,7 @@ def test_bfs_matches_networkx_oracle():
     g = sp.graph
     ng = nx.Graph()
     ng.add_nodes_from(range(len(g)))
-    ng.add_edges_from(g.edges)
+    ng.add_edges_from(g.edges.tolist())
     lengths = dict(nx.all_pairs_shortest_path_length(ng))
     for i in range(0, len(g), 5):
         row = g.multi_source_distances([g.vertices[i]])

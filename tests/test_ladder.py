@@ -52,6 +52,12 @@ def test_ladder_runs_rg1_and_digests_each_report(tmp_path, monkeypatch):
                for r in runs)
 
 
+def test_ladder_runs_the_build_verdict_on_rg1(tmp_path, monkeypatch):
+    runs = check_rg1_runs(("build",), tmp_path, monkeypatch)
+    # the digest is of the space's graph export, which takes no stage
+    assert all(r["argv"].startswith("build-augmented --instance") for r in runs)
+
+
 def test_ladder_runs_both_delta_verdicts_on_rg1(tmp_path, monkeypatch):
     check_rg1_runs(("delta", "delta-sampled"), tmp_path, monkeypatch)
     assert _ladder_module().VERDICTS["delta-sampled"] == [

@@ -31,7 +31,6 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "horokit"
 
 ALLOWED = {
-    "build_vertex_space": "oracle for spaces.build_augmented",
     "word_metric": "oracle for the ball's BFS metric",
     "barycentric_subdivision": "test constructor: homology invariance",
     "from_label_faces": "test constructor for complexes",

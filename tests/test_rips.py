@@ -12,18 +12,12 @@ from horokit.rips import (
     remark_decomposition_check,
     rips,
 )
-from horokit.spaces import (
-    Truncation,
-    build_augmented,
-    build_horoball,
-    build_vertex_space,
-    interval_points,
-)
+from horokit.spaces import Truncation, build_augmented, build_horoball, interval_points
+from oracles import build_vertex_space
 
 
 def path_graph(n):
-    vs = [Vertex(i, 0, 0) for i in range(n)]
-    return MetricGraph(vs, [(vs[i], vs[i + 1]) for i in range(n - 1)])
+    return MetricGraph([Vertex(i, 0, 0) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
 def test_rips_path_d1():
@@ -117,7 +111,7 @@ def test_remark_decomposition_holds_under_hypothesis():
 def test_remark_decomposition_violation_fixture():
     # a hand-built space where an edge jumps two levels
     vs = [Vertex("p", 0, 0), Vertex("q", 2, 1)]
-    bad = MetricGraph(vs, [(vs[0], vs[1])])
+    bad = MetricGraph(vs, [(0, 1)])
     res = remark_decomposition_check(bad, 1, 1, 1, cap=2)
     assert not res.ok
     assert res.witnesses
@@ -154,7 +148,7 @@ def test_proxy_full_simplex():
 def test_proxy_circle():
     hexagon = MetricGraph(
         [Vertex(i, 0, 0) for i in range(6)],
-        [(Vertex(i, 0, 0), Vertex((i + 1) % 6, 0, 0)) for i in range(6)],
+        [(i, (i + 1) % 6) for i in range(6)],
     )
     c = rips(hexagon, 1, cap=2)
     assert _reduced_types(c, (0, 1)) == [AbelianGroup(0), AbelianGroup(1)]
